@@ -30,6 +30,7 @@ import mpmath
 from mpmath import fsum, mpf
 
 from .errors import InsufficientData, UnsupportedCell
+from .methods import METHODS
 from .numerics import Real, Scalar, real
 from .root_search import IterationTrace
 
@@ -214,21 +215,6 @@ _FACTOR_CELLS = {
     "newton-df/x": _factor_opt_df,
 }
 
-# error-product shape per scheme: multiplicity m, and whether the newest
-# error enters with exponent m-1 (optimisation) or m (root search)
-_PRODUCT_SHAPE = {
-    "exact-df": (1, "root"),
-    "newton-x-interp": (1, "root"),
-    "newton-f-interp": (1, "root"),
-    "secant": (1, "root"),
-    "exact-d1": (2, "root"),
-    "ch-x-interp": (2, "root"),
-    "ch-f-interp": (2, "root"),
-    "newton": (2, "root"),
-    "newton-df": (1, "opt"),
-}
-
-
 @dataclass(frozen=True)
 class ErrorFactorSpec:
     """Identifies a tabulated leading-error cell.
@@ -271,14 +257,14 @@ def predicted_error_factor(spec: ErrorFactorSpec) -> Real:
     return cell(d, spec.n_plus_1)
 
 
-def _error_products(errors: Sequence[Real], n_plus_1: int, m: int, shape: str):
+def _error_products(errors: Sequence[Real], n_plus_1: int, m: int, family: str):
     """Pairs (e_j, product of the n+1 window errors before step j)."""
     out = []
     for j in range(n_plus_1, len(errors)):
         window = errors[j - n_plus_1: j]
         if any(e == 0 for e in window) or errors[j] == 0:
             continue
-        if shape == "opt":
+        if family == "opt":  # the newest error enters with exponent m - 1
             product = mpf(1)
             for e in window[:-1]:
                 product *= e ** m
@@ -300,13 +286,11 @@ def verify_error_factor(trace: IterationTrace, spec: ErrorFactorSpec, window_tai
     if window_tail < 1:
         raise ValueError("window_tail must be positive")
     predicted = predicted_error_factor(spec)
-    method = spec.normalised_scheme().split("/")[0]
-    try:
-        m, shape = _PRODUCT_SHAPE[method]
-    except KeyError:
-        raise UnsupportedCell(f"no error-product shape for scheme {spec.scheme!r}") from None
+    method = METHODS.get(spec.normalised_scheme().split("/")[0])
+    if method is None or method.multiplicity is None:
+        raise UnsupportedCell(f"no error-product shape for scheme {spec.scheme!r}")
     errors = [s.error for s in trace.steps if s.error is not None]
-    pairs = _error_products(errors, spec.n_plus_1, m, shape)
+    pairs = _error_products(errors, spec.n_plus_1, method.multiplicity, method.family)
     if len(pairs) < window_tail:
         raise InsufficientData(
             f"need {window_tail} usable error products, have {len(pairs)}"

@@ -17,6 +17,7 @@ import mpmath
 from . import analysis, corpus, numerics, optimise, root_search
 from .errors import BaryiterError, InsufficientData, ParseError
 from .expressions import parse_expression
+from .methods import OPT_METHODS, ROOT_METHODS
 from .numerics import precision, to_decimal
 from .root_search import IterationTrace, SolverConfig
 
@@ -63,10 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="displayed significant digits (default 20; json uses full precision)")
 
     solve = sub.add_parser("solve", help="run a root method")
-    add_run_flags(solve, root_search.ROOT_METHODS, "exact-df", 4)
+    add_run_flags(solve, ROOT_METHODS, "exact-df", 4)
 
     optimize = sub.add_parser("optimize", help="run an optimisation method")
-    add_run_flags(optimize, root_search.OPT_METHODS, "newton-df", 4)
+    add_run_flags(optimize, OPT_METHODS, "newton-df", 4)
 
     order = sub.add_parser("order", help="theoretical convergence order")
     order.add_argument("--family", choices=analysis.FAMILIES, required=True)
@@ -252,7 +253,7 @@ def run_golden_table(name: str, precision_bits: Optional[int] = None):
             method=column["method"],
             weight_scheme=column.get("weights", "x"),
             window=column["window"],
-            bootstrap="picard" if column["method"] in root_search.TWO_POINT_METHODS else "auto",
+            bootstrap="picard",  # the published tables seed with one fixed-point step
             tol_f="1e-150",
             tol_x="1e-150",
             max_iter=len(cells) - 1,

@@ -2,12 +2,14 @@
 
 Each problem carries analytic derivatives up to the order the solvers can
 use, an optional fixed-point form, and a default starting point.  Reference
-solutions (roots, or minimisers for objectives) are refined once at 1152
-bits until the residual drops below 1e-300, stored as 320-digit decimal
-strings in a sidecar file next to this module, and parsed back at the
-caller's working precision.  The golden error tables for the ``cos x - x``
-benchmark live here too; the command-line ``table`` command and the
-acceptance suite both replay them.
+solutions (roots, or minimisers for objectives) are Newton-refined at 1152
+bits until the residual drops below 1e-300.  The built-ins' references ship
+as 320-digit decimal strings in a sidecar file next to this module (a test
+checks them against a fresh refinement); any other problem is refined on
+each request, and nothing is written back.  Either way the digits are
+parsed at the caller's working precision.  The golden error tables for the
+``cos x - x`` benchmark live here too; the command-line ``table`` command
+and the acceptance suite both replay them.
 """
 
 from __future__ import annotations
@@ -163,14 +165,6 @@ def _load_sidecar() -> dict[str, str]:
     return out
 
 
-def _store_sidecar(entries: dict[str, str]) -> None:
-    lines = [f"{name}\t{digits}" for name, digits in sorted(entries.items())]
-    try:
-        _SIDECAR.write_text("\n".join(lines) + "\n")
-    except OSError:
-        pass  # read-only installs keep the in-memory cache only
-
-
 _reference_cache: dict[str, str] | None = None
 
 
@@ -199,7 +193,7 @@ def refine_reference(problem: Problem) -> str:
 
 
 def reference_root(problem: Problem) -> Real:
-    """Reference solution from the sidecar cache, refining and caching on a miss."""
+    """Reference solution from the sidecar, else refined (and, for a built-in, kept in memory)."""
     global _reference_cache
     if _reference_cache is None:
         _reference_cache = _load_sidecar()
@@ -208,7 +202,6 @@ def reference_root(problem: Problem) -> Real:
         digits = refine_reference(problem)
         if problem.name in PROBLEMS:
             _reference_cache[problem.name] = digits
-            _store_sidecar(_reference_cache)
     return real(digits)
 
 

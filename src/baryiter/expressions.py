@@ -296,25 +296,6 @@ def evaluate(node, x: Real) -> Real:
     raise ValueError(f"cannot evaluate node {node!r}")
 
 
-def render(node) -> str:
-    """Plain-text form of an AST (parenthesised, for diagnostics)."""
-    head = node[0]
-    if head == "num":
-        return node[1]
-    if head == "var":
-        return "x"
-    if head == "neg":
-        return f"(-{render(node[1])})"
-    if head in ("add", "sub", "mul", "div"):
-        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[head]
-        return f"({render(node[1])}{op}{render(node[2])})"
-    if head == "pow":
-        return f"{render(node[1])}^{node[2]}"
-    if head == "call":
-        return f"{node[1]}({render(node[2])})"
-    raise ValueError(f"cannot render node {node!r}")
-
-
 @dataclass(frozen=True)
 class Expression:
     """A parsed expression with symbolic derivatives up to order three."""

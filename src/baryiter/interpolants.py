@@ -38,6 +38,15 @@ class Sample:
     f_prime: Real | None = None
 
 
+@dataclass(frozen=True)
+class ObjectiveSample:
+    """One evaluated point of an objective (optimisation runs)."""
+
+    x: Real
+    phi: Real
+    phi_prime: Real | None = None
+
+
 ORIENTATIONS = ("direct", "inverse")
 
 

@@ -13,50 +13,36 @@ and the interpolant degrades.
     from (x_i, phi_i, phi'_i) memory with x-based squared-product weights;
     window minimum 2.
 
-The solver loop mirrors the root solver: growing memory, newest ``window``
-samples, window-reduction fallback on singular steps.  Convergence uses the
-slope residual: the true phi' for ``ch-d1``, the interpolant slope estimate
-for ``newton-df`` (a documented heuristic, since the true gradient is
-unavailable).  Each step records the sign of the curvature estimate; the
-solver does not classify the stationary point.
+``optimize`` runs the root solver's loop (``root_search.drive``) on these
+methods: growing memory, newest ``window`` samples, window-reduction
+fallback on singular steps.  The starting points are x0, x0 + h (or an
+explicit ``x1``) and, for ``newton-df``, the mirror image x0 - h.
+Convergence uses the slope residual: the true phi' for ``ch-d1``, the
+interpolant slope estimate for ``newton-df`` (a documented heuristic, since
+the true gradient is unavailable).  Each step records the sign of the
+curvature estimate; the solver does not classify the stationary point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath import fsum, mpf
+from mpmath import fsum
 
-from . import numerics
-from .errors import ExactRootHit, SingularStep, ZeroDerivative
-from .interpolants import hermite_node_curvature
-from .numerics import Real, is_finite, real
+from .errors import SingularStep, ZeroDerivative
+from .interpolants import ObjectiveSample, hermite_node_curvature
+from .numerics import Real
 from .root_search import (
-    OPT_METHODS,
-    STATUS_CONVERGED,
-    STATUS_DIVERGED,
-    STATUS_EXHAUSTED,
-    STATUS_FALLBACK,
-    STATUS_OK,
     IterationTrace,
     SolverConfig,
-    StepRecord,
-    attach_reference,
     chebyshev_halley_update,
-    default_tolerance,
+    drive,
     select_window,
 )
+# the shared loop's pieces under this module's own names, which ``optimize``
+# hands to the driver so that optimisation steps can be instrumented apart
+from .root_search import _interp_step, _propose as _opt_propose
 from .weights import HermiteWeights, product_weights, squared_product_weights
-
-
-@dataclass(frozen=True)
-class ObjectiveSample:
-    """One evaluated point of the objective."""
-
-    x: Real
-    phi: Real
-    phi_prime: Real | None = None
 
 
 def phi_slope_df(window: Sequence[ObjectiveSample], weights: Sequence[Real]) -> Real:
@@ -169,55 +155,39 @@ def opt_step_d1(
     return _d1_step(window, hweights, beta)[0]
 
 
-def _seed_points(problem, config: SolverConfig, x0: Real) -> list[Real]:
-    # Derivative-free optimisation needs three distinct points before the
-    # first interpolation step, the first-derivative scheme two; seed with
-    # x0 +/- h unless an explicit x1 is supplied.
-    if config.bootstrap == "picard":
-        raise ValueError("picard bootstrap does not apply to optimisation problems")
-    h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
-    if config.x1 is not None or config.bootstrap == "explicit":
-        if config.x1 is None:
-            raise ValueError("explicit bootstrap needs x1")
-        x1 = real(config.x1)
-    else:
-        x1 = x0 + h
-    if config.method == "newton-df":
-        return [x0, x1, x0 - (x1 - x0)]
-    return [x0, x1]
+# ---------------------------------------------------------------------------
+# table pieces (see root_search): weight builders, step formulas and the
+# residual of each method, calling this module's names at call time
 
 
-def _opt_propose(samples: list, config: SolverConfig, beta: Real):
-    """Next iterate, curvature sign, and whether the window shrank."""
-    method = config.method
-    minimum = 3 if method == "newton-df" else 2
-    base = select_window(samples, min(config.window, len(samples)), frozenset({"x"}))
-    if len(base) < minimum:
-        raise SingularStep("memory collapsed below the method minimum")
-    last_err: Exception | None = None
-    for size in range(len(base), minimum - 1, -1):
-        window = base[len(base) - size:]
-        xs = [s.x for s in window]
-        try:
-            if method == "newton-df":
-                x_new, curvature = _df_step(window, product_weights(xs))
-            else:
-                x_new, curvature = _d1_step(window, squared_product_weights(xs), beta)
-            sign = 1 if curvature > 0 else -1
-            return x_new, sign, size < len(base)
-        except SingularStep as err:
-            last_err = err
-            continue
-    raise last_err if last_err is not None else SingularStep("no usable window")
+def x_product(window: Sequence[ObjectiveSample], alpha: Real) -> list[Real]:
+    return product_weights([s.x for s in window])
 
 
-def _slope_residual(samples: list, config: SolverConfig) -> Optional[Real]:
-    # Residual for newton-df: the interpolant slope at the newest sample.
-    window = select_window(samples, min(config.window, len(samples)), frozenset({"x"}))
+def x_squared(window: Sequence[ObjectiveSample], alpha: Real) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window])
+
+
+def newton_df(run, window: Sequence[ObjectiveSample], weights):
+    return _df_step(window, weights)
+
+
+def ch_d1(run, window: Sequence[ObjectiveSample], weights):
+    return _d1_step(window, weights, run.beta)
+
+
+def sampled_slope(run, samples: list) -> Optional[Real]:
+    """``ch-d1`` residual: the true phi' of the newest sample."""
+    return samples[-1].phi_prime
+
+
+def estimated_slope(run, samples: list) -> Optional[Real]:
+    """``newton-df`` residual: the interpolant slope at the newest sample."""
+    window = select_window(samples, min(run.window, len(samples)), run.keys)
     if len(window) < 2:
         return None
     try:
-        return phi_slope_df(window, product_weights([s.x for s in window]))
+        return phi_slope_df(window, run.build(window, run.alpha))
     except SingularStep:
         return None
 
@@ -229,69 +199,4 @@ def optimize(problem, config: SolverConfig) -> IterationTrace:
     gradient; the trace's ``f`` column holds objective values and
     ``f_prime`` the slope used as the convergence residual.
     """
-    config = config.validated(OPT_METHODS)
-    method = config.method
-    with numerics.precision(config.precision_bits):
-        beta = real(config.beta)
-        tol_g = real(config.tol_f) if config.tol_f is not None else default_tolerance(config.precision_bits)
-        tol_x = real(config.tol_x) if config.tol_x is not None else default_tolerance(config.precision_bits)
-        needs_dphi = method == "ch-d1"
-        if needs_dphi and problem.df is None:
-            raise ValueError(f"method {method!r} needs phi' but problem {problem.name!r} has none")
-        reference = attach_reference(problem)
-
-        steps: list[StepRecord] = []
-        samples: list[ObjectiveSample] = []
-
-        def push(x: Real, status: str = STATUS_OK, sign: Optional[int] = None) -> ObjectiveSample:
-            phi = problem.f(x)
-            dphi = problem.df(x) if needs_dphi else None
-            sample = ObjectiveSample(x, phi, dphi)
-            samples.append(sample)
-            err = x - reference if reference is not None else None
-            record = StepRecord(len(steps), x, phi, dphi, err, status, curvature_sign=sign)
-            steps.append(record)
-            return sample
-
-        def finish(status: str) -> IterationTrace:
-            steps[-1].status = status
-            return IterationTrace(problem.name, method, config, reference, steps)
-
-        def residual(sample: ObjectiveSample) -> Optional[Real]:
-            if needs_dphi:
-                return sample.phi_prime
-            return _slope_residual(samples, config)
-
-        def terminal(sample: ObjectiveSample, prev: Optional[ObjectiveSample]) -> Optional[str]:
-            if not (is_finite(sample.x) and is_finite(sample.phi)):
-                return STATUS_DIVERGED
-            res = residual(sample)
-            if res is not None:
-                steps[-1].f_prime = res
-                if abs(res) < tol_g:
-                    return STATUS_CONVERGED
-            if prev is not None and abs(sample.x - prev.x) < tol_x:
-                return STATUS_CONVERGED
-            return None
-
-        x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
-        previous: Optional[ObjectiveSample] = None
-        current: Optional[ObjectiveSample] = None
-        for seed in _seed_points(problem, config, x0):
-            previous = current
-            current = push(seed)
-            status = terminal(current, None)  # seeds converge on residual only
-            if status:
-                return finish(status)
-
-        while steps[-1].index < config.max_iter:
-            try:
-                x_new, sign, reduced = _opt_propose(samples, config, beta)
-            except ExactRootHit:  # pragma: no cover - objectives have no exact-root path
-                return finish(STATUS_CONVERGED)
-            previous = samples[-1]
-            current = push(x_new, STATUS_FALLBACK if reduced else STATUS_OK, sign)
-            status = terminal(current, previous)
-            if status:
-                return finish(status)
-        return finish(STATUS_EXHAUSTED)
+    return drive(problem, config, "opt", _opt_propose, select_window, _interp_step)

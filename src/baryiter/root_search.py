@@ -24,18 +24,19 @@ Methods (``SolverConfig.method``):
     Classical baselines.  ``picard`` needs the problem in fixed-point form;
     ``halley`` uses the true second derivative.
 
-The solver keeps the newest ``window`` samples, growing from the initial
-point(s) until the window fills.  Derivative-free methods bootstrap a
-second point: one fixed-point step when the problem has that form, else a
-small perturbation; an explicit ``x1`` overrides both.  A singular step is
-retried with one sample fewer (recorded as ``singular-step-fallback``) down
-to the method minimum.
+Each method's facts live in one ``MethodSpec`` in ``methods.METHODS``.
+``drive`` is the one solver loop, behind ``solve`` and ``optimise.optimize``.
+It keeps the newest ``window`` samples, growing from as many starting points
+as the method's window minimum: after x0, ``x1`` when given, else one
+fixed-point step when the problem has that form, else a small perturbation.
+A singular step is retried with one sample fewer (recorded as
+``singular-step-fallback``) down to the method minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from mpmath import fsum, mpf
 
@@ -46,7 +47,7 @@ from .errors import (
     SingularStep,
     ZeroDerivative,
 )
-from .interpolants import Sample, hermite_node_curvature
+from .interpolants import ObjectiveSample, Sample, hermite_node_curvature
 from .numerics import Real, Scalar, is_finite, real
 from .weights import (
     HermiteWeights,
@@ -58,27 +59,11 @@ from .weights import (
     squared_product_weights,
 )
 
-ROOT_METHODS = (
-    "exact-df",
-    "exact-d1",
-    "newton-x-interp",
-    "newton-f-interp",
-    "ch-x-interp",
-    "ch-f-interp",
-    "picard",
-    "newton",
-    "halley",
-    "secant",
-)
-
-OPT_METHODS = ("newton-df", "ch-d1")
+if TYPE_CHECKING:
+    from .methods import MethodSpec
 
 WEIGHT_SCHEMES = ("x", "f", "alpha")
 BOOTSTRAPS = ("auto", "picard", "perturb", "explicit")
-
-# methods that need two starting points / true derivatives at every sample
-TWO_POINT_METHODS = {"exact-df", "newton-x-interp", "newton-f-interp", "secant"}
-DERIVATIVE_METHODS = {"exact-d1", "ch-x-interp", "ch-f-interp", "newton", "halley", "ch-d1"}
 
 STATUS_OK = "ok"
 STATUS_FALLBACK = "singular-step-fallback"
@@ -102,7 +87,8 @@ class SolverConfig:
     optimisation runs.  ``max_iter`` is the highest step index the trace
     may reach (the initial point is index 0).  ``alpha`` only matters for
     the alpha weight scheme; its default of 0 is arbitrary (any value with
-    the right asymptotics works, none is preferred).
+    the right asymptotics works, none is preferred).  ``x1`` goes with the
+    ``auto`` or ``explicit`` bootstrap only.
     """
 
     method: str = "exact-df"
@@ -119,28 +105,38 @@ class SolverConfig:
     max_iter: int = 60
     precision_bits: int = numerics.DEFAULT_PRECISION_BITS
 
-    def validated(self, methods: Sequence[str] = ROOT_METHODS) -> "SolverConfig":
-        if self.method not in methods:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {methods}")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
-        if self.bootstrap not in BOOTSTRAPS:
-            raise ValueError(f"unknown bootstrap {self.bootstrap!r}")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.method in TWO_POINT_METHODS and self.window < 2:
-            raise ValueError(f"{self.method} needs a window of at least 2")
-        if self.method == "newton-df" and self.window < 3:
-            raise ValueError("newton-df needs a window of at least 3")
-        if self.method == "ch-d1" and self.window < 2:
-            raise ValueError("ch-d1 needs a window of at least 2")
+    def validated(self, family: str = "root") -> "SolverConfig":
+        """``self`` after checking it against the method's table entry.
+
+        ``family`` is "root" for ``solve`` and "opt" for ``optimize``.
+        """
+        spec = method_spec(self.method, family)
+        if self.weight_scheme not in spec.schemes:
+            raise ValueError(f"{self.method} takes the weight schemes {tuple(spec.schemes)}")
+        if self.bootstrap not in spec.seeding:
+            raise ValueError(f"{self.method} takes the bootstraps {spec.seeding}")
+        if self.x1 is not None and self.bootstrap in ("picard", "perturb"):
+            raise ValueError(f"x1 needs the explicit or auto bootstrap, not {self.bootstrap}")
+        if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
+            raise ValueError("explicit bootstrap needs x1")
+        if self.window < spec.min_window:
+            raise ValueError(f"{self.method} needs a window of at least {spec.min_window}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.precision_bits < numerics.MIN_PRECISION_BITS:
             raise ValueError(f"precision must be at least {numerics.MIN_PRECISION_BITS} bits")
-        if self.method == "exact-d1" and self.weight_scheme == "alpha":
-            raise ValueError("exact-d1 supports the x and f weight schemes only")
         return self
+
+
+def method_spec(method: str, family: str) -> MethodSpec:
+    """The table entry of ``method``, which must belong to ``family``."""
+    from .methods import METHODS  # the table is built from this module's functions
+
+    spec = METHODS.get(method)
+    if spec is None or spec.family != family:
+        names = tuple(name for name, entry in METHODS.items() if entry.family == family)
+        raise ValueError(f"unknown method {method!r}; expected one of {names}")
+    return spec
 
 
 @dataclass
@@ -347,23 +343,75 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# solver loop
+# table pieces: weight builders (window, alpha) -> weights and step formulas
+# (run, window, weights) -> (x_new, curvature or None).  The builders and
+# ``baseline_step`` are looked up in this module at call time, so wrappers
+# installed on these names (perfbench/tracing.py) see every call.
 
 
-def _dedup_keys(method: str, scheme: str) -> frozenset[str]:
-    if method in ("exact-df", "exact-d1"):
-        return frozenset({"x"} if scheme == "x" else {"f"})
-    if method == "newton-x-interp":
-        return frozenset({"x", "f"} if scheme == "x" else {"f"})
-    if method == "newton-f-interp":
-        return frozenset({"x", "f"} if scheme == "f" else {"x"})
-    if method == "ch-x-interp":
-        return frozenset({"f"})
-    if method in ("ch-f-interp", "newton-df", "ch-d1"):
-        return frozenset({"x"})
-    if method == "secant":
-        return frozenset({"f"})
-    return frozenset()
+def x_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
+    return product_weights([s.x for s in window])
+
+
+def f_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
+    return product_weights([s.f for s in window])
+
+
+def f_shifted(window: Sequence[Sample], alpha: Real) -> list[Real]:
+    return shifted_product_weights([s.f for s in window], alpha)
+
+
+def x_slope_scaled(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
+    return derivative_scaled_weights([s.x for s in window], [s.f_prime for s in window])
+
+
+def x_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window])
+
+
+def f_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
+    return squared_product_weights([s.f for s in window])
+
+
+def exact_df(run: _Run, window: Sequence[Sample], weights):
+    return step_exact_df(window, weights), None
+
+
+def exact_d1(run: _Run, window: Sequence[Sample], weights):
+    return step_exact_d1(window, weights), None
+
+
+def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
+    newest = window[-1]
+    return newest.x - newest.f * inverse_slope_estimate(window, weights), None
+
+
+def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
+    slope = direct_slope_estimate(window, weights)
+    if slope == 0:
+        raise SingularStep("estimated slope vanished")
+    newest = window[-1]
+    return newest.x - newest.f / slope, None
+
+
+def ch_x_interp(run: _Run, window: Sequence[Sample], weights):
+    newest = window[-1]
+    fpp = second_derivative_x_interp(window, weights)
+    return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
+
+
+def ch_f_interp(run: _Run, window: Sequence[Sample], weights):
+    newest = window[-1]
+    fpp = second_derivative_f_interp(window, weights)
+    return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
+
+
+def baseline(run: _Run, window: Sequence[Sample], weights):
+    return baseline_step(run.method, run.problem, window), None
+
+
+# ---------------------------------------------------------------------------
+# the solver loop
 
 
 def select_window(samples: Sequence, size: int, keys: frozenset[str]) -> list:
@@ -392,101 +440,74 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str]) -> list:
     return kept
 
 
-def _interp_weights(method: str, scheme: str, window: Sequence[Sample], alpha: Real):
-    xs = [s.x for s in window]
-    fs = [s.f for s in window]
-    if method in ("exact-df", "newton-x-interp", "newton-f-interp"):
-        if scheme == "x":
-            return product_weights(xs)
-        if scheme == "f":
-            return product_weights(fs)
-        return shifted_product_weights(fs, alpha)
-    if method == "exact-d1":
-        if scheme == "x":
-            return derivative_scaled_weights(xs, [s.f_prime for s in window])
-        return squared_product_weights(fs)
-    if method == "ch-x-interp":
-        return squared_product_weights(fs)
-    if method == "ch-f-interp":
-        return squared_product_weights(xs)
-    raise ValueError(f"no interpolation weights for method {method!r}")
+@dataclass(frozen=True)
+class _Run:
+    """One run's method facts, resolved once before its first step."""
+
+    spec: MethodSpec
+    method: str
+    problem: object
+    build: Optional[Callable]   # the weight scheme's builder; None for the baselines
+    keys: frozenset[str]        # dedup coordinates of the weight scheme
+    window: int
+    alpha: Real
+    beta: Real
+    select: Callable            # select_window, as the calling module names it
+    step: Callable              # _interp_step, as the calling module names it
 
 
-def _interp_step(method: str, scheme: str, window: Sequence[Sample], alpha: Real, beta: Real) -> Real:
-    w = _interp_weights(method, scheme, window, alpha)
-    newest = window[-1]
-    if method == "exact-df":
-        return step_exact_df(window, w)
-    if method == "exact-d1":
-        return step_exact_d1(window, w)
-    if method == "newton-x-interp":
-        return newest.x - newest.f * inverse_slope_estimate(window, w)
-    if method == "newton-f-interp":
-        slope = direct_slope_estimate(window, w)
-        if slope == 0:
-            raise SingularStep("estimated slope vanished")
-        return newest.x - newest.f / slope
-    if method == "ch-x-interp":
-        fpp = second_derivative_x_interp(window, w)
-        return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, beta)
-    if method == "ch-f-interp":
-        fpp = second_derivative_f_interp(window, w)
-        return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, beta)
-    raise ValueError(f"unknown interpolation method {method!r}")
+def _interp_step(run: _Run, window: Sequence) -> tuple:
+    """The method's step on ``window``: the scheme's weights, then the step formula."""
+    weights = None if run.build is None else run.build(window, run.alpha)
+    return run.spec.step(run, window, weights)
 
 
-def _propose(problem, samples: list, config: SolverConfig, alpha: Real, beta: Real):
-    """Next iterate plus a flag telling whether the window had to shrink."""
-    method = config.method
-    if method in ("picard", "newton", "halley"):
-        return baseline_step(method, problem, samples[-1:]), False
-    if method == "secant":
-        window = select_window(samples, 2, _dedup_keys(method, config.weight_scheme))
-        if len(window) < 2:
-            raise SingularStep("not enough distinct samples for a secant step")
-        return baseline_step("secant", problem, window), False
-
-    minimum = 2 if method in TWO_POINT_METHODS else 1
-    keys = _dedup_keys(method, config.weight_scheme)
-    base = select_window(samples, min(config.window, len(samples)), keys)
+def _propose(run: _Run, samples: list):
+    """Next iterate, its curvature sign (optimisation only), and whether the window shrank."""
+    size = min(run.window, len(samples))
+    # without dedup keys every sample is distinct: take the newest as they are
+    base = run.select(samples, size, run.keys) if run.keys else samples[-size:]
+    minimum = run.spec.min_window
     if len(base) < minimum:
         raise SingularStep("memory collapsed below the method minimum")
     last_err: Exception | None = None
     for size in range(len(base), minimum - 1, -1):
-        window = base[len(base) - size:]
         try:
-            return _interp_step(method, config.weight_scheme, window, alpha, beta), size < len(base)
+            x_new, curvature = run.step(run, base[len(base) - size:])
         except SingularStep as err:
             last_err = err
             continue
-    raise last_err if last_err is not None else SingularStep("no usable window")
+        sign = None if curvature is None else (1 if curvature > 0 else -1)
+        return x_new, sign, size < len(base)
+    raise last_err
 
 
-def bootstrap_second_point(problem, config: SolverConfig, x0: Real) -> Real:
-    """Second starting point for the two-point methods.
+def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
+    """The ``spec.min_window`` starting points, each made only when asked for.
 
-    ``explicit`` (or a supplied ``x1``) wins; otherwise one fixed-point step
-    when the problem has that form, else a relative perturbation
-    ``h = 1e-3 * max(1, |x0|)``.
+    After ``x0`` comes ``x1`` when given; otherwise one fixed-point step
+    (bootstrap ``picard``, or ``auto`` when the method accepts ``picard``
+    and the problem has that form); otherwise the relative perturbation
+    ``x0 + h`` with ``h = 1e-3 * max(1, |x0|)``.  A third point mirrors the
+    second about ``x0``.
     """
-    mode = config.bootstrap
-    if mode == "auto":
-        if config.x1 is not None:
-            mode = "explicit"
-        elif problem.fixed_point is not None:
-            mode = "picard"
-        else:
-            mode = "perturb"
-    if mode == "explicit":
-        if config.x1 is None:
-            raise ValueError("explicit bootstrap needs x1")
-        return real(config.x1)
-    if mode == "picard":
+    yield x0
+    if spec.min_window == 1:
+        return
+    if config.x1 is not None:
+        x1 = real(config.x1)
+    elif config.bootstrap == "picard" or (
+        config.bootstrap == "auto" and "picard" in spec.seeding and problem.fixed_point is not None
+    ):
         if problem.fixed_point is None:
             raise ValueError(f"problem {problem.name!r} has no fixed-point form")
-        return problem.fixed_point(x0)
-    h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
-    return x0 + h
+        x1 = problem.fixed_point(x0)
+    else:
+        h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
+        x1 = x0 + h
+    yield x1
+    if spec.min_window > 2:
+        yield x0 - (x1 - x0)
 
 
 def attach_reference(problem) -> Optional[Real]:
@@ -497,6 +518,90 @@ def attach_reference(problem) -> Optional[Real]:
         return None
 
 
+_NEEDS = {"df": "first derivative", "d2f": "second derivative", "fixed_point": "fixed-point form"}
+
+
+def drive(problem, config: SolverConfig, family: str, propose: Callable, select: Callable,
+          step: Callable) -> IterationTrace:
+    """The one solver loop: run ``config.method`` of ``family`` on ``problem``.
+
+    ``propose``, ``select`` and ``step`` are ``_propose``, ``select_window``
+    and ``_interp_step`` under the calling module's names, read when it is
+    called, so each family's layers can be instrumented apart.  A root
+    run's residual is f; an optimisation run's is its method's slope,
+    written into ``f_prime``.  A root run checks its second starting point
+    against ``tol_x`` too; optimisation seeds converge on the residual only.
+    """
+    config = config.validated(family)
+    spec = method_spec(config.method, family)
+    with numerics.precision(config.precision_bits):
+        tolerance = default_tolerance(config.precision_bits)
+        tol_f = real(config.tol_f) if config.tol_f is not None else tolerance
+        tol_x = real(config.tol_x) if config.tol_x is not None else tolerance
+        for need in spec.needs:
+            if getattr(problem, need) is None:
+                raise ValueError(f"problem {problem.name!r} has no {_NEEDS[need]}")
+        scheme = spec.schemes[config.weight_scheme]
+        # the baselines (no weights) step on exactly their minimum window
+        window = config.window if scheme.build is not None else spec.min_window
+        run = _Run(spec, config.method, problem, scheme.build, scheme.keys, window,
+                   real(config.alpha), real(config.beta), select, step)
+        reference = attach_reference(problem)
+        make_sample = Sample if family == "root" else ObjectiveSample
+        slopes = "df" in spec.needs
+        residual = spec.residual
+
+        steps: list[StepRecord] = []
+        samples: list = []
+
+        def push(x: Real, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
+            fx = problem.f(x)
+            fpx = problem.df(x) if slopes else None
+            samples.append(make_sample(x, fx, fpx))
+            err = x - reference if reference is not None else None
+            steps.append(StepRecord(len(steps), x, fx, fpx, err, status, sign))
+
+        def finish(status: str) -> IterationTrace:
+            steps[-1].status = status
+            return IterationTrace(problem.name, config.method, config, reference, steps)
+
+        def terminal(previous_x: Optional[Real]) -> Optional[str]:
+            record = steps[-1]
+            if not (is_finite(record.x) and is_finite(record.f)):
+                return STATUS_DIVERGED
+            if residual is None:
+                res = record.f
+            else:
+                res = record.f_prime = residual(run, samples)
+            if res is not None and (res == 0 or abs(res) < tol_f):
+                return STATUS_CONVERGED
+            if previous_x is not None and abs(record.x - previous_x) < tol_x:
+                return STATUS_CONVERGED
+            return None
+
+        x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
+        previous: Optional[Real] = None
+        for x in seed_points(problem, config, spec, x0):
+            push(x)
+            status = terminal(previous)
+            if status:
+                return finish(status)
+            if family == "root":
+                previous = x
+
+        while steps[-1].index < config.max_iter:
+            try:
+                x_new, sign, reduced = propose(run, samples)
+            except ExactRootHit:
+                return finish(STATUS_CONVERGED)
+            previous = samples[-1].x
+            push(x_new, STATUS_FALLBACK if reduced else STATUS_OK, sign)
+            status = terminal(previous)
+            if status:
+                return finish(status)
+        return finish(STATUS_EXHAUSTED)
+
+
 def solve(problem, config: SolverConfig) -> IterationTrace:
     """Drive one root method on ``problem`` until convergence or budget end.
 
@@ -505,67 +610,4 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
     and a ``reference()`` used to fill the signed error column when it is
     available.
     """
-    config = config.validated(ROOT_METHODS)
-    method = config.method
-    with numerics.precision(config.precision_bits):
-        alpha = real(config.alpha)
-        beta = real(config.beta)
-        tol_f = real(config.tol_f) if config.tol_f is not None else default_tolerance(config.precision_bits)
-        tol_x = real(config.tol_x) if config.tol_x is not None else default_tolerance(config.precision_bits)
-        needs_df = method in DERIVATIVE_METHODS
-        if needs_df and problem.df is None:
-            raise ValueError(f"method {method!r} needs f' but problem {problem.name!r} has none")
-        if method == "picard" and problem.fixed_point is None:
-            raise ValueError(f"problem {problem.name!r} has no fixed-point form")
-        if method == "halley" and problem.d2f is None:
-            raise ValueError(f"problem {problem.name!r} has no second derivative")
-        reference = attach_reference(problem)
-
-        steps: list[StepRecord] = []
-        samples: list[Sample] = []
-
-        def push(x: Real, status: str = STATUS_OK) -> Sample:
-            fx = problem.f(x)
-            fpx = problem.df(x) if needs_df else None
-            sample = Sample(x, fx, fpx)
-            samples.append(sample)
-            err = x - reference if reference is not None else None
-            steps.append(StepRecord(len(steps), x, fx, fpx, err, status))
-            return sample
-
-        def finish(status: str) -> IterationTrace:
-            steps[-1].status = status
-            return IterationTrace(problem.name, method, config, reference, steps)
-
-        def terminal(sample: Sample, prev: Optional[Sample]) -> Optional[str]:
-            if not (is_finite(sample.x) and is_finite(sample.f)):
-                return STATUS_DIVERGED
-            if sample.f == 0 or abs(sample.f) < tol_f:
-                return STATUS_CONVERGED
-            if prev is not None and abs(sample.x - prev.x) < tol_x:
-                return STATUS_CONVERGED
-            return None
-
-        x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
-        current = push(x0)
-        status = terminal(current, None)
-        if status:
-            return finish(status)
-        if method in TWO_POINT_METHODS:
-            previous = current
-            current = push(bootstrap_second_point(problem, config, x0))
-            status = terminal(current, previous)
-            if status:
-                return finish(status)
-
-        while steps[-1].index < config.max_iter:
-            try:
-                x_new, reduced = _propose(problem, samples, config, alpha, beta)
-            except ExactRootHit:
-                return finish(STATUS_CONVERGED)
-            previous = samples[-1]
-            current = push(x_new, STATUS_FALLBACK if reduced else STATUS_OK)
-            status = terminal(current, previous)
-            if status:
-                return finish(status)
-        return finish(STATUS_EXHAUSTED)
+    return drive(problem, config, "root", _propose, select_window, _interp_step)

@@ -82,6 +82,24 @@ def test_sidecar_round_trip_format():
         assert len(mantissa) >= corpus.REFERENCE_DIGITS
 
 
+def test_sidecar_matches_a_fresh_refinement():
+    # check only: nothing rewrites the sidecar, so a stale or missing entry fails here
+    stored = corpus._load_sidecar()
+    wanted = {p.name: corpus.refine_reference(p) for p in corpus.list_problems()}
+    stale = [f"{name}\t{digits}" for name, digits in sorted(wanted.items())
+             if stored.get(name) != digits]
+    assert not stale, "update src/baryiter/_references.tsv with:\n" + "\n".join(stale)
+
+
+def test_missing_builtin_reference_is_refined_in_memory_only(monkeypatch):
+    before = corpus._SIDECAR.read_text()
+    monkeypatch.setattr(corpus, "_reference_cache", {})
+    with precision(256):
+        assert abs(corpus.reference_root(corpus.get_problem("x2_minus_2")) ** 2 - 2) < real("1e-70")
+    assert "x2_minus_2" in corpus._reference_cache
+    assert corpus._SIDECAR.read_text() == before
+
+
 def test_analytic_derivatives_match_finite_differences():
     set_precision(256)
     rng = random.Random(3)

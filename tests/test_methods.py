@@ -1,0 +1,82 @@
+import argparse
+import io
+
+import pytest
+
+from baryiter import cli, corpus
+from baryiter.methods import METHODS, OPT_METHODS, ROOT_METHODS
+from baryiter.optimise import optimize
+from baryiter.root_search import WEIGHT_SCHEMES, SolverConfig, solve
+
+# (runner, a built-in problem every method of the family can run on)
+RUNNERS = {"root": (solve, "cos_minus_x"), "opt": (optimize, "opt_quadratic")}
+
+
+def _method_choices(command: str) -> tuple:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in commands.choices[command]._actions if a.dest == "method").choices)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_table_entry_is_enforced(method):
+    spec = METHODS[method]
+    runner, name = RUNNERS[spec.family]
+    problem = corpus.get_problem(name)
+    with pytest.raises(ValueError):
+        runner(problem, SolverConfig(method=method, window=spec.min_window - 1))
+    other_runner, other_name = RUNNERS["opt" if spec.family == "root" else "root"]
+    with pytest.raises(ValueError):
+        other_runner(corpus.get_problem(other_name), SolverConfig(method=method, window=8))
+    assert method != "exact-d1" or "alpha" not in spec.schemes  # no alpha-shifted slope form
+    for scheme in WEIGHT_SCHEMES:
+        if scheme not in spec.schemes:
+            with pytest.raises(ValueError):
+                SolverConfig(method=method, weight_scheme=scheme).validated(spec.family)
+    config = SolverConfig(method=method, window=spec.min_window, precision_bits=128, max_iter=200)
+    trace = runner(problem, config)
+    assert trace.status == "converged"
+    assert len(trace.steps) > spec.min_window
+
+
+def test_cli_method_choices_are_the_table_keys():
+    assert set(ROOT_METHODS) | set(OPT_METHODS) == set(METHODS)
+    assert _method_choices("solve") == tuple(m for m, s in METHODS.items() if s.family == "root")
+    assert _method_choices("optimize") == tuple(m for m, s in METHODS.items() if s.family == "opt")
+
+
+@pytest.mark.parametrize("bootstrap", ["perturb", "picard"])
+def test_x1_with_perturb_or_picard_is_rejected(bootstrap):
+    # an explicit second point contradicts both modes, in either family
+    with pytest.raises(ValueError):
+        solve(corpus.get_problem("cos_minus_x"),
+              SolverConfig(method="exact-df", window=2, x1="0.5", bootstrap=bootstrap))
+    with pytest.raises(ValueError):
+        optimize(corpus.get_problem("opt_quadratic"),
+                 SolverConfig(method="newton-df", window=3, x1="0.5", bootstrap=bootstrap))
+    for command, problem, method in (("solve", "cos_minus_x", "exact-df"),
+                                     ("optimize", "opt_quadratic", "newton-df")):
+        argv = [command, "--problem", problem, "--method", method, "--x1", "0.5",
+                "--bootstrap", bootstrap]
+        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+
+
+def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
+    with pytest.raises(ValueError):
+        SolverConfig(method="exact-df", window=2, bootstrap="explicit").validated()
+    with pytest.raises(ValueError):
+        SolverConfig(method="ch-d1", window=2, bootstrap="explicit").validated("opt")
+    # a method that seeds x0 alone has no second point to make
+    SolverConfig(method="newton", window=1, bootstrap="explicit").validated()
+
+
+def test_only_a_root_run_checks_its_second_seed_against_tol_x():
+    # the seeds lie 1e-30 apart, far inside tol_x, while both residuals are large
+    root = solve(corpus.get_problem("x2_minus_2"), SolverConfig(
+        method="exact-df", window=2, x0="1", x1="1.000000000000000000000000000001",
+        bootstrap="explicit", tol_x="1e-20", precision_bits=256))
+    assert (root.status, root.iterations) == ("converged", 1)
+    opt = optimize(corpus.get_problem("opt_quadratic"), SolverConfig(
+        method="newton-df", window=3, x0="0", x1="1e-30", bootstrap="explicit",
+        tol_x="1e-20", precision_bits=256))
+    assert opt.status == "converged" and opt.iterations > 2
