@@ -14,23 +14,25 @@ unique in that bracket.  ``empirical_order`` averages log-error ratios,
 matching the defining relation ``e_{i+1} ~ e_i^l`` directly, which is more
 robust than regression on the few asymptotic steps a trace provides.
 
-``predicted_error_factor`` evaluates the tabulated leading-error constants
-for the schemes in this library (exactly the published cells; there is no
-closed form for general window sizes), and ``verify_error_factor`` compares
-them against the error products of a converged trace.
+``predicted_error_factor`` evaluates a published leading-error cell, which
+``methods.METHODS`` holds with each method (there is no closed form for
+general window sizes), after checking that the solution is non-degenerate
+for the method's family; ``verify_error_factor`` compares it against the
+error products of a converged trace, shaped by the method's family and
+multiplicity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 from mpmath import fsum, mpf
 
 from .errors import InsufficientData, UnsupportedCell
-from .methods import METHODS
+from .methods import METHODS, MethodSpec
 from .numerics import Real, Scalar, real
 from .root_search import IterationTrace
 
@@ -118,141 +120,52 @@ def empirical_order(trace: IterationTrace, k_last: int) -> Real:
 
 # ---------------------------------------------------------------------------
 # leading-error factors
-#
-# Cells keyed by "method/weight-scheme" and window size n+1.  d[k] below is
-# the k-th derivative of the function (or objective) at the true solution.
 
-
-def _d(values: Sequence[Real], k: int) -> Real:
-    if len(values) < k:
-        raise UnsupportedCell(f"needs the solution derivative of order {k}")
-    return values[k - 1]
-
-
-def _factor_a(d, n_plus_1):  # x-weighted inverse-root family
-    if n_plus_1 == 2:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 3:
-        return (3 * d(2) ** 2 - 2 * d(1) * d(3)) / (12 * d(1) ** 2)
-    if n_plus_1 == 4:
-        return (3 * d(2) ** 3 - 4 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_b(d, n_plus_1):  # f-weighted inverse-root family
-    if n_plus_1 == 2:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 3:
-        return (6 * d(2) ** 2 - 2 * d(1) * d(3)) / (12 * d(1) ** 2)
-    if n_plus_1 == 4:
-        return (15 * d(2) ** 3 - 10 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_d1_x(d, n_plus_1):
-    if n_plus_1 == 1:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 2:
-        return (3 * d(2) ** 3 - 4 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_d1_f(d, n_plus_1):
-    if n_plus_1 == 1:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 2:
-        return (15 * d(2) ** 3 - 10 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_newton_f_x(d, n_plus_1):  # direct polynomial interpolant (Newton step)
-    if n_plus_1 == 2:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 3:
-        return -d(3) / (6 * d(1))
-    if n_plus_1 == 4:
-        return d(4) / (24 * d(1))
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_newton_f_f(d, n_plus_1):
-    if n_plus_1 == 2:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 3:
-        return (3 * d(2) ** 2 - 2 * d(1) * d(3)) / (12 * d(1) ** 2)
-    if n_plus_1 == 4:
-        return (6 * d(2) ** 3 - 6 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_ch_f_x(d, n_plus_1):
-    if n_plus_1 == 1:
-        return d(2) / (2 * d(1))
-    if n_plus_1 == 2:
-        return d(4) / (24 * d(1))
-    raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
-
-
-def _factor_opt_df(d, n_plus_1):
-    # (-1)^n / (n+1)! * phi^(n+1) / phi'' with n+1 = window size
-    n = n_plus_1 - 1
-    if n < 1:
-        raise UnsupportedCell("derivative-free optimisation needs a window of at least 2")
-    return mpf((-1) ** n) / mpmath.factorial(n + 1) * d(n + 1) / d(2)
-
-
-_FACTOR_CELLS = {
-    "exact-df/x": _factor_a,
-    "newton-x-interp/x": _factor_a,
-    "exact-df/f": _factor_b,
-    "newton-x-interp/f": _factor_b,
-    "exact-d1/x": _factor_d1_x,
-    "exact-d1/f": _factor_d1_f,
-    "newton-f-interp/x": _factor_newton_f_x,
-    "newton-f-interp/f": _factor_newton_f_f,
-    "ch-x-interp/f": _factor_d1_f,
-    "ch-f-interp/x": _factor_ch_f_x,
-    "newton-df/x": _factor_opt_df,
+# the non-degeneracy condition of each family: (derivative order, message)
+_NON_DEGENERATE = {
+    "root": (1, "the first solution derivative must be non-zero (simple root)"),
+    "opt": (2, "the solution curvature must be non-zero"),
 }
+
 
 @dataclass(frozen=True)
 class ErrorFactorSpec:
     """Identifies a tabulated leading-error cell.
 
-    ``scheme`` is "method/weight-scheme" (e.g. "exact-df/x"); ``secant`` and
-    ``newton`` may be given bare and map onto their tabulated equivalents.
-    ``derivatives`` lists the solution-point derivatives starting at order 1.
+    ``scheme`` is "method/weight-scheme", or a bare method name where the
+    method table gives the bare name cells (the baselines that reduce to a
+    memory scheme).  ``derivatives`` lists the solution-point derivatives
+    starting at order 1.
     """
 
     scheme: str
     n_plus_1: int
     derivatives: tuple[Scalar, ...]
 
-    def normalised_scheme(self) -> str:
-        if self.scheme == "secant":
-            return "exact-df/x"
-        if self.scheme == "newton":
-            return "exact-d1/x"
-        return self.scheme
+
+def _cell(spec: ErrorFactorSpec) -> tuple[MethodSpec, Callable]:
+    """The method entry and its published cell that ``spec.scheme`` names."""
+    name, slash, scheme = spec.scheme.partition("/")
+    method = METHODS.get(name)
+    cells = method.error_cells if method is not None else {}
+    cell = cells.get(scheme if slash else None)  # None keys the bare method name
+    if cell is None:
+        raise UnsupportedCell(f"no tabulated factors for scheme {spec.scheme!r}")
+    return method, cell
 
 
 def predicted_error_factor(spec: ErrorFactorSpec) -> Real:
     """Leading-error constant for the scheme's tabulated window size."""
-    scheme = spec.normalised_scheme()
-    try:
-        cell = _FACTOR_CELLS[scheme]
-    except KeyError:
-        raise UnsupportedCell(f"no tabulated factors for scheme {spec.scheme!r}") from None
+    method, cell = _cell(spec)
     values = [real(v) for v in spec.derivatives]
-    if scheme == "newton-df/x":
-        # stationary point: the curvature is the non-degeneracy condition
-        if len(values) < 2 or values[1] == 0:
-            raise ValueError("the solution curvature must be non-zero")
-    elif not values or values[0] == 0:
-        raise ValueError("the first solution derivative must be non-zero (simple root)")
+    order, message = _NON_DEGENERATE[method.family]
+    if len(values) < order or values[order - 1] == 0:
+        raise ValueError(message)
 
     def d(k: int) -> Real:
-        return _d(values, k)
+        if len(values) < k:
+            raise UnsupportedCell(f"needs the solution derivative of order {k}")
+        return values[k - 1]
 
     return cell(d, spec.n_plus_1)
 
@@ -286,9 +199,7 @@ def verify_error_factor(trace: IterationTrace, spec: ErrorFactorSpec, window_tai
     if window_tail < 1:
         raise ValueError("window_tail must be positive")
     predicted = predicted_error_factor(spec)
-    method = METHODS.get(spec.normalised_scheme().split("/")[0])
-    if method is None or method.multiplicity is None:
-        raise UnsupportedCell(f"no error-product shape for scheme {spec.scheme!r}")
+    method, _ = _cell(spec)
     errors = [s.error for s in trace.steps if s.error is not None]
     pairs = _error_products(errors, spec.n_plus_1, method.multiplicity, method.family)
     if len(pairs) < window_tail:

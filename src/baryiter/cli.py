@@ -17,7 +17,7 @@ import mpmath
 from . import analysis, corpus, numerics, optimise, root_search
 from .errors import BaryiterError, InsufficientData, ParseError
 from .expressions import parse_expression
-from .methods import OPT_METHODS, ROOT_METHODS
+from .methods import METHODS, OPT_METHODS, ROOT_METHODS
 from .numerics import precision, to_decimal
 from .root_search import IterationTrace, SolverConfig
 
@@ -302,10 +302,11 @@ def _compare_command(args, out) -> int:
     bits = args.precision_bits if args.precision_bits is not None else numerics.default_precision_bits()
     traces = []
     for method in methods:
+        spec = METHODS.get(method)  # an unknown name is rejected by the solver
         config = SolverConfig(
             method=method,
             weight_scheme=args.weights,
-            window=max(args.window, 2),
+            window=max(args.window, spec.min_window) if spec else args.window,
             x0=args.x0,
             max_iter=args.max_iter,
             precision_bits=bits,

@@ -3,18 +3,25 @@
 A memory scheme is closed-form weights over a window of the newest samples
 plus one step formula, so an entry names, per accepted weight scheme, the
 weight builder and the sample coordinates kept distinct in a window, and
-then its step.  ``root_search.drive`` (the one solver loop),
+then its step.  An entry also carries the paper's two convergence facts:
+the multiplicity of its order recurrence, and its published leading-error
+cells, which say for each weight scheme which closed form holds at which
+window.  ``root_search.drive`` (the one solver loop),
 ``SolverConfig.validated``, the CLI's ``--method`` choices and ``analysis``
 all read this table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
+
+import mpmath
+from mpmath import mpf
 
 from . import optimise as opt
 from . import root_search as rs
+from .errors import UnsupportedCell
 from .root_search import BOOTSTRAPS, WEIGHT_SCHEMES
 
 
@@ -33,6 +40,8 @@ class MethodSpec:
     step: Callable                      # (run, window, weights) -> (x_new, curvature or None)
     multiplicity: Optional[int] = None  # m of the order equation; None if not tabulated
     residual: Optional[Callable] = None  # (run, samples) -> slope residual; root runs use f
+    # weight scheme (None: the bare method name) -> (d, n+1) -> published leading-error factor
+    error_cells: Mapping[Optional[str], Callable] = field(default_factory=dict)
 
 
 _X, _F, _NONE = frozenset({"x"}), frozenset({"f"}), frozenset()
@@ -51,26 +60,98 @@ def _products(x_keys, f_keys, alpha_keys) -> dict[str, WeightScheme]:
             "alpha": WeightScheme(alpha_keys, rs.f_shifted)}
 
 
+# ---------------------------------------------------------------------------
+# leading-error cells
+#
+# d(k) is the k-th derivative of the function (or objective) at the true
+# solution.  Each published closed form is written once.
+
+
+def _half(d):  # the secant/Newton factor: window 2, or window 1 with slopes
+    return d(2) / (2 * d(1))
+
+
+def _x3(d):
+    return (3 * d(2) ** 2 - 2 * d(1) * d(3)) / (12 * d(1) ** 2)
+
+
+def _x4(d):
+    return (3 * d(2) ** 3 - 4 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
+
+
+def _f3(d):
+    return (6 * d(2) ** 2 - 2 * d(1) * d(3)) / (12 * d(1) ** 2)
+
+
+def _f4(d):
+    return (15 * d(2) ** 3 - 10 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
+
+
+def _direct_f4(d):
+    return (6 * d(2) ** 3 - 6 * d(1) * d(2) * d(3) + d(1) ** 2 * d(4)) / (24 * d(1) ** 3)
+
+
+def _third(d):
+    return -d(3) / (6 * d(1))
+
+
+def _fourth(d):
+    return d(4) / (24 * d(1))
+
+
+def _published(by_window: dict[int, Callable]) -> Callable:
+    # a cell tabulated only at the listed window sizes
+    def cell(d, n_plus_1):
+        if n_plus_1 not in by_window:
+            raise UnsupportedCell(f"no tabulated factor for window {n_plus_1}")
+        return by_window[n_plus_1](d)
+    return cell
+
+
+def _opt_df(d, n_plus_1):
+    # (-1)^n / (n+1)! * phi^(n+1) / phi'' with n+1 = window size
+    n = n_plus_1 - 1
+    if n < 1:
+        raise UnsupportedCell("derivative-free optimisation needs a window of at least 2")
+    return mpf((-1) ** n) / mpmath.factorial(n + 1) * d(n + 1) / d(2)
+
+
+_DF_X = _published({2: _half, 3: _x3, 4: _x4})  # inverse-root interpolant, x-weighted
+_DF_F = _published({2: _half, 3: _f3, 4: _f4})  # inverse-root interpolant, f-weighted
+_D1_X = _published({1: _half, 2: _x4})
+_D1_F = _published({1: _half, 2: _f4})
+_DIRECT_X = _published({2: _half, 3: _third, 4: _fourth})  # direct interpolant (Newton step)
+_DIRECT_F = _published({2: _half, 3: _x3, 4: _direct_f4})
+
+
 METHODS: dict[str, MethodSpec] = {
-    "exact-df": MethodSpec("root", 2, _products(_X, _F, _F), (), BOOTSTRAPS, rs.exact_df, 1),
+    "exact-df": MethodSpec("root", 2, _products(_X, _F, _F), (), BOOTSTRAPS, rs.exact_df, 1,
+                           error_cells={"x": _DF_X, "f": _DF_F}),
     "exact-d1": MethodSpec(
         "root", 1, {"x": WeightScheme(_X, rs.x_slope_scaled), "f": WeightScheme(_F, rs.f_squared)},
-        ("df",), BOOTSTRAPS, rs.exact_d1, 2),
+        ("df",), BOOTSTRAPS, rs.exact_d1, 2, error_cells={"x": _D1_X, "f": _D1_F}),
     "newton-x-interp": MethodSpec(
-        "root", 2, _products(_XF, _F, _F), (), BOOTSTRAPS, rs.newton_x_interp, 1),
+        "root", 2, _products(_XF, _F, _F), (), BOOTSTRAPS, rs.newton_x_interp, 1,
+        error_cells={"x": _DF_X, "f": _DF_F}),
     "newton-f-interp": MethodSpec(
-        "root", 2, _products(_X, _XF, _X), (), BOOTSTRAPS, rs.newton_f_interp, 1),
+        "root", 2, _products(_X, _XF, _X), (), BOOTSTRAPS, rs.newton_f_interp, 1,
+        error_cells={"x": _DIRECT_X, "f": _DIRECT_F}),
     "ch-x-interp": MethodSpec(
-        "root", 1, _fixed(_F, rs.f_squared), ("df",), BOOTSTRAPS, rs.ch_x_interp, 2),
+        "root", 1, _fixed(_F, rs.f_squared), ("df",), BOOTSTRAPS, rs.ch_x_interp, 2,
+        error_cells={"f": _D1_F}),
     "ch-f-interp": MethodSpec(
-        "root", 1, _fixed(_X, rs.x_squared), ("df",), BOOTSTRAPS, rs.ch_f_interp, 2),
+        "root", 1, _fixed(_X, rs.x_squared), ("df",), BOOTSTRAPS, rs.ch_f_interp, 2,
+        error_cells={"x": _published({1: _half, 2: _fourth})}),
     "picard": MethodSpec("root", 1, _fixed(_NONE), ("fixed_point",), BOOTSTRAPS, rs.baseline),
-    "newton": MethodSpec("root", 1, _fixed(_NONE), ("df",), BOOTSTRAPS, rs.baseline, 2),
+    # the bare names reuse the cells of the schemes they reduce to
+    "newton": MethodSpec("root", 1, _fixed(_NONE), ("df",), BOOTSTRAPS, rs.baseline, 2,
+                         error_cells={None: _D1_X}),
     "halley": MethodSpec("root", 1, _fixed(_NONE), ("df", "d2f"), BOOTSTRAPS, rs.baseline),
-    "secant": MethodSpec("root", 2, _fixed(_F), (), BOOTSTRAPS, rs.baseline, 1),
+    "secant": MethodSpec("root", 2, _fixed(_F), (), BOOTSTRAPS, rs.baseline, 1,
+                         error_cells={None: _DF_X}),
     "newton-df": MethodSpec(
         "opt", 3, _fixed(_X, opt.x_product), (), _NO_PICARD, opt.newton_df, 1,
-        residual=opt.estimated_slope),
+        residual=opt.estimated_slope, error_cells={"x": _opt_df}),
     "ch-d1": MethodSpec(
         "opt", 2, _fixed(_X, opt.x_squared), ("df",), _NO_PICARD, opt.ch_d1, 2,
         residual=opt.sampled_slope),

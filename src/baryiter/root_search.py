@@ -42,6 +42,7 @@ from mpmath import fsum, mpf
 
 from . import numerics
 from .errors import (
+    BaryiterError,
     DegenerateNodes,
     ExactRootHit,
     SingularStep,
@@ -511,10 +512,14 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
 
 
 def attach_reference(problem) -> Optional[Real]:
-    """Reference solution at the working precision, or None if unavailable."""
+    """Reference solution at the working precision, or None if refinement fails.
+
+    Only a library error or an arithmetic one means "unavailable"; anything
+    else is a bug in the problem's callables and propagates.
+    """
     try:
         return problem.reference()
-    except Exception:
+    except (BaryiterError, ArithmeticError):
         return None
 
 

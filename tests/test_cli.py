@@ -145,3 +145,16 @@ def test_compare_command():
     assert code == 0
     assert "newton" in text and "secant" in text
     assert "converged" in text
+
+
+def test_compare_honours_each_methods_own_minimum_window():
+    # at window 1 exact-d1 is Newton, so the two columns must agree cell for cell
+    code, text = run_cli(
+        "compare", "--problem", "cos_minus_x", "--methods", "exact-d1,newton",
+        "--window", "1", "--precision-bits", "256",
+    )
+    assert code == 0
+    rows = [line.split() for line in text.splitlines()[2:] if line[:1].isdigit()]
+    assert rows and all(len(row) == 3 and row[1] == row[2] for row in rows)
+    summary = text.splitlines()[-2:]
+    assert summary[0].split(":")[1] == summary[1].split(":")[1]

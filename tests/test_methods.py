@@ -80,3 +80,11 @@ def test_only_a_root_run_checks_its_second_seed_against_tol_x():
         method="newton-df", window=3, x0="0", x1="1e-30", bootstrap="explicit",
         tol_x="1e-20", precision_bits=256))
     assert opt.status == "converged" and opt.iterations > 2
+
+
+@pytest.mark.parametrize("method", [m for m, s in METHODS.items() if s.error_cells])
+def test_error_cells_sit_on_an_accepted_scheme_of_an_ordered_method(method):
+    # verify_error_factor shapes its error products from the multiplicity
+    spec = METHODS[method]
+    assert spec.multiplicity is not None
+    assert set(spec.error_cells) <= set(spec.schemes) | {None}

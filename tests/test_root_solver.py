@@ -216,3 +216,15 @@ def test_trace_records_signed_errors():
     assert trace.steps[0].abs_error == trace.steps[0].error
     assert isinstance(trace, IterationTrace)
     assert trace.iterations == trace.steps[-1].index
+
+
+def test_a_bug_in_reference_refinement_is_not_swallowed():
+    # secant never samples df, so only the reference refinement reaches it
+    def df(x):
+        raise TypeError("broken derivative")
+
+    problem = corpus.Problem(name="df_raises", kind="root", f=lambda x: x * x - 2, df=df,
+                             default_x0="1")
+    config = SolverConfig(method="secant", window=2, x0="1", precision_bits=128)
+    with pytest.raises(TypeError, match="broken derivative"):
+        solve(problem, config)
