@@ -136,19 +136,20 @@ METHODS: dict[str, MethodSpec] = {
     "newton-f-interp": MethodSpec(
         "root", 2, _products(_X, _XF, _X), (), BOOTSTRAPS, rs.newton_f_interp, 1,
         error_cells={"x": _DIRECT_X, "f": _DIRECT_F}),
+    # the fixed weights give one cell, whatever scheme is configured
     "ch-x-interp": MethodSpec(
         "root", 1, _fixed(_F, rs.f_squared), ("df",), BOOTSTRAPS, rs.ch_x_interp, 2,
-        error_cells={"f": _D1_F}),
+        error_cells=dict.fromkeys(WEIGHT_SCHEMES, _D1_F)),
     "ch-f-interp": MethodSpec(
         "root", 1, _fixed(_X, rs.x_squared), ("df",), BOOTSTRAPS, rs.ch_f_interp, 2,
-        error_cells={"x": _published({1: _half, 2: _fourth})}),
+        error_cells=dict.fromkeys(WEIGHT_SCHEMES, _published({1: _half, 2: _fourth}))),
     "picard": MethodSpec("root", 1, _fixed(_NONE), ("fixed_point",), BOOTSTRAPS, rs.baseline),
-    # the bare names reuse the cells of the schemes they reduce to
+    # a baseline steps on its minimum window only, where it is the scheme it reduces to
     "newton": MethodSpec("root", 1, _fixed(_NONE), ("df",), BOOTSTRAPS, rs.baseline, 2,
-                         error_cells={None: _D1_X}),
+                         error_cells={None: _published({1: _half})}),
     "halley": MethodSpec("root", 1, _fixed(_NONE), ("df", "d2f"), BOOTSTRAPS, rs.baseline),
     "secant": MethodSpec("root", 2, _fixed(_F), (), BOOTSTRAPS, rs.baseline, 1,
-                         error_cells={None: _DF_X}),
+                         error_cells={None: _published({2: _half})}),
     "newton-df": MethodSpec(
         "opt", 3, _fixed(_X, opt.x_product), (), _NO_PICARD, opt.newton_df, 1,
         residual=opt.estimated_slope, error_cells={"x": _opt_df}),

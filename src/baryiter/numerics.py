@@ -9,16 +9,24 @@ nearest, so results are deterministic for a fixed precision.  Values are
 immutable and safe to share between threads; changing the working precision
 while solvers are running concurrently at another precision is not
 supported.
+
+``cos`` and ``sin`` share one evaluation of mpmath's ``mpf_cos_sin``, which
+always computes both, and ``exp`` keeps its last result: each remembers only
+its last argument, keyed on the value's exact bits, the precision and the
+rounding mode, so a function and its derivative at the same point (f then
+f' in one solver step) pay for one evaluation.  The results are those of
+``mpmath.cos``, ``mpmath.sin`` and ``mpmath.exp`` bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_cos_sin, mpf_exp
 
 from .errors import DomainError
 
@@ -128,16 +136,43 @@ def parse_decimal(text: str) -> Real:
 # ---------------------------------------------------------------------------
 # elementary functions with domain checks
 
+def _remembering_last(libmp_function: Callable) -> Callable:
+    """``libmp_function`` of a Scalar at the working precision, remembering its last call.
+
+    The key is what mpmath's own wrappers pass to a libmp function: the
+    argument's exact value, the precision and the rounding mode.  The
+    (key, result) pair is replaced in one assignment, so a reader in another
+    thread sees a consistent pair.
+    """
+    last: tuple = (None, None)
+
+    def call(x: Scalar):
+        nonlocal last
+        prec, rounding = mpmath.mp._prec_rounding
+        key = real(x)._mpf_, prec, rounding
+        last_key, result = last
+        if last_key != key:
+            result = libmp_function(*key)
+            last = key, result
+        return result
+
+    return call
+
+
+_cos_sin = _remembering_last(mpf_cos_sin)  # both values from one evaluation
+_exp = _remembering_last(mpf_exp)
+
+
 def cos(x: Scalar) -> Real:
-    return mpmath.cos(real(x))
+    return mpmath.mp.make_mpf(_cos_sin(x)[0])
 
 
 def sin(x: Scalar) -> Real:
-    return mpmath.sin(real(x))
+    return mpmath.mp.make_mpf(_cos_sin(x)[1])
 
 
 def exp(x: Scalar) -> Real:
-    return mpmath.exp(real(x))
+    return mpmath.mp.make_mpf(_exp(x))
 
 
 def log(x: Scalar) -> Real:

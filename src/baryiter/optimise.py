@@ -187,7 +187,7 @@ def estimated_slope(run, samples: list) -> Optional[Real]:
     if len(window) < 2:
         return None
     try:
-        return phi_slope_df(window, run.build(window, run.alpha))
+        return phi_slope_df(window, run.weights(window))
     except SingularStep:
         return None
 

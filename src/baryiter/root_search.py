@@ -36,6 +36,7 @@ A singular step is retried with one sample fewer (recorded as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from mpmath import fsum, mpf
@@ -74,7 +75,15 @@ STATUS_EXHAUSTED = "budget-exhausted"
 
 
 def default_tolerance(precision_bits: int) -> Real:
-    """Default convergence tolerance: 10^-(0.3 * decimal digits of the precision)."""
+    """Default convergence tolerance: 10^-(0.3 * decimal digits of the precision).
+
+    Computed once per (precision_bits, working precision) pair.
+    """
+    return _tolerance(precision_bits, numerics.get_precision())
+
+
+@lru_cache(maxsize=32)
+def _tolerance(precision_bits: int, working_bits: int) -> Real:
     return mpf(10) ** (-(mpf(3) / 10) * precision_bits * mpf("0.3010299956639812"))
 
 
@@ -441,9 +450,13 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str]) -> list:
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Run:
-    """One run's method facts, resolved once before its first step."""
+    """One run's method facts, resolved once before its first step.
+
+    It also keeps the last window's weights: an optimisation residual and
+    the step proposed after it select the same window, built once.
+    """
 
     spec: MethodSpec
     method: str
@@ -455,11 +468,21 @@ class _Run:
     beta: Real
     select: Callable            # select_window, as the calling module names it
     step: Callable              # _interp_step, as the calling module names it
+    # (window, weights) of the last build
+    _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
+
+    def weights(self, window: Sequence):
+        """The scheme's weights on ``window``, reused while the samples are the same objects."""
+        last_window, weights = self._last
+        if len(last_window) != len(window) or any(a is not b for a, b in zip(last_window, window)):
+            weights = self.build(window, self.alpha)
+            self._last = tuple(window), weights
+        return weights
 
 
 def _interp_step(run: _Run, window: Sequence) -> tuple:
     """The method's step on ``window``: the scheme's weights, then the step formula."""
-    weights = None if run.build is None else run.build(window, run.alpha)
+    weights = None if run.build is None else run.weights(window)
     return run.spec.step(run, window, weights)
 
 

@@ -19,7 +19,12 @@ formulas are ratios, so common factors cancel, and the kernel identity
 stays exactly testable.
 
 Nodes closer together than the separation floor make entries overflow any
-useful precision, so every constructor checks distinctness first.
+useful precision.  Every constructor subtracts each pair of nodes once, in
+one pass that also checks the gap against the floor, and takes
+``v_j - v_i`` as ``-(v_i - v_j)``: round-to-nearest is symmetric in sign,
+so that is the rounded difference bit for bit.  The squared families also
+square and invert each pair's difference once.  Each weight is then the
+same chain of divisions, in the same order, as from the defining products.
 """
 
 from __future__ import annotations
@@ -57,29 +62,37 @@ def node_scale(nodes: Sequence[Real]) -> Real:
     return max((abs(v) for v in nodes), default=mpf(0))
 
 
-def require_distinct(nodes: Sequence[Real], what: str = "nodes") -> None:
-    """Raise DegenerateNodes unless all pairwise gaps clear the separation floor."""
-    floor = separation_floor(node_scale(nodes))
-    for i, vi in enumerate(nodes):
-        for vj in nodes[i + 1:]:
-            if abs(vi - vj) <= floor:
-                raise DegenerateNodes(f"{what} too close: {vi} and {vj}")
-
-
 def _as_reals(nodes: Sequence[Scalar]) -> list[Real]:
     return [real(v) for v in nodes]
 
 
+def _differences(nodes: list[Real]) -> list[list[Real]]:
+    """``d[i][j] = v_i - v_j`` (``None`` on the diagonal), one subtraction per pair.
+
+    Raises DegenerateNodes for the first pair, in row order over ``i < j``,
+    whose gap does not clear the separation floor.
+    """
+    floor = separation_floor(node_scale(nodes))
+    count = len(nodes)
+    d = [[None] * count for _ in range(count)]
+    for i, vi in enumerate(nodes):
+        for j in range(i + 1, count):
+            gap = vi - nodes[j]
+            if abs(gap) <= floor:
+                raise DegenerateNodes(f"nodes too close: {vi} and {nodes[j]}")
+            d[i][j] = gap
+            d[j][i] = -gap
+    return d
+
+
 def product_weights(nodes: Sequence[Scalar]) -> list[Real]:
     """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j)."""
-    nodes = _as_reals(nodes)
-    require_distinct(nodes)
     out = []
-    for i, vi in enumerate(nodes):
+    for i, row in enumerate(_differences(_as_reals(nodes))):
         w = mpf(1)
-        for j, vj in enumerate(nodes):
+        for j, d in enumerate(row):
             if j != i:
-                w /= vi - vj
+                w /= d
         out.append(w)
     return out
 
@@ -96,40 +109,49 @@ def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar) -> list[Real
     alpha = real(alpha)
     if alpha == 1:
         return product_weights(nodes)
-    require_distinct(nodes)
+    diffs = _differences(nodes)
     n = len(nodes) - 1
     shifted = alpha * nodes[n]
     floor = separation_floor(max(node_scale(nodes), abs(shifted)))
-    out = []
-    for i, vi in enumerate(nodes[:n]):
-        if abs(vi - shifted) <= floor:
+    gaps = []  # v_i - alpha v_n for the older nodes
+    for vi in nodes[:n]:
+        gap = vi - shifted
+        if abs(gap) <= floor:
             raise DegenerateNodes(f"node {vi} collides with the shifted value {shifted}")
-        w = 1 / (vi - shifted)
-        for j, vj in enumerate(nodes):
-            if j != i and j != n:
-                w /= vi - vj
+        gaps.append(gap)
+    out = []
+    for i, gap in enumerate(gaps):
+        w = 1 / gap
+        for j in range(n):
+            if j != i:
+                w /= diffs[i][j]
         out.append(w)
     wn = mpf(1)
-    for j, vj in enumerate(nodes[:n]):
-        if abs(shifted - vj) <= floor:
-            raise DegenerateNodes(f"shifted value {shifted} collides with node {vj}")
-        wn /= shifted - vj
+    for gap in gaps:
+        wn /= -gap
     out.append(wn)
     return out
 
 
 def squared_product_weights(nodes: Sequence[Scalar]) -> HermiteWeights:
     """Partial-fraction pairs lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j)."""
-    nodes = _as_reals(nodes)
-    require_distinct(nodes)
+    diffs = _differences(_as_reals(nodes))
+    count = len(diffs)
+    squares = [[None] * count for _ in range(count)]
+    inverses = [[None] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            squares[i][j] = squares[j][i] = diffs[i][j] ** 2
+            inverses[i][j] = 1 / diffs[i][j]
+            inverses[j][i] = -inverses[i][j]
     lam, gam = [], []
-    for i, vi in enumerate(nodes):
+    for i in range(count):
         u2 = mpf(1)
         s = mpf(0)
-        for j, vj in enumerate(nodes):
+        for j in range(count):
             if j != i:
-                u2 /= (vi - vj) ** 2
-                s += 1 / (vi - vj)
+                u2 /= squares[i][j]
+                s += inverses[i][j]
         lam.append(u2)
         gam.append(-2 * u2 * s)
     return HermiteWeights(tuple(lam), tuple(gam))

@@ -11,6 +11,8 @@ import random
 import mpmath
 from mpmath import mpf
 
+from baryiter.errors import DegenerateNodes, ZeroDerivative
+
 
 def newton_sqrt(a, bits):
     """sqrt(a) by Newton on y^2 - a, computed with guard bits then rounded."""
@@ -107,3 +109,88 @@ def random_nodes(rng: random.Random, count, low=-3.0, high=3.0, min_gap=0.05):
 def rel_err(a, b, floor="1e-30"):
     denom = max(abs(a), abs(b), mpf(floor))
     return abs(a - b) / denom
+
+
+# ---------------------------------------------------------------------------
+# barycentric weights straight from their defining products: a separate
+# distinctness pass, then every factor (v_i - v_j) subtracted where it is used
+
+
+def _floor(scale):
+    # the separation floor: 2^-(precision-8) times the node scale
+    return mpf(2) ** (8 - mpmath.mp.prec) * abs(scale)
+
+
+def _require_distinct_direct(nodes):
+    floor = _floor(max((abs(v) for v in nodes), default=mpf(0)))
+    for i, vi in enumerate(nodes):
+        for vj in nodes[i + 1:]:
+            if abs(vi - vj) <= floor:
+                raise DegenerateNodes(f"nodes too close: {vi} and {vj}")
+
+
+def product_weights_direct(nodes):
+    nodes = [+mpf(v) for v in nodes]
+    _require_distinct_direct(nodes)
+    out = []
+    for i, vi in enumerate(nodes):
+        w = mpf(1)
+        for j, vj in enumerate(nodes):
+            if j != i:
+                w /= vi - vj
+        out.append(w)
+    return out
+
+
+def shifted_product_weights_direct(nodes, alpha):
+    nodes = [+mpf(v) for v in nodes]
+    alpha = +mpf(alpha)
+    if alpha == 1:
+        return product_weights_direct(nodes)
+    _require_distinct_direct(nodes)
+    n = len(nodes) - 1
+    shifted = alpha * nodes[n]
+    floor = _floor(max(max(abs(v) for v in nodes), abs(shifted)))
+    out = []
+    for i, vi in enumerate(nodes[:n]):
+        if abs(vi - shifted) <= floor:
+            raise DegenerateNodes(f"node {vi} collides with the shifted value {shifted}")
+        w = 1 / (vi - shifted)
+        for j, vj in enumerate(nodes):
+            if j != i and j != n:
+                w /= vi - vj
+        out.append(w)
+    wn = mpf(1)
+    for vj in nodes[:n]:
+        if abs(shifted - vj) <= floor:
+            raise DegenerateNodes(f"shifted value {shifted} collides with node {vj}")
+        wn /= shifted - vj
+    out.append(wn)
+    return out
+
+
+def squared_product_weights_direct(nodes):
+    """(lam, gam) with lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j)."""
+    nodes = [+mpf(v) for v in nodes]
+    _require_distinct_direct(nodes)
+    lam, gam = [], []
+    for i, vi in enumerate(nodes):
+        u2 = mpf(1)
+        s = mpf(0)
+        for j, vj in enumerate(nodes):
+            if j != i:
+                u2 /= (vi - vj) ** 2
+                s += 1 / (vi - vj)
+        lam.append(u2)
+        gam.append(-2 * u2 * s)
+    return lam, gam
+
+
+def derivative_scaled_weights_direct(nodes, slopes):
+    if len(nodes) != len(slopes):
+        raise ValueError("need one slope per node")
+    slopes = [+mpf(s) for s in slopes]
+    if any(s == 0 for s in slopes):
+        raise ZeroDerivative("derivative-scaled weights need non-zero slopes")
+    lam, gam = squared_product_weights_direct(nodes)
+    return [s * u2 for s, u2 in zip(slopes, lam)], gam

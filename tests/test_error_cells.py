@@ -40,10 +40,12 @@ ACCEPTED = {
     ("newton-f-interp/f", 2): _HALF, ("newton-f-interp/f", 3): _X3,
     ("newton-f-interp/f", 4):
         "0.017370370370370370370370370370370370370370370370370370370370370370370370370369676",
-    ("ch-x-interp/f", 1): _HALF, ("ch-x-interp/f", 2): _F4,
-    ("ch-f-interp/x", 1): _HALF, ("ch-f-interp/x", 2): _D4,
-    ("newton", 1): _HALF, ("newton", 2): _X4,
-    ("secant", 2): _HALF, ("secant", 3): _X3, ("secant", 4): _X4,
+    **{(f"ch-x-interp/{scheme}", 1): _HALF for scheme in ("x", "f", "alpha")},
+    **{(f"ch-x-interp/{scheme}", 2): _F4 for scheme in ("x", "f", "alpha")},
+    **{(f"ch-f-interp/{scheme}", 1): _HALF for scheme in ("x", "f", "alpha")},
+    **{(f"ch-f-interp/{scheme}", 2): _D4 for scheme in ("x", "f", "alpha")},
+    ("newton", 1): _HALF,
+    ("secant", 2): _HALF,
     ("newton-df/x", 2): "-0.5",
     ("newton-df/x", 3):
         "-0.30952380952380952380952380952380952380952380952380952380952380952380952380952422",

@@ -1,0 +1,193 @@
+"""Each hot-path value is computed once, and reusing it changes no bit.
+
+The memoised ``cos``/``sin``/``exp`` are checked against mpmath, the weight
+families against the direct loops in ``oracles``, and call counts show the
+weights of a window and the default tolerance being built once.
+"""
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
+from mpmath.libmp import mpf_cos_sin, mpf_exp
+
+from baryiter import corpus, numerics, optimise, root_search
+from baryiter.errors import DegenerateNodes, ZeroDerivative
+from baryiter.root_search import STATUS_FALLBACK, SolverConfig
+from baryiter.weights import (
+    HermiteWeights,
+    derivative_scaled_weights,
+    product_weights,
+    shifted_product_weights,
+    squared_product_weights,
+)
+
+from oracles import (
+    derivative_scaled_weights_direct,
+    product_weights_direct,
+    shifted_product_weights_direct,
+    squared_product_weights_direct,
+)
+
+PRECISIONS = (64, 256, 4096)
+FUNCTIONS = ("cos", "sin", "exp")
+# zero, tiny, huge, negative, +-inf and nan; the floats have the same bits at
+# every precision, so only the precision tells their memo keys apart, while
+# the decimal strings round differently at each precision
+SPECIAL = (
+    0.0, 5e-324, -1e-300, 1e300, -1e300, 0.5, -3.75, float("inf"), float("-inf"), float("nan"),
+    "0.1", "-2.5e-1000", "1e-5000", "7e400", "-7e400",
+)
+ARGUMENTS = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e6, 1e6), st.floats())
+
+
+def _check_elementary(name, x, bits):
+    with numerics.precision(bits):
+        got = getattr(numerics, name)(x)
+        want = getattr(mpmath, name)(mpf(x))
+    assert got._mpf_ == want._mpf_, (name, x, bits)
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+def test_elementary_functions_match_mpmath_at_each_precision_in_turn(x):
+    for bits in PRECISIONS + PRECISIONS[::-1]:
+        for name in FUNCTIONS + FUNCTIONS:  # the repeats are memo hits
+            _check_elementary(name, x, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(ARGUMENTS, min_size=1, max_size=3),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(PRECISIONS), st.sampled_from(FUNCTIONS)),
+        min_size=2, max_size=20),
+)
+def test_memoised_elementary_functions_are_bit_identical(pool, calls):
+    # a small pool repeats arguments across interleaved precisions
+    for index, bits, name in calls:
+        _check_elementary(name, pool[index % len(pool)], bits)
+
+
+def test_cos_and_sin_at_one_point_share_one_evaluation(monkeypatch):
+    calls = []
+
+    def counted(libmp_function):
+        return lambda *key: calls.append(key) or libmp_function(*key)
+
+    monkeypatch.setattr(numerics, "_cos_sin", numerics._remembering_last(counted(mpf_cos_sin)))
+    monkeypatch.setattr(numerics, "_exp", numerics._remembering_last(counted(mpf_exp)))
+    with numerics.precision(256):
+        x = mpf(1) / 3
+        numerics.cos(x), numerics.sin(x), numerics.cos(x)
+        numerics.exp(x), numerics.exp(x)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+
+def _bits(weights):
+    """Exact bits of a weight list or of a (lam, gam) pair."""
+    if isinstance(weights, HermiteWeights):
+        weights = (weights.lam, weights.gam)
+    if isinstance(weights, tuple):
+        return tuple(_bits(list(part)) for part in weights)
+    return [w._mpf_ for w in weights]
+
+
+def _outcome(build, *args):
+    try:
+        return _bits(build(*args))
+    except (DegenerateNodes, ZeroDerivative) as err:
+        return type(err), str(err)
+
+
+def _families(nodes, alpha, slopes):
+    """(library outcome, oracle outcome) for each of the four families."""
+    return [
+        (_outcome(product_weights, nodes), _outcome(product_weights_direct, nodes)),
+        (_outcome(shifted_product_weights, nodes, alpha),
+         _outcome(shifted_product_weights_direct, nodes, alpha)),
+        (_outcome(squared_product_weights, nodes), _outcome(squared_product_weights_direct, nodes)),
+        (_outcome(derivative_scaled_weights, nodes, slopes),
+         _outcome(derivative_scaled_weights_direct, nodes, slopes)),
+    ]
+
+
+# p/q fills the whole mantissa at the working precision
+RATIONALS = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 997))
+
+
+def _value(pq):
+    return mpf(pq[0]) / pq[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=st.sampled_from((256, 4096)),
+    nodes=st.lists(RATIONALS, min_size=2, max_size=9),
+    alpha=st.one_of(st.sampled_from(((0, 1), (1, 1))), RATIONALS),
+    slopes=st.lists(RATIONALS, min_size=9, max_size=9),
+    collide=st.sampled_from((None, "nodes", "shifted")),
+)
+def test_weights_are_bit_identical_to_the_direct_loops(bits, nodes, alpha, slopes, collide):
+    with numerics.precision(bits):
+        nodes = [_value(v) for v in nodes]
+        alpha = _value(alpha)
+        if collide == "nodes":
+            nodes[-1] = nodes[0]
+        elif collide == "shifted" and nodes[-1] != 0:
+            alpha = nodes[0] / nodes[-1]
+        slopes = [_value(s) for s in slopes[:len(nodes)]]
+        for got, want in _families(nodes, alpha, slopes):
+            assert got == want
+
+
+def test_a_colliding_pair_is_named_as_before():
+    with numerics.precision(256):
+        tiny = mpf(2) ** -260
+        # two pairs collide; the first in row order is (1, 1 + tiny)
+        nodes = [mpf(3), mpf(1), mpf(2), mpf(2) + tiny, mpf(1) + tiny]
+        for got, want in _families(nodes, mpf("0.5"), [mpf(1)] * len(nodes)):
+            assert got == want
+            assert got[0] is DegenerateNodes
+            assert got[1] == f"nodes too close: {mpf(1)} and {mpf(1) + tiny}"
+
+
+# ---------------------------------------------------------------------------
+# built once
+
+
+def test_newton_df_builds_the_weights_once_per_proposed_step(monkeypatch):
+    builds, proposals = [], []
+    build = optimise.product_weights
+    propose = optimise._opt_propose
+    monkeypatch.setattr(optimise, "product_weights", lambda nodes: builds.append(1) or build(nodes))
+
+    def counted_propose(run, samples):
+        before = len(builds)
+        try:
+            return propose(run, samples)
+        finally:
+            proposals.append(len(builds) - before)
+
+    monkeypatch.setattr(optimise, "_opt_propose", counted_propose)
+    config = SolverConfig(method="newton-df", window=4, precision_bits=256)
+    trace = optimise.optimize(corpus.get_problem("opt_cos"), config)
+    assert trace.status == "converged"
+    assert all(step.status != STATUS_FALLBACK for step in trace.steps)
+    # a proposal reuses the weights its sample's residual built; the
+    # residuals of the second and third seed build the other two
+    assert proposals and set(proposals) == {0}
+    assert len(builds) == len(proposals) + 2
+
+
+def test_default_tolerance_is_computed_once_per_precision():
+    root_search._tolerance.cache_clear()
+    problem = corpus.get_problem("cos_minus_x")
+    for _ in range(2):
+        root_search.solve(problem, SolverConfig(method="secant", precision_bits=320))
+    info = root_search._tolerance.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
