@@ -7,6 +7,7 @@ diverges or exhausts its budget (or a golden-table cell fails to match).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``baryiter`` argument parser, built once per process.
+
+    Parsing keeps no state in it: each ``parse_args`` returns a fresh
+    namespace, so every ``main`` call reuses the one parser.
+    """
     parser = _Parser(prog="baryiter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,9 +11,15 @@ Grammar (whitespace ignored)::
 
 Exponents must reduce to integer constants (optionally signed, and
 themselves allowed to be integer powers, so 2^3^2 = 2^9); that keeps
-symbolic differentiation closed under the grammar.  Number literals are
-kept as text and parsed at the working precision on every evaluation, so
-an expression built once stays exact under precision changes.
+symbolic differentiation closed under the grammar.
+
+``parse_expression`` compiles the value tree and each derivative tree once
+into nested closures; evaluating one runs the same mpf operation per node,
+left operand first, as a walk over the tree would, with no dispatch on
+node tags.  Number literals are kept as text and converted with ``real``
+once per working precision and rounding mode, so an expression built once
+stays exact under precision changes.  Division by zero raises
+:class:`~baryiter.errors.DomainError`, as ``log``, ``sqrt`` and ``0^-k`` do.
 
 Parse failures raise :class:`~baryiter.errors.ParseError` with a 1-based
 column.
@@ -22,11 +28,15 @@ column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
+from typing import Callable
+
+import mpmath
 
 from . import numerics
-from .errors import ParseError
-from .numerics import Real, Scalar, real
+from .errors import DomainError, ParseError
+from .numerics import Real, Scalar, powi, real
 
 # AST nodes are tuples: ("num", text), ("var",), ("add"|"sub"|"mul"|"div", a, b),
 # ("neg", a), ("pow", a, int), ("call", name, a)
@@ -170,14 +180,13 @@ class _Parser:
 # smart constructors keep derivative trees small
 
 
-def _is_num(node, value=None):
+def _is_num(node, value: int) -> bool:
+    # exact decimal comparison: a binary64 reading would take 1e-400 for 0
     if node[0] != "num":
         return False
-    if value is None:
-        return True
     try:
-        return float(node[1]) == value
-    except ValueError:
+        return Decimal(node[1]) == value
+    except ArithmeticError:  # exponent beyond Decimal's range: leave the tree unsimplified
         return False
 
 
@@ -273,27 +282,63 @@ def differentiate(node):
     raise ValueError(f"cannot differentiate node {node!r}")
 
 
-def evaluate(node, x: Real) -> Real:
+# ---------------------------------------------------------------------------
+# compilation: each tree becomes nested closures, built once at parse time
+
+Program = Callable[[Real], Real]
+
+
+def _literal(text: str) -> Program:
+    values: dict = {}  # (precision, rounding) -> real(text)
+
+    def literal(x: Real) -> Real:
+        key = tuple(mpmath.mp._prec_rounding)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = real(text)
+        return value
+
+    return literal
+
+
+def _variable(x: Real) -> Real:
+    return x
+
+
+def _compile(node) -> Program:
+    """A closure evaluating ``node`` at x: each node's mpf operation, left operand first."""
     head = node[0]
     if head == "num":
-        return real(node[1])
+        return _literal(node[1])
     if head == "var":
-        return x
+        return _variable
     if head == "neg":
-        return -evaluate(node[1], x)
-    if head == "add":
-        return evaluate(node[1], x) + evaluate(node[2], x)
-    if head == "sub":
-        return evaluate(node[1], x) - evaluate(node[2], x)
-    if head == "mul":
-        return evaluate(node[1], x) * evaluate(node[2], x)
-    if head == "div":
-        return evaluate(node[1], x) / evaluate(node[2], x)
+        a = _compile(node[1])
+        return lambda x: -a(x)
     if head == "pow":
-        return numerics.powi(evaluate(node[1], x), node[2])
+        a, k = _compile(node[1]), node[2]
+        return lambda x: powi(a(x), k)
     if head == "call":
-        return numerics.eval_elementary(node[1], evaluate(node[2], x))
-    raise ValueError(f"cannot evaluate node {node!r}")
+        fn, a = getattr(numerics, node[1]), _compile(node[2])
+        return lambda x: fn(a(x))
+    if head in ("add", "sub", "mul", "div"):
+        a, b = _compile(node[1]), _compile(node[2])
+        if head == "add":
+            return lambda x: a(x) + b(x)
+        if head == "sub":
+            return lambda x: a(x) - b(x)
+        if head == "mul":
+            return lambda x: a(x) * b(x)
+
+        def div(x: Real) -> Real:
+            numerator, denominator = a(x), b(x)
+            try:
+                return numerator / denominator
+            except ZeroDivisionError:
+                raise DomainError("division by zero") from None
+
+        return div
+    raise ValueError(f"cannot compile node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -302,18 +347,22 @@ class Expression:
 
     source: str
     nodes: tuple  # value, first, second, third derivative ASTs
+    programs: tuple = field(init=False, repr=False, compare=False)  # nodes, compiled
+
+    def __post_init__(self):
+        object.__setattr__(self, "programs", tuple(_compile(node) for node in self.nodes))
 
     def f(self, x: Scalar) -> Real:
-        return evaluate(self.nodes[0], real(x))
+        return self.programs[0](real(x))
 
     def df(self, x: Scalar) -> Real:
-        return evaluate(self.nodes[1], real(x))
+        return self.programs[1](real(x))
 
     def d2f(self, x: Scalar) -> Real:
-        return evaluate(self.nodes[2], real(x))
+        return self.programs[2](real(x))
 
     def d3f(self, x: Scalar) -> Real:
-        return evaluate(self.nodes[3], real(x))
+        return self.programs[3](real(x))
 
 
 def parse_expression(src: str) -> Expression:

@@ -183,7 +183,7 @@ def sampled_slope(run, samples: list) -> Optional[Real]:
 
 def estimated_slope(run, samples: list) -> Optional[Real]:
     """``newton-df`` residual: the interpolant slope at the newest sample."""
-    window = select_window(samples, min(run.window, len(samples)), run.keys)
+    window = run.newest_window(samples)
     if len(window) < 2:
         return None
     try:

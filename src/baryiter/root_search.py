@@ -454,8 +454,9 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str]) -> list:
 class _Run:
     """One run's method facts, resolved once before its first step.
 
-    It also keeps the last window's weights: an optimisation residual and
-    the step proposed after it select the same window, built once.
+    It also keeps the last selected window and the last window's weights:
+    an optimisation residual and the step proposed after it use the same
+    window, selected and built once.
     """
 
     spec: MethodSpec
@@ -468,8 +469,20 @@ class _Run:
     beta: Real
     select: Callable            # select_window, as the calling module names it
     step: Callable              # _interp_step, as the calling module names it
+    # (samples, their count, window) of the last selection
+    _selected: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
     # (window, weights) of the last build
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
+
+    def newest_window(self, samples: list) -> list:
+        """The newest ``window`` distinct samples, selected once while ``samples`` does not grow."""
+        last_samples, count, window = self._selected
+        if last_samples is not samples or count != len(samples):
+            size = min(self.window, len(samples))
+            # without dedup keys every sample is distinct: take the newest as they are
+            window = self.select(samples, size, self.keys) if self.keys else samples[-size:]
+            self._selected = samples, len(samples), window
+        return window
 
     def weights(self, window: Sequence):
         """The scheme's weights on ``window``, reused while the samples are the same objects."""
@@ -488,9 +501,7 @@ def _interp_step(run: _Run, window: Sequence) -> tuple:
 
 def _propose(run: _Run, samples: list):
     """Next iterate, its curvature sign (optimisation only), and whether the window shrank."""
-    size = min(run.window, len(samples))
-    # without dedup keys every sample is distinct: take the newest as they are
-    base = run.select(samples, size, run.keys) if run.keys else samples[-size:]
+    base = run.newest_window(samples)
     minimum = run.spec.min_window
     if len(base) < minimum:
         raise SingularStep("memory collapsed below the method minimum")

@@ -11,7 +11,9 @@ import random
 import mpmath
 from mpmath import mpf
 
+from baryiter import numerics
 from baryiter.errors import DegenerateNodes, ZeroDerivative
+from baryiter.numerics import real
 
 
 def newton_sqrt(a, bits):
@@ -194,3 +196,31 @@ def derivative_scaled_weights_direct(nodes, slopes):
         raise ZeroDerivative("derivative-scaled weights need non-zero slopes")
     lam, gam = squared_product_weights_direct(nodes)
     return [s * u2 for s, u2 in zip(slopes, lam)], gam
+
+
+def evaluate_direct(node, x):
+    """An expression AST at x by a walk over the tree, re-reading each literal.
+
+    The tree-walking evaluator ``baryiter.expressions`` used before it
+    compiled its trees; the compiled closures must match it bit for bit.
+    """
+    head = node[0]
+    if head == "num":
+        return real(node[1])
+    if head == "var":
+        return x
+    if head == "neg":
+        return -evaluate_direct(node[1], x)
+    if head == "add":
+        return evaluate_direct(node[1], x) + evaluate_direct(node[2], x)
+    if head == "sub":
+        return evaluate_direct(node[1], x) - evaluate_direct(node[2], x)
+    if head == "mul":
+        return evaluate_direct(node[1], x) * evaluate_direct(node[2], x)
+    if head == "div":
+        return evaluate_direct(node[1], x) / evaluate_direct(node[2], x)
+    if head == "pow":
+        return numerics.powi(evaluate_direct(node[1], x), node[2])
+    if head == "call":
+        return numerics.eval_elementary(node[1], evaluate_direct(node[2], x))
+    raise ValueError(f"cannot evaluate node {node!r}")

@@ -158,3 +158,35 @@ def test_compare_honours_each_methods_own_minimum_window():
     assert rows and all(len(row) == 3 and row[1] == row[2] for row in rows)
     summary = text.splitlines()[-2:]
     assert summary[0].split(":")[1] == summary[1].split(":")[1]
+
+
+def test_division_by_zero_in_an_expression_is_a_domain_error(capsys):
+    code, _ = run_cli("solve", "--expr", "1/x", "--x0", "0", "--precision-bits", "128")
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: DomainError: division by zero"
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = ("solve", "--expr", "x^2-2", "--x0", "1", "--method", "secant", "--window", "2",
+             "--precision-bits", "128", "--output", "json")
+    runs = [
+        first,
+        first[:5] + ("--x1", "2") + first[5:],
+        ("solve", "--expr", "x^2-2", "--x0", "1", "--window", "3", "--precision-bits", "128",
+         "--output", "csv"),
+        ("optimize", "--expr", "cos(x)", "--x0", "3", "--window", "5", "--precision-bits", "128"),
+        first[:-1] + ("human",),
+    ]
+    usage_errors = [
+        first[:5] + ("--x1", "2", "--window", "two"),  # argparse stops mid-line
+        first[:5] + ("--x1", "2", "--output", "xml"),
+        ("solve", "--expr", "x^2-2", "--x1", "2", "--window", "3"),  # no --x0
+    ]
+    expected = [run_cli(*argv) for argv in runs]
+    assert [code for code, _ in expected] == [0] * len(runs)
+    assert len({text for _, text in expected}) == len(runs)
+    for argv, want, error in zip(runs[::-1], expected[::-1], usage_errors * 2):
+        assert run_cli(*error) == (1, "")
+        assert run_cli(*argv) == want
+    capsys.readouterr()

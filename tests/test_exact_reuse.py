@@ -191,3 +191,20 @@ def test_default_tolerance_is_computed_once_per_precision():
         root_search.solve(problem, SolverConfig(method="secant", precision_bits=320))
     info = root_search._tolerance.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_newton_df_selects_each_window_once(monkeypatch):
+    selections, proposals = [], []
+    select = optimise.select_window
+    propose = optimise._opt_propose
+    monkeypatch.setattr(optimise, "select_window",
+                        lambda *args: selections.append(1) or select(*args))
+    monkeypatch.setattr(optimise, "_opt_propose",
+                        lambda run, samples: proposals.append(1) or propose(run, samples))
+    config = SolverConfig(method="newton-df", window=4, precision_bits=256)
+    trace = optimise.optimize(corpus.get_problem("opt_cos"), config)
+    assert trace.status == "converged"
+    # each of the three seeds' residuals selects a window; a proposal uses
+    # the window its newest sample's residual selected
+    assert proposals
+    assert len(selections) == len(proposals) + 3
