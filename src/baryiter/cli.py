@@ -109,16 +109,7 @@ def _resolve_problem(args, kind: str) -> corpus.Problem:
         return problem
     if args.x0 is None:
         raise UsageError("--expr needs --x0")
-    expression = parse_expression(args.expr)
-    return corpus.Problem(
-        name=args.expr,
-        kind=kind,
-        f=expression.f,
-        df=expression.df,
-        d2f=expression.d2f,
-        d3f=expression.d3f,
-        default_x0=args.x0,
-    )
+    return corpus.from_expression(parse_expression(args.expr), args.expr, kind, args.x0)
 
 
 def _config_from(args) -> SolverConfig:
@@ -194,7 +185,7 @@ def emit_json(trace: IterationTrace, digits: Optional[int], out) -> None:
 
 
 def emit_csv(trace: IterationTrace, digits: Optional[int], out) -> None:
-    digits = digits or HUMAN_DIGITS
+    digits = HUMAN_DIGITS if digits is None else digits
     doc = trace_document(trace, digits)
     print("i,x,f,abs_error,status", file=out)
     for s in doc["steps"]:
@@ -203,7 +194,7 @@ def emit_csv(trace: IterationTrace, digits: Optional[int], out) -> None:
 
 
 def emit_human(trace: IterationTrace, digits: Optional[int], out) -> None:
-    digits = digits or HUMAN_DIGITS
+    digits = HUMAN_DIGITS if digits is None else digits
     doc = trace_document(trace, digits)
     print(f"problem: {doc['problem']}   method: {doc['method']}   "
           f"window: {doc['config']['window']}   weights: {doc['config']['weights']}", file=out)
@@ -223,6 +214,8 @@ _EMITTERS = {"json": emit_json, "csv": emit_csv, "human": emit_human}
 
 
 def _run_command(args, kind: str, out) -> int:
+    if args.digits is not None and args.digits < 1:
+        raise UsageError("--digits must be positive")
     problem = _resolve_problem(args, kind)
     config = _config_from(args)
     runner = root_search.solve if kind == "root" else optimise.optimize
@@ -249,7 +242,7 @@ def run_golden_table(name: str, precision_bits: Optional[int] = None):
     indexes, all_match).
     """
     spec = corpus.golden_table(name)
-    bits = precision_bits or spec["precision_bits"]
+    bits = spec["precision_bits"] if precision_bits is None else precision_bits
     problem = corpus.get_problem(spec["problem"])
     computed: dict[str, list[str]] = {}
     mismatches: dict[str, list[int]] = {}

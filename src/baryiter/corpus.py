@@ -1,10 +1,14 @@
 """Built-in benchmark problems with high-precision reference solutions.
 
-Each problem carries analytic derivatives up to the order the solvers can
-use, an optional fixed-point form, and a default starting point.  Reference
-solutions (roots, or minimisers for objectives) are Newton-refined at 1152
-bits until the residual drops below 1e-300.  The built-ins' references ship
-as 320-digit decimal strings in a sidecar file next to this module (a test
+Each built-in is data: an f source in the grammar of ``expressions``, a
+kind, a default start and, for ``cos x - x``, a fixed-point source.  Its
+callables are the programs ``parse_expression`` compiles, as for ``--expr``
+input; where a symbolic derivative would round differently from the closed
+form the problem was first written with, the built-in gives that
+derivative's source too, so no output bit moves.  Reference solutions
+(roots, or minimisers for objectives) are Newton-refined at 1152 bits until
+the residual drops below 1e-300.  The built-ins' references ship as
+320-digit decimal strings in a sidecar file next to this module (a test
 checks them against a fresh refinement); any other problem is refined on
 each request, and nothing is written back.  Either way the digits are
 parsed at the caller's working precision.  The golden error tables for the
@@ -21,7 +25,8 @@ from typing import Callable, Optional
 from mpmath import mpf
 
 from .errors import NonConvergence
-from .numerics import Real, cos, exp, precision, real, sin, to_decimal
+from .expressions import parse_expression
+from .numerics import Real, precision, real, to_decimal
 
 REFERENCE_BITS = 1152          # leaves headroom over the 320 stored digits
 REFERENCE_DIGITS = 320
@@ -41,101 +46,45 @@ class Problem:
     d3f: Optional[Callable[[Real], Real]] = None
     fixed_point: Optional[Callable[[Real], Real]] = None
     default_x0: str = "1"
-    notes: str = ""
 
     def reference(self) -> Real:
         """Reference solution at the working precision."""
         return reference_root(self)
 
 
-def _problems() -> dict[str, Problem]:
-    entries = [
-        Problem(
-            name="cos_minus_x",
-            kind="root",
-            f=lambda x: cos(x) - x,
-            df=lambda x: -sin(x) - 1,
-            d2f=lambda x: -cos(x),
-            d3f=lambda x: sin(x),
-            fixed_point=lambda x: cos(x),
-            default_x0="3",
-            notes="fixed-point benchmark behind the golden error tables",
-        ),
-        Problem(
-            name="x2_minus_2",
-            kind="root",
-            f=lambda x: x * x - 2,
-            df=lambda x: 2 * x,
-            d2f=lambda x: real(2),
-            d3f=lambda x: real(0),
-            default_x0="1",
-            notes="root sqrt(2)",
-        ),
-        Problem(
-            name="exp_root",
-            kind="root",
-            f=lambda x: exp(x) - 2 * x - 1,
-            df=lambda x: exp(x) - 2,
-            d2f=lambda x: exp(x),
-            d3f=lambda x: exp(x),
-            default_x0="2",
-            notes="simple root near 1.2564 (f' = e^r - 2 > 0 there)",
-        ),
-        Problem(
-            name="cubic_x3_minus_x_minus_2",
-            kind="root",
-            f=lambda x: x ** 3 - x - 2,
-            df=lambda x: 3 * x * x - 1,
-            d2f=lambda x: 6 * x,
-            d3f=lambda x: real(6),
-            default_x0="2",
-            notes="cubic with constant third derivative, for error-factor checks",
-        ),
-        Problem(
-            name="opt_quadratic",
-            kind="optimisation",
-            f=lambda x: (x - 2) ** 2 + 1,
-            df=lambda x: 2 * (x - 2),
-            d2f=lambda x: real(2),
-            d3f=lambda x: real(0),
-            default_x0="0",
-            notes="minimiser 2; exactness benchmark",
-        ),
-        Problem(
-            name="opt_xexp",
-            kind="optimisation",
-            f=lambda x: x * exp(x),
-            df=lambda x: (1 + x) * exp(x),
-            d2f=lambda x: (2 + x) * exp(x),
-            d3f=lambda x: (3 + x) * exp(x),
-            default_x0="0",
-            notes="minimiser exactly -1",
-        ),
-        Problem(
-            name="opt_cos",
-            kind="optimisation",
-            f=lambda x: cos(x),
-            df=lambda x: -sin(x),
-            d2f=lambda x: -cos(x),
-            d3f=lambda x: sin(x),
-            default_x0="2.5",
-            notes="minimiser pi",
-        ),
-        Problem(
-            name="opt_quartic",
-            kind="optimisation",
-            f=lambda x: x ** 4 - 2 * x * x,
-            df=lambda x: 4 * x ** 3 - 4 * x,
-            d2f=lambda x: 12 * x * x - 4,
-            d3f=lambda x: 24 * x,
-            default_x0="0.8",
-            notes="double-well; the default start selects the minimiser at +1",
-        ),
-    ]
-    return {p.name: p for p in entries}
+def from_expression(expression, name: str, kind: str, default_x0: str,
+                    fixed_point: Optional[Callable[[Real], Real]] = None) -> Problem:
+    """The problem whose f and derivatives are a parsed expression's programs."""
+    return Problem(name=name, kind=kind, f=expression.f, df=expression.df, d2f=expression.d2f,
+                   d3f=expression.d3f, fixed_point=fixed_point, default_x0=default_x0)
 
 
-PROBLEMS = _problems()
+def _builtin(name: str, kind: str, x0: str, f: str, *derivatives: Optional[str],
+             fixed_point: Optional[str] = None) -> Problem:
+    # derivatives: source of f', f'', f''' in order, None where the symbolic form rounds alike
+    fixed = parse_expression(fixed_point).f if fixed_point else None
+    return from_expression(parse_expression(f, derivatives), name, kind, x0, fixed)
+
+
+PROBLEMS = {problem.name: problem for problem in (
+    # fixed-point benchmark behind the golden error tables
+    _builtin("cos_minus_x", "root", "3", "cos(x) - x", fixed_point="cos(x)"),
+    # root sqrt(2)
+    _builtin("x2_minus_2", "root", "1", "x*x - 2"),
+    # simple root near 1.2564 (f' = e^r - 2 > 0 there)
+    _builtin("exp_root", "root", "2", "exp(x) - 2*x - 1"),
+    # cubic with constant third derivative, for error-factor checks
+    _builtin("cubic_x3_minus_x_minus_2", "root", "2", "x^3 - x - 2", "3*x*x - 1"),
+    # minimiser 2; exactness benchmark
+    _builtin("opt_quadratic", "optimisation", "0", "(x - 2)^2 + 1"),
+    # minimiser exactly -1
+    _builtin("opt_xexp", "optimisation", "0", "x*exp(x)",
+             "(1 + x)*exp(x)", "(2 + x)*exp(x)", "(3 + x)*exp(x)"),
+    # minimiser pi
+    _builtin("opt_cos", "optimisation", "2.5", "cos(x)"),
+    # double-well; the default start selects the minimiser at +1
+    _builtin("opt_quartic", "optimisation", "0.8", "x^4 - 2*x*x", None, "12*x*x - 4"),
+)}
 
 
 def list_problems() -> list[Problem]:

@@ -11,7 +11,10 @@ Grammar (whitespace ignored)::
 
 Exponents must reduce to integer constants (optionally signed, and
 themselves allowed to be integer powers, so 2^3^2 = 2^9); that keeps
-symbolic differentiation closed under the grammar.
+symbolic differentiation closed under the grammar.  A caller may give the
+source of any derivative order in place of the symbolic one (the built-in
+problems do, where the symbolic form would round differently); each higher
+order is then differentiated from it.
 
 ``parse_expression`` compiles the value tree and each derivative tree once
 into nested closures; evaluating one runs the same mpf operation per node,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import mpmath
 
@@ -365,12 +368,16 @@ class Expression:
         return self.programs[3](real(x))
 
 
-def parse_expression(src: str) -> Expression:
-    """Parse ``src`` into an evaluator with analytic derivatives up to order 3."""
+def parse_expression(src: str, derivatives: Sequence[Optional[str]] = ()) -> Expression:
+    """Parse ``src`` into an evaluator with analytic derivatives up to order 3.
+
+    ``derivatives[k - 1]``, when given, is the source of the order-k
+    derivative; any other order is the symbolic derivative of the one below.
+    """
     if not src or not src.strip():
         raise ParseError("empty expression", 1)
-    root = _Parser(src).parse()
-    nodes = [root]
-    for _ in range(3):
-        nodes.append(differentiate(nodes[-1]))
+    nodes = [_Parser(src).parse()]
+    for order in range(1, 4):
+        given = derivatives[order - 1] if order <= len(derivatives) else None
+        nodes.append(_Parser(given).parse() if given else differentiate(nodes[-1]))
     return Expression(source=src, nodes=tuple(nodes))

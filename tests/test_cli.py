@@ -190,3 +190,19 @@ def test_the_reused_parser_keeps_no_state_between_calls(capsys):
         assert run_cli(*error) == (1, "")
         assert run_cli(*argv) == want
     capsys.readouterr()
+
+
+def test_table_rejects_a_precision_below_the_floor(capsys):
+    # 0 bits is a usage error, as it is for solve, not a replay at the table's own 512
+    for argv in (("table", "--reproduce", "table4"), ("solve", "--problem", "x2_minus_2")):
+        assert run_cli(*argv, "--precision-bits", "0") == (1, "")
+        assert capsys.readouterr().err.startswith("error: precision must be at least")
+
+
+def test_nonpositive_digits_is_the_same_usage_error_in_every_format(capsys):
+    for digits in ("0", "-3"):
+        for output in ("human", "csv", "json"):
+            code, text = run_cli("solve", "--problem", "x2_minus_2", "--precision-bits", "128",
+                                 "--output", output, "--digits", digits)
+            assert (code, text) == (1, "")
+            assert capsys.readouterr().err.strip() == "error: --digits must be positive"

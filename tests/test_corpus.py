@@ -1,12 +1,18 @@
 import random
 
+import mpmath
 import pytest
 from mpmath import mpf
 
 from baryiter import corpus
+from baryiter.expressions import Expression
 from baryiter.numerics import precision, real, set_precision
 
+from closed_forms import CLOSED_FORMS
 from oracles import fd_derivative, rel_err
+
+DERIVATIVE_ORDERS = ("f", "df", "d2f", "d3f")
+CALLABLES = DERIVATIVE_ORDERS + ("fixed_point",)
 
 EXPECTED_NAMES = {
     "cos_minus_x",
@@ -113,6 +119,57 @@ def test_analytic_derivatives_match_finite_differences():
             assert rel_err(fd2, problem.d2f(x)) <= real("1e-20"), problem.name
             fd3 = fd_derivative(problem.d2f, x, h)
             assert rel_err(fd3, problem.d3f(x)) <= real("1e-20"), problem.name
+
+
+def _seeded_points(seed: int, count: int) -> list:
+    # full-mantissa points in [-3, 3] at the working precision
+    rng = random.Random(seed)
+    return [real(rng.randrange(-3 * 10**12, 3 * 10**12)) / 10**12 for _ in range(count)]
+
+
+def test_every_builtin_callable_is_an_expression_program():
+    # one derivative mechanism: a built-in's callables come from parse_expression
+    for problem in corpus.list_problems():
+        for attr in CALLABLES:
+            fn = getattr(problem, attr)
+            if fn is None:
+                assert attr == "fixed_point", (problem.name, attr)
+                continue
+            assert isinstance(getattr(fn, "__self__", None), Expression), (problem.name, attr)
+
+
+@pytest.mark.parametrize("bits,count", [(64, 12), (256, 12), (4096, 6), (32768, 2)])
+def test_builtins_round_exactly_as_their_closed_forms(bits, count):
+    with precision(bits):
+        points = _seeded_points(bits, count)
+        for problem in corpus.list_problems():
+            forms = CLOSED_FORMS[problem.name]
+            assert {a for a in CALLABLES if getattr(problem, a) is not None} == set(forms)
+            for attr, closed_form in forms.items():
+                program = getattr(problem, attr)
+                for x in points:
+                    same = program(x)._mpf_ == closed_form(x)._mpf_
+                    assert same, (problem.name, attr, mpmath.nstr(x, 17))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_each_derivative_order_agrees_with_sympy(bits):
+    sympy = pytest.importorskip("sympy")
+    symbol = sympy.Symbol("x")
+    with precision(bits):
+        points = _seeded_points(bits + 1, 6)
+        bound = mpf(2) ** -(bits - 10)
+    for problem in corpus.list_problems():
+        exact = sympy.sympify(problem.f.__self__.source.replace("^", "**"))
+        for order, attr in enumerate(DERIVATIVE_ORDERS):
+            oracle = sympy.lambdify(symbol, sympy.diff(exact, symbol, order), "mpmath")
+            for x in points:
+                with precision(bits):
+                    value = getattr(problem, attr)(x)
+                with precision(2 * bits + 20):
+                    want = mpmath.mpf(oracle(x))
+                    close = value == 0 if want == 0 else abs(value - want) <= bound * abs(want)
+                assert close, (problem.name, attr, mpmath.nstr(x, 17))
 
 
 def test_matches_printed_three_significant_figures():

@@ -10,10 +10,7 @@ from baryiter.root_search import IterationTrace, SolverConfig, select_window, so
 
 
 def _expr_problem(src, kind="root", x0="1"):
-    e = parse_expression(src)
-    return corpus.Problem(
-        name=src, kind=kind, f=e.f, df=e.df, d2f=e.d2f, d3f=e.d3f, default_x0=x0
-    )
+    return corpus.from_expression(parse_expression(src), src, kind, x0)
 
 
 def _scripted_problem(values, fallback="1e-40", derivs=None, fixed=None):
