@@ -213,9 +213,13 @@ def emit_human(trace: IterationTrace, digits: Optional[int], out) -> None:
 _EMITTERS = {"json": emit_json, "csv": emit_csv, "human": emit_human}
 
 
-def _run_command(args, kind: str, out) -> int:
-    if args.digits is not None and args.digits < 1:
+def _check_digits(digits: Optional[int]) -> None:
+    if digits is not None and digits < 1:
         raise UsageError("--digits must be positive")
+
+
+def _run_command(args, kind: str, out) -> int:
+    _check_digits(args.digits)
     problem = _resolve_problem(args, kind)
     config = _config_from(args)
     runner = root_search.solve if kind == "root" else optimise.optimize
@@ -225,6 +229,7 @@ def _run_command(args, kind: str, out) -> int:
 
 
 def _order_command(args, out) -> int:
+    _check_digits(args.digits)
     n = math.inf if args.n.strip().lower() in ("inf", "infinity") else int(args.n)
     if args.m < 1:
         raise UsageError("--m must be at least 1")
@@ -295,6 +300,7 @@ def _table_command(args, out) -> int:
 
 
 def _compare_command(args, out) -> int:
+    _check_digits(args.digits)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods must name at least one method")

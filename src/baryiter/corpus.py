@@ -7,10 +7,12 @@ input; where a symbolic derivative would round differently from the closed
 form the problem was first written with, the built-in gives that
 derivative's source too, so no output bit moves.  Reference solutions
 (roots, or minimisers for objectives) are Newton-refined at 1152 bits until
-the residual drops below 1e-300.  The built-ins' references ship as
-320-digit decimal strings in a sidecar file next to this module (a test
-checks them against a fresh refinement); any other problem is refined on
-each request, and nothing is written back.  Either way the digits are
+the residual drops below 1e-300, within ``REFERENCE_STEPS`` steps.  The
+built-ins' references ship as 320-digit decimal strings in a sidecar file
+next to this module (a test checks them against a fresh refinement from
+each default start); any other problem is refined on each request from the
+point it names (a run's final iterate), so the reference is the root the
+run approached, and nothing is written back.  Either way the digits are
 parsed at the caller's working precision.  The golden error tables for the
 ``cos x - x`` benchmark live here too; the command-line ``table`` command
 and the acceptance suite both replay them.
@@ -31,6 +33,7 @@ from .numerics import Real, precision, real, to_decimal
 REFERENCE_BITS = 1152          # leaves headroom over the 320 stored digits
 REFERENCE_DIGITS = 320
 REFERENCE_RESIDUAL = mpf(10) ** -300
+REFERENCE_STEPS = 16           # the built-ins need at most 11 from their default starts
 _SIDECAR = Path(__file__).with_name("_references.tsv")
 
 
@@ -47,9 +50,9 @@ class Problem:
     fixed_point: Optional[Callable[[Real], Real]] = None
     default_x0: str = "1"
 
-    def reference(self) -> Real:
-        """Reference solution at the working precision."""
-        return reference_root(self)
+    def reference(self, near: Optional[Real] = None) -> Real:
+        """Reference solution at the working precision, refined from ``near`` if it must be."""
+        return reference_root(self, near)
 
 
 def from_expression(expression, name: str, kind: str, default_x0: str,
@@ -117,10 +120,12 @@ def _load_sidecar() -> dict[str, str]:
 _reference_cache: dict[str, str] | None = None
 
 
-def refine_reference(problem: Problem) -> str:
+def refine_reference(problem: Problem, near: Optional[Real] = None) -> str:
     """Newton-refine the reference at 1152 bits; returns a 320-digit decimal string.
 
-    Root problems refine on f/f'; optimisation problems on f'/f''.
+    Starts from ``near``, else from the problem's default start, and takes
+    at most ``REFERENCE_STEPS`` steps.  Root problems refine on f/f';
+    optimisation problems on f'/f''.
     """
     if problem.kind == "root":
         value, slope = problem.f, problem.df
@@ -129,8 +134,8 @@ def refine_reference(problem: Problem) -> str:
     if value is None or slope is None:
         raise NonConvergence(f"problem {problem.name!r} lacks the derivatives to refine")
     with precision(REFERENCE_BITS):
-        x = real(problem.default_x0)
-        for _ in range(200):
+        x = real(problem.default_x0 if near is None else near)
+        for _ in range(REFERENCE_STEPS):
             residual = value(x)
             if abs(residual) < REFERENCE_RESIDUAL:
                 return to_decimal(x, REFERENCE_DIGITS)
@@ -141,16 +146,21 @@ def refine_reference(problem: Problem) -> str:
     raise NonConvergence(f"reference for {problem.name!r} did not reach the target residual")
 
 
-def reference_root(problem: Problem) -> Real:
-    """Reference solution from the sidecar, else refined (and, for a built-in, kept in memory)."""
+def reference_root(problem: Problem, near: Optional[Real] = None) -> Real:
+    """Reference solution from the sidecar, else refined.
+
+    A built-in is refined from its default start and kept in memory; any
+    other problem is refined from ``near`` (its default start when None).
+    """
     global _reference_cache
     if _reference_cache is None:
         _reference_cache = _load_sidecar()
     digits = _reference_cache.get(problem.name)
     if digits is None:
-        digits = refine_reference(problem)
         if problem.name in PROBLEMS:
-            _reference_cache[problem.name] = digits
+            digits = _reference_cache[problem.name] = refine_reference(problem)
+        else:
+            digits = refine_reference(problem, near)
     return real(digits)
 
 

@@ -545,14 +545,15 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
         yield x0 - (x1 - x0)
 
 
-def attach_reference(problem) -> Optional[Real]:
+def attach_reference(problem, near: Real) -> Optional[Real]:
     """Reference solution at the working precision, or None if refinement fails.
 
-    Only a library error or an arithmetic one means "unavailable"; anything
-    else is a bug in the problem's callables and propagates.
+    A refinement starts from ``near`` (see ``Problem.reference``).  Only a
+    library error or an arithmetic one means "unavailable"; anything else
+    is a bug in the problem's callables and propagates.
     """
     try:
-        return problem.reference()
+        return problem.reference(near)
     except (BaryiterError, ArithmeticError):
         return None
 
@@ -585,7 +586,6 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
         window = config.window if scheme.build is not None else spec.min_window
         run = _Run(spec, config.method, problem, scheme.build, scheme.keys, window,
                    real(config.alpha), real(config.beta), select, step)
-        reference = attach_reference(problem)
         make_sample = Sample if family == "root" else ObjectiveSample
         slopes = "df" in spec.needs
         residual = spec.residual
@@ -597,11 +597,15 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             fx = problem.f(x)
             fpx = problem.df(x) if slopes else None
             samples.append(make_sample(x, fx, fpx))
-            err = x - reference if reference is not None else None
-            steps.append(StepRecord(len(steps), x, fx, fpx, err, status, sign))
+            steps.append(StepRecord(len(steps), x, fx, fpx, None, status, sign))
 
         def finish(status: str) -> IterationTrace:
             steps[-1].status = status
+            # the reference is refined from where the run ended
+            reference = attach_reference(problem, steps[-1].x)
+            if reference is not None:
+                for record in steps:
+                    record.error = record.x - reference
             return IterationTrace(problem.name, config.method, config, reference, steps)
 
         def terminal(previous_x: Optional[Real]) -> Optional[str]:
@@ -646,7 +650,8 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
 
     ``problem`` needs ``f`` (plus ``df`` for the derivative methods,
     ``d2f`` for halley, ``fixed_point`` for picard) returning mpf values,
-    and a ``reference()`` used to fill the signed error column when it is
-    available.
+    and a ``reference(near)`` that fills the signed error column once the
+    run has ended: the solution refined from the final iterate, when one is
+    found.
     """
     return drive(problem, config, "root", _propose, select_window, _interp_step)

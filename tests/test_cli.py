@@ -206,3 +206,19 @@ def test_nonpositive_digits_is_the_same_usage_error_in_every_format(capsys):
                                  "--output", output, "--digits", digits)
             assert (code, text) == (1, "")
             assert capsys.readouterr().err.strip() == "error: --digits must be positive"
+
+
+def test_order_rejects_nonpositive_digits(capsys):
+    for digits in ("0", "-3"):
+        code, text = run_cli("order", "--family", "root", "--m", "1", "--n", "2",
+                             "--digits", digits)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.strip() == "error: --digits must be positive"
+
+
+def test_compare_rejects_nonpositive_digits_before_printing(capsys):
+    for digits in ("0", "-3"):
+        code, text = run_cli("compare", "--problem", "x2_minus_2", "--methods", "newton,secant",
+                             "--precision-bits", "128", "--digits", digits)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.strip() == "error: --digits must be positive"
