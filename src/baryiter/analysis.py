@@ -171,22 +171,17 @@ def predicted_error_factor(spec: ErrorFactorSpec) -> Real:
 
 
 def _error_products(errors: Sequence[Real], n_plus_1: int, m: int, family: str):
-    """Pairs (e_j, product of the n+1 window errors before step j)."""
+    """Pairs (e_j, product of the n+1 window errors before step j, each to the power m)."""
+    newest = m - 1 if family == "opt" else m  # the newest error's exponent
     out = []
     for j in range(n_plus_1, len(errors)):
         window = errors[j - n_plus_1: j]
         if any(e == 0 for e in window) or errors[j] == 0:
             continue
-        if family == "opt":  # the newest error enters with exponent m - 1
-            product = mpf(1)
-            for e in window[:-1]:
-                product *= e ** m
-            product *= window[-1] ** (m - 1)
-        else:
-            product = mpf(1)
-            for e in window:
-                product *= e ** m
-        out.append((errors[j], product))
+        product = mpf(1)
+        for e in window[:-1]:
+            product *= e ** m
+        out.append((errors[j], product * window[-1] ** newest))
     return out
 
 

@@ -21,6 +21,7 @@ and the acceptance suite both replay them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -230,11 +231,5 @@ def matches_printed(value: Real, cell: str) -> bool:
     within half a unit in its last printed digit (plus a sliver for the
     publisher's own boundary rounding).
     """
-    target = real(cell)
-    mantissa = cell.split("e")[0].split("E")[0]
-    digits = len(mantissa.replace(".", "").replace("-", "").lstrip("0"))
-    exponent = int(cell.split("e")[1]) if "e" in cell else 0
-    # exponent of the leading digit
-    lead = exponent + (len(mantissa.lstrip("-").split(".")[0].lstrip("0")) - 1)
-    half_ulp = mpf(10) ** (lead - digits + 1) / 2
-    return abs(value - target) <= half_ulp * (1 + mpf(10) ** -6)
+    half_ulp = mpf(10) ** Decimal(cell).as_tuple().exponent / 2  # the last digit's exponent
+    return abs(value - real(cell)) <= half_ulp * (1 + mpf(10) ** -6)

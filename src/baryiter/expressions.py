@@ -7,7 +7,7 @@ Grammar (whitespace ignored)::
     unary  := ('+' | '-')* power
     power  := atom ['^' exponent]          # right-associative
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC   := cos | sin | exp | log | sqrt
+    FUNC   := cos | sin | exp | log | sqrt    # the names of numerics.ELEMENTARY
 
 Exponents must reduce to integer constants (optionally signed, and
 themselves allowed to be integer powers, so 2^3^2 = 2^9); that keeps
@@ -44,7 +44,7 @@ from .numerics import Real, Scalar, powi, real
 # AST nodes are tuples: ("num", text), ("var",), ("add"|"sub"|"mul"|"div", a, b),
 # ("neg", a), ("pow", a, int), ("call", name, a)
 
-FUNCTIONS = ("cos", "sin", "exp", "log", "sqrt")
+FUNCTIONS = numerics.ELEMENTARY  # FUNC name -> its evaluator
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -99,26 +99,20 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if value == "+" else "sub", node, rhs)
-            else:
-                return node
+        return self.left_associative(self.term, {"+": "add", "-": "sub"})
 
     def term(self):
-        node = self.unary()
+        return self.left_associative(self.unary, {"*": "mul", "/": "div"})
+
+    def left_associative(self, operand: Callable, heads: dict):
+        # operand (op operand)*, folded from the left; heads maps each op to its node tag
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = ("mul" if value == "*" else "div", node, rhs)
-            else:
+            if kind != "op" or value not in heads:
                 return node
+            self.advance()
+            node = (heads[value], node, operand())
 
     def unary(self):
         kind, value, _ = self.peek()
@@ -322,7 +316,7 @@ def _compile(node) -> Program:
         a, k = _compile(node[1]), node[2]
         return lambda x: powi(a(x), k)
     if head == "call":
-        fn, a = getattr(numerics, node[1]), _compile(node[2])
+        fn, a = FUNCTIONS[node[1]], _compile(node[2])
         return lambda x: fn(a(x))
     if head in ("add", "sub", "mul", "div"):
         a, b = _compile(node[1]), _compile(node[2])

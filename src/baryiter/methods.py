@@ -2,13 +2,13 @@
 
 A memory scheme is closed-form weights over a window of the newest samples
 plus one step formula, so an entry names, per accepted weight scheme, the
-weight builder and the sample coordinates kept distinct in a window, and
-then its step.  An entry also carries the paper's two convergence facts:
-the multiplicity of its order recurrence, and its published leading-error
-cells, which say for each weight scheme which closed form holds at which
-window.  ``root_search.drive`` (the one solver loop),
-``SolverConfig.validated``, the CLI's ``--method`` choices and ``analysis``
-all read this table.
+weight builder and the sample coordinates kept distinct in a window (the one
+the builder reads and each whose differences the step divides by), then its
+step.  An entry also carries the paper's two convergence facts: the
+multiplicity of its order recurrence, and its published leading-error cells,
+which say for each weight scheme which closed form holds at which window.
+``root_search.drive`` (the one solver loop), ``SolverConfig.validated``, the
+CLI's ``--method`` choices and ``analysis`` all read this table.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class MethodSpec:
 
 
 _X, _F, _NONE = frozenset({"x"}), frozenset({"f"}), frozenset()
-_XF = _X | _F
 _NO_PICARD = tuple(mode for mode in BOOTSTRAPS if mode != "picard")
 
 
@@ -54,10 +53,12 @@ def _fixed(keys: frozenset[str], build: Optional[Callable] = None) -> dict[str, 
     return dict.fromkeys(WEIGHT_SCHEMES, WeightScheme(keys, build))
 
 
-def _products(x_keys, f_keys, alpha_keys) -> dict[str, WeightScheme]:
-    # first-order products over x or f, or shifted products over f
-    return {"x": WeightScheme(x_keys, rs.x_product), "f": WeightScheme(f_keys, rs.f_product),
-            "alpha": WeightScheme(alpha_keys, rs.f_shifted)}
+def _products(divides: frozenset[str]) -> dict[str, WeightScheme]:
+    # first-order products over x or f, or shifted products over f; ``divides``
+    # holds the coordinates whose differences the step divides by
+    return {"x": WeightScheme(_X | divides, rs.x_product),
+            "f": WeightScheme(_F | divides, rs.f_product),
+            "alpha": WeightScheme(_F | divides, rs.f_shifted)}
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +126,16 @@ _DIRECT_F = _published({2: _half, 3: _x3, 4: _direct_f4})
 
 
 METHODS: dict[str, MethodSpec] = {
-    "exact-df": MethodSpec("root", 2, _products(_X, _F, _F), (), BOOTSTRAPS, rs.exact_df, 1,
+    "exact-df": MethodSpec("root", 2, _products(_NONE), (), BOOTSTRAPS, rs.exact_df, 1,
                            error_cells={"x": _DF_X, "f": _DF_F}),
     "exact-d1": MethodSpec(
         "root", 1, {"x": WeightScheme(_X, rs.x_slope_scaled), "f": WeightScheme(_F, rs.f_squared)},
         ("df",), BOOTSTRAPS, rs.exact_d1, 2, error_cells={"x": _D1_X, "f": _D1_F}),
     "newton-x-interp": MethodSpec(
-        "root", 2, _products(_XF, _F, _F), (), BOOTSTRAPS, rs.newton_x_interp, 1,
+        "root", 2, _products(_F), (), BOOTSTRAPS, rs.newton_x_interp, 1,
         error_cells={"x": _DF_X, "f": _DF_F}),
     "newton-f-interp": MethodSpec(
-        "root", 2, _products(_X, _XF, _X), (), BOOTSTRAPS, rs.newton_f_interp, 1,
+        "root", 2, _products(_X), (), BOOTSTRAPS, rs.newton_f_interp, 1,
         error_cells={"x": _DIRECT_X, "f": _DIRECT_F}),
     # the fixed weights give one cell, whatever scheme is configured
     "ch-x-interp": MethodSpec(

@@ -75,10 +75,8 @@ def default_precision_bits() -> int:
     return DEFAULT_PRECISION_BITS
 
 
-def decimal_digits(bits: int | None = None) -> int:
-    """Significant decimal digits representable at ``bits`` (default: current)."""
-    if bits is None:
-        bits = get_precision()
+def decimal_digits(bits: int) -> int:
+    """Significant decimal digits representable at ``bits``."""
     return int(bits * 0.3010299956639812)
 
 
@@ -91,10 +89,6 @@ def real(value: Scalar) -> Real:
     if isinstance(value, mpf):
         return +value
     return mpf(value)
-
-
-def is_finite(value) -> bool:
-    return mpmath.isfinite(value)
 
 
 def ulp(value: Scalar) -> Real:
@@ -198,7 +192,8 @@ def powi(x: Scalar, exponent: int) -> Real:
     return x ** exponent
 
 
-_ELEMENTARY = {"cos": cos, "sin": sin, "exp": exp, "log": log, "sqrt": sqrt}
+# the elementary functions by name: the expression grammar's FUNC and its evaluators
+ELEMENTARY = {"cos": cos, "sin": sin, "exp": exp, "log": log, "sqrt": sqrt}
 
 
 def eval_elementary(fn: str, x: Scalar, exponent: int | None = None) -> Real:
@@ -210,7 +205,7 @@ def eval_elementary(fn: str, x: Scalar, exponent: int | None = None) -> Real:
     if exponent is not None:
         raise ValueError("exponent only applies to pow-int")
     try:
-        func = _ELEMENTARY[fn]
+        func = ELEMENTARY[fn]
     except KeyError:
         raise ValueError(f"unknown elementary function {fn!r}") from None
     return func(x)

@@ -35,6 +35,7 @@ from .numerics import Real
 from .root_search import (
     IterationTrace,
     SolverConfig,
+    _estimate_parts,
     chebyshev_halley_update,
     drive,
     select_window,
@@ -50,10 +51,7 @@ def phi_slope_df(window: Sequence[ObjectiveSample], weights: Sequence[Real]) -> 
 
     ``(sum_{k!=n} w_k (phi_n - phi_k)/(x_n - x_k)) / (sum_{k!=n} w_k)``
     """
-    n = len(window) - 1
-    den = fsum(weights[:n])
-    if den == 0:
-        raise SingularStep("weight sum over the older samples vanished")
+    n, den = _estimate_parts(window, weights)
     newest = window[n]
     num = fsum(
         weights[k] * (newest.phi - window[k].phi) / (newest.x - window[k].x)
@@ -70,10 +68,7 @@ def phi_curvature_df(
     ``-2 (sum_{k!=n} w_k [(phi_n - phi_k) - slope (x_n - x_k)]/(x_n - x_k)^2)
      / (sum_{k!=n} w_k)``
     """
-    n = len(window) - 1
-    den = fsum(weights[:n])
-    if den == 0:
-        raise SingularStep("weight sum over the older samples vanished")
+    n, den = _estimate_parts(window, weights)
     newest = window[n]
     num = fsum(
         weights[k]

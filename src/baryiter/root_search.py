@@ -26,11 +26,11 @@ Methods (``SolverConfig.method``):
 
 Each method's facts live in one ``MethodSpec`` in ``methods.METHODS``.
 ``drive`` is the one solver loop, behind ``solve`` and ``optimise.optimize``.
-It keeps the newest ``window`` samples, growing from as many starting points
-as the method's window minimum: after x0, ``x1`` when given, else one
-fixed-point step when the problem has that form, else a small perturbation.
-A singular step is retried with one sample fewer (recorded as
-``singular-step-fallback``) down to the method minimum.
+It keeps the newest ``window`` samples distinct in their weight scheme's keys,
+growing from as many starting points as the method's window minimum: after x0,
+``x1`` when given, else one fixed-point step when the problem has that form,
+else a small perturbation.  A singular step is retried with one sample fewer
+(``singular-step-fallback``) down to the method minimum, then raised.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from mpmath import fsum, mpf
+from mpmath import fsum, isfinite, mpf
 
 from . import numerics
 from .errors import (
@@ -50,7 +50,7 @@ from .errors import (
     ZeroDerivative,
 )
 from .interpolants import ObjectiveSample, Sample, hermite_node_curvature
-from .numerics import Real, Scalar, is_finite, real
+from .numerics import Real, Scalar, real
 from .weights import (
     HermiteWeights,
     derivative_scaled_weights,
@@ -181,9 +181,6 @@ class IterationTrace:
     @property
     def iterations(self) -> int:
         return self.steps[-1].index if self.steps else 0
-
-    def abs_errors(self) -> list[Optional[Real]]:
-        return [s.abs_error for s in self.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +500,8 @@ def _propose(run: _Run, samples: list):
     """Next iterate, its curvature sign (optimisation only), and whether the window shrank."""
     base = run.newest_window(samples)
     minimum = run.spec.min_window
-    if len(base) < minimum:
-        raise SingularStep("memory collapsed below the method minimum")
-    last_err: Exception | None = None
+    # raised as it stands when the distinct samples are fewer than the minimum
+    last_err = SingularStep("memory collapsed below the method minimum")
     for size in range(len(base), minimum - 1, -1):
         try:
             x_new, curvature = run.step(run, base[len(base) - size:])
@@ -610,7 +606,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
 
         def terminal(previous_x: Optional[Real]) -> Optional[str]:
             record = steps[-1]
-            if not (is_finite(record.x) and is_finite(record.f)):
+            if not (isfinite(record.x) and isfinite(record.f)):
                 return STATUS_DIVERGED
             if residual is None:
                 res = record.f
@@ -632,11 +628,9 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             if family == "root":
                 previous = x
 
+        # no step raises ExactRootHit: a root sample with f == 0 converges when pushed
         while steps[-1].index < config.max_iter:
-            try:
-                x_new, sign, reduced = propose(run, samples)
-            except ExactRootHit:
-                return finish(STATUS_CONVERGED)
+            x_new, sign, reduced = propose(run, samples)
             previous = samples[-1].x
             push(x_new, STATUS_FALLBACK if reduced else STATUS_OK, sign)
             status = terminal(previous)

@@ -222,3 +222,15 @@ def test_compare_rejects_nonpositive_digits_before_printing(capsys):
                              "--precision-bits", "128", "--digits", digits)
         assert (code, text) == (1, "")
         assert capsys.readouterr().err.strip() == "error: --digits must be positive"
+
+
+def test_collapsed_memory_is_the_same_singular_step_under_every_weight_scheme(capsys):
+    # x0 = -0.0005 and its perturbation +0.0005 share one f value: a window that
+    # keeps only distinct samples of every coordinate its scheme uses holds one
+    runs = [("newton-x-interp", "x"), ("newton-f-interp", "f"), ("newton-f-interp", "alpha")]
+    for method, weights in runs:
+        code, text = run_cli("solve", "--expr", "x*x-2", "--x0", "-0.0005", "--method", method,
+                             "--weights", weights, "--precision-bits", "128")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.strip() == (
+            "error: SingularStep: memory collapsed below the method minimum")

@@ -1,12 +1,16 @@
+import io
 import random
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mpf
 
-from baryiter import corpus
+from baryiter import cli, corpus
 from baryiter.expressions import Expression
 from baryiter.numerics import precision, real, set_precision
+from baryiter.optimise import optimize
+from baryiter.root_search import SolverConfig, solve
 
 from closed_forms import CLOSED_FORMS
 from oracles import fd_derivative, rel_err
@@ -106,6 +110,25 @@ def test_missing_builtin_reference_is_refined_in_memory_only(monkeypatch):
     assert corpus._SIDECAR.read_text() == before
 
 
+def _package_files() -> dict:
+    # name -> (size, mtime) of every file in the package, bytecode caches aside
+    package = Path(corpus.__file__).parent
+    return {str(path.relative_to(package)): (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in package.rglob("*")
+            if path.is_file() and "__pycache__" not in path.parts}
+
+
+def test_runs_write_nothing_into_the_package(monkeypatch):
+    monkeypatch.setattr(corpus, "_reference_cache", {})  # the built-ins refine afresh
+    before = _package_files()
+    solve(corpus.get_problem("exp_root"), SolverConfig(method="secant", precision_bits=128))
+    optimize(corpus.get_problem("opt_cos"), SolverConfig(method="ch-d1", precision_bits=128))
+    for argv in (["solve", "--expr", "x^3-x", "--x0", "0.45", "--output", "json"],
+                 ["table", "--reproduce", "table4"]):
+        assert cli.main(argv, out=io.StringIO()) == 0
+    assert _package_files() == before
+
+
 def test_analytic_derivatives_match_finite_differences():
     set_precision(256)
     rng = random.Random(3)
@@ -181,6 +204,25 @@ def test_matches_printed_three_significant_figures():
     assert not corpus.matches_printed(real("1.906e-1"), "1.90e-1")
     assert corpus.matches_printed(real("2.081e-59"), "2.08e-59")
     assert not corpus.matches_printed(real("2.2e-59"), "2.08e-59")
+
+
+def test_matches_printed_reads_the_last_digit_of_a_leading_zero_cell():
+    set_precision(128)
+    assert not corpus.matches_printed(real("0.059"), "0.05")
+    assert corpus.matches_printed(real("0.0549"), "0.05")
+    assert not corpus.matches_printed(real("5.9e-2"), "5e-2")
+
+
+def test_matches_printed_allows_half_a_unit_of_every_golden_cell():
+    set_precision(128)
+    for table in corpus.GOLDEN_TABLES.values():
+        for cell in (cell for cells in table["cells"].values() for cell in cells):
+            value = real(cell)
+            unit = mpf(10) ** (mpmath.floor(mpmath.log10(value)) - 2)  # three figures each
+            for offset, accepted in (("0.49", True), ("0.51", False)):
+                for sign in (1, -1):
+                    assert corpus.matches_printed(value + sign * real(offset) * unit,
+                                                  cell) is accepted, (cell, offset, sign)
 
 
 def test_golden_table_registry():

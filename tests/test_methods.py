@@ -1,12 +1,16 @@
 import argparse
 import io
+from types import SimpleNamespace
 
 import pytest
 
 from baryiter import cli, corpus
+from baryiter.errors import BaryiterError, DegenerateNodes
+from baryiter.interpolants import ObjectiveSample, Sample
 from baryiter.methods import METHODS, OPT_METHODS, ROOT_METHODS
+from baryiter.numerics import precision, real
 from baryiter.optimise import optimize
-from baryiter.root_search import WEIGHT_SCHEMES, SolverConfig, solve
+from baryiter.root_search import WEIGHT_SCHEMES, SolverConfig, select_window, solve
 
 # (runner, a built-in problem every method of the family can run on)
 RUNNERS = {"root": (solve, "cos_minus_x"), "opt": (optimize, "opt_quadratic")}
@@ -88,3 +92,34 @@ def test_error_cells_sit_on_an_accepted_scheme_of_an_ordered_method(method):
     spec = METHODS[method]
     assert spec.multiplicity is not None
     assert set(spec.error_cells) <= set(spec.schemes) | {None}
+
+
+# newest last: samples whose f values, or whose x values, repeat, once between two
+# older samples and once with the newest; the other coordinate and the slopes stay distinct
+COLLISIONS = {
+    "f": (("0.1", "0.2", "0.3", "0.4"), ("1", "2", "1", "3")),
+    "f with the newest": (("0.1", "0.2", "0.3", "0.4"), ("3", "1", "2", "1")),
+    "x": (("0.1", "0.2", "0.1", "0.4"), ("1", "2", "3", "4")),
+    "x with the newest": (("0.4", "0.1", "0.2", "0.1"), ("1", "2", "3", "4")),
+}
+
+
+@pytest.mark.parametrize("collision", COLLISIONS)
+@pytest.mark.parametrize("method, scheme", [
+    (method, scheme) for method, spec in METHODS.items()
+    for scheme, weights in spec.schemes.items() if weights.build is not None
+])
+def test_a_window_keeps_distinct_what_its_weights_and_its_step_divide_by(method, scheme,
+                                                                          collision):
+    spec = METHODS[method]
+    keys, build = spec.schemes[scheme]
+    make_sample = Sample if spec.family == "root" else ObjectiveSample
+    xs, fs = COLLISIONS[collision]
+    with precision(128):
+        samples = [make_sample(real(x), real(f), real(k + 2))
+                   for k, (x, f) in enumerate(zip(xs, fs))]
+        window = select_window(samples, len(samples), keys)
+        try:
+            spec.step(SimpleNamespace(beta=real(1)), window, build(window, real(0)))
+        except BaryiterError as err:  # a vanished denominator, say, is the step's own outcome
+            assert not isinstance(err, DegenerateNodes), err

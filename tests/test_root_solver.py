@@ -1,8 +1,8 @@
 import pytest
 from mpmath import mpf
 
-from baryiter import corpus
-from baryiter.errors import ZeroDerivative
+from baryiter import corpus, root_search
+from baryiter.errors import SingularStep, ZeroDerivative
 from baryiter.expressions import parse_expression
 from baryiter.interpolants import Sample
 from baryiter.numerics import precision, real
@@ -225,3 +225,38 @@ def test_a_bug_in_reference_refinement_is_not_swallowed():
     config = SolverConfig(method="secant", window=2, x0="1", precision_bits=128)
     with pytest.raises(TypeError, match="broken derivative"):
         solve(problem, config)
+
+
+def _record_windows(monkeypatch, name, position, windows):
+    # wrap root_search.<name> so that each call records its window argument
+    step = getattr(root_search, name)
+
+    def recorded(*args):
+        windows.append(args[position])
+        return step(*args)
+    monkeypatch.setattr(root_search, name, recorded)
+
+
+@pytest.mark.parametrize("src, x0, method, index", [
+    ("x*x - 4", "2", "exact-df", 0),  # the seed is the root
+    ("x - 3", "2.5", "newton", 1),    # the first step lands on it
+])
+def test_a_sample_on_a_root_ends_the_run_before_any_step_meets_it(monkeypatch, src, x0, method,
+                                                                     index):
+    windows = []
+    _record_windows(monkeypatch, "step_exact_df", 0, windows)
+    _record_windows(monkeypatch, "baseline_step", 2, windows)
+    config = SolverConfig(method=method, window=2, x0=x0, precision_bits=128)
+    trace = solve(_expr_problem(src, x0=x0), config)
+    assert (trace.status, trace.iterations, trace.steps[-1].f) == ("converged", index, 0)
+    assert len(windows) == index
+    assert all(s.f != 0 for window in windows for s in window)
+
+
+def test_memory_collapsed_below_the_minimum_is_a_singular_step():
+    # x0 = -0.0005 and its perturbation +0.0005 share one f value, so the {x, f}
+    # keys of newton-x-interp/x leave one distinct sample where the step needs two
+    config = SolverConfig(method="newton-x-interp", weight_scheme="x", window=4, x0="-0.0005",
+                          precision_bits=128)
+    with pytest.raises(SingularStep, match="^memory collapsed below the method minimum$"):
+        solve(_expr_problem("x*x-2"), config)
