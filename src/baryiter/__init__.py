@@ -25,7 +25,6 @@ from .errors import (
 from .expressions import parse_expression
 from .interpolants import Sample, eval_hermite, eval_plain
 from .numerics import (
-    eval_elementary,
     get_precision,
     precision,
     real,
@@ -66,7 +65,6 @@ __all__ = [
     "ZeroDerivative",
     "derivative_scaled_weights",
     "empirical_order",
-    "eval_elementary",
     "eval_hermite",
     "eval_plain",
     "get_precision",

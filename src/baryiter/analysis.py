@@ -8,11 +8,11 @@ has an asymptotic order ``l`` solving a scalar fixed-point equation:
 * optimisation family ("opt"): ``l^2 = 1 + m (l - l^-n)``; the limit is
   ``(m + sqrt(4 + m^2))/2``.
 
-``theoretical_order`` finds the largest root in [1, limit] with safeguarded
-Newton (bisection fallback), starting from the limit; the fixed point is
-unique in that bracket.  ``empirical_order`` averages log-error ratios,
-matching the defining relation ``e_{i+1} ~ e_i^l`` directly, which is more
-robust than regression on the few asymptotic steps a trace provides.
+``theoretical_order`` finds the largest root in [1, limit] with Newton
+started from the limit; the fixed point is unique in that interval.
+``empirical_order`` averages log-error ratios, matching the defining
+relation ``e_{i+1} ~ e_i^l`` directly, which is more robust than regression
+on the few asymptotic steps a trace provides.
 
 ``predicted_error_factor`` evaluates a published leading-error cell, which
 ``methods.METHODS`` holds with each method (there is no closed form for
@@ -76,20 +76,15 @@ def theoretical_order(family: str, m: int, n) -> Real:
     n = int(n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    lo = 1 + mpf(10) ** -30
-    hi = limit
-    if _residual(family, m, n, lo) >= 0:
+    # Both residuals vanish at 1, are positive at the limit and are convex in
+    # l (positive second derivative for l > 0).  So a row crosses above 1
+    # exactly when its slope at 1 is negative, and then Newton from the limit
+    # descends monotonically onto the largest root.
+    if _slope(family, m, n, mpf(1)) >= 0:
         return mpf(1)
-    l = hi
+    l = limit
     for _ in range(200):
-        step = _residual(family, m, n, l) / _slope(family, m, n, l)
-        candidate = l - step
-        if not (lo < candidate < hi):
-            candidate = (lo + hi) / 2
-        if _residual(family, m, n, candidate) > 0:
-            hi = candidate
-        else:
-            lo = candidate
+        candidate = l - _residual(family, m, n, l) / _slope(family, m, n, l)
         if abs(candidate - l) < _ORDER_TOL * limit:
             return candidate
         l = candidate

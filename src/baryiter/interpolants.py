@@ -15,6 +15,10 @@ Direct orientation interpolates f over the x nodes (``c=x, v=f, s=f'``);
 inverse orientation interpolates x over the f nodes (``c=f, v=x, s=1/f'``).
 Both match the stored values at the nodes for any non-zero weights, and the
 slope-matching form matches the stored first derivatives as well.
+
+``Sample`` is the one sample type of both solver families: an optimisation
+run interpolates its objective directly, so (x, phi, phi') is stored as
+(x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
 """
 
 from __future__ import annotations
@@ -39,12 +43,24 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class ObjectiveSample:
-    """One evaluated point of an objective (optimisation runs)."""
+class ObjectiveSample(Sample):
+    """A ``Sample`` of an objective, read as (x, phi, phi')."""
 
-    x: Real
-    phi: Real
-    phi_prime: Real | None = None
+    @property
+    def phi(self) -> Real:
+        return self.f
+
+    @property
+    def phi_prime(self) -> Real | None:
+        return self.f_prime
+
+
+def sample_slopes(window: Sequence[Sample]) -> list[Real]:
+    """Every sample's f', or ``ValueError`` if one is missing."""
+    slopes = [s.f_prime for s in window]
+    if any(sl is None for sl in slopes):
+        raise ValueError("this scheme needs f_prime on every sample")
+    return slopes
 
 
 ORIENTATIONS = ("direct", "inverse")
@@ -60,18 +76,11 @@ def _plain_data(samples: Sequence[Sample], orientation: str):
 
 def _hermite_data(samples: Sequence[Sample], orientation: str):
     nodes, values = _plain_data(samples, orientation)
-    if orientation == "direct":
-        slopes = [s.f_prime for s in samples]
-        if any(sl is None for sl in slopes):
-            raise ValueError("slope-matching evaluation needs f_prime on every sample")
-    else:
-        slopes = []
-        for s in samples:
-            if s.f_prime is None:
-                raise ValueError("inverse slope-matching evaluation needs f_prime on every sample")
-            if s.f_prime == 0:
-                raise ZeroDerivative("inverse orientation needs non-zero f_prime")
-            slopes.append(1 / s.f_prime)
+    slopes = sample_slopes(samples)
+    if orientation == "inverse":
+        if any(sl == 0 for sl in slopes):
+            raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+        slopes = [1 / sl for sl in slopes]
     return nodes, values, slopes
 
 

@@ -196,19 +196,4 @@ def powi(x: Scalar, exponent: int) -> Real:
 ELEMENTARY = {"cos": cos, "sin": sin, "exp": exp, "log": log, "sqrt": sqrt}
 
 
-def eval_elementary(fn: str, x: Scalar, exponent: int | None = None) -> Real:
-    """Dispatch an elementary function by tag: cos, sin, exp, log, sqrt, pow-int."""
-    if fn == "pow-int":
-        if exponent is None:
-            raise ValueError("pow-int requires an exponent")
-        return powi(x, exponent)
-    if exponent is not None:
-        raise ValueError("exponent only applies to pow-int")
-    try:
-        func = ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return func(x)
-
-
 set_precision(DEFAULT_PRECISION_BITS)

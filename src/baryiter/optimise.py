@@ -2,11 +2,14 @@
 
 Only the direct function is interpolated: inverse-objective interpolation
 is excluded by design, because near an extremum the inverse is multi-valued
-and the interpolant degrades.
+and the interpolant degrades.  So an objective sample (x, phi, phi') is the
+root solver's ``Sample`` (x, f, f'), and the formulas below read ``f`` as phi
+and ``f_prime`` as phi'.
 
 ``newton-df``
     Newton step on slope and curvature estimated from (x_i, phi_i) memory
-    with x-based product weights.  Needs at least three points for a
+    with x-based product weights; the slope is the root solver's
+    ``direct_slope_estimate``.  Needs at least three points for a
     non-degenerate curvature, so the window minimum is 3.
 ``ch-d1``
     Chebyshev-Halley step on (slope, curvature, third-derivative) estimates
@@ -30,7 +33,8 @@ from typing import Optional, Sequence
 from mpmath import fsum
 
 from .errors import SingularStep, ZeroDerivative
-from .interpolants import ObjectiveSample, hermite_node_curvature
+from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
+from .interpolants import Sample, hermite_node_curvature, sample_slopes
 from .numerics import Real
 from .root_search import (
     IterationTrace,
@@ -40,29 +44,15 @@ from .root_search import (
     drive,
     select_window,
 )
-# the shared loop's pieces under this module's own names, which ``optimize``
-# hands to the driver so that optimisation steps can be instrumented apart
+# the shared loop's pieces, and the interpolant slope at the newest sample,
+# under this module's own names, so that optimisation steps can be
+# instrumented apart
 from .root_search import _interp_step, _propose as _opt_propose
+from .root_search import direct_slope_estimate as phi_slope_df
 from .weights import HermiteWeights, product_weights, squared_product_weights
 
 
-def phi_slope_df(window: Sequence[ObjectiveSample], weights: Sequence[Real]) -> Real:
-    """Interpolant slope at the newest sample.
-
-    ``(sum_{k!=n} w_k (phi_n - phi_k)/(x_n - x_k)) / (sum_{k!=n} w_k)``
-    """
-    n, den = _estimate_parts(window, weights)
-    newest = window[n]
-    num = fsum(
-        weights[k] * (newest.phi - window[k].phi) / (newest.x - window[k].x)
-        for k in range(n)
-    )
-    return num / den
-
-
-def phi_curvature_df(
-    window: Sequence[ObjectiveSample], weights: Sequence[Real], slope: Real
-) -> Real:
+def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
     """Interpolant curvature at the newest sample, given its slope estimate.
 
     ``-2 (sum_{k!=n} w_k [(phi_n - phi_k) - slope (x_n - x_k)]/(x_n - x_k)^2)
@@ -72,14 +62,14 @@ def phi_curvature_df(
     newest = window[n]
     num = fsum(
         weights[k]
-        * ((newest.phi - window[k].phi) - slope * (newest.x - window[k].x))
+        * ((newest.f - window[k].f) - slope * (newest.x - window[k].x))
         / (newest.x - window[k].x) ** 2
         for k in range(n)
     )
     return -2 * num / den
 
 
-def _df_step(window: Sequence[ObjectiveSample], weights: Sequence[Real]):
+def _df_step(window: Sequence[Sample], weights: Sequence[Real]):
     slope = phi_slope_df(window, weights)
     curvature = phi_curvature_df(window, weights, slope)
     if curvature == 0:
@@ -87,29 +77,19 @@ def _df_step(window: Sequence[ObjectiveSample], weights: Sequence[Real]):
     return window[-1].x - slope / curvature, curvature
 
 
-def opt_step_df(window: Sequence[ObjectiveSample], weights: Sequence[Real]) -> Real:
+def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """Newton step on the derivative-free slope/curvature estimates."""
     return _df_step(window, weights)[0]
 
 
-def _require_slopes(window: Sequence[ObjectiveSample]) -> list[Real]:
-    slopes = [s.phi_prime for s in window]
-    if any(sl is None for sl in slopes):
-        raise ValueError("this scheme needs phi_prime on every sample")
-    return slopes
-
-
-def phi_curvature_d1(window: Sequence[ObjectiveSample], hweights: HermiteWeights) -> Real:
+def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """phi'' at the newest sample from the slope-matching interpolant."""
-    slopes = _require_slopes(window)
     return hermite_node_curvature(
-        [s.x for s in window], [s.phi for s in window], slopes, hweights
+        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights
     )
 
 
-def phi_third_d1(
-    window: Sequence[ObjectiveSample], hweights: HermiteWeights, curvature: Real
-) -> Real:
+def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real) -> Real:
     """phi''' at the newest sample, given the curvature estimate.
 
     ``-(6/lam_n) (gam_n phi''_n / 2
@@ -117,35 +97,33 @@ def phi_third_d1(
                     - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k))/(x_n - x_k)^2
                     - 2 lam_k (phi_n - phi_k)/(x_n - x_k)^3])``
     """
-    slopes = _require_slopes(window)
+    slopes = sample_slopes(window)
     n = len(window) - 1
     newest = window[n]
     acc = hweights.gam[n] * curvature / 2
     for k in range(n):
         d = newest.x - window[k].x
-        dphi = newest.phi - window[k].phi
+        dphi = newest.f - window[k].f
         acc += hweights.gam[k] * slopes[n] / d
         acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) / (d * d)
         acc -= 2 * hweights.lam[k] * dphi / (d * d * d)
     return -6 / hweights.lam[n] * acc
 
 
-def _d1_step(window: Sequence[ObjectiveSample], hweights: HermiteWeights, beta: Real):
+def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):
     curvature = phi_curvature_d1(window, hweights)
     if curvature == 0:
         raise SingularStep("estimated curvature vanished")
     third = phi_third_d1(window, hweights, curvature)
     newest = window[-1]
     try:
-        x_new = chebyshev_halley_update(newest.x, newest.phi_prime, curvature, third, beta)
+        x_new = chebyshev_halley_update(newest.x, newest.f_prime, curvature, third, beta)
     except ZeroDerivative as err:
         raise SingularStep(str(err)) from None
     return x_new, curvature
 
 
-def opt_step_d1(
-    window: Sequence[ObjectiveSample], hweights: HermiteWeights, beta: Real
-) -> Real:
+def opt_step_d1(window: Sequence[Sample], hweights: HermiteWeights, beta: Real) -> Real:
     """Chebyshev-Halley step on (phi', phi'', phi''') with estimated curvature terms."""
     return _d1_step(window, hweights, beta)[0]
 
@@ -155,25 +133,25 @@ def opt_step_d1(
 # residual of each method, calling this module's names at call time
 
 
-def x_product(window: Sequence[ObjectiveSample], alpha: Real) -> list[Real]:
+def x_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
     return product_weights([s.x for s in window])
 
 
-def x_squared(window: Sequence[ObjectiveSample], alpha: Real) -> HermiteWeights:
+def x_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
     return squared_product_weights([s.x for s in window])
 
 
-def newton_df(run, window: Sequence[ObjectiveSample], weights):
+def newton_df(run, window: Sequence[Sample], weights):
     return _df_step(window, weights)
 
 
-def ch_d1(run, window: Sequence[ObjectiveSample], weights):
+def ch_d1(run, window: Sequence[Sample], weights):
     return _d1_step(window, weights, run.beta)
 
 
 def sampled_slope(run, samples: list) -> Optional[Real]:
     """``ch-d1`` residual: the true phi' of the newest sample."""
-    return samples[-1].phi_prime
+    return samples[-1].f_prime
 
 
 def estimated_slope(run, samples: list) -> Optional[Real]:

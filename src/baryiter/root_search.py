@@ -49,7 +49,7 @@ from .errors import (
     SingularStep,
     ZeroDerivative,
 )
-from .interpolants import ObjectiveSample, Sample, hermite_node_curvature
+from .interpolants import Sample, hermite_node_curvature, sample_slopes
 from .numerics import Real, Scalar, real
 from .weights import (
     HermiteWeights,
@@ -208,15 +208,13 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """
     num_terms = []
     den_terms = []
-    for lam, gam, s in zip(hweights.lam, hweights.gam, window):
+    for lam, gam, s, fp in zip(hweights.lam, hweights.gam, window, sample_slopes(window)):
         if s.f == 0:
             raise ExactRootHit(s.x)
-        if s.f_prime is None:
-            raise ValueError("exact-d1 needs f_prime on every sample")
-        if s.f_prime == 0:
+        if fp == 0:
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
         f2 = s.f * s.f
-        num_terms.append((lam * (s.x - s.f / s.f_prime) - gam * s.f * s.x) / f2)
+        num_terms.append((lam * (s.x - s.f / fp) - gam * s.f * s.x) / f2)
         den_terms.append((lam - gam * s.f) / f2)
     den = fsum(den_terms)
     if den == 0:
@@ -272,21 +270,19 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     """
     n = len(window) - 1
     newest = window[n]
-    for s in window:
-        if s.f_prime is None:
-            raise ValueError("this estimate needs f_prime on every sample")
-        if s.f_prime == 0:
-            raise ZeroDerivative("this estimate needs non-zero f_prime")
-    acc = hweights.gam[n] / newest.f_prime
+    slopes = sample_slopes(window)
+    if any(sl == 0 for sl in slopes):
+        raise ZeroDerivative("this estimate needs non-zero f_prime")
+    acc = hweights.gam[n] / slopes[n]
     for k in range(n):
         df = newest.f - window[k].f
         if df == 0:
             raise DegenerateNodes("repeated f value in the window")
         acc += (
             hweights.lam[k] * (newest.x - window[k].x)
-            + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / window[k].f_prime) * df
+            + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / slopes[k]) * df
         ) / (df * df)
-    return 2 * newest.f_prime ** 3 / hweights.lam[n] * acc
+    return 2 * slopes[n] ** 3 / hweights.lam[n] * acc
 
 
 def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
@@ -294,15 +290,11 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
 
     Expects squared-product weights over the x values.
     """
-    for s in window:
-        if s.f_prime is None:
-            raise ValueError("this estimate needs f_prime on every sample")
+    slopes = sample_slopes(window)
     xs = [s.x for s in window]
     if any(xs[-1] == x for x in xs[:-1]):
         raise DegenerateNodes("repeated x value in the window")
-    return hermite_node_curvature(
-        xs, [s.f for s in window], [s.f_prime for s in window], hweights
-    )
+    return hermite_node_curvature(xs, [s.f for s in window], slopes, hweights)
 
 
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:
@@ -541,19 +533,6 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
         yield x0 - (x1 - x0)
 
 
-def attach_reference(problem, near: Real) -> Optional[Real]:
-    """Reference solution at the working precision, or None if refinement fails.
-
-    A refinement starts from ``near`` (see ``Problem.reference``).  Only a
-    library error or an arithmetic one means "unavailable"; anything else
-    is a bug in the problem's callables and propagates.
-    """
-    try:
-        return problem.reference(near)
-    except (BaryiterError, ArithmeticError):
-        return None
-
-
 _NEEDS = {"df": "first derivative", "d2f": "second derivative", "fixed_point": "fixed-point form"}
 
 
@@ -582,7 +561,6 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
         window = config.window if scheme.build is not None else spec.min_window
         run = _Run(spec, config.method, problem, scheme.build, scheme.keys, window,
                    real(config.alpha), real(config.beta), select, step)
-        make_sample = Sample if family == "root" else ObjectiveSample
         slopes = "df" in spec.needs
         residual = spec.residual
 
@@ -592,13 +570,18 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
         def push(x: Real, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
             fx = problem.f(x)
             fpx = problem.df(x) if slopes else None
-            samples.append(make_sample(x, fx, fpx))
+            samples.append(Sample(x, fx, fpx))
             steps.append(StepRecord(len(steps), x, fx, fpx, None, status, sign))
 
         def finish(status: str) -> IterationTrace:
             steps[-1].status = status
-            # the reference is refined from where the run ended
-            reference = attach_reference(problem, steps[-1].x)
+            # the reference is refined from where the run ended; only a library
+            # or arithmetic error means "no reference", anything else is a bug
+            # in the problem's callables and propagates
+            try:
+                reference = problem.reference(steps[-1].x)
+            except (BaryiterError, ArithmeticError):
+                reference = None
             if reference is not None:
                 for record in steps:
                     record.error = record.x - reference

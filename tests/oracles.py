@@ -222,5 +222,5 @@ def evaluate_direct(node, x):
     if head == "pow":
         return numerics.powi(evaluate_direct(node[1], x), node[2])
     if head == "call":
-        return numerics.eval_elementary(node[1], evaluate_direct(node[2], x))
+        return numerics.ELEMENTARY[node[1]](evaluate_direct(node[2], x))
     raise ValueError(f"cannot evaluate node {node!r}")

@@ -14,7 +14,7 @@ from baryiter.analysis import (
     verify_error_factor,
 )
 from baryiter.errors import InsufficientData, UnsupportedCell
-from baryiter.numerics import real, set_precision
+from baryiter.numerics import precision, real, set_precision
 from baryiter.root_search import IterationTrace, SolverConfig, StepRecord, solve
 
 # published convergence indexes, five decimal places
@@ -71,6 +71,35 @@ def test_order_residual_and_monotonicity():
             assert l >= previous
             assert l <= order_limit(family, m) + real("1e-12")
             previous = l
+
+
+@pytest.mark.parametrize("family", ["root", "opt"])
+def test_theoretical_order_matches_findroot_on_the_same_residual(family):
+    set_precision(256)
+    for m in range(1, 5):
+        for n in range(13):
+            l = theoretical_order(family, m, n)
+            if l == 1:  # no crossing above 1
+                continue
+            if family == "root":
+                residual = lambda t: t - (m + 1) + m * t ** (-(n + 1))  # noqa: E731
+            else:
+                residual = lambda t: t * t - 1 - m * (t - t ** (-n))  # noqa: E731
+            # the largest root lies between the midpoint of [1, limit] and the limit
+            root = mpmath.findroot(residual, ((1 + l) / 2, order_limit(family, m)),
+                                   solver="anderson")
+            # Newton stops after a step under 1e-16 of the limit, so the last
+            # iterate is good to about the square of that
+            assert abs(l - root) <= real("1e-30") * l, (m, n)
+
+
+def test_theoretical_order_holds_at_the_precision_floor():
+    # 1 + 1e-30 rounds to 1 at 64 bits: the degenerate-row check reads the slope at 1
+    for family, m, n in (("root", 1, 2), ("opt", 2, 3), ("opt", 1, 1)):
+        with precision(256):
+            fine = theoretical_order(family, m, n)
+        with precision(64):
+            assert abs(theoretical_order(family, m, n) - fine) <= real("1e-16") * fine
 
 
 def test_order_limits():

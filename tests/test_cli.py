@@ -234,3 +234,13 @@ def test_collapsed_memory_is_the_same_singular_step_under_every_weight_scheme(ca
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.strip() == (
             "error: SingularStep: memory collapsed below the method minimum")
+
+
+def test_picard_bootstrap_needs_a_fixed_point_form_only_for_a_second_point(capsys):
+    args = ("solve", "--expr", "x*x-2", "--x0", "1", "--bootstrap", "picard")
+    code, text = run_cli(*args, "--method", "exact-df")
+    assert (code, text) == (1, "")
+    assert "has no fixed-point form" in capsys.readouterr().err
+    # newton's window is 1: no second point is seeded, so the form is never asked for
+    code, _ = run_cli(*args, "--method", "newton")
+    assert code == 0

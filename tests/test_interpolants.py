@@ -1,11 +1,25 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from mpmath import mpf
 
+import baryiter
 from baryiter.errors import SingularDenominator, ZeroDerivative
-from baryiter.interpolants import Sample, eval_hermite, eval_plain, hermite_node_curvature
+from baryiter.interpolants import (
+    ObjectiveSample,
+    Sample,
+    eval_hermite,
+    eval_plain,
+    hermite_node_curvature,
+)
 from baryiter.numerics import real, set_precision
+from baryiter.optimise import phi_curvature_d1, phi_third_d1
+from baryiter.root_search import (
+    second_derivative_f_interp,
+    second_derivative_x_interp,
+    step_exact_d1,
+)
 from baryiter.weights import product_weights, squared_product_weights
 
 from oracles import fd_derivative, random_nodes, rel_err
@@ -164,3 +178,35 @@ def test_node_curvature_matches_finite_differences():
     assert rel_err(curvature, fd) <= mpf(10) ** -12
     # the cubic fit of x^4 through these nodes has curvature 46 at x=2
     assert curvature == 46
+
+
+# every public consumer of the samples' slopes, called on its weights over x or f
+SLOPE_CONSUMERS = {
+    "step_exact_d1": ("f", step_exact_d1),
+    "second_derivative_x_interp": ("f", second_derivative_x_interp),
+    "second_derivative_f_interp": ("x", second_derivative_f_interp),
+    "phi_curvature_d1": ("x", phi_curvature_d1),
+    "phi_third_d1": ("x", lambda window, hw: phi_third_d1(window, hw, mpf(1))),
+    "eval_hermite direct": ("x", lambda window, hw: eval_hermite(window, hw, mpf(3))),
+    "eval_hermite inverse": (
+        "f", lambda window, hw: eval_hermite(window, hw, mpf(3), orientation="inverse")),
+}
+
+
+@pytest.mark.parametrize("consumer", SLOPE_CONSUMERS)
+def test_a_missing_slope_is_the_one_value_error_of_every_consumer(consumer):
+    key, call = SLOPE_CONSUMERS[consumer]
+    window = [Sample(mpf(1), mpf(-1)), Sample(mpf(2), mpf(2), mpf(4))]
+    hw = squared_product_weights([getattr(s, key) for s in window])
+    with pytest.raises(ValueError, match="f_prime on every sample"):
+        call(window, hw)
+
+
+def test_public_names_resolve_and_an_objective_sample_is_a_frozen_sample():
+    for name in baryiter.__all__:
+        assert hasattr(baryiter, name), name
+    s = ObjectiveSample(mpf(1), mpf(2), mpf(3))
+    assert isinstance(s, Sample)
+    assert (s.phi, s.phi_prime) == (s.f, s.f_prime) == (2, 3)
+    with pytest.raises(FrozenInstanceError):
+        s.f = mpf(0)

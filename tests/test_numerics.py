@@ -6,12 +6,17 @@ from mpmath import mpf
 from baryiter import numerics
 from baryiter.errors import DomainError
 from baryiter.numerics import (
-    eval_elementary,
+    cos,
+    exp,
     get_precision,
+    log,
     parse_decimal,
     precision,
     real,
+    powi,
     set_precision,
+    sin,
+    sqrt,
     to_decimal,
     ulp,
 )
@@ -20,12 +25,12 @@ from oracles import newton_sqrt, taylor_cos
 
 
 def test_cos_zero_is_one():
-    assert eval_elementary("cos", 0) == 1
+    assert cos(0) == 1
 
 
 def test_sqrt2_matches_newton_oracle_at_64_bits():
     with precision(64):
-        computed = eval_elementary("sqrt", 2)
+        computed = sqrt(2)
         expected = newton_sqrt(2, 64)
         assert abs(computed - expected) <= 2 * ulp(expected)
         assert to_decimal(computed, 16).startswith("1.414213562373095")
@@ -33,7 +38,7 @@ def test_sqrt2_matches_newton_oracle_at_64_bits():
 
 def test_cos3_matches_taylor_oracle_at_256_bits():
     with precision(256):
-        computed = eval_elementary("cos", 3)
+        computed = cos(3)
         partial, tail = taylor_cos(3)
         assert abs(computed - partial) <= tail + 2 * ulp(computed)
         assert to_decimal(computed, 15).startswith("-9.8999249660044")
@@ -41,26 +46,20 @@ def test_cos3_matches_taylor_oracle_at_256_bits():
 
 def test_log_and_sqrt_domain_errors():
     with pytest.raises(DomainError):
-        eval_elementary("log", -1)
+        log(-1)
     with pytest.raises(DomainError):
-        eval_elementary("log", 0)
+        log(0)
     with pytest.raises(DomainError):
-        eval_elementary("sqrt", -2)
+        sqrt(-2)
 
 
-def test_eval_elementary_dispatch():
-    assert eval_elementary("sin", 0) == 0
-    assert eval_elementary("exp", 0) == 1
-    assert eval_elementary("pow-int", 3, exponent=4) == 81
-    assert eval_elementary("pow-int", 2, exponent=-2) == mpf(1) / 4
-    with pytest.raises(ValueError):
-        eval_elementary("tan", 1)
-    with pytest.raises(ValueError):
-        eval_elementary("pow-int", 2)
-    with pytest.raises(ValueError):
-        eval_elementary("cos", 2, exponent=3)
+def test_elementary_values_and_integer_powers():
+    assert sin(0) == 0
+    assert exp(0) == 1
+    assert powi(3, 4) == 81
+    assert powi(2, -2) == mpf(1) / 4
     with pytest.raises(DomainError):
-        eval_elementary("pow-int", 0, exponent=-1)
+        powi(0, -1)
 
 
 def test_precision_floor_and_context():
