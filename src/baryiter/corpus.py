@@ -6,21 +6,23 @@ callables are the programs ``parse_expression`` compiles, as for ``--expr``
 input; where a symbolic derivative would round differently from the closed
 form the problem was first written with, the built-in gives that
 derivative's source too, so no output bit moves.  Reference solutions
-(roots, or minimisers for objectives) are Newton-refined at 1152 bits until
-the residual drops below 1e-300, within ``REFERENCE_STEPS`` steps.  The
-built-ins' references ship as 320-digit decimal strings in a sidecar file
-next to this module (a test checks them against a fresh refinement from
-each default start); any other problem is refined on each request from the
-point it names (a run's final iterate), so the reference is the root the
-run approached, and nothing is written back.  Either way the digits are
-parsed at the caller's working precision.  The golden error tables for the
-``cos x - x`` benchmark live here too; the command-line ``table`` command
-and the acceptance suite both replay them.
+(roots, or stationary points for objectives) are Newton-refined at 1152
+bits until the residual drops below 1e-300, within ``REFERENCE_STEPS``
+steps.  Every real solution of each built-in (for ``cos`` its stationary
+points 0, pi and 2 pi) ships as a 320-digit decimal string in a sidecar
+file next to this module, read once at import into the problem's
+``roots``; a test checks each against a fresh refinement from a nearby
+start.  One rule gives a run its reference: the stored root nearest the
+point the caller names (a run's final iterate), or, for a problem that
+stores none, a refinement from that point.  Nothing is written back, and
+the digits are parsed at the caller's working precision.  The golden error
+tables for the ``cos x - x`` benchmark live here too; the command-line
+``table`` command and the acceptance suite both replay them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Optional
@@ -50,9 +52,10 @@ class Problem:
     d3f: Optional[Callable[[Real], Real]] = None
     fixed_point: Optional[Callable[[Real], Real]] = None
     default_x0: str = "1"
+    roots: tuple[str, ...] = ()  # known solutions as decimal strings, at least about 1 apart
 
     def reference(self, near: Optional[Real] = None) -> Real:
-        """Reference solution at the working precision, refined from ``near`` if it must be."""
+        """The solution nearest ``near`` at the working precision; see ``reference_root``."""
         return reference_root(self, near)
 
 
@@ -63,19 +66,25 @@ def from_expression(expression, name: str, kind: str, default_x0: str,
                    d3f=expression.d3f, fixed_point=fixed_point, default_x0=default_x0)
 
 
+# one line per built-in: its name, then each of its solutions, tab-separated
+_STORED_ROOTS = {name: tuple(roots) for name, *roots in
+                 (line.split("\t") for line in _SIDECAR.read_text().splitlines() if line)}
+
+
 def _builtin(name: str, kind: str, x0: str, f: str, *derivatives: Optional[str],
              fixed_point: Optional[str] = None) -> Problem:
     # derivatives: source of f', f'', f''' in order, None where the symbolic form rounds alike
     fixed = parse_expression(fixed_point).f if fixed_point else None
-    return from_expression(parse_expression(f, derivatives), name, kind, x0, fixed)
+    problem = from_expression(parse_expression(f, derivatives), name, kind, x0, fixed)
+    return replace(problem, roots=_STORED_ROOTS.get(name, ()))
 
 
 PROBLEMS = {problem.name: problem for problem in (
     # fixed-point benchmark behind the golden error tables
     _builtin("cos_minus_x", "root", "3", "cos(x) - x", fixed_point="cos(x)"),
-    # root sqrt(2)
+    # roots -sqrt(2) and sqrt(2)
     _builtin("x2_minus_2", "root", "1", "x*x - 2"),
-    # simple root near 1.2564 (f' = e^r - 2 > 0 there)
+    # roots 0 (stored as the refinement's -1.1e-347) and about 1.2564; f is convex
     _builtin("exp_root", "root", "2", "exp(x) - 2*x - 1"),
     # cubic with constant third derivative, for error-factor checks
     _builtin("cubic_x3_minus_x_minus_2", "root", "2", "x^3 - x - 2", "3*x*x - 1"),
@@ -84,9 +93,9 @@ PROBLEMS = {problem.name: problem for problem in (
     # minimiser exactly -1
     _builtin("opt_xexp", "optimisation", "0", "x*exp(x)",
              "(1 + x)*exp(x)", "(2 + x)*exp(x)", "(3 + x)*exp(x)"),
-    # minimiser pi
+    # minimiser pi; of the stationary points k pi, those with k = 0, 1, 2 are stored
     _builtin("opt_cos", "optimisation", "2.5", "cos(x)"),
-    # double-well; the default start selects the minimiser at +1
+    # double-well: minimisers -1 and +1 (the default start's), maximiser 0
     _builtin("opt_quartic", "optimisation", "0.8", "x^4 - 2*x*x", None, "12*x*x - 4"),
 )}
 
@@ -104,21 +113,6 @@ def get_problem(name: str) -> Problem:
 
 # ---------------------------------------------------------------------------
 # reference solutions
-
-
-def _load_sidecar() -> dict[str, str]:
-    if not _SIDECAR.exists():
-        return {}
-    out = {}
-    for line in _SIDECAR.read_text().splitlines():
-        if not line.strip():
-            continue
-        name, _, digits = line.partition("\t")
-        out[name] = digits.strip()
-    return out
-
-
-_reference_cache: dict[str, str] | None = None
 
 
 def refine_reference(problem: Problem, near: Optional[Real] = None) -> str:
@@ -148,21 +142,16 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> str:
 
 
 def reference_root(problem: Problem, near: Optional[Real] = None) -> Real:
-    """Reference solution from the sidecar, else refined.
+    """The reference solution nearest ``near``, else nearest the default start.
 
-    A built-in is refined from its default start and kept in memory; any
-    other problem is refined from ``near`` (its default start when None).
+    A problem that stores ``roots`` gets the stored root nearest that point,
+    picked in binary64 and then parsed alone at the working precision; one
+    that stores none is refined from that point.
     """
-    global _reference_cache
-    if _reference_cache is None:
-        _reference_cache = _load_sidecar()
-    digits = _reference_cache.get(problem.name)
-    if digits is None:
-        if problem.name in PROBLEMS:
-            digits = _reference_cache[problem.name] = refine_reference(problem)
-        else:
-            digits = refine_reference(problem, near)
-    return real(digits)
+    if not problem.roots:
+        return real(refine_reference(problem, near))
+    start = float(problem.default_x0 if near is None else near)
+    return real(min(problem.roots, key=lambda root: abs(float(root) - start)))
 
 
 # ---------------------------------------------------------------------------

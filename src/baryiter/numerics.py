@@ -91,14 +91,6 @@ def real(value: Scalar) -> Real:
     return mpf(value)
 
 
-def ulp(value: Scalar) -> Real:
-    """Unit in the last place of ``value`` at the working precision."""
-    x = real(value)
-    if x == 0:
-        return mpf(2) ** (1 - get_precision())
-    return mpf(2) ** (int(mpmath.mag(x)) - get_precision())
-
-
 def to_decimal(value: Scalar, digits: int) -> str:
     """Scientific-notation decimal string ``d.ddd...e±nn`` with ``digits`` significant digits."""
     if digits < 1:
@@ -117,14 +109,6 @@ def to_decimal(value: Scalar, digits: int) -> str:
     mantissa, _, exponent = s.partition("e")
     sign, magnitude = exponent[0], exponent[1:]
     return f"{mantissa}e{sign}{magnitude.zfill(2)}"
-
-
-def parse_decimal(text: str) -> Real:
-    """Parse a decimal string (plain or scientific) at the working precision."""
-    try:
-        return mpf(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"not a decimal number: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

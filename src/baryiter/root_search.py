@@ -575,7 +575,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
 
         def finish(status: str) -> IterationTrace:
             steps[-1].status = status
-            # the reference is refined from where the run ended; only a library
+            # the reference is the solution nearest where the run ended; only a library
             # or arithmetic error means "no reference", anything else is a bug
             # in the problem's callables and propagates
             try:
@@ -628,7 +628,7 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
     ``problem`` needs ``f`` (plus ``df`` for the derivative methods,
     ``d2f`` for halley, ``fixed_point`` for picard) returning mpf values,
     and a ``reference(near)`` that fills the signed error column once the
-    run has ended: the solution refined from the final iterate, when one is
-    found.
+    run has ended: the solution nearest the final iterate (a stored root,
+    else one refined from it), when one is found.
     """
     return drive(problem, config, "root", _propose, select_window, _interp_step)

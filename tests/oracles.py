@@ -113,6 +113,14 @@ def rel_err(a, b, floor="1e-30"):
     return abs(a - b) / denom
 
 
+def ulp(value):
+    """Unit in the last place of ``value`` at the working precision."""
+    x = real(value)
+    if x == 0:
+        return mpf(2) ** (1 - mpmath.mp.prec)
+    return mpf(2) ** (int(mpmath.mag(x)) - mpmath.mp.prec)
+
+
 # ---------------------------------------------------------------------------
 # barycentric weights straight from their defining products: a separate
 # distinctness pass, then every factor (v_i - v_j) subtracted where it is used

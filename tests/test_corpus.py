@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from pathlib import Path
@@ -81,33 +82,73 @@ def test_unregistered_problem_not_cached_in_sidecar():
     assert "throwaway_x2_minus_9" not in corpus._SIDECAR.read_text()
 
 
+def _sidecar_rows() -> list:
+    lines = [line for line in corpus._SIDECAR.read_text().splitlines() if line.strip()]
+    return [line.split("\t") for line in lines]
+
+
 def test_sidecar_round_trip_format():
-    text = corpus._SIDECAR.read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
-    assert len(lines) == len(EXPECTED_NAMES)
-    for line in lines:
-        name, _, digits = line.partition("\t")
-        assert name in EXPECTED_NAMES
-        mantissa = digits.split("e")[0].replace("-", "").replace(".", "")
-        assert len(mantissa) >= corpus.REFERENCE_DIGITS
+    rows = _sidecar_rows()
+    assert len(rows) == len(EXPECTED_NAMES)
+    for name, *roots in rows:
+        assert name in EXPECTED_NAMES and roots, name
+        assert tuple(roots) == corpus.get_problem(name).roots
+        for digits in roots:
+            mantissa = digits.split("e")[0].replace("-", "").replace(".", "")
+            assert len(mantissa) >= corpus.REFERENCE_DIGITS, (name, digits[:20])
 
 
 def test_sidecar_matches_a_fresh_refinement():
-    # check only: nothing rewrites the sidecar, so a stale or missing entry fails here
-    stored = corpus._load_sidecar()
-    wanted = {p.name: corpus.refine_reference(p) for p in corpus.list_problems()}
-    stale = [f"{name}\t{digits}" for name, digits in sorted(wanted.items())
-             if stored.get(name) != digits]
+    # check only: nothing rewrites the sidecar, so a stale root fails here; each root
+    # is refined afresh from the binary64 point 1e-3 * max(1, |root|) above it
+    stale = []
+    for problem in corpus.list_problems():
+        starts = [float(root) + 1e-3 * max(1.0, abs(float(root))) for root in problem.roots]
+        fresh = tuple(corpus.refine_reference(problem, real(start)) for start in starts)
+        if fresh != problem.roots:
+            stale.append("\t".join((problem.name,) + fresh))
     assert not stale, "update src/baryiter/_references.tsv with:\n" + "\n".join(stale)
 
 
-def test_missing_builtin_reference_is_refined_in_memory_only(monkeypatch):
-    before = corpus._SIDECAR.read_text()
-    monkeypatch.setattr(corpus, "_reference_cache", {})
-    with precision(256):
-        assert abs(corpus.reference_root(corpus.get_problem("x2_minus_2")) ** 2 - 2) < real("1e-70")
-    assert "x2_minus_2" in corpus._reference_cache
-    assert corpus._SIDECAR.read_text() == before
+def _sign_changes(fn, low, high, count=4001):
+    # brackets [a, b] of the grid over [low, high] on which fn changes sign; the
+    # grid misses 0, a solution of exp_root and of opt_cos
+    grid = [low + (high - low) * mpf(k) / count for k in range(count + 1)]
+    values = [fn(x) for x in grid]
+    return [(a, b) for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]) if fa * fb < 0]
+
+
+def test_sidecar_holds_every_real_solution():
+    polynomials = {  # the residual (f, or f' of an objective) as coefficients, highest first
+        "x2_minus_2": [1, 0, -2],
+        "cubic_x3_minus_x_minus_2": [1, 0, -1, -2],
+        "opt_quadratic": [2, -4],
+        "opt_quartic": [4, 0, -4, 0],
+    }
+    # a sign scan finds every zero in its range: exp_root is convex, so it has at most
+    # two; cos x - x is monotone and (1 + x) e^x changes sign once; of the stationary
+    # points k pi of cos, those in the stored range [0, 2 pi] count
+    scans = {"exp_root": (-10, 10), "cos_minus_x": (-10, 10), "opt_xexp": (-10, 10),
+             "opt_cos": (-1, 7.5)}
+    assert set(polynomials) | set(scans) == EXPECTED_NAMES
+    with precision(512):
+        for name, coefficients in polynomials.items():
+            problem = corpus.get_problem(name)
+            stored = [real(root) for root in problem.roots]
+            found = [mpmath.re(root) for root in
+                     mpmath.polyroots(coefficients, maxsteps=200, extraprec=512)
+                     if abs(mpmath.im(root)) < real("1e-100")]
+            assert len(found) == len(stored), name
+            for root in found:
+                assert min(abs(root - s) for s in stored) < real("1e-100"), (name, root)
+        for name, (low, high) in scans.items():
+            problem = corpus.get_problem(name)
+            residual = problem.f if problem.kind == "root" else problem.df
+            stored = [real(root) for root in problem.roots]
+            brackets = _sign_changes(residual, real(low), real(high))
+            assert len(brackets) == len(stored), name
+            for a, b in brackets:
+                assert any(a <= s <= b for s in stored), (name, a, b)
 
 
 def _package_files() -> dict:
@@ -119,7 +160,8 @@ def _package_files() -> dict:
 
 
 def test_runs_write_nothing_into_the_package(monkeypatch):
-    monkeypatch.setattr(corpus, "_reference_cache", {})  # the built-ins refine afresh
+    for problem in corpus.list_problems():  # without stored roots the built-ins refine afresh
+        monkeypatch.setitem(corpus.PROBLEMS, problem.name, dataclasses.replace(problem, roots=()))
     before = _package_files()
     solve(corpus.get_problem("exp_root"), SolverConfig(method="secant", precision_bits=128))
     optimize(corpus.get_problem("opt_cos"), SolverConfig(method="ch-d1", precision_bits=128))

@@ -1,7 +1,8 @@
 """The error column is measured against the root the run approached.
 
-A run's reference is refined after it ends, from its final iterate, within
-``corpus.REFERENCE_STEPS`` Newton steps; built-ins keep their sidecar digits.
+A run's reference is taken after it ends, near its final iterate: the
+nearest stored root of a built-in, else a refinement from that iterate
+within ``corpus.REFERENCE_STEPS`` Newton steps.
 """
 
 import io
@@ -82,10 +83,38 @@ def test_refinement_starts_near_and_stops_at_the_budget():
             corpus.refine_reference(_expr_problem("exp(x)", "0"))
 
 
-def test_builtin_references_ignore_near():
-    # opt_quartic has minimisers at -1 and +1; the sidecar keeps +1 whatever the run
+def test_builtin_references_follow_near():
+    # opt_quartic has minimisers at -1 and +1 and a maximiser at 0; the sidecar keeps all three
     with precision(256):
-        assert corpus.get_problem("opt_quartic").reference(real("-1.1")) == 1
+        problem = corpus.get_problem("opt_quartic")
+        assert problem.reference(real("-1.1")) == -1
+        assert problem.reference(real("0.3")) == 0
+        assert problem.reference() == 1  # nearest the default start 0.8
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "x2_minus_2", "--x0", "-1", "--method", "newton"],
+    ["solve", "--problem", "exp_root", "--x0", "0.3", "--method", "secant"],
+    ["optimize", "--problem", "opt_quartic", "--x0", "-0.8", "--method", "ch-d1", "--window", "3"],
+    # converges to the maximiser 0
+    ["optimize", "--problem", "opt_cos", "--x0", "0.3", "--method", "newton-df"],
+])
+def test_builtin_error_is_measured_against_the_root_it_approached(argv):
+    out = io.StringIO()
+    assert cli.main(argv + ["--output", "json"], out=out) == 0
+    final = json.loads(out.getvalue())["steps"][-1]
+    assert mpmath.mpf(final["abs_error"]) < 1e-20, final
+
+
+def test_a_library_problem_that_reuses_a_builtin_name_keeps_its_own_root():
+    expression = parse_expression("x*x - 3")
+    problem = corpus.Problem(name="x2_minus_2", kind="root", f=expression.f, df=expression.df,
+                             default_x0="1")
+    trace = solve(problem, SolverConfig(method="newton", x0="1", precision_bits=256))
+    assert trace.status == "converged"
+    with precision(256):
+        assert abs(trace.reference - mpmath.sqrt(3)) < real("1e-70")
+        assert abs(trace.steps[-1].error) < real("1e-20")
 
 
 def _nearest_root_distance(a: str, x) -> mpmath.mpf:
