@@ -17,11 +17,15 @@ problems do, where the symbolic form would round differently); each higher
 order is then differentiated from it.
 
 ``parse_expression`` compiles the value tree and each derivative tree once
-into nested closures; evaluating one runs the same mpf operation per node,
-left operand first, as a walk over the tree would, with no dispatch on
-node tags.  Number literals are kept as text and converted with ``real``
-once per working precision and rounding mode, so an expression built once
-stays exact under precision changes.  Division by zero raises
+into nested closures on raw libmp values (see ``numerics``); evaluating one
+calls, per node, the libmp function that the node's mpf operation would
+call, at the context's precision and rounding, left operand first, as a
+walk over the tree would, with no dispatch on node tags.  So each result
+has the bits of the mpf evaluation; ``Expression.f`` and its derivatives
+read the precision once and build one mpf, the result.  Number literals
+are kept as text and converted with ``real`` once per working precision
+and rounding mode, so an expression built once stays exact under
+precision changes.  Division by zero raises
 :class:`~baryiter.errors.DomainError`, as ``log``, ``sqrt`` and ``0^-k`` do.
 
 Parse failures raise :class:`~baryiter.errors.ParseError` with a 1-based
@@ -36,15 +40,16 @@ from decimal import Decimal
 from typing import Callable, Optional, Sequence
 
 import mpmath
+from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
 
 from . import numerics
 from .errors import DomainError, ParseError
-from .numerics import Real, Scalar, powi, real
+from .numerics import Raw, Real, Scalar, make_mpf, raw_powi, to_raw
 
 # AST nodes are tuples: ("num", text), ("var",), ("add"|"sub"|"mul"|"div", a, b),
 # ("neg", a), ("pow", a, int), ("call", name, a)
 
-FUNCTIONS = numerics.ELEMENTARY  # FUNC name -> its evaluator
+FUNCTIONS = numerics.ELEMENTARY  # FUNC name -> its evaluator on raw values
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -282,28 +287,37 @@ def differentiate(node):
 # ---------------------------------------------------------------------------
 # compilation: each tree becomes nested closures, built once at parse time
 
-Program = Callable[[Real], Real]
+Program = Callable[[Raw, int, str], Raw]  # (x, precision, rounding) -> value
 
 
 def _literal(text: str) -> Program:
-    values: dict = {}  # (precision, rounding) -> real(text)
+    values: dict = {}  # (precision, rounding) -> real(text), raw
 
-    def literal(x: Real) -> Real:
-        key = tuple(mpmath.mp._prec_rounding)
-        value = values.get(key)
+    def literal(x: Raw, prec: int, rounding: str) -> Raw:
+        value = values.get((prec, rounding))
         if value is None:
-            value = values[key] = real(text)
+            value = values[prec, rounding] = to_raw(text, prec, rounding)
         return value
 
     return literal
 
 
-def _variable(x: Real) -> Real:
+def _variable(x: Raw, prec: int, rounding: str) -> Raw:
     return x
 
 
+def _divide(numerator: Raw, denominator: Raw, prec: int, rounding: str) -> Raw:
+    try:
+        return mpf_div(numerator, denominator, prec, rounding)
+    except ZeroDivisionError:
+        raise DomainError("division by zero") from None
+
+
+_BINARY = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": _divide}
+
+
 def _compile(node) -> Program:
-    """A closure evaluating ``node`` at x: each node's mpf operation, left operand first."""
+    """A closure evaluating ``node`` at x: each node's libmp operation, left operand first."""
     head = node[0]
     if head == "num":
         return _literal(node[1])
@@ -311,31 +325,23 @@ def _compile(node) -> Program:
         return _variable
     if head == "neg":
         a = _compile(node[1])
-        return lambda x: -a(x)
+        return lambda x, prec, rounding: mpf_neg(a(x, prec, rounding), prec, rounding)
     if head == "pow":
         a, k = _compile(node[1]), node[2]
-        return lambda x: powi(a(x), k)
+        return lambda x, prec, rounding: raw_powi(a(x, prec, rounding), k, prec, rounding)
     if head == "call":
         fn, a = FUNCTIONS[node[1]], _compile(node[2])
-        return lambda x: fn(a(x))
-    if head in ("add", "sub", "mul", "div"):
-        a, b = _compile(node[1]), _compile(node[2])
-        if head == "add":
-            return lambda x: a(x) + b(x)
-        if head == "sub":
-            return lambda x: a(x) - b(x)
-        if head == "mul":
-            return lambda x: a(x) * b(x)
-
-        def div(x: Real) -> Real:
-            numerator, denominator = a(x), b(x)
-            try:
-                return numerator / denominator
-            except ZeroDivisionError:
-                raise DomainError("division by zero") from None
-
-        return div
+        return lambda x, prec, rounding: fn(a(x, prec, rounding), prec, rounding)
+    if head in _BINARY:
+        op, a, b = _BINARY[head], _compile(node[1]), _compile(node[2])
+        return lambda x, prec, rounding: op(a(x, prec, rounding), b(x, prec, rounding),
+                                            prec, rounding)
     raise ValueError(f"cannot compile node {node!r}")
+
+
+def _evaluate(program: Program, x: Scalar) -> Real:
+    prec, rounding = mpmath.mp._prec_rounding
+    return make_mpf(program(to_raw(x, prec, rounding), prec, rounding))
 
 
 @dataclass(frozen=True)
@@ -350,16 +356,16 @@ class Expression:
         object.__setattr__(self, "programs", tuple(_compile(node) for node in self.nodes))
 
     def f(self, x: Scalar) -> Real:
-        return self.programs[0](real(x))
+        return _evaluate(self.programs[0], x)
 
     def df(self, x: Scalar) -> Real:
-        return self.programs[1](real(x))
+        return _evaluate(self.programs[1], x)
 
     def d2f(self, x: Scalar) -> Real:
-        return self.programs[2](real(x))
+        return _evaluate(self.programs[2], x)
 
     def d3f(self, x: Scalar) -> Real:
-        return self.programs[3](real(x))
+        return _evaluate(self.programs[3], x)
 
 
 def parse_expression(src: str, derivatives: Sequence[Optional[str]] = ()) -> Expression:

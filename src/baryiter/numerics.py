@@ -6,9 +6,19 @@ Precision is a per-run configuration: pick it once, directly or through a
 solver config, and every value created afterwards carries it.  There is no
 per-value precision and no user-facing rounding control; mpmath rounds to
 nearest, so results are deterministic for a fixed precision.  Values are
-immutable and safe to share between threads; changing the working precision
-while solvers are running concurrently at another precision is not
-supported.
+immutable and safe to share between threads.  Each kernel reads
+``mp._prec_rounding`` once at entry and runs on that (precision, rounding)
+pair throughout, so changing the working precision while solvers are
+running concurrently at another precision is not supported.
+
+The hot paths (weights, expression programs, window selection) run on raw
+libmp tuples, the ``_mpf_`` inside each mpf: a kernel calls the libmp
+function that mpf's operator would call (``mpf_sub``, ``mpf_div`` ...) with
+the same (precision, rounding), so every result keeps its exact bits, and
+builds mpf objects only for what it returns.  ``to_raw`` converts a Scalar
+at entry; the ``raw_*`` functions are the elementary functions on raw
+values, and ``cos``, ``sin``, ``exp``, ``log``, ``sqrt`` and ``powi`` are
+the same kernels on mpf values.
 
 ``cos`` and ``sin`` share one evaluation of mpmath's ``mpf_cos_sin``, which
 always computes both, and ``exp`` keeps its last result: each remembers only
@@ -26,12 +36,23 @@ from typing import Callable, Iterator, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_cos_sin, mpf_exp
+from mpmath.libmp import (
+    fzero,
+    mpf_cos_sin,
+    mpf_exp,
+    mpf_le,
+    mpf_log,
+    mpf_lt,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sqrt,
+)
 
 from .errors import DomainError
 
 Real = mpf
 Scalar = Union[mpf, int, float, str]
+Raw = tuple  # an mpf's ``_mpf_``: (sign, mantissa, exponent, bit count)
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
@@ -91,6 +112,19 @@ def real(value: Scalar) -> Real:
     return mpf(value)
 
 
+def to_raw(value: Scalar, prec: int, rounding: str) -> Raw:
+    """``real(value)._mpf_``, building no mpf when ``value`` is one.
+
+    ``(prec, rounding)`` is the working precision's pair, read by the caller.
+    """
+    if isinstance(value, mpf):
+        return mpf_pos(value._mpf_, prec, rounding)
+    return mpf(value)._mpf_
+
+
+make_mpf = mpmath.mp.make_mpf  # an mpf holding a raw value as it is
+
+
 def to_decimal(value: Scalar, digits: int) -> str:
     """Scientific-notation decimal string ``d.ddd...e±nn`` with ``digits`` significant digits."""
     if digits < 1:
@@ -112,10 +146,10 @@ def to_decimal(value: Scalar, digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# elementary functions with domain checks
+# elementary functions with domain checks, on raw values and on mpf values
 
 def _remembering_last(libmp_function: Callable) -> Callable:
-    """``libmp_function`` of a Scalar at the working precision, remembering its last call.
+    """``libmp_function`` of a raw value, remembering its last call.
 
     The key is what mpmath's own wrappers pass to a libmp function: the
     argument's exact value, the precision and the rounding mode.  The
@@ -124,10 +158,9 @@ def _remembering_last(libmp_function: Callable) -> Callable:
     """
     last: tuple = (None, None)
 
-    def call(x: Scalar):
+    def call(x: Raw, prec: int, rounding: str):
         nonlocal last
-        prec, rounding = mpmath.mp._prec_rounding
-        key = real(x)._mpf_, prec, rounding
+        key = x, prec, rounding
         last_key, result = last
         if last_key != key:
             result = libmp_function(*key)
@@ -141,43 +174,72 @@ _cos_sin = _remembering_last(mpf_cos_sin)  # both values from one evaluation
 _exp = _remembering_last(mpf_exp)
 
 
+# the memos are looked up when called, so a replaced memo sees every call
+def raw_cos(x: Raw, prec: int, rounding: str) -> Raw:
+    return _cos_sin(x, prec, rounding)[0]
+
+
+def raw_sin(x: Raw, prec: int, rounding: str) -> Raw:
+    return _cos_sin(x, prec, rounding)[1]
+
+
+def raw_exp(x: Raw, prec: int, rounding: str) -> Raw:
+    return _exp(x, prec, rounding)
+
+
+def raw_log(x: Raw, prec: int, rounding: str) -> Raw:
+    if mpf_le(x, fzero):
+        raise DomainError("log requires a positive argument")
+    return mpf_log(x, prec, rounding)
+
+
+def raw_sqrt(x: Raw, prec: int, rounding: str) -> Raw:
+    if mpf_lt(x, fzero):
+        raise DomainError("sqrt requires a non-negative argument")
+    return mpf_sqrt(x, prec, rounding)
+
+
+def raw_powi(x: Raw, exponent: int, prec: int, rounding: str) -> Raw:
+    """Integer power; 0 to a negative power is a domain error."""
+    if exponent < 0 and x == fzero:
+        raise DomainError("0 cannot be raised to a negative power")
+    return mpf_pow_int(x, exponent, prec, rounding)
+
+
+def _on_real(kernel: Callable, x: Scalar, *args) -> Real:
+    """``kernel`` on a Scalar at the working precision, as an mpf."""
+    prec, rounding = mpmath.mp._prec_rounding
+    return make_mpf(kernel(to_raw(x, prec, rounding), *args, prec, rounding))
+
+
 def cos(x: Scalar) -> Real:
-    return mpmath.mp.make_mpf(_cos_sin(x)[0])
+    return _on_real(raw_cos, x)
 
 
 def sin(x: Scalar) -> Real:
-    return mpmath.mp.make_mpf(_cos_sin(x)[1])
+    return _on_real(raw_sin, x)
 
 
 def exp(x: Scalar) -> Real:
-    return mpmath.mp.make_mpf(_exp(x))
+    return _on_real(raw_exp, x)
 
 
 def log(x: Scalar) -> Real:
-    x = real(x)
-    if x <= 0:
-        raise DomainError("log requires a positive argument")
-    return mpmath.log(x)
+    return _on_real(raw_log, x)
 
 
 def sqrt(x: Scalar) -> Real:
-    x = real(x)
-    if x < 0:
-        raise DomainError("sqrt requires a non-negative argument")
-    return mpmath.sqrt(x)
+    return _on_real(raw_sqrt, x)
 
 
 def powi(x: Scalar, exponent: int) -> Real:
     """Integer power; 0 to a negative power is a domain error."""
-    x = real(x)
-    exponent = int(exponent)
-    if x == 0 and exponent < 0:
-        raise DomainError("0 cannot be raised to a negative power")
-    return x ** exponent
+    return _on_real(raw_powi, x, int(exponent))
 
 
-# the elementary functions by name: the expression grammar's FUNC and its evaluators
-ELEMENTARY = {"cos": cos, "sin": sin, "exp": exp, "log": log, "sqrt": sqrt}
+# the elementary functions by name: the expression grammar's FUNC and its
+# evaluators on raw values
+ELEMENTARY = {"cos": raw_cos, "sin": raw_sin, "exp": raw_exp, "log": raw_log, "sqrt": raw_sqrt}
 
 
 set_precision(DEFAULT_PRECISION_BITS)

@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
+import mpmath
 from mpmath import fsum, isfinite, mpf
+from mpmath.libmp import fzero, mpf_abs, mpf_le, mpf_sub
 
 from . import numerics
 from .errors import (
@@ -50,13 +52,13 @@ from .errors import (
     ZeroDerivative,
 )
 from .interpolants import Sample, hermite_node_curvature, sample_slopes
-from .numerics import Real, Scalar, real
+from .numerics import Raw, Real, Scalar, real, to_raw
 from .weights import (
     HermiteWeights,
     derivative_scaled_weights,
-    node_scale,
     product_weights,
-    separation_floor,
+    raw_floor,
+    raw_scale,
     shifted_product_weights,
     squared_product_weights,
 )
@@ -413,30 +415,50 @@ def baseline(run: _Run, window: Sequence[Sample], weights):
 # the solver loop
 
 
-def select_window(samples: Sequence, size: int, keys: frozenset[str]) -> list:
+def select_window(samples: Sequence, size: int, keys: frozenset[str],
+                  scales: Optional[dict] = None) -> list:
     """Newest ``size`` samples whose ``keys`` coordinates are pairwise distinct.
 
     Scans from the newest backwards; an older sample colliding with a newer
     one (within the separation floor) is skipped, implementing the
-    evict-the-older-duplicate policy.
+    evict-the-older-duplicate policy.  Each key's floor comes from the
+    largest |value| of that coordinate over ``samples``: ``scales`` maps
+    each key to it as a raw mpf, or it is found by a scan over ``samples``.
     """
-    floors = {
-        key: separation_floor(node_scale([getattr(s, key) for s in samples]))
-        for key in keys
-    }
-    kept: list = []
-    for s in reversed(samples):
-        clash = any(
-            abs(getattr(s, key) - getattr(t, key)) <= floors[key]
+    prec, rounding = mpmath.mp._prec_rounding
+    if scales is None:
+        scales = {
+            key: raw_scale((_raw(getattr(s, key), prec, rounding) for s in samples),
+                           prec, rounding) or fzero
             for key in keys
-            for t in kept
-        )
-        if not clash:
+        }
+    floors = [raw_floor(scales[key], prec, rounding) for key in keys]
+    kept: list = []
+    kept_values: list = []  # each kept sample's raw coordinates, in the order of keys
+    for s in reversed(samples):
+        values = [_raw(getattr(s, key), prec, rounding) for key in keys]
+        if not _clashes(values, kept_values, floors, prec, rounding):
             kept.append(s)
+            kept_values.append(values)
             if len(kept) == size:
                 break
     kept.reverse()
     return kept
+
+
+def _raw(value, prec: int, rounding: str) -> Raw:
+    # an mpf's own bits, unrounded, as its operators read them; a problem
+    # returning floats or ints gets them converted
+    return value._mpf_ if isinstance(value, mpf) else to_raw(value, prec, rounding)
+
+
+def _clashes(values: list, kept_values: list, floors: list, prec: int, rounding: str) -> bool:
+    """Whether a coordinate of ``values`` lies within its floor of a kept sample's."""
+    for kept in kept_values:
+        for v, other, floor in zip(values, kept, floors):
+            if mpf_le(mpf_abs(mpf_sub(v, other, prec, rounding), prec, rounding), floor):
+                return True
+    return False
 
 
 @dataclass
@@ -445,7 +467,8 @@ class _Run:
 
     It also keeps the last selected window and the last window's weights:
     an optimisation residual and the step proposed after it use the same
-    window, selected and built once.
+    window, selected and built once.  ``select_window`` gets each key's
+    largest |value| from running maxima over the samples, which only grow.
     """
 
     spec: MethodSpec
@@ -462,6 +485,8 @@ class _Run:
     _selected: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
     # (window, weights) of the last build
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
+    # (samples, their count, key -> largest |value| as a raw mpf) of the last scale update
+    _scales: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def newest_window(self, samples: list) -> list:
         """The newest ``window`` distinct samples, selected once while ``samples`` does not grow."""
@@ -469,9 +494,28 @@ class _Run:
         if last_samples is not samples or count != len(samples):
             size = min(self.window, len(samples))
             # without dedup keys every sample is distinct: take the newest as they are
-            window = self.select(samples, size, self.keys) if self.keys else samples[-size:]
+            if self.keys:
+                window = self.select(samples, size, self.keys, self.scales(samples))
+            else:
+                window = samples[-size:]
             self._selected = samples, len(samples), window
         return window
+
+    def scales(self, samples: list) -> dict:
+        """Each key's largest |value| over ``samples``, scanning only the samples added since."""
+        last_samples, count, scales = self._scales
+        if last_samples is not samples:
+            count, scales = 0, dict.fromkeys(self.keys)
+        if count < len(samples):
+            prec, rounding = mpmath.mp._prec_rounding
+            added = samples[count:]
+            scales = {
+                key: raw_scale((_raw(getattr(s, key), prec, rounding) for s in added),
+                               prec, rounding, largest)
+                for key, largest in scales.items()
+            }
+            self._scales = samples, len(samples), scales
+        return scales
 
     def weights(self, window: Sequence):
         """The scheme's weights on ``window``, reused while the samples are the same objects."""

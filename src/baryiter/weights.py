@@ -25,17 +25,41 @@ one pass that also checks the gap against the floor, and takes
 so that is the rounded difference bit for bit.  The squared families also
 square and invert each pair's difference once.  Each weight is then the
 same chain of divisions, in the same order, as from the defining products.
+
+The kernels run on raw libmp values (see ``numerics``): each reads the
+working precision and rounding once, calls for every operation the libmp
+function mpf's operator would call with them, and builds the returned mpf
+values at the end, so the weights are those of the mpf loops bit for bit.
+The separation floor ``2^(8-precision)·scale`` is the scale's bits with
+the exponent shifted, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
-from mpmath import mpf
+from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sub,
+)
 
 from .errors import DegenerateNodes, ZeroDerivative
-from .numerics import Real, Scalar, get_precision, real
+from .numerics import Raw, Real, Scalar, make_mpf, to_raw
 
 
 @dataclass(frozen=True)
@@ -53,47 +77,68 @@ class HermiteWeights:
         return len(self.lam)
 
 
+def raw_floor(scale: Raw, prec: int, rounding: str) -> Raw:
+    """``separation_floor`` of a raw scale."""
+    return mpf_shift(mpf_abs(scale, prec, rounding), 8 - prec)
+
+
+def raw_scale(values: Iterable[Raw], prec: int, rounding: str,
+              largest: Optional[Raw] = None) -> Optional[Raw]:
+    """The largest |v| over raw ``values``, as ``max`` finds it, continuing from ``largest``.
+
+    ``None`` when there are no values and no ``largest``.
+    """
+    for v in values:
+        magnitude = mpf_abs(v, prec, rounding)
+        if largest is None or mpf_gt(magnitude, largest):
+            largest = magnitude
+    return largest
+
+
 def separation_floor(scale: Scalar) -> Real:
     """Smallest usable node gap: 2^-(precision-8) times the node scale."""
-    return mpf(2) ** (8 - get_precision()) * abs(real(scale))
+    prec, rounding = mp._prec_rounding
+    return make_mpf(raw_floor(to_raw(scale, prec, rounding), prec, rounding))
 
 
 def node_scale(nodes: Sequence[Real]) -> Real:
-    return max((abs(v) for v in nodes), default=mpf(0))
+    prec, rounding = mp._prec_rounding
+    return make_mpf(raw_scale((v._mpf_ for v in nodes), prec, rounding) or fzero)
 
 
-def _as_reals(nodes: Sequence[Scalar]) -> list[Real]:
-    return [real(v) for v in nodes]
+def _to_raw(values: Sequence[Scalar], prec: int, rounding: str) -> list[Raw]:
+    return [to_raw(v, prec, rounding) for v in values]
 
 
-def _differences(nodes: list[Real]) -> list[list[Real]]:
+def _differences(nodes: list[Raw], prec: int, rounding: str) -> list[list[Raw]]:
     """``d[i][j] = v_i - v_j`` (``None`` on the diagonal), one subtraction per pair.
 
     Raises DegenerateNodes for the first pair, in row order over ``i < j``,
     whose gap does not clear the separation floor.
     """
-    floor = separation_floor(node_scale(nodes))
+    floor = raw_floor(raw_scale(nodes, prec, rounding) or fzero, prec, rounding)
     count = len(nodes)
     d = [[None] * count for _ in range(count)]
     for i, vi in enumerate(nodes):
         for j in range(i + 1, count):
-            gap = vi - nodes[j]
-            if abs(gap) <= floor:
-                raise DegenerateNodes(f"nodes too close: {vi} and {nodes[j]}")
+            gap = mpf_sub(vi, nodes[j], prec, rounding)
+            if mpf_le(mpf_abs(gap, prec, rounding), floor):
+                raise DegenerateNodes(f"nodes too close: {make_mpf(vi)} and {make_mpf(nodes[j])}")
             d[i][j] = gap
-            d[j][i] = -gap
+            d[j][i] = mpf_neg(gap, prec, rounding)
     return d
 
 
 def product_weights(nodes: Sequence[Scalar]) -> list[Real]:
     """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j)."""
+    prec, rounding = mp._prec_rounding
     out = []
-    for i, row in enumerate(_differences(_as_reals(nodes))):
-        w = mpf(1)
+    for i, row in enumerate(_differences(_to_raw(nodes, prec, rounding), prec, rounding)):
+        w = fone
         for j, d in enumerate(row):
             if j != i:
-                w /= d
-        out.append(w)
+                w = mpf_div(w, d, prec, rounding)
+        out.append(make_mpf(w))
     return out
 
 
@@ -105,55 +150,59 @@ def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar) -> list[Real
     ``alpha = 1`` recovers ``product_weights`` exactly.  The newest node is
     the last entry.
     """
-    nodes = _as_reals(nodes)
-    alpha = real(alpha)
-    if alpha == 1:
+    prec, rounding = mp._prec_rounding
+    values = _to_raw(nodes, prec, rounding)
+    alpha = to_raw(alpha, prec, rounding)
+    if mpf_eq(alpha, fone):
         return product_weights(nodes)
-    diffs = _differences(nodes)
-    n = len(nodes) - 1
-    shifted = alpha * nodes[n]
-    floor = separation_floor(max(node_scale(nodes), abs(shifted)))
+    diffs = _differences(values, prec, rounding)
+    n = len(values) - 1
+    shifted = mpf_mul(alpha, values[n], prec, rounding)
+    scale = raw_scale([shifted], prec, rounding, raw_scale(values, prec, rounding) or fzero)
+    floor = raw_floor(scale, prec, rounding)
     gaps = []  # v_i - alpha v_n for the older nodes
-    for vi in nodes[:n]:
-        gap = vi - shifted
-        if abs(gap) <= floor:
-            raise DegenerateNodes(f"node {vi} collides with the shifted value {shifted}")
+    for vi in values[:n]:
+        gap = mpf_sub(vi, shifted, prec, rounding)
+        if mpf_le(mpf_abs(gap, prec, rounding), floor):
+            raise DegenerateNodes(
+                f"node {make_mpf(vi)} collides with the shifted value {make_mpf(shifted)}")
         gaps.append(gap)
     out = []
     for i, gap in enumerate(gaps):
-        w = 1 / gap
+        w = mpf_rdiv_int(1, gap, prec, rounding)
         for j in range(n):
             if j != i:
-                w /= diffs[i][j]
-        out.append(w)
-    wn = mpf(1)
+                w = mpf_div(w, diffs[i][j], prec, rounding)
+        out.append(make_mpf(w))
+    wn = fone
     for gap in gaps:
-        wn /= -gap
-    out.append(wn)
+        wn = mpf_div(wn, mpf_neg(gap, prec, rounding), prec, rounding)
+    out.append(make_mpf(wn))
     return out
 
 
 def squared_product_weights(nodes: Sequence[Scalar]) -> HermiteWeights:
     """Partial-fraction pairs lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j)."""
-    diffs = _differences(_as_reals(nodes))
+    prec, rounding = mp._prec_rounding
+    diffs = _differences(_to_raw(nodes, prec, rounding), prec, rounding)
     count = len(diffs)
     squares = [[None] * count for _ in range(count)]
     inverses = [[None] * count for _ in range(count)]
     for i in range(count):
         for j in range(i + 1, count):
-            squares[i][j] = squares[j][i] = diffs[i][j] ** 2
-            inverses[i][j] = 1 / diffs[i][j]
-            inverses[j][i] = -inverses[i][j]
+            squares[i][j] = squares[j][i] = mpf_pow_int(diffs[i][j], 2, prec, rounding)
+            inverses[i][j] = mpf_rdiv_int(1, diffs[i][j], prec, rounding)
+            inverses[j][i] = mpf_neg(inverses[i][j], prec, rounding)
     lam, gam = [], []
     for i in range(count):
-        u2 = mpf(1)
-        s = mpf(0)
+        u2 = fone
+        s = fzero
         for j in range(count):
             if j != i:
-                u2 /= squares[i][j]
-                s += inverses[i][j]
-        lam.append(u2)
-        gam.append(-2 * u2 * s)
+                u2 = mpf_div(u2, squares[i][j], prec, rounding)
+                s = mpf_add(s, inverses[i][j], prec, rounding)
+        lam.append(make_mpf(u2))
+        gam.append(make_mpf(mpf_mul(mpf_mul_int(u2, -2, prec, rounding), s, prec, rounding)))
     return HermiteWeights(tuple(lam), tuple(gam))
 
 
@@ -167,10 +216,11 @@ def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar])
     """
     if len(nodes) != len(slopes):
         raise ValueError("need one slope per node")
-    slopes = _as_reals(slopes)
+    prec, rounding = mp._prec_rounding
+    slopes = _to_raw(slopes, prec, rounding)
     for s in slopes:
-        if s == 0:
+        if mpf_eq(s, fzero):
             raise ZeroDerivative("derivative-scaled weights need non-zero slopes")
     base = squared_product_weights(nodes)
-    lam = tuple(s * u2 for s, u2 in zip(slopes, base.lam))
+    lam = tuple(make_mpf(mpf_mul(s, u2._mpf_, prec, rounding)) for s, u2 in zip(slopes, base.lam))
     return HermiteWeights(lam, base.gam)

@@ -206,6 +206,27 @@ def derivative_scaled_weights_direct(nodes, slopes):
     return [s * u2 for s, u2 in zip(slopes, lam)], gam
 
 
+def select_window_direct(samples, size, keys):
+    """Newest ``size`` samples pairwise distinct in ``keys``, each floor from a full-history scan.
+
+    The mpf loop ``root_search.select_window`` ran before it took running
+    scales and raw values.
+    """
+    floors = {key: _floor(max((abs(getattr(s, key)) for s in samples), default=mpf(0)))
+              for key in keys}
+    kept = []
+    for s in reversed(samples):
+        clash = any(
+            abs(getattr(s, key) - getattr(t, key)) <= floors[key] for key in keys for t in kept
+        )
+        if not clash:
+            kept.append(s)
+            if len(kept) == size:
+                break
+    kept.reverse()
+    return kept
+
+
 def evaluate_direct(node, x):
     """An expression AST at x by a walk over the tree, re-reading each literal.
 
@@ -230,5 +251,5 @@ def evaluate_direct(node, x):
     if head == "pow":
         return numerics.powi(evaluate_direct(node[1], x), node[2])
     if head == "call":
-        return numerics.ELEMENTARY[node[1]](evaluate_direct(node[2], x))
+        return getattr(numerics, node[1])(evaluate_direct(node[2], x))
     raise ValueError(f"cannot evaluate node {node!r}")

@@ -1,17 +1,19 @@
 """Compiled expressions evaluate bit for bit as the tree walk did.
 
-``oracles.evaluate_direct`` walks a tree and re-reads every literal at the
-working precision; the closures ``parse_expression`` compiles must give the
-same bits and raise the same errors, except that division by zero is now a
-``DomainError``.
+``oracles.evaluate_direct`` walks a tree of mpf operations and re-reads
+every literal at the working precision; the closures ``parse_expression``
+compiles run on raw libmp values and must give the same bits and raise the
+same errors, except that division by zero is now a ``DomainError``.
 """
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import mpf_cos_sin
 
-from baryiter import numerics
+from baryiter import corpus, numerics
 from baryiter.errors import DomainError
 from baryiter.expressions import parse_expression
 
@@ -88,6 +90,38 @@ def test_compiled_evaluation_is_bit_identical_to_the_tree_walk(source, pool, cal
             assert got == (DomainError, "division by zero"), source
         else:
             assert got == want, (source, x, bits, order)
+
+
+@settings(max_examples=12, deadline=None)
+@given(source=sources(depth=3), x=st.sampled_from(POINTS))
+@example(source="0.1*exp(x) - cos(x)^-2 + sqrt(1.0000000000000000001*x)", x="2.5")
+def test_compiled_evaluation_is_bit_identical_at_32768_bits(source, x):
+    # few examples: cos, sin, exp and log take tens of milliseconds each here
+    expression = parse_expression(source)
+    for order in range(4):
+        got = _outcome(_compiled(expression, order), x, 32768)
+        want = _outcome(_direct(expression.nodes[order]), x, 32768)
+        if want[0] is ZeroDivisionError:
+            assert got == (DomainError, "division by zero"), source
+        else:
+            assert got == want, (source, x, order)
+
+
+def test_f_then_df_at_one_point_evaluate_cos_sin_once(monkeypatch):
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return mpf_cos_sin(*key)
+
+    monkeypatch.setattr(numerics, "_cos_sin", numerics._remembering_last(counted))
+    problem = corpus.get_problem("cos_minus_x")
+    with numerics.precision(256):
+        x = mpf(1) / 3
+        assert problem.f(x) == mpmath.cos(x) - x
+        assert len(calls) == 1
+        assert problem.df(x) == -mpmath.sin(x) - 1
+    assert len(calls) == 1
 
 
 def test_literals_follow_each_precision_change():

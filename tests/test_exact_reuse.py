@@ -1,20 +1,22 @@
 """Each hot-path value is computed once, and reusing it changes no bit.
 
 The memoised ``cos``/``sin``/``exp`` are checked against mpmath, the weight
-families against the direct loops in ``oracles``, and call counts show the
-weights of a window and the default tolerance being built once.
+families and window selection against the direct mpf loops in ``oracles``,
+and call counts show the weights of a window and the default tolerance
+being built once.
 """
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import mpf_cos_sin, mpf_exp
 
 from baryiter import corpus, numerics, optimise, root_search
 from baryiter.errors import DegenerateNodes, ZeroDerivative
-from baryiter.root_search import STATUS_FALLBACK, SolverConfig
+from baryiter.interpolants import Sample
+from baryiter.root_search import STATUS_FALLBACK, SolverConfig, select_window
 from baryiter.weights import (
     HermiteWeights,
     derivative_scaled_weights,
@@ -26,6 +28,7 @@ from baryiter.weights import (
 from oracles import (
     derivative_scaled_weights_direct,
     product_weights_direct,
+    select_window_direct,
     shifted_product_weights_direct,
     squared_product_weights_direct,
 )
@@ -124,25 +127,40 @@ def _value(pq):
     return mpf(pq[0]) / pq[1]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    bits=st.sampled_from((256, 4096)),
-    nodes=st.lists(RATIONALS, min_size=2, max_size=9),
-    alpha=st.one_of(st.sampled_from(((0, 1), (1, 1))), RATIONALS),
-    slopes=st.lists(RATIONALS, min_size=9, max_size=9),
-    collide=st.sampled_from((None, "nodes", "shifted")),
-)
-def test_weights_are_bit_identical_to_the_direct_loops(bits, nodes, alpha, slopes, collide):
-    with numerics.precision(bits):
-        nodes = [_value(v) for v in nodes]
-        alpha = _value(alpha)
-        if collide == "nodes":
-            nodes[-1] = nodes[0]
-        elif collide == "shifted" and nodes[-1] != 0:
-            alpha = nodes[0] / nodes[-1]
-        slopes = [_value(s) for s in slopes[:len(nodes)]]
-        for got, want in _families(nodes, alpha, slopes):
-            assert got == want
+# (hypothesis examples, most nodes) per precision: a 32768-bit division
+# takes milliseconds, and the direct loops make O(nodes^2) of them per family
+WEIGHT_RUNS = {64: (60, 9), 256: (60, 9), 4096: (30, 9), 32768: (5, 5)}
+
+
+@pytest.mark.parametrize("bits", sorted(WEIGHT_RUNS))
+def test_weights_are_bit_identical_to_the_direct_loops(bits):
+    examples, most_nodes = WEIGHT_RUNS[bits]
+
+    # collisions make DegenerateNodes, a zero slope ZeroDerivative; both
+    # together check which the library raises first, with the same message
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        nodes=st.lists(RATIONALS, min_size=2, max_size=most_nodes),
+        alpha=st.one_of(st.sampled_from(((0, 1), (1, 1))), RATIONALS),
+        slopes=st.lists(RATIONALS, min_size=9, max_size=9),
+        collide=st.sampled_from((None, "nodes", "shifted")),
+        zero_slope=st.booleans(),
+    )
+    def check(nodes, alpha, slopes, collide, zero_slope):
+        with numerics.precision(bits):
+            nodes = [_value(v) for v in nodes]
+            alpha = _value(alpha)
+            if collide == "nodes":
+                nodes[-1] = nodes[0]
+            elif collide == "shifted" and nodes[-1] != 0:
+                alpha = nodes[0] / nodes[-1]
+            slopes = [_value(s) for s in slopes[:len(nodes)]]
+            if zero_slope:
+                slopes[-1] = mpf(0)
+            for got, want in _families(nodes, alpha, slopes):
+                assert got == want
+
+    check()
 
 
 def test_a_colliding_pair_is_named_as_before():
@@ -154,6 +172,56 @@ def test_a_colliding_pair_is_named_as_before():
             assert got == want
             assert got[0] is DegenerateNodes
             assert got[1] == f"nodes too close: {mpf(1)} and {mpf(1) + tiny}"
+
+
+# ---------------------------------------------------------------------------
+# window selection on running scales
+
+
+def _coordinate(code, bits):
+    """A value on the lattice of 2^-bits near 1 or near 0, by its code.
+
+    While the largest |value| is 1 the separation floor is 256 units, so
+    offsets of 255, 256 and 257 units fall just under, at and just over it.
+    """
+    near, m, e, sign = code
+    unit = mpf(2) ** -bits
+    k = max(256 * m + e, 0)
+    return sign * (1 - k * unit) if near == "one" else sign * k * unit
+
+
+CODES = st.tuples(st.sampled_from(("one", "zero")), st.integers(0, 3),
+                  st.sampled_from((-1, 0, 1)), st.sampled_from((1, -1)))
+ONE, BELOW_FLOOR, AT_FLOOR, ABOVE_FLOOR = (("one", 0, 0, 1), ("one", 1, -1, 1),
+                                           ("one", 1, 0, 1), ("one", 1, 1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.sampled_from((64, 256)),
+    keys=st.sampled_from((frozenset({"x"}), frozenset({"f"}), frozenset({"x", "f"}))),
+    size=st.integers(1, 8),
+    points=st.lists(st.tuples(CODES, CODES), min_size=1, max_size=14),
+    all_zero=st.sampled_from((None, "x", "f")),
+)
+@example(bits=256, keys=frozenset({"x"}), size=3, all_zero=None,
+         points=[(code, ONE) for code in (BELOW_FLOOR, ONE, AT_FLOOR, ABOVE_FLOOR)])
+@example(bits=64, keys=frozenset({"x", "f"}), size=4, all_zero="f",
+         points=[(code, code) for code in (ONE, ABOVE_FLOOR, ("zero", 0, 1, -1), ONE)])
+def test_running_scales_select_as_the_full_history_scan(bits, keys, size, points, all_zero):
+    with numerics.precision(bits):
+        run = root_search._Run(None, "", None, None, keys, size, mpf(0), mpf(1),
+                               select_window, None)
+        samples = []
+        for x_code, f_code in points:
+            x = mpf(0) if all_zero == "x" else _coordinate(x_code, bits)
+            f = mpf(0) if all_zero == "f" else _coordinate(f_code, bits)
+            samples.append(Sample(x, f))
+            want = select_window_direct(samples, min(size, len(samples)), keys)
+            for got in (run.newest_window(samples),
+                        select_window(samples, min(size, len(samples)), keys)):
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_duplicate_coordinate_eviction_prefers_newest():
     assert len(window) == 3
 
 
+def test_f_keyed_windows_take_a_problem_returning_floats():
+    # samples hold what the problem returns; window selection converts it
+    problem = corpus.Problem(name="floats", kind="root", f=lambda x: float(x) ** 2 - 2.0,
+                             df=lambda x: 2 * float(x), default_x0="1")
+    for scheme in ("x", "f"):
+        config = SolverConfig(method="exact-df", weight_scheme=scheme, window=4, x0="1",
+                              precision_bits=64)
+        trace = solve(problem, config)
+        assert trace.status == "converged"
+        assert abs(trace.steps[-1].x - mpf(2).sqrt()) < 1e-8
+
+
 def test_diverged_status_on_non_finite_value():
     problem = _scripted_problem({"0": "1", "0.001": "inf"})
     config = SolverConfig(method="exact-df", window=2, x0="0", precision_bits=128)
