@@ -351,9 +351,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _order_command(args, out)
         if args.command == "table":
             return _table_command(args, out)
-        if args.command == "compare":
-            return _compare_command(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        # argparse requires one of the five subcommands, so this one is compare
+        return _compare_command(args, out)
     except (UsageError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

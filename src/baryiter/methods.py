@@ -39,7 +39,7 @@ class MethodSpec:
     seeding: tuple[str, ...]            # bootstrap modes accepted for the points after x0
     step: Callable                      # (run, window, weights) -> (x_new, curvature or None)
     multiplicity: Optional[int] = None  # m of the order equation; None if not tabulated
-    residual: Optional[Callable] = None  # (run, samples) -> slope residual; root runs use f
+    residual: Optional[Callable] = None  # (run) -> newest sample's slope residual; root runs use f
     # weight scheme (None: the bare method name) -> (d, n+1) -> published leading-error factor
     error_cells: Mapping[Optional[str], Callable] = field(default_factory=dict)
 

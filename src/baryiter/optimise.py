@@ -149,14 +149,14 @@ def ch_d1(run, window: Sequence[Sample], weights):
     return _d1_step(window, weights, run.beta)
 
 
-def sampled_slope(run, samples: list) -> Optional[Real]:
+def sampled_slope(run) -> Optional[Real]:
     """``ch-d1`` residual: the true phi' of the newest sample."""
-    return samples[-1].f_prime
+    return run.samples[-1].f_prime
 
 
-def estimated_slope(run, samples: list) -> Optional[Real]:
+def estimated_slope(run) -> Optional[Real]:
     """``newton-df`` residual: the interpolant slope at the newest sample."""
-    window = run.newest_window(samples)
+    window = run.newest_window()
     if len(window) < 2:
         return None
     try:

@@ -463,12 +463,13 @@ def _clashes(values: list, kept_values: list, floors: list, prec: int, rounding:
 
 @dataclass
 class _Run:
-    """One run's method facts, resolved once before its first step.
+    """One run's method facts, resolved once before its first step, and its samples.
 
-    It also keeps the last selected window and the last window's weights:
-    an optimisation residual and the step proposed after it use the same
-    window, selected and built once.  ``select_window`` gets each key's
-    largest |value| from running maxima over the samples, which only grow.
+    ``add`` appends a sample and extends each dedup key's largest |value|
+    (a raw mpf) by that sample alone, so ``select_window`` never rescans the
+    history.  The window selected after the newest sample and the last
+    window's weights are kept: an optimisation residual and the step
+    proposed after it use the same window, selected and built once.
     """
 
     spec: MethodSpec
@@ -481,41 +482,32 @@ class _Run:
     beta: Real
     select: Callable            # select_window, as the calling module names it
     step: Callable              # _interp_step, as the calling module names it
-    # (samples, their count, window) of the last selection
-    _selected: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
+    # every sample taken, oldest first; only ``add`` grows it
+    samples: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # key -> largest |value| over the samples, as a raw mpf
+    _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the window selected since the newest sample was added, if any
+    _selected: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     # (window, weights) of the last build
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
-    # (samples, their count, key -> largest |value| as a raw mpf) of the last scale update
-    _scales: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
-    def newest_window(self, samples: list) -> list:
-        """The newest ``window`` distinct samples, selected once while ``samples`` does not grow."""
-        last_samples, count, window = self._selected
-        if last_samples is not samples or count != len(samples):
-            size = min(self.window, len(samples))
+    def add(self, sample: Sample) -> None:
+        """Append ``sample``, extend the running maxima by it and drop the selected window."""
+        self.samples.append(sample)
+        prec, rounding = mpmath.mp._prec_rounding
+        for key in self.keys:
+            value = _raw(getattr(sample, key), prec, rounding)
+            self._scales[key] = raw_scale((value,), prec, rounding, self._scales.get(key))
+        self._selected = None
+
+    def newest_window(self) -> list:
+        """The newest ``window`` distinct samples, selected once per added sample."""
+        if self._selected is None:
+            size = min(self.window, len(self.samples))
             # without dedup keys every sample is distinct: take the newest as they are
-            if self.keys:
-                window = self.select(samples, size, self.keys, self.scales(samples))
-            else:
-                window = samples[-size:]
-            self._selected = samples, len(samples), window
-        return window
-
-    def scales(self, samples: list) -> dict:
-        """Each key's largest |value| over ``samples``, scanning only the samples added since."""
-        last_samples, count, scales = self._scales
-        if last_samples is not samples:
-            count, scales = 0, dict.fromkeys(self.keys)
-        if count < len(samples):
-            prec, rounding = mpmath.mp._prec_rounding
-            added = samples[count:]
-            scales = {
-                key: raw_scale((_raw(getattr(s, key), prec, rounding) for s in added),
-                               prec, rounding, largest)
-                for key, largest in scales.items()
-            }
-            self._scales = samples, len(samples), scales
-        return scales
+            self._selected = (self.select(self.samples, size, self.keys, self._scales)
+                              if self.keys else self.samples[-size:])
+        return self._selected
 
     def weights(self, window: Sequence):
         """The scheme's weights on ``window``, reused while the samples are the same objects."""
@@ -532,9 +524,9 @@ def _interp_step(run: _Run, window: Sequence) -> tuple:
     return run.spec.step(run, window, weights)
 
 
-def _propose(run: _Run, samples: list):
+def _propose(run: _Run):
     """Next iterate, its curvature sign (optimisation only), and whether the window shrank."""
-    base = run.newest_window(samples)
+    base = run.newest_window()
     minimum = run.spec.min_window
     # raised as it stands when the distinct samples are fewer than the minimum
     last_err = SingularStep("memory collapsed below the method minimum")
@@ -609,12 +601,11 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
         residual = spec.residual
 
         steps: list[StepRecord] = []
-        samples: list = []
 
         def push(x: Real, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
             fx = problem.f(x)
             fpx = problem.df(x) if slopes else None
-            samples.append(Sample(x, fx, fpx))
+            run.add(Sample(x, fx, fpx))
             steps.append(StepRecord(len(steps), x, fx, fpx, None, status, sign))
 
         def finish(status: str) -> IterationTrace:
@@ -638,7 +629,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             if residual is None:
                 res = record.f
             else:
-                res = record.f_prime = residual(run, samples)
+                res = record.f_prime = residual(run)
             if res is not None and (res == 0 or abs(res) < tol_f):
                 return STATUS_CONVERGED
             if previous_x is not None and abs(record.x - previous_x) < tol_x:
@@ -657,8 +648,8 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
 
         # no step raises ExactRootHit: a root sample with f == 0 converges when pushed
         while steps[-1].index < config.max_iter:
-            x_new, sign, reduced = propose(run, samples)
-            previous = samples[-1].x
+            x_new, sign, reduced = propose(run)
+            previous = steps[-1].x
             push(x_new, STATUS_FALLBACK if reduced else STATUS_OK, sign)
             status = terminal(previous)
             if status:

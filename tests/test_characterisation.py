@@ -1,17 +1,27 @@
 """Characterisation of every solver path against a fixture pinned at 256 bits.
 
-``characterisation.json`` was written once by ``compute_cases`` below and is
-never regenerated by the suite: any change to a trace, a status, an
-iteration count or the CLI's JSON output fails this test.  Each case records
-the final status, the iteration count, the final iterate to 30 digits and a
-sha256 over every step's ``x``/``f``/``f_prime``/``error``/``status``/
+``characterisation.json`` is written by ``compute_cases`` below and is never
+regenerated by the suite: any change to a trace, a status, an iteration
+count or the CLI's JSON output fails this test.  Each case records the final
+status, the iteration count, the final iterate to 30 digits and a sha256
+over every step's ``x``/``f``/``f_prime``/``error``/``status``/
 ``curvature_sign`` as decimal strings; a case that raises records the
 exception type instead.
+
+Run as a script, this file recomputes the cases and prints every one that
+differs from the fixture, field by field::
+
+    PYTHONPATH=src python tests/test_characterisation.py [--write]
+
+``--write`` rewrites the fixture from the computed cases, for a change that
+moves a trace on purpose.
 """
 
+import argparse
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +135,62 @@ def test_every_case_matches_fixture(computed):
     changed = {key: (expected[key], computed[key])
                for key in expected if computed.get(key) != expected[key]}
     assert not changed, f"{len(changed)} cases changed, e.g. {next(iter(changed.items()))}"
+
+
+# ---------------------------------------------------------------------------
+# the re-baseline tool
+
+
+def _fixture_text(cases: dict) -> str:
+    return json.dumps(cases, indent=1, sort_keys=True) + "\n"
+
+
+def changed_fields(expected: dict, computed: dict) -> dict:
+    """case -> [(field, fixture value, computed value)] for every case that differs."""
+    changed = {}
+    for key in sorted(expected.keys() | computed.keys()):
+        old, new = expected.get(key, {}), computed.get(key, {})
+        fields = [(name, old.get(name), new.get(name))
+                  for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+        if fields:
+            changed[key] = fields
+    return changed
+
+
+def _cell(name: str, value) -> str:
+    if value is None:
+        return "-"
+    # a digest is told apart by its first 12 hex digits
+    return str(value)[:12] if name.endswith("sha256") else str(value)
+
+
+def test_fixture_is_laid_out_as_the_tool_writes_it():
+    assert FIXTURE.read_text() == _fixture_text(json.loads(FIXTURE.read_text()))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Recompute the characterisation cases and list those that differ "
+                    "from the fixture.")
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite the fixture from the computed cases")
+    args = parser.parse_args(argv)
+    expected = json.loads(FIXTURE.read_text())
+    computed = compute_cases()
+    changed = changed_fields(expected, computed)
+    rows = [(key, name, _cell(name, old), _cell(name, new))
+            for key, fields in changed.items() for name, old, new in fields]
+    if rows:
+        rows.insert(0, ("case", "field", "fixture", "computed"))
+        widths = [max(len(row[i]) for row in rows) for i in range(3)]
+        for row in rows:
+            print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)) + "  " + row[3])
+    print(f"{len(changed)} of {len(expected)} cases changed")
+    if args.write:
+        FIXTURE.write_text(_fixture_text(computed))
+        print(f"wrote {len(computed)} cases to {FIXTURE.name}")
+    return 1 if changed and not args.write else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

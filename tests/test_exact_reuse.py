@@ -212,13 +212,13 @@ def test_running_scales_select_as_the_full_history_scan(bits, keys, size, points
     with numerics.precision(bits):
         run = root_search._Run(None, "", None, None, keys, size, mpf(0), mpf(1),
                                select_window, None)
-        samples = []
+        samples = run.samples
         for x_code, f_code in points:
             x = mpf(0) if all_zero == "x" else _coordinate(x_code, bits)
             f = mpf(0) if all_zero == "f" else _coordinate(f_code, bits)
-            samples.append(Sample(x, f))
+            run.add(Sample(x, f))
             want = select_window_direct(samples, min(size, len(samples)), keys)
-            for got in (run.newest_window(samples),
+            for got in (run.newest_window(),
                         select_window(samples, min(size, len(samples)), keys)):
                 assert len(got) == len(want)
                 assert all(a is b for a, b in zip(got, want))
@@ -234,10 +234,10 @@ def test_newton_df_builds_the_weights_once_per_proposed_step(monkeypatch):
     propose = optimise._opt_propose
     monkeypatch.setattr(optimise, "product_weights", lambda nodes: builds.append(1) or build(nodes))
 
-    def counted_propose(run, samples):
+    def counted_propose(run):
         before = len(builds)
         try:
-            return propose(run, samples)
+            return propose(run)
         finally:
             proposals.append(len(builds) - before)
 
@@ -268,7 +268,7 @@ def test_newton_df_selects_each_window_once(monkeypatch):
     monkeypatch.setattr(optimise, "select_window",
                         lambda *args: selections.append(1) or select(*args))
     monkeypatch.setattr(optimise, "_opt_propose",
-                        lambda run, samples: proposals.append(1) or propose(run, samples))
+                        lambda run: proposals.append(1) or propose(run))
     config = SolverConfig(method="newton-df", window=4, precision_bits=256)
     trace = optimise.optimize(corpus.get_problem("opt_cos"), config)
     assert trace.status == "converged"
@@ -276,3 +276,20 @@ def test_newton_df_selects_each_window_once(monkeypatch):
     # the window its newest sample's residual selected
     assert proposals
     assert len(selections) == len(proposals) + 3
+
+
+@pytest.mark.parametrize("method, scheme", [("exact-df", "x"), ("newton-f-interp", "f")])
+def test_root_runs_select_each_window_once(monkeypatch, method, scheme):
+    selections, proposals = [], []
+    select = root_search.select_window
+    propose = root_search._propose
+    monkeypatch.setattr(root_search, "select_window",
+                        lambda *args: selections.append(1) or select(*args))
+    monkeypatch.setattr(root_search, "_propose",
+                        lambda *args: proposals.append(1) or propose(*args))
+    config = SolverConfig(method=method, weight_scheme=scheme, window=4, precision_bits=256)
+    trace = root_search.solve(corpus.get_problem("cos_minus_x"), config)
+    assert trace.status == "converged"
+    # a root run has no residual to select for: each proposal selects once
+    assert proposals
+    assert len(selections) == len(proposals)

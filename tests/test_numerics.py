@@ -89,6 +89,13 @@ def test_to_decimal_format():
     assert to_decimal("-3.5e-120", 4) == "-3.500e-120"
     assert to_decimal(0, 5) == "0.0000e+00"
     assert to_decimal(12345, 2) == "1.2e+04"
+    # a diverged iterate prints by name
+    assert to_decimal(mpf("nan"), 6) == "nan"
+    assert to_decimal(mpf("inf"), 6) == "inf"
+    assert to_decimal(float("-inf"), 6) == "-inf"
+    for digits in (0, -3):
+        with pytest.raises(ValueError, match="digits must be positive"):
+            to_decimal(1, digits)
 
 
 def test_decimal_round_trip_exact_cases():

@@ -20,6 +20,7 @@ from baryiter.root_search import (
     step_exact_df,
 )
 from baryiter.weights import (
+    HermiteWeights,
     derivative_scaled_weights,
     product_weights,
     squared_product_weights,
@@ -30,6 +31,10 @@ from oracles import fd_derivative, newton_poly_derivative, random_nodes, rel_err
 
 def _window(points):
     return [Sample(real(x), real(f), real(fp) if fp is not None else None) for x, f, fp in points]
+
+
+def _hermite(lam, gam):
+    return HermiteWeights(tuple(map(mpf, lam)), tuple(map(mpf, gam)))
 
 
 def _random_window(rng, count, with_slopes=False):
@@ -82,6 +87,13 @@ def test_exact_d1_zero_derivative():
     hw = squared_product_weights([window[0].f])
     with pytest.raises(ZeroDerivative):
         step_exact_d1(window, hw)
+
+
+def test_exact_d1_exact_root_hit():
+    window = _window([(1, -1, 2), (2, 0, 1)])
+    with pytest.raises(ExactRootHit) as info:
+        step_exact_d1(window, _hermite([1, 1], [0, 0]))
+    assert info.value.x == 2
 
 
 def test_chebyshev_halley_update_hand_values():
@@ -239,6 +251,43 @@ def test_baseline_secant():
     assert baseline_step("secant", None, window) == mpf(4) / 3
     with pytest.raises(SingularStep):
         baseline_step("secant", None, _window([(1, 2, None), (3, 2, None)]))
+
+
+# ---------------------------------------------------------------------------
+# guards: each degenerate input raises its own error, with its own message
+
+
+@pytest.mark.parametrize("step, error, message", [
+    # (lam_i - gam_i f_i)/f_i^2 sums to 1 - 1 over f = 1 and f = -1
+    pytest.param(lambda: step_exact_d1(_window([(1, 1, 2), (2, -1, 1)]), _hermite([1, -1], [0, 0])),
+                 SingularStep, "denominator sum vanished in exact-d1 step",
+                 id="exact-d1-denominator"),
+    pytest.param(lambda: direct_slope_estimate(_window([(0, 1, None), (1, 2, None), (2, 3, None)]),
+                                               [mpf(1), mpf(-1), mpf(5)]),
+                 SingularStep, "weight sum over the older samples vanished",
+                 id="direct-slope-older-weights"),
+    pytest.param(lambda: direct_slope_estimate(_window([(0, 1, None), (1, 2, None), (1, 3, None)]),
+                                               [mpf(1)] * 3),
+                 DegenerateNodes, "repeated x value in the window", id="direct-slope-repeated-x"),
+    pytest.param(lambda: second_derivative_x_interp(_window([(0, 1, 2), (1, 2, 0)]),
+                                                    _hermite([1, 1], [0, 0])),
+                 ZeroDerivative, "this estimate needs non-zero f_prime", id="x-interp-zero-slope"),
+    pytest.param(lambda: second_derivative_x_interp(_window([(0, 1, 2), (1, 1, 3)]),
+                                                    _hermite([1, 1], [0, 0])),
+                 DegenerateNodes, "repeated f value in the window", id="x-interp-repeated-f"),
+    pytest.param(lambda: second_derivative_f_interp(_window([(1, 1, 2), (1, 2, 3)]),
+                                                    _hermite([1, 1], [0, 0])),
+                 DegenerateNodes, "repeated x value in the window", id="f-interp-repeated-x"),
+    pytest.param(lambda: baseline_step("secant", None, _window([(1, -1, None)])),
+                 SingularStep, "secant needs two samples", id="secant-one-sample"),
+    pytest.param(lambda: baseline_step("regula-falsi", None, _window([(1, -1, None)])),
+                 ValueError, "unknown baseline 'regula-falsi'", id="unknown-baseline"),
+])
+def test_degenerate_input_raises(step, error, message):
+    with pytest.raises(error) as info:
+        step()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
