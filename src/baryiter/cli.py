@@ -361,7 +361,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_FAILED
     except (KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,6 +19,10 @@ slope-matching form matches the stored first derivatives as well.
 ``Sample`` is the one sample type of both solver families: an optimisation
 run interpolates its objective directly, so (x, phi, phi') is stored as
 (x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
+
+``hermite_node_curvature`` is on the solver's hot path and runs on raw
+libmp values, bit for bit as the mpf formula (see ``numerics``); the
+evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
 from mpmath import fsum
+from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_rdiv_int, mpf_sub
 
 from .errors import SingularDenominator, ZeroDerivative
-from .numerics import Real, Scalar, real
+from .numerics import Real, Scalar, as_raws, make_mpf, real
 from .weights import HermiteWeights, node_scale, separation_floor
 
 
@@ -161,11 +167,18 @@ def hermite_node_curvature(
     with finite differences of ``eval_hermite`` for the squared-product
     weights (checked in the test suite).
     """
+    prec, rounding = mpmath.mp._prec_rounding
     n = len(nodes) - 1
-    acc = hweights.gam[n] * slopes[n]
+    cs, vs, ss = (as_raws(column, prec, rounding) for column in (nodes, values, slopes))
+    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    acc = mpf_mul(gams[n], ss[n], prec, rounding)
     for k in range(n):
-        d = nodes[n] - nodes[k]
-        dv = values[n] - values[k]
-        acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) / d
-        acc += hweights.lam[k] * dv / (d * d)
-    return -2 / hweights.lam[n] * acc
+        d = mpf_sub(cs[n], cs[k], prec, rounding)
+        dv = mpf_sub(vs[n], vs[k], prec, rounding)
+        top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), mpf_mul(lams[k], ss[k], prec, rounding),
+                      prec, rounding)
+        acc = mpf_add(acc, mpf_div(top, d, prec, rounding), prec, rounding)
+        top = mpf_mul(lams[k], dv, prec, rounding)
+        acc = mpf_add(acc, mpf_div(top, mpf_mul(d, d, prec, rounding), prec, rounding),
+                      prec, rounding)
+    return make_mpf(mpf_mul(mpf_rdiv_int(-2, lams[n], prec, rounding), acc, prec, rounding))

@@ -11,14 +11,16 @@ immutable and safe to share between threads.  Each kernel reads
 pair throughout, so changing the working precision while solvers are
 running concurrently at another precision is not supported.
 
-The hot paths (weights, expression programs, window selection) run on raw
-libmp tuples, the ``_mpf_`` inside each mpf: a kernel calls the libmp
-function that mpf's operator would call (``mpf_sub``, ``mpf_div`` ...) with
-the same (precision, rounding), so every result keeps its exact bits, and
-builds mpf objects only for what it returns.  ``to_raw`` converts a Scalar
-at entry; the ``raw_*`` functions are the elementary functions on raw
-values, and ``cos``, ``sin``, ``exp``, ``log``, ``sqrt`` and ``powi`` are
-the same kernels on mpf values.
+The hot paths (weights, expression programs, window selection, the step
+formulas and the driver's checks) run on raw libmp tuples, the ``_mpf_``
+inside each mpf: a kernel calls the libmp function that mpf's operator
+would call (``mpf_sub``, ``mpf_div`` ...) with the same (precision,
+rounding), so every result keeps its exact bits, and builds mpf objects
+only for what it returns.  ``to_raw`` converts a Scalar at entry as
+``real`` would; ``as_raw`` reads a value as an mpf operator reads it (an
+mpf's own bits, anything else converted).  The ``raw_*`` functions are
+the elementary functions on raw values, and ``cos``, ``sin``, ``exp``,
+``log``, ``sqrt`` and ``powi`` are the same kernels on mpf values.
 
 ``cos`` and ``sin`` share one evaluation of mpmath's ``mpf_cos_sin``, which
 always computes both, and ``exp`` keeps its last result: each remembers only
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import mpmath
 from mpmath import mpf
@@ -120,6 +122,20 @@ def to_raw(value: Scalar, prec: int, rounding: str) -> Raw:
     if isinstance(value, mpf):
         return mpf_pos(value._mpf_, prec, rounding)
     return mpf(value)._mpf_
+
+
+def as_raw(value: Scalar, prec: int, rounding: str) -> Raw:
+    """The raw value an mpf operator reads from ``value``.
+
+    An mpf's own bits, unrounded; a float, int or decimal string converted
+    at the working precision, so a problem returning floats still runs.
+    """
+    return value._mpf_ if isinstance(value, mpf) else to_raw(value, prec, rounding)
+
+
+def as_raws(values: Iterable[Scalar], prec: int, rounding: str) -> list[Raw]:
+    """``as_raw`` of each of ``values``, written out: this runs once per window column."""
+    return [v._mpf_ if isinstance(v, mpf) else to_raw(v, prec, rounding) for v in values]
 
 
 make_mpf = mpmath.mp.make_mpf  # an mpf holding a raw value as it is

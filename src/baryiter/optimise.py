@@ -24,21 +24,39 @@ Convergence uses the slope residual: the true phi' for ``ch-d1``, the
 interpolant slope estimate for ``newton-df`` (a documented heuristic, since
 the true gradient is unavailable).  Each step records the sign of the
 curvature estimate; the solver does not classify the stationary point.
+
+The curvature and third-derivative estimates and both steps run on raw
+libmp values, as the root solver's step formulas do, bit for bit as the
+mpf formulas.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from mpmath import fsum
+import mpmath
+from mpmath.libmp import (
+    ftwo,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    mpf_sum,
+)
 
 from .errors import SingularStep, ZeroDerivative
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
 from .interpolants import Sample, hermite_node_curvature, sample_slopes
-from .numerics import Real
+from .numerics import Real, as_raw, as_raws, make_mpf
 from .root_search import (
     IterationTrace,
     SolverConfig,
+    _columns,
     _estimate_parts,
     chebyshev_halley_update,
     drive,
@@ -58,23 +76,30 @@ def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: R
     ``-2 (sum_{k!=n} w_k [(phi_n - phi_k) - slope (x_n - x_k)]/(x_n - x_k)^2)
      / (sum_{k!=n} w_k)``
     """
-    n, den = _estimate_parts(window, weights)
-    newest = window[n]
-    num = fsum(
-        weights[k]
-        * ((newest.f - window[k].f) - slope * (newest.x - window[k].x))
-        / (newest.x - window[k].x) ** 2
-        for k in range(n)
-    )
-    return -2 * num / den
+    prec, rounding = mpmath.mp._prec_rounding
+    n, ws, den = _estimate_parts(window, weights, prec, rounding)
+    xs, fs = _columns(window, prec, rounding)
+    slope = as_raw(slope, prec, rounding)
+    terms = []
+    for k in range(n):
+        dx = mpf_sub(xs[n], xs[k], prec, rounding)
+        off_tangent = mpf_sub(mpf_sub(fs[n], fs[k], prec, rounding),
+                              mpf_mul(slope, dx, prec, rounding), prec, rounding)
+        terms.append(mpf_div(mpf_mul(ws[k], off_tangent, prec, rounding),
+                             mpf_pow_int(dx, 2, prec, rounding), prec, rounding))
+    num = mpf_mul_int(mpf_sum(terms, prec, rounding), -2, prec, rounding)
+    return make_mpf(mpf_div(num, den, prec, rounding))
 
 
 def _df_step(window: Sequence[Sample], weights: Sequence[Real]):
     slope = phi_slope_df(window, weights)
     curvature = phi_curvature_df(window, weights, slope)
-    if curvature == 0:
+    prec, rounding = mpmath.mp._prec_rounding
+    if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
-    return window[-1].x - slope / curvature, curvature
+    x = as_raw(window[-1].x, prec, rounding)
+    step = mpf_div(slope._mpf_, curvature._mpf_, prec, rounding)
+    return make_mpf(mpf_sub(x, step, prec, rounding)), curvature
 
 
 def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
@@ -97,22 +122,32 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
                     - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k))/(x_n - x_k)^2
                     - 2 lam_k (phi_n - phi_k)/(x_n - x_k)^3])``
     """
-    slopes = sample_slopes(window)
+    prec, rounding = mpmath.mp._prec_rounding
+    slopes = as_raws(sample_slopes(window), prec, rounding)
     n = len(window) - 1
-    newest = window[n]
-    acc = hweights.gam[n] * curvature / 2
+    xs, fs = _columns(window, prec, rounding)
+    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    acc = mpf_div(mpf_mul(gams[n], as_raw(curvature, prec, rounding), prec, rounding), ftwo,
+                  prec, rounding)
     for k in range(n):
-        d = newest.x - window[k].x
-        dphi = newest.f - window[k].f
-        acc += hweights.gam[k] * slopes[n] / d
-        acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) / (d * d)
-        acc -= 2 * hweights.lam[k] * dphi / (d * d * d)
-    return -6 / hweights.lam[n] * acc
+        d = mpf_sub(xs[n], xs[k], prec, rounding)
+        dphi = mpf_sub(fs[n], fs[k], prec, rounding)
+        acc = mpf_add(acc, mpf_div(mpf_mul(gams[k], slopes[n], prec, rounding), d, prec, rounding),
+                      prec, rounding)
+        d2 = mpf_mul(d, d, prec, rounding)
+        slope_sum = mpf_add(slopes[n], slopes[k], prec, rounding)
+        top = mpf_sub(mpf_mul(gams[k], dphi, prec, rounding),
+                      mpf_mul(lams[k], slope_sum, prec, rounding), prec, rounding)
+        acc = mpf_sub(acc, mpf_div(top, d2, prec, rounding), prec, rounding)
+        top = mpf_mul(mpf_mul_int(lams[k], 2, prec, rounding), dphi, prec, rounding)
+        acc = mpf_sub(acc, mpf_div(top, mpf_mul(d2, d, prec, rounding), prec, rounding),
+                      prec, rounding)
+    return make_mpf(mpf_mul(mpf_rdiv_int(-6, lams[n], prec, rounding), acc, prec, rounding))
 
 
 def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):
     curvature = phi_curvature_d1(window, hweights)
-    if curvature == 0:
+    if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
     third = phi_third_d1(window, hweights, curvature)
     newest = window[-1]

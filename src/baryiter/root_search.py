@@ -31,6 +31,10 @@ growing from as many starting points as the method's window minimum: after x0,
 ``x1`` when given, else one fixed-point step when the problem has that form,
 else a small perturbation.  A singular step is retried with one sample fewer
 (``singular-step-fallback``) down to the method minimum, then raised.
+
+The step formulas, window selection and the driver's per-step checks
+(finiteness, the residual and step tolerances, the error column) run on
+raw libmp values, bit for bit as the mpf formulas (see ``numerics``).
 """
 
 from __future__ import annotations
@@ -40,8 +44,26 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import mpmath
-from mpmath import fsum, isfinite, mpf
-from mpmath.libmp import fzero, mpf_abs, mpf_le, mpf_sub
+from mpmath import mpf
+from mpmath.libmp import (
+    fhalf,
+    finf,
+    fnan,
+    fninf,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_sub,
+    mpf_sum,
+)
 
 from . import numerics
 from .errors import (
@@ -52,7 +74,7 @@ from .errors import (
     ZeroDerivative,
 )
 from .interpolants import Sample, hermite_node_curvature, sample_slopes
-from .numerics import Raw, Real, Scalar, real, to_raw
+from .numerics import Raw, Real, Scalar, as_raw, as_raws, make_mpf, real
 from .weights import (
     HermiteWeights,
     derivative_scaled_weights,
@@ -137,6 +159,11 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
         if self.precision_bits < numerics.MIN_PRECISION_BITS:
             raise ValueError(f"precision must be at least {numerics.MIN_PRECISION_BITS} bits")
+        for name in ("alpha", "beta", "tol_f", "tol_x", "perturb_h"):
+            value = getattr(self, name)
+            # an int is finite; anything else is parsed as the run will parse it
+            if value is not None and not isinstance(value, int) and not mpmath.isfinite(mpf(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         return self
 
 
@@ -187,19 +214,34 @@ class IterationTrace:
 
 # ---------------------------------------------------------------------------
 # step formulas
+#
+# Each formula reads the working (precision, rounding) once and runs on raw
+# libmp values (see ``numerics``): every operation calls the libmp function
+# that mpf's operator would call, in the same order, and only the returned
+# value is built as an mpf, so each step is that of the mpf formula bit for
+# bit.  Coordinates are read through ``as_raw``, so float samples still run.
+
+
+def _columns(window: Sequence[Sample], prec: int, rounding: str) -> tuple[list, list]:
+    """The window's x and f coordinates as raw values."""
+    return (as_raws([s.x for s in window], prec, rounding),
+            as_raws([s.f for s in window], prec, rounding))
 
 
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """Exact root of the inverse interpolant: (sum w_i x_i/f_i) / (sum w_i/f_i)."""
-    for s in window:
-        if s.f == 0:
+    prec, rounding = mpmath.mp._prec_rounding
+    xs, fs = _columns(window, prec, rounding)
+    for s, f in zip(window, fs):
+        if mpf_eq(f, fzero):
             raise ExactRootHit(s.x)
-    terms = [w / s.f for w, s in zip(weights, window)]
-    den = fsum(terms)
-    if den == 0:
+    terms = [mpf_div(w, f, prec, rounding)
+             for w, f in zip(as_raws(weights, prec, rounding), fs)]
+    den = mpf_sum(terms, prec, rounding)
+    if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-df step")
-    num = fsum(t * s.x for t, s in zip(terms, window))
-    return num / den
+    num = mpf_sum([mpf_mul(t, x, prec, rounding) for t, x in zip(terms, xs)], prec, rounding)
+    return make_mpf(mpf_div(num, den, prec, rounding))
 
 
 def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
@@ -208,28 +250,55 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     ``(sum [lam_i (x_i - f_i/f'_i) - gam_i f_i x_i]/f_i^2)
      / (sum [lam_i - gam_i f_i]/f_i^2)``
     """
+    prec, rounding = mpmath.mp._prec_rounding
+    slopes = as_raws(sample_slopes(window), prec, rounding)
+    xs, fs = _columns(window, prec, rounding)
+    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
     num_terms = []
     den_terms = []
-    for lam, gam, s, fp in zip(hweights.lam, hweights.gam, window, sample_slopes(window)):
-        if s.f == 0:
+    for lam, gam, s, x, f, fp in zip(lams, gams, window, xs, fs, slopes):
+        if mpf_eq(f, fzero):
             raise ExactRootHit(s.x)
-        if fp == 0:
+        if mpf_eq(fp, fzero):
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
-        f2 = s.f * s.f
-        num_terms.append((lam * (s.x - s.f / fp) - gam * s.f * s.x) / f2)
-        den_terms.append((lam - gam * s.f) / f2)
-    den = fsum(den_terms)
-    if den == 0:
+        f2 = mpf_mul(f, f, prec, rounding)
+        newton = mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding)
+        gam_f = mpf_mul(gam, f, prec, rounding)
+        num = mpf_sub(mpf_mul(lam, newton, prec, rounding), mpf_mul(gam_f, x, prec, rounding),
+                      prec, rounding)
+        num_terms.append(mpf_div(num, f2, prec, rounding))
+        den_terms.append(mpf_div(mpf_sub(lam, gam_f, prec, rounding), f2, prec, rounding))
+    den = mpf_sum(den_terms, prec, rounding)
+    if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-d1 step")
-    return fsum(num_terms) / den
+    return make_mpf(mpf_div(mpf_sum(num_terms, prec, rounding), den, prec, rounding))
 
 
-def _estimate_parts(window: Sequence[Sample], weights: Sequence[Real]):
+def _estimate_parts(window: Sequence[Sample], weights: Sequence[Real], prec: int, rounding: str):
+    """(index of the newest sample, the raw weights, their sum over the older samples)."""
     n = len(window) - 1
-    den = fsum(weights[:n])
-    if den == 0:
+    raw = as_raws(weights, prec, rounding)
+    den = mpf_sum(raw[:n], prec, rounding)
+    if mpf_eq(den, fzero):
         raise SingularStep("weight sum over the older samples vanished")
-    return n, den
+    return n, raw, den
+
+
+def _slope_estimate(window: Sequence[Sample], weights: Sequence[Real], inverse: bool) -> Real:
+    # (sum_{k!=n} w_k (a_n - a_k)/(b_n - b_k)) / (sum_{k!=n} w_k), with (a, b) = (x, f)
+    # for the inverse interpolant and (f, x) for the direct one
+    prec, rounding = mpmath.mp._prec_rounding
+    n, ws, den = _estimate_parts(window, weights, prec, rounding)
+    xs, fs = _columns(window, prec, rounding)
+    tops, bottoms, name = (xs, fs, "f") if inverse else (fs, xs, "x")
+    terms = []
+    for k in range(n):
+        gap = mpf_sub(bottoms[n], bottoms[k], prec, rounding)
+        if mpf_eq(gap, fzero):
+            raise DegenerateNodes(f"repeated {name} value in the window")
+        rise = mpf_sub(tops[n], tops[k], prec, rounding)
+        terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding), gap, prec, rounding))
+    return make_mpf(mpf_div(mpf_sum(terms, prec, rounding), den, prec, rounding))
 
 
 def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
@@ -237,15 +306,7 @@ def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) ->
 
     ``(sum_{k!=n} w_k (x_n - x_k)/(f_n - f_k)) / (sum_{k!=n} w_k)``
     """
-    n, den = _estimate_parts(window, weights)
-    newest = window[n]
-    terms = []
-    for k in range(n):
-        df = newest.f - window[k].f
-        if df == 0:
-            raise DegenerateNodes("repeated f value in the window")
-        terms.append(weights[k] * (newest.x - window[k].x) / df)
-    return fsum(terms) / den
+    return _slope_estimate(window, weights, inverse=True)
 
 
 def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
@@ -253,15 +314,7 @@ def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> 
 
     ``(sum_{k!=n} w_k (f_n - f_k)/(x_n - x_k)) / (sum_{k!=n} w_k)``
     """
-    n, den = _estimate_parts(window, weights)
-    newest = window[n]
-    terms = []
-    for k in range(n):
-        dx = newest.x - window[k].x
-        if dx == 0:
-            raise DegenerateNodes("repeated x value in the window")
-        terms.append(weights[k] * (newest.f - window[k].f) / dx)
-    return fsum(terms) / den
+    return _slope_estimate(window, weights, inverse=False)
 
 
 def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
@@ -270,21 +323,27 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     The interpolant's x''[f] at the newest node is converted through
     ``x'' = -f''/f'^3``.  Expects squared-product weights over the f values.
     """
+    prec, rounding = mpmath.mp._prec_rounding
     n = len(window) - 1
-    newest = window[n]
-    slopes = sample_slopes(window)
-    if any(sl == 0 for sl in slopes):
+    slopes = as_raws(sample_slopes(window), prec, rounding)
+    if any(mpf_eq(sl, fzero) for sl in slopes):
         raise ZeroDerivative("this estimate needs non-zero f_prime")
-    acc = hweights.gam[n] / slopes[n]
+    xs, fs = _columns(window, prec, rounding)
+    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    acc = mpf_div(gams[n], slopes[n], prec, rounding)
     for k in range(n):
-        df = newest.f - window[k].f
-        if df == 0:
+        df = mpf_sub(fs[n], fs[k], prec, rounding)
+        if mpf_eq(df, fzero):
             raise DegenerateNodes("repeated f value in the window")
-        acc += (
-            hweights.lam[k] * (newest.x - window[k].x)
-            + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / slopes[k]) * df
-        ) / (df * df)
-    return 2 * slopes[n] ** 3 / hweights.lam[n] * acc
+        dx = mpf_sub(xs[n], xs[k], prec, rounding)
+        tilt = mpf_sub(mpf_mul(gams[k], dx, prec, rounding),
+                       mpf_div(lams[k], slopes[k], prec, rounding), prec, rounding)
+        top = mpf_add(mpf_mul(lams[k], dx, prec, rounding), mpf_mul(tilt, df, prec, rounding),
+                      prec, rounding)
+        acc = mpf_add(acc, mpf_div(top, mpf_mul(df, df, prec, rounding), prec, rounding),
+                      prec, rounding)
+    scale = mpf_mul_int(mpf_pow_int(slopes[n], 3, prec, rounding), 2, prec, rounding)
+    return make_mpf(mpf_mul(mpf_div(scale, lams[n], prec, rounding), acc, prec, rounding))
 
 
 def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
@@ -294,7 +353,9 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
     """
     slopes = sample_slopes(window)
     xs = [s.x for s in window]
-    if any(xs[-1] == x for x in xs[:-1]):
+    prec, rounding = mpmath.mp._prec_rounding
+    newest = as_raw(xs[-1], prec, rounding)
+    if any(mpf_eq(newest, as_raw(x, prec, rounding)) for x in xs[:-1]):
         raise DegenerateNodes("repeated x value in the window")
     return hermite_node_curvature(xs, [s.f for s in window], slopes, hweights)
 
@@ -306,14 +367,21 @@ def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -
     beta=0 Chebyshev, beta=1/2 Halley, beta=1 super-Halley.  A zero f''
     reduces it to the Newton update.
     """
-    if fp == 0:
+    prec, rounding = mpmath.mp._prec_rounding
+    x, f, fp, fpp, beta = as_raws((x, f, fp, fpp, beta), prec, rounding)
+    if mpf_eq(fp, fzero):
         raise ZeroDerivative("Chebyshev-Halley update needs f' != 0")
-    fp2 = fp * fp
-    den = fp2 - beta * f * fpp
-    if den == 0:
+    fp2 = mpf_mul(fp, fp, prec, rounding)
+    den = mpf_sub(fp2, mpf_mul(mpf_mul(beta, f, prec, rounding), fpp, prec, rounding),
+                  prec, rounding)
+    if mpf_eq(den, fzero):
         raise SingularStep("Chebyshev-Halley denominator vanished")
-    num = fp2 + (mpf(1) / 2 - beta) * f * fpp
-    return x - (num / den) * (f / fp)
+    # 1/2 is exact at any precision
+    share = mpf_mul(mpf_sub(fhalf, beta, prec, rounding), f, prec, rounding)
+    num = mpf_add(fp2, mpf_mul(share, fpp, prec, rounding), prec, rounding)
+    step = mpf_mul(mpf_div(num, den, prec, rounding), mpf_div(f, fp, prec, rounding),
+                   prec, rounding)
+    return make_mpf(mpf_sub(x, step, prec, rounding))
 
 
 def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
@@ -323,23 +391,30 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
         if problem.fixed_point is None:
             raise ValueError(f"problem {problem.name!r} has no fixed-point form")
         return problem.fixed_point(newest.x)
+    prec, rounding = mpmath.mp._prec_rounding
     if method == "newton":
-        if newest.f_prime == 0:
+        fp = as_raw(newest.f_prime, prec, rounding)
+        if mpf_eq(fp, fzero):
             raise ZeroDerivative("Newton step needs f' != 0")
-        return newest.x - newest.f / newest.f_prime
+        x, f = as_raws((newest.x, newest.f), prec, rounding)
+        return make_mpf(mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding))
     if method == "halley":
         if problem.d2f is None:
             raise ValueError(f"problem {problem.name!r} has no second derivative")
         fpp = problem.d2f(newest.x)
-        return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, mpf(1) / 2)
+        return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp,
+                                       make_mpf(fhalf))
     if method == "secant":
         if len(window) < 2:
             raise SingularStep("secant needs two samples")
         prev = window[-2]
-        den = newest.f - prev.f
-        if den == 0:
+        px, pf, x, f = as_raws((prev.x, prev.f, newest.x, newest.f), prec, rounding)
+        den = mpf_sub(f, pf, prec, rounding)
+        if mpf_eq(den, fzero):
             raise SingularStep("secant denominator vanished")
-        return (prev.x * newest.f - newest.x * prev.f) / den
+        num = mpf_sub(mpf_mul(px, f, prec, rounding), mpf_mul(x, pf, prec, rounding),
+                      prec, rounding)
+        return make_mpf(mpf_div(num, den, prec, rounding))
     raise ValueError(f"unknown baseline {method!r}")
 
 
@@ -383,16 +458,19 @@ def exact_d1(run: _Run, window: Sequence[Sample], weights):
 
 
 def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
-    newest = window[-1]
-    return newest.x - newest.f * inverse_slope_estimate(window, weights), None
+    prec, rounding = mpmath.mp._prec_rounding
+    inverse_slope = inverse_slope_estimate(window, weights)._mpf_
+    x, f = as_raws((window[-1].x, window[-1].f), prec, rounding)
+    return make_mpf(mpf_sub(x, mpf_mul(f, inverse_slope, prec, rounding), prec, rounding)), None
 
 
 def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
-    slope = direct_slope_estimate(window, weights)
-    if slope == 0:
+    prec, rounding = mpmath.mp._prec_rounding
+    slope = direct_slope_estimate(window, weights)._mpf_
+    if mpf_eq(slope, fzero):
         raise SingularStep("estimated slope vanished")
-    newest = window[-1]
-    return newest.x - newest.f / slope, None
+    x, f = as_raws((window[-1].x, window[-1].f), prec, rounding)
+    return make_mpf(mpf_sub(x, mpf_div(f, slope, prec, rounding), prec, rounding)), None
 
 
 def ch_x_interp(run: _Run, window: Sequence[Sample], weights):
@@ -428,7 +506,7 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str],
     prec, rounding = mpmath.mp._prec_rounding
     if scales is None:
         scales = {
-            key: raw_scale((_raw(getattr(s, key), prec, rounding) for s in samples),
+            key: raw_scale((as_raw(getattr(s, key), prec, rounding) for s in samples),
                            prec, rounding) or fzero
             for key in keys
         }
@@ -436,7 +514,7 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str],
     kept: list = []
     kept_values: list = []  # each kept sample's raw coordinates, in the order of keys
     for s in reversed(samples):
-        values = [_raw(getattr(s, key), prec, rounding) for key in keys]
+        values = [as_raw(getattr(s, key), prec, rounding) for key in keys]
         if not _clashes(values, kept_values, floors, prec, rounding):
             kept.append(s)
             kept_values.append(values)
@@ -444,12 +522,6 @@ def select_window(samples: Sequence, size: int, keys: frozenset[str],
                 break
     kept.reverse()
     return kept
-
-
-def _raw(value, prec: int, rounding: str) -> Raw:
-    # an mpf's own bits, unrounded, as its operators read them; a problem
-    # returning floats or ints gets them converted
-    return value._mpf_ if isinstance(value, mpf) else to_raw(value, prec, rounding)
 
 
 def _clashes(values: list, kept_values: list, floors: list, prec: int, rounding: str) -> bool:
@@ -496,7 +568,7 @@ class _Run:
         self.samples.append(sample)
         prec, rounding = mpmath.mp._prec_rounding
         for key in self.keys:
-            value = _raw(getattr(sample, key), prec, rounding)
+            value = as_raw(getattr(sample, key), prec, rounding)
             self._scales[key] = raw_scale((value,), prec, rounding, self._scales.get(key))
         self._selected = None
 
@@ -536,7 +608,7 @@ def _propose(run: _Run):
         except SingularStep as err:
             last_err = err
             continue
-        sign = None if curvature is None else (1 if curvature > 0 else -1)
+        sign = None if curvature is None else (1 if mpf_gt(curvature._mpf_, fzero) else -1)
         return x_new, sign, size < len(base)
     raise last_err
 
@@ -570,6 +642,21 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
 
 
 _NEEDS = {"df": "first derivative", "d2f": "second derivative", "fixed_point": "fixed-point form"}
+_NONFINITE = (finf, fninf, fnan)
+
+
+def _converged(x: Raw, res: Optional[Raw], previous_x: Optional[Raw], tol_f: Raw, tol_x: Raw,
+               prec: int, rounding: str) -> bool:
+    """Whether |res| is 0 or below ``tol_f``, or the step |x - previous_x| below ``tol_x``.
+
+    Every value is raw; ``res`` or ``previous_x`` is ``None`` when there is none.
+    """
+    if res is not None and (mpf_eq(res, fzero) or mpf_lt(mpf_abs(res, prec, rounding), tol_f)):
+        return True
+    if previous_x is None:
+        return False
+    step = mpf_abs(mpf_sub(x, previous_x, prec, rounding), prec, rounding)
+    return mpf_lt(step, tol_x)
 
 
 def drive(problem, config: SolverConfig, family: str, propose: Callable, select: Callable,
@@ -586,9 +673,10 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
     config = config.validated(family)
     spec = method_spec(config.method, family)
     with numerics.precision(config.precision_bits):
+        prec, rounding = mpmath.mp._prec_rounding
         tolerance = default_tolerance(config.precision_bits)
-        tol_f = real(config.tol_f) if config.tol_f is not None else tolerance
-        tol_x = real(config.tol_x) if config.tol_x is not None else tolerance
+        tol_f = (real(config.tol_f) if config.tol_f is not None else tolerance)._mpf_
+        tol_x = (real(config.tol_x) if config.tol_x is not None else tolerance)._mpf_
         for need in spec.needs:
             if getattr(problem, need) is None:
                 raise ValueError(f"problem {problem.name!r} has no {_NEEDS[need]}")
@@ -618,21 +706,26 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             except (BaryiterError, ArithmeticError):
                 reference = None
             if reference is not None:
+                ref = as_raw(reference, prec, rounding)
                 for record in steps:
-                    record.error = record.x - reference
+                    x = as_raw(record.x, prec, rounding)
+                    record.error = make_mpf(mpf_sub(x, ref, prec, rounding))
             return IterationTrace(problem.name, config.method, config, reference, steps)
 
         def terminal(previous_x: Optional[Real]) -> Optional[str]:
             record = steps[-1]
-            if not (isfinite(record.x) and isfinite(record.f)):
+            x = as_raw(record.x, prec, rounding)
+            if x in _NONFINITE or as_raw(record.f, prec, rounding) in _NONFINITE:
                 return STATUS_DIVERGED
             if residual is None:
                 res = record.f
             else:
                 res = record.f_prime = residual(run)
-            if res is not None and (res == 0 or abs(res) < tol_f):
-                return STATUS_CONVERGED
-            if previous_x is not None and abs(record.x - previous_x) < tol_x:
+            if res is not None:
+                res = as_raw(res, prec, rounding)
+            if previous_x is not None:
+                previous_x = as_raw(previous_x, prec, rounding)
+            if _converged(x, res, previous_x, tol_f, tol_x, prec, rounding):
                 return STATUS_CONVERGED
             return None
 

@@ -9,10 +9,11 @@ code paths with the library.
 import random
 
 import mpmath
-from mpmath import mpf
+from mpmath import fsum, mpf
 
 from baryiter import numerics
-from baryiter.errors import DegenerateNodes, ZeroDerivative
+from baryiter.errors import DegenerateNodes, ExactRootHit, SingularStep, ZeroDerivative
+from baryiter.interpolants import sample_slopes
 from baryiter.numerics import real
 
 
@@ -253,3 +254,218 @@ def evaluate_direct(node, x):
     if head == "call":
         return getattr(numerics, node[1])(evaluate_direct(node[2], x))
     raise ValueError(f"cannot evaluate node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# the step formulas and the driver's checks as mpf loops: one mpf per
+# operation, as ``root_search``, ``optimise`` and ``interpolants`` computed
+# them before they ran on raw libmp values
+
+
+def step_exact_df_direct(window, weights):
+    for s in window:
+        if s.f == 0:
+            raise ExactRootHit(s.x)
+    terms = [w / s.f for w, s in zip(weights, window)]
+    den = fsum(terms)
+    if den == 0:
+        raise SingularStep("denominator sum vanished in exact-df step")
+    num = fsum(t * s.x for t, s in zip(terms, window))
+    return num / den
+
+
+def step_exact_d1_direct(window, hweights):
+    num_terms = []
+    den_terms = []
+    for lam, gam, s, fp in zip(hweights.lam, hweights.gam, window, sample_slopes(window)):
+        if s.f == 0:
+            raise ExactRootHit(s.x)
+        if fp == 0:
+            raise ZeroDerivative("exact-d1 needs non-zero f_prime")
+        f2 = s.f * s.f
+        num_terms.append((lam * (s.x - s.f / fp) - gam * s.f * s.x) / f2)
+        den_terms.append((lam - gam * s.f) / f2)
+    den = fsum(den_terms)
+    if den == 0:
+        raise SingularStep("denominator sum vanished in exact-d1 step")
+    return fsum(num_terms) / den
+
+
+def _estimate_parts_direct(window, weights):
+    n = len(window) - 1
+    den = fsum(weights[:n])
+    if den == 0:
+        raise SingularStep("weight sum over the older samples vanished")
+    return n, den
+
+
+def inverse_slope_estimate_direct(window, weights):
+    n, den = _estimate_parts_direct(window, weights)
+    newest = window[n]
+    terms = []
+    for k in range(n):
+        df = newest.f - window[k].f
+        if df == 0:
+            raise DegenerateNodes("repeated f value in the window")
+        terms.append(weights[k] * (newest.x - window[k].x) / df)
+    return fsum(terms) / den
+
+
+def direct_slope_estimate_direct(window, weights):
+    n, den = _estimate_parts_direct(window, weights)
+    newest = window[n]
+    terms = []
+    for k in range(n):
+        dx = newest.x - window[k].x
+        if dx == 0:
+            raise DegenerateNodes("repeated x value in the window")
+        terms.append(weights[k] * (newest.f - window[k].f) / dx)
+    return fsum(terms) / den
+
+
+def hermite_node_curvature_direct(nodes, values, slopes, hweights):
+    n = len(nodes) - 1
+    acc = hweights.gam[n] * slopes[n]
+    for k in range(n):
+        d = nodes[n] - nodes[k]
+        dv = values[n] - values[k]
+        acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) / d
+        acc += hweights.lam[k] * dv / (d * d)
+    return -2 / hweights.lam[n] * acc
+
+
+def second_derivative_x_interp_direct(window, hweights):
+    n = len(window) - 1
+    newest = window[n]
+    slopes = sample_slopes(window)
+    if any(sl == 0 for sl in slopes):
+        raise ZeroDerivative("this estimate needs non-zero f_prime")
+    acc = hweights.gam[n] / slopes[n]
+    for k in range(n):
+        df = newest.f - window[k].f
+        if df == 0:
+            raise DegenerateNodes("repeated f value in the window")
+        acc += (
+            hweights.lam[k] * (newest.x - window[k].x)
+            + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / slopes[k]) * df
+        ) / (df * df)
+    return 2 * slopes[n] ** 3 / hweights.lam[n] * acc
+
+
+def second_derivative_f_interp_direct(window, hweights):
+    slopes = sample_slopes(window)
+    xs = [s.x for s in window]
+    if any(xs[-1] == x for x in xs[:-1]):
+        raise DegenerateNodes("repeated x value in the window")
+    return hermite_node_curvature_direct(xs, [s.f for s in window], slopes, hweights)
+
+
+def chebyshev_halley_update_direct(x, f, fp, fpp, beta):
+    if fp == 0:
+        raise ZeroDerivative("Chebyshev-Halley update needs f' != 0")
+    fp2 = fp * fp
+    den = fp2 - beta * f * fpp
+    if den == 0:
+        raise SingularStep("Chebyshev-Halley denominator vanished")
+    num = fp2 + (mpf(1) / 2 - beta) * f * fpp
+    return x - (num / den) * (f / fp)
+
+
+def baseline_step_direct(method, problem, window):
+    newest = window[-1]
+    if method == "picard":
+        if problem.fixed_point is None:
+            raise ValueError(f"problem {problem.name!r} has no fixed-point form")
+        return problem.fixed_point(newest.x)
+    if method == "newton":
+        if newest.f_prime == 0:
+            raise ZeroDerivative("Newton step needs f' != 0")
+        return newest.x - newest.f / newest.f_prime
+    if method == "halley":
+        if problem.d2f is None:
+            raise ValueError(f"problem {problem.name!r} has no second derivative")
+        fpp = problem.d2f(newest.x)
+        return chebyshev_halley_update_direct(newest.x, newest.f, newest.f_prime, fpp,
+                                              mpf(1) / 2)
+    if method == "secant":
+        if len(window) < 2:
+            raise SingularStep("secant needs two samples")
+        prev = window[-2]
+        den = newest.f - prev.f
+        if den == 0:
+            raise SingularStep("secant denominator vanished")
+        return (prev.x * newest.f - newest.x * prev.f) / den
+    raise ValueError(f"unknown baseline {method!r}")
+
+
+def newton_x_interp_direct(window, weights):
+    newest = window[-1]
+    return newest.x - newest.f * inverse_slope_estimate_direct(window, weights)
+
+
+def newton_f_interp_direct(window, weights):
+    slope = direct_slope_estimate_direct(window, weights)
+    if slope == 0:
+        raise SingularStep("estimated slope vanished")
+    newest = window[-1]
+    return newest.x - newest.f / slope
+
+
+def phi_curvature_df_direct(window, weights, slope):
+    n, den = _estimate_parts_direct(window, weights)
+    newest = window[n]
+    num = fsum(
+        weights[k]
+        * ((newest.f - window[k].f) - slope * (newest.x - window[k].x))
+        / (newest.x - window[k].x) ** 2
+        for k in range(n)
+    )
+    return -2 * num / den
+
+
+def df_step_direct(window, weights):
+    slope = direct_slope_estimate_direct(window, weights)
+    curvature = phi_curvature_df_direct(window, weights, slope)
+    if curvature == 0:
+        raise SingularStep("estimated curvature vanished")
+    return window[-1].x - slope / curvature, curvature
+
+
+def phi_third_d1_direct(window, hweights, curvature):
+    slopes = sample_slopes(window)
+    n = len(window) - 1
+    newest = window[n]
+    acc = hweights.gam[n] * curvature / 2
+    for k in range(n):
+        d = newest.x - window[k].x
+        dphi = newest.f - window[k].f
+        acc += hweights.gam[k] * slopes[n] / d
+        acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) / (d * d)
+        acc -= 2 * hweights.lam[k] * dphi / (d * d * d)
+    return -6 / hweights.lam[n] * acc
+
+
+def d1_step_direct(window, hweights, beta):
+    curvature = hermite_node_curvature_direct(
+        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights)
+    if curvature == 0:
+        raise SingularStep("estimated curvature vanished")
+    third = phi_third_d1_direct(window, hweights, curvature)
+    newest = window[-1]
+    try:
+        x_new = chebyshev_halley_update_direct(newest.x, newest.f_prime, curvature, third, beta)
+    except ZeroDerivative as err:
+        raise SingularStep(str(err)) from None
+    return x_new, curvature
+
+
+def diverged_direct(x, f):
+    """The driver's divergence check on a pushed sample."""
+    return not (mpmath.isfinite(x) and mpmath.isfinite(f))
+
+
+def converged_direct(x, res, previous_x, tol_f, tol_x):
+    """The driver's convergence checks: the residual, then the step."""
+    if res is not None and (res == 0 or abs(res) < tol_f):
+        return True
+    return previous_x is not None and abs(x - previous_x) < tol_x

@@ -1,7 +1,7 @@
 import io
 import json
 
-from baryiter import cli
+from baryiter import cli, corpus
 from baryiter.numerics import PRECISION_ENV_VAR
 
 
@@ -244,3 +244,26 @@ def test_picard_bootstrap_needs_a_fixed_point_form_only_for_a_second_point(capsy
     # newton's window is 1: no second point is seeded, so the form is never asked for
     code, _ = run_cli(*args, "--method", "newton")
     assert code == 0
+
+
+def test_an_unknown_problem_prints_the_message_itself(capsys):
+    code, text = run_cli("solve", "--problem", "nope")
+    assert (code, text) == (1, "")
+    known = ", ".join(sorted(corpus.PROBLEMS))
+    assert capsys.readouterr().err == f"error: unknown problem 'nope'; known: {known}\n"
+
+
+def test_a_non_finite_parameter_is_a_usage_error(capsys):
+    runs = {
+        ("optimize", "--problem", "opt_cos", "--method", "ch-d1", "--beta", "nan"): "beta",
+        ("solve", "--problem", "cos_minus_x", "--method", "ch-x-interp", "--beta=-inf"): "beta",
+        ("solve", "--problem", "cos_minus_x", "--weights", "alpha", "--alpha", "inf"): "alpha",
+        ("solve", "--problem", "cos_minus_x", "--tol-f", "nan"): "tol_f",
+        ("solve", "--problem", "cos_minus_x", "--tol-x", "inf"): "tol_x",
+        ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", "nan"):
+            "perturb_h",
+    }
+    for argv, name in runs.items():
+        assert run_cli(*argv) == (1, "")
+        value = argv[-1].partition("=")[2] or argv[-1]
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"

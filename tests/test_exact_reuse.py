@@ -1,20 +1,23 @@
 """Each hot-path value is computed once, and reusing it changes no bit.
 
-The memoised ``cos``/``sin``/``exp`` are checked against mpmath, the weight
-families and window selection against the direct mpf loops in ``oracles``,
-and call counts show the weights of a window and the default tolerance
-being built once.
+The memoised ``cos``/``sin``/``exp`` are checked against mpmath; the weight
+families, window selection, step formulas and the driver's checks against
+the mpf loops in ``oracles``; and call counts show the weights of a window
+and the default tolerance being built once.
 """
 
+from types import SimpleNamespace
+
 import mpmath
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import mpf_cos_sin, mpf_exp
 
-from baryiter import corpus, numerics, optimise, root_search
-from baryiter.errors import DegenerateNodes, ZeroDerivative
+from baryiter import corpus, interpolants, numerics, optimise, root_search
+from baryiter.errors import DegenerateNodes, ExactRootHit, SingularStep, ZeroDerivative
 from baryiter.interpolants import Sample
 from baryiter.root_search import STATUS_FALLBACK, SolverConfig, select_window
 from baryiter.weights import (
@@ -293,3 +296,183 @@ def test_root_runs_select_each_window_once(monkeypatch, method, scheme):
     # a root run has no residual to select for: each proposal selects once
     assert proposals
     assert len(selections) == len(proposals)
+
+
+# ---------------------------------------------------------------------------
+# step formulas and the driver's checks on raw values
+
+
+def _exact(value):
+    """A result's exact bits: an mpf's raw value, element-wise through tuples."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return (type(value), value._mpf_) if isinstance(value, mpf) else value
+
+
+def _step_outcome(fn, *args):
+    """The exact result, or the exception's type and message (and ``x`` for ExactRootHit)."""
+    try:
+        return _exact(fn(*args))
+    except Exception as err:  # which guard fires first is part of the outcome
+        return type(err), str(err), _exact(getattr(err, "x", None))
+
+
+def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
+    """(name, library call, oracle call) for every converted formula on one draw."""
+    problem = SimpleNamespace(name="drawn", fixed_point=lambda x: x + 1, d2f=lambda x: fpp)
+    pairs = [
+        ("step_exact_df", (root_search.step_exact_df, window, weights),
+         (oracles.step_exact_df_direct, window, weights)),
+        ("step_exact_d1", (root_search.step_exact_d1, window, hweights),
+         (oracles.step_exact_d1_direct, window, hweights)),
+        ("inverse_slope_estimate", (root_search.inverse_slope_estimate, window, weights),
+         (oracles.inverse_slope_estimate_direct, window, weights)),
+        ("direct_slope_estimate", (root_search.direct_slope_estimate, window, weights),
+         (oracles.direct_slope_estimate_direct, window, weights)),
+        ("second_derivative_x_interp", (root_search.second_derivative_x_interp, window, hweights),
+         (oracles.second_derivative_x_interp_direct, window, hweights)),
+        ("second_derivative_f_interp", (root_search.second_derivative_f_interp, window, hweights),
+         (oracles.second_derivative_f_interp_direct, window, hweights)),
+        ("newton_x_interp", (lambda *a: root_search.newton_x_interp(None, *a)[0], window, weights),
+         (oracles.newton_x_interp_direct, window, weights)),
+        ("newton_f_interp", (lambda *a: root_search.newton_f_interp(None, *a)[0], window, weights),
+         (oracles.newton_f_interp_direct, window, weights)),
+        ("phi_curvature_df", (optimise.phi_curvature_df, window, weights, slope),
+         (oracles.phi_curvature_df_direct, window, weights, slope)),
+        ("_df_step", (optimise._df_step, window, weights),
+         (oracles.df_step_direct, window, weights)),
+        ("phi_third_d1", (optimise.phi_third_d1, window, hweights, curvature),
+         (oracles.phi_third_d1_direct, window, hweights, curvature)),
+        ("_d1_step", (optimise._d1_step, window, hweights, beta),
+         (oracles.d1_step_direct, window, hweights, beta)),
+        ("baseline_step/secant", (root_search.baseline_step, "secant", problem, window),
+         (oracles.baseline_step_direct, "secant", problem, window)),
+        ("baseline_step/picard", (root_search.baseline_step, "picard", problem, window),
+         (oracles.baseline_step_direct, "picard", problem, window)),
+    ]
+    newest = window[-1]
+    if newest.f_prime is not None:  # the mpf copies fail on None with other messages
+        pairs += [
+            ("chebyshev_halley_update",
+             (root_search.chebyshev_halley_update, newest.x, newest.f, newest.f_prime, fpp, beta),
+             (oracles.chebyshev_halley_update_direct, newest.x, newest.f, newest.f_prime, fpp,
+              beta)),
+            ("baseline_step/newton", (root_search.baseline_step, "newton", problem, window),
+             (oracles.baseline_step_direct, "newton", problem, window)),
+            ("baseline_step/halley", (root_search.baseline_step, "halley", problem, window),
+             (oracles.baseline_step_direct, "halley", problem, window)),
+            ("hermite_node_curvature",
+             (interpolants.hermite_node_curvature, [s.x for s in window], [s.f for s in window],
+              [s.f_prime for s in window], hweights),
+             (oracles.hermite_node_curvature_direct, [s.x for s in window],
+              [s.f for s in window], [s.f_prime for s in window], hweights)),
+        ]
+    return pairs
+
+
+def _step_outcomes(window, weights, hweights, beta, slope, curvature, fpp):
+    """name -> (library outcome, oracle outcome)."""
+    return {name: (_step_outcome(*ours), _step_outcome(*theirs))
+            for name, ours, theirs in _step_pairs(window, weights, hweights, beta, slope,
+                                                  curvature, fpp)}
+
+
+def _check_the_driver(x, f, res, previous_x, tol_f, tol_x):
+    prec, rounding = mpmath.mp._prec_rounding
+    diverged = x._mpf_ in root_search._NONFINITE or f._mpf_ in root_search._NONFINITE
+    assert diverged == oracles.diverged_direct(x, f)
+    raw = [None if v is None else v._mpf_ for v in (x, res, previous_x, tol_f, tol_x)]
+    got = root_search._converged(*raw, prec, rounding)
+    assert got == oracles.converged_direct(x, res, previous_x, tol_f, tol_x)
+
+
+# small integers make zero f and slopes, repeated x and f and cancelling sums
+# likely; p/q fills the whole mantissa
+STEP_VALUES = st.one_of(st.integers(-2, 2).map(lambda k: (k, 1)), RATIONALS)
+CHECK_VALUES = st.one_of(STEP_VALUES, st.sampled_from(("nan", "inf", "-inf")))
+STEP_RUNS = {64: 150, 256: 150, 4096: 40}
+
+
+def _number(drawn):
+    return mpf(drawn) if isinstance(drawn, str) else _value(drawn)
+
+
+@pytest.mark.parametrize("bits", sorted(STEP_RUNS))
+def test_step_formulas_are_bit_identical_to_the_mpf_formulas(bits):
+    @settings(max_examples=STEP_RUNS[bits], deadline=None)
+    @given(
+        points=st.lists(st.tuples(STEP_VALUES, STEP_VALUES, STEP_VALUES), min_size=1, max_size=5),
+        weights=st.lists(STEP_VALUES, min_size=5, max_size=5),
+        lam=st.lists(STEP_VALUES, min_size=5, max_size=5),
+        gam=st.lists(STEP_VALUES, min_size=5, max_size=5),
+        scalars=st.lists(STEP_VALUES, min_size=4, max_size=4),
+        with_slopes=st.sampled_from((True, True, True, False)),
+        checks=st.tuples(CHECK_VALUES, CHECK_VALUES, st.one_of(st.none(), CHECK_VALUES),
+                         st.one_of(st.none(), CHECK_VALUES), STEP_VALUES, STEP_VALUES),
+    )
+    def check(points, weights, lam, gam, scalars, with_slopes, checks):
+        with numerics.precision(bits):
+            window = [Sample(_value(x), _value(f), _value(fp) if with_slopes else None)
+                      for x, f, fp in points]
+            size = len(window)
+            hweights = HermiteWeights(tuple(map(_value, lam[:size])),
+                                      tuple(map(_value, gam[:size])))
+            for name, (got, want) in _step_outcomes(
+                    window, [_value(w) for w in weights[:size]], hweights,
+                    *map(_value, scalars)).items():
+                assert got == want, name
+            x, f, res, previous_x, tol_f, tol_x = (
+                None if v is None else _number(v) for v in checks)
+            _check_the_driver(x, f, res, previous_x, abs(tol_f), abs(tol_x))
+
+    check()
+
+
+def _window(*points):
+    return [Sample(*map(mpf, point)) for point in points]
+
+
+# (window, weights, (lam, gam), guard that fires) for each guard the draws must reach
+GUARDS = [
+    ("step_exact_df", _window((1, 0, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
+     (ExactRootHit, "stored sample is an exact root", (mpf, mpf(1)._mpf_))),
+    ("step_exact_df", _window((1, 1, 1), (2, -1, 1)), (1, 1), ((1, 1), (1, 1)),
+     (SingularStep, "denominator sum vanished in exact-df step", None)),
+    ("step_exact_d1", _window((1, 1, 0), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (ZeroDerivative, "exact-d1 needs non-zero f_prime", None)),
+    ("step_exact_d1", _window((1, 1, 1), (2, -1, 1)), (1, 1), ((1, -1), (0, 0)),
+     (SingularStep, "denominator sum vanished in exact-d1 step", None)),
+    ("inverse_slope_estimate", _window((1, 2, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated f value in the window", None)),
+    ("direct_slope_estimate", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated x value in the window", None)),
+    ("direct_slope_estimate", _window((1, 1, 1), (2, 2, 1), (3, 3, 1)), (1, -1, 1),
+     ((1, 1, 1), (1, 1, 1)), (SingularStep, "weight sum over the older samples vanished", None)),
+    ("newton_f_interp", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
+     (SingularStep, "estimated slope vanished", None)),
+    ("second_derivative_x_interp", _window((1, 1, 1), (2, 2, 0)), (1, 1), ((1, 1), (1, 1)),
+     (ZeroDerivative, "this estimate needs non-zero f_prime", None)),
+    ("second_derivative_f_interp", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated x value in the window", None)),
+    ("baseline_step/secant", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
+     (SingularStep, "secant denominator vanished", None)),
+    ("baseline_step/newton", _window((1, 1, 0)), (1,), ((1,), (1,)),
+     (ZeroDerivative, "Newton step needs f' != 0", None)),
+    ("_d1_step", _window((0, 0, 0), (1, 0, 0)), (1, 1), ((1, 1), (0, 0)),
+     (SingularStep, "estimated curvature vanished", None)),
+]
+
+
+@pytest.mark.parametrize("bits", sorted(STEP_RUNS))
+@pytest.mark.parametrize("name, window, weights, hweights, guard", GUARDS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(GUARDS)])
+def test_each_guard_fires_as_in_the_mpf_formulas(bits, name, window, weights, hweights, guard):
+    with numerics.precision(bits):
+        window = [Sample(+s.x, +s.f, +s.f_prime) for s in window]
+        lam, gam = hweights
+        outcomes = _step_outcomes(window, list(map(mpf, weights)),
+                                  HermiteWeights(tuple(map(mpf, lam)), tuple(map(mpf, gam))),
+                                  mpf(1), mpf(1), mpf(1), mpf(1))
+        for got, want in outcomes.values():
+            assert got == want
+        assert outcomes[name][0] == guard

@@ -74,6 +74,22 @@ def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
     SolverConfig(method="newton", window=1, bootstrap="explicit").validated()
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "tol_f", "tol_x", "perturb_h"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("-inf")])
+def test_a_non_finite_numeric_field_is_rejected(name, value):
+    config = SolverConfig(method="ch-d1", window=2, **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        config.validated("opt")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        optimize(corpus.get_problem("opt_cos"), config)
+
+
+def test_finite_numeric_fields_of_every_type_are_accepted():
+    for value in (0, 3, "1e-40", 0.5, real("2")):
+        fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)
+        SolverConfig(method="ch-d1", window=2, **fields).validated("opt")
+
+
 def test_only_a_root_run_checks_its_second_seed_against_tol_x():
     # the seeds lie 1e-30 apart, far inside tol_x, while both residuals are large
     root = solve(corpus.get_problem("x2_minus_2"), SolverConfig(
