@@ -12,7 +12,7 @@ pair throughout, so changing the working precision while solvers are
 running concurrently at another precision is not supported.
 
 The hot paths (weights, expression programs, window selection, the step
-formulas and the driver's checks) run on raw libmp tuples, the ``_mpf_``
+formulas and the solver loop's checks) run on raw libmp tuples, the ``_mpf_``
 inside each mpf: a kernel calls the libmp function that mpf's operator
 would call (``mpf_sub``, ``mpf_div`` ...) with the same (precision,
 rounding), so every result keeps its exact bits, and builds mpf objects

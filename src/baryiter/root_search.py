@@ -32,7 +32,7 @@ growing from as many starting points as the method's window minimum: after x0,
 else a small perturbation.  A singular step is retried with one sample fewer
 (``singular-step-fallback``) down to the method minimum, then raised.
 
-The step formulas, window selection and the driver's per-step checks
+The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
 raw libmp values, bit for bit as the mpf formulas (see ``numerics``).
 """

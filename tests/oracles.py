@@ -257,7 +257,7 @@ def evaluate_direct(node, x):
 
 
 # ---------------------------------------------------------------------------
-# the step formulas and the driver's checks as mpf loops: one mpf per
+# the step formulas and the solver loop's checks as mpf loops: one mpf per
 # operation, as ``root_search``, ``optimise`` and ``interpolants`` computed
 # them before they ran on raw libmp values
 
@@ -460,12 +460,12 @@ def d1_step_direct(window, hweights, beta):
 
 
 def diverged_direct(x, f):
-    """The driver's divergence check on a pushed sample."""
+    """The solver loop's divergence check on a pushed sample."""
     return not (mpmath.isfinite(x) and mpmath.isfinite(f))
 
 
 def converged_direct(x, res, previous_x, tol_f, tol_x):
-    """The driver's convergence checks: the residual, then the step."""
+    """The solver loop's convergence checks: the residual, then the step."""
     if res is not None and (res == 0 or abs(res) < tol_f):
         return True
     return previous_x is not None and abs(x - previous_x) < tol_x

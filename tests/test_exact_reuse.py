@@ -1,7 +1,7 @@
 """Each hot-path value is computed once, and reusing it changes no bit.
 
 The memoised ``cos``/``sin``/``exp`` are checked against mpmath; the weight
-families, window selection, step formulas and the driver's checks against
+families, window selection, step formulas and the solver loop's checks against
 the mpf loops in ``oracles``; and call counts show the weights of a window
 and the default tolerance being built once.
 """
@@ -299,7 +299,7 @@ def test_root_runs_select_each_window_once(monkeypatch, method, scheme):
 
 
 # ---------------------------------------------------------------------------
-# step formulas and the driver's checks on raw values
+# step formulas and the solver loop's checks on raw values
 
 
 def _exact(value):
@@ -377,7 +377,7 @@ def _step_outcomes(window, weights, hweights, beta, slope, curvature, fpp):
                                                   curvature, fpp)}
 
 
-def _check_the_driver(x, f, res, previous_x, tol_f, tol_x):
+def _check_the_solver_loop(x, f, res, previous_x, tol_f, tol_x):
     prec, rounding = mpmath.mp._prec_rounding
     diverged = x._mpf_ in root_search._NONFINITE or f._mpf_ in root_search._NONFINITE
     assert diverged == oracles.diverged_direct(x, f)
@@ -423,7 +423,7 @@ def test_step_formulas_are_bit_identical_to_the_mpf_formulas(bits):
                 assert got == want, name
             x, f, res, previous_x, tol_f, tol_x = (
                 None if v is None else _number(v) for v in checks)
-            _check_the_driver(x, f, res, previous_x, abs(tol_f), abs(tol_x))
+            _check_the_solver_loop(x, f, res, previous_x, abs(tol_f), abs(tol_x))
 
     check()
 
