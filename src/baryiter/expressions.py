@@ -11,10 +11,12 @@ Grammar (whitespace ignored)::
 
 Exponents must reduce to integer constants (optionally signed, and
 themselves allowed to be integer powers, so 2^3^2 = 2^9); that keeps
-symbolic differentiation closed under the grammar.  A caller may give the
-source of any derivative order in place of the symbolic one (the built-in
-problems do, where the symbolic form would round differently); each higher
-order is then differentiated from it.
+symbolic differentiation closed under the grammar.  An exponent, and each
+literal or power in it, is at most ``MAX_EXPONENT`` = 10^6 in magnitude
+(x^2^2^2^2 = x^65536).  A caller may give the source of any derivative
+order in place of the symbolic one (the built-in problems do, where the
+symbolic form would round differently); each higher order is then
+differentiated from it.
 
 ``parse_expression`` compiles the value tree and each derivative tree once
 into nested closures on raw libmp values (see ``numerics``); evaluating one
@@ -50,6 +52,7 @@ from .numerics import Raw, Real, Scalar, make_mpf, raw_powi, to_raw
 # ("neg", a), ("pow", a, int), ("call", name, a)
 
 FUNCTIONS = numerics.ELEMENTARY  # FUNC name -> its evaluator on raw values
+MAX_EXPONENT = 10 ** 6
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -151,11 +154,19 @@ class _Parser:
         if kind != "num" or not re.fullmatch(r"\d+", value):
             raise ParseError("exponent must be an integer", column)
         self.advance()
-        base = int(value)
+        # MAX_EXPONENT + 1 stands for any larger value, so int() and ** build no huge integer
+        base = int(value) if len(value.lstrip("0")) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
         kind, op_value, _ = self.peek()
         if kind == "op" and op_value == "^":
             self.advance()
-            base = base ** self.exponent()
+            power = self.exponent()
+            if power < 0 and base != 1:  # 2^-1 is no integer, 0^-1 nothing
+                raise ParseError("exponent must be an integer", column)
+            # 2 to the bit length of MAX_EXPONENT exceeds it; 1^-k is 1^k
+            large = base > 1 and power >= MAX_EXPONENT.bit_length()
+            base = MAX_EXPONENT + 1 if large else base ** abs(power)
+        if base > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT} in magnitude", column)
         return sign * base
 
     def atom(self):

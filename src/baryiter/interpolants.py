@@ -20,9 +20,9 @@ slope-matching form matches the stored first derivatives as well.
 run interpolates its objective directly, so (x, phi, phi') is stored as
 (x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
 
-``hermite_node_curvature`` is on the solver's hot path and runs on raw
-libmp values, bit for bit as the mpf formula (see ``numerics``); the
-evaluators stay mpf loops.
+``hermite_node_curvature`` is on the solver's hot path and runs on the raw
+libmp values of its mpf arguments, bit for bit as the mpf formula (see
+``numerics``); the evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from mpmath import fsum
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_rdiv_int, mpf_sub
 
 from .errors import SingularDenominator, ZeroDerivative
-from .numerics import Real, Scalar, as_raws, make_mpf, real
-from .weights import HermiteWeights, node_scale, separation_floor
+from .numerics import Real, Scalar, make_mpf, real
+from .weights import HermiteWeights, raw_floor, raw_scale
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ def _hermite_data(samples: Sequence[Sample], orientation: str):
 def _near_node(nodes: Sequence[Real], t: Real) -> int | None:
     # Within the separation floor the ratio is meaningless; return the node
     # value instead so evaluation is total away from true poles.
-    floor = separation_floor(max(node_scale(nodes), abs(t)))
+    prec, rounding = mpmath.mp._prec_rounding
+    scale = raw_scale([c._mpf_ for c in nodes] + [t._mpf_], prec, rounding)  # largest |value|
+    floor = make_mpf(raw_floor(scale, prec, rounding))
     for i, c in enumerate(nodes):
         if abs(t - c) <= floor:
             return i
@@ -169,8 +171,8 @@ def hermite_node_curvature(
     """
     prec, rounding = mpmath.mp._prec_rounding
     n = len(nodes) - 1
-    cs, vs, ss = (as_raws(column, prec, rounding) for column in (nodes, values, slopes))
-    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    cs, vs, ss = ([v._mpf_ for v in column] for column in (nodes, values, slopes))
+    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_mul(gams[n], ss[n], prec, rounding)
     for k in range(n):
         d = mpf_sub(cs[n], cs[k], prec, rounding)

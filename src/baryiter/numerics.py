@@ -17,24 +17,24 @@ inside each mpf: a kernel calls the libmp function that mpf's operator
 would call (``mpf_sub``, ``mpf_div`` ...) with the same (precision,
 rounding), so every result keeps its exact bits, and builds mpf objects
 only for what it returns.  ``to_raw`` converts a Scalar at entry as
-``real`` would; ``as_raw`` reads a value as an mpf operator reads it (an
-mpf's own bits, anything else converted).  The ``raw_*`` functions are
-the elementary functions on raw values, and ``cos``, ``sin``, ``exp``,
-``log``, ``sqrt`` and ``powi`` are the same kernels on mpf values.
+``real`` would.  A problem's values are converted once, by ``as_mpf``, where
+a run takes them, so the kernels read every sample's ``_mpf_`` as it is.
+The ``raw_*`` functions are the elementary functions on raw values.
 
-``cos`` and ``sin`` share one evaluation of mpmath's ``mpf_cos_sin``, which
-always computes both, and ``exp`` keeps its last result: each remembers only
-its last argument, keyed on the value's exact bits, the precision and the
-rounding mode, so a function and its derivative at the same point (f then
-f' in one solver step) pay for one evaluation.  The results are those of
-``mpmath.cos``, ``mpmath.sin`` and ``mpmath.exp`` bit for bit.
+``raw_cos`` and ``raw_sin`` share one evaluation of mpmath's ``mpf_cos_sin``,
+which always computes both, and ``raw_exp`` keeps its last result: each
+remembers only its last argument, keyed on the value's exact bits, the
+precision and the rounding mode, so a function and its derivative at the
+same point (f then f' in one solver step) pay for one evaluation.  The
+results are those of ``mpmath.cos``, ``mpmath.sin`` and ``mpmath.exp`` bit
+for bit.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 import mpmath
 from mpmath import mpf
@@ -124,18 +124,13 @@ def to_raw(value: Scalar, prec: int, rounding: str) -> Raw:
     return mpf(value)._mpf_
 
 
-def as_raw(value: Scalar, prec: int, rounding: str) -> Raw:
-    """The raw value an mpf operator reads from ``value``.
+def as_mpf(value: Scalar) -> Real:
+    """``value`` as an mpf operator reads it.
 
-    An mpf's own bits, unrounded; a float, int or decimal string converted
-    at the working precision, so a problem returning floats still runs.
+    An mpf as it is, unrounded; a float, int or decimal string converted at
+    the working precision, so a problem returning floats still runs.
     """
-    return value._mpf_ if isinstance(value, mpf) else to_raw(value, prec, rounding)
-
-
-def as_raws(values: Iterable[Scalar], prec: int, rounding: str) -> list[Raw]:
-    """``as_raw`` of each of ``values``, written out: this runs once per window column."""
-    return [v._mpf_ if isinstance(v, mpf) else to_raw(v, prec, rounding) for v in values]
+    return value if isinstance(value, mpf) else mpf(value)
 
 
 make_mpf = mpmath.mp.make_mpf  # an mpf holding a raw value as it is
@@ -162,7 +157,7 @@ def to_decimal(value: Scalar, digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# elementary functions with domain checks, on raw values and on mpf values
+# elementary functions on raw values, with domain checks
 
 def _remembering_last(libmp_function: Callable) -> Callable:
     """``libmp_function`` of a raw value, remembering its last call.
@@ -220,37 +215,6 @@ def raw_powi(x: Raw, exponent: int, prec: int, rounding: str) -> Raw:
     if exponent < 0 and x == fzero:
         raise DomainError("0 cannot be raised to a negative power")
     return mpf_pow_int(x, exponent, prec, rounding)
-
-
-def _on_real(kernel: Callable, x: Scalar, *args) -> Real:
-    """``kernel`` on a Scalar at the working precision, as an mpf."""
-    prec, rounding = mpmath.mp._prec_rounding
-    return make_mpf(kernel(to_raw(x, prec, rounding), *args, prec, rounding))
-
-
-def cos(x: Scalar) -> Real:
-    return _on_real(raw_cos, x)
-
-
-def sin(x: Scalar) -> Real:
-    return _on_real(raw_sin, x)
-
-
-def exp(x: Scalar) -> Real:
-    return _on_real(raw_exp, x)
-
-
-def log(x: Scalar) -> Real:
-    return _on_real(raw_log, x)
-
-
-def sqrt(x: Scalar) -> Real:
-    return _on_real(raw_sqrt, x)
-
-
-def powi(x: Scalar, exponent: int) -> Real:
-    """Integer power; 0 to a negative power is a domain error."""
-    return _on_real(raw_powi, x, int(exponent))
 
 
 # the elementary functions by name: the expression grammar's FUNC and its

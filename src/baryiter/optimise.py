@@ -49,10 +49,10 @@ from mpmath.libmp import (
     mpf_sum,
 )
 
-from .errors import SingularStep, ZeroDerivative
+from .errors import SingularStep
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
 from .interpolants import Sample, hermite_node_curvature, sample_slopes
-from .numerics import Real, as_raw, as_raws, make_mpf
+from .numerics import Real, make_mpf
 from .root_search import (
     IterationTrace,
     SolverConfig,
@@ -79,7 +79,7 @@ def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: R
     prec, rounding = mpmath.mp._prec_rounding
     n, ws, den = _estimate_parts(window, weights, prec, rounding)
     xs, fs = _columns(window, prec, rounding)
-    slope = as_raw(slope, prec, rounding)
+    slope = slope._mpf_
     terms = []
     for k in range(n):
         dx = mpf_sub(xs[n], xs[k], prec, rounding)
@@ -97,7 +97,7 @@ def _df_step(window: Sequence[Sample], weights: Sequence[Real]):
     prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
-    x = as_raw(window[-1].x, prec, rounding)
+    x = window[-1].x._mpf_
     step = mpf_div(slope._mpf_, curvature._mpf_, prec, rounding)
     return make_mpf(mpf_sub(x, step, prec, rounding)), curvature
 
@@ -123,12 +123,11 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
                     - 2 lam_k (phi_n - phi_k)/(x_n - x_k)^3])``
     """
     prec, rounding = mpmath.mp._prec_rounding
-    slopes = as_raws(sample_slopes(window), prec, rounding)
+    slopes = [sl._mpf_ for sl in sample_slopes(window)]
     n = len(window) - 1
     xs, fs = _columns(window, prec, rounding)
-    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
-    acc = mpf_div(mpf_mul(gams[n], as_raw(curvature, prec, rounding), prec, rounding), ftwo,
-                  prec, rounding)
+    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
+    acc = mpf_div(mpf_mul(gams[n], curvature._mpf_, prec, rounding), ftwo, prec, rounding)
     for k in range(n):
         d = mpf_sub(xs[n], xs[k], prec, rounding)
         dphi = mpf_sub(fs[n], fs[k], prec, rounding)
@@ -151,11 +150,7 @@ def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):
         raise SingularStep("estimated curvature vanished")
     third = phi_third_d1(window, hweights, curvature)
     newest = window[-1]
-    try:
-        x_new = chebyshev_halley_update(newest.x, newest.f_prime, curvature, third, beta)
-    except ZeroDerivative as err:
-        raise SingularStep(str(err)) from None
-    return x_new, curvature
+    return chebyshev_halley_update(newest.x, newest.f_prime, curvature, third, beta), curvature
 
 
 def opt_step_d1(window: Sequence[Sample], hweights: HermiteWeights, beta: Real) -> Real:

@@ -74,7 +74,7 @@ from .errors import (
     ZeroDerivative,
 )
 from .interpolants import Sample, hermite_node_curvature, sample_slopes
-from .numerics import Raw, Real, Scalar, as_raw, as_raws, make_mpf, real
+from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
     derivative_scaled_weights,
@@ -219,13 +219,12 @@ class IterationTrace:
 # libmp values (see ``numerics``): every operation calls the libmp function
 # that mpf's operator would call, in the same order, and only the returned
 # value is built as an mpf, so each step is that of the mpf formula bit for
-# bit.  Coordinates are read through ``as_raw``, so float samples still run.
+# bit.  Each argument is an mpf (``drive`` converts a problem's values), read as its ``_mpf_``.
 
 
 def _columns(window: Sequence[Sample], prec: int, rounding: str) -> tuple[list, list]:
     """The window's x and f coordinates as raw values."""
-    return (as_raws([s.x for s in window], prec, rounding),
-            as_raws([s.f for s in window], prec, rounding))
+    return [s.x._mpf_ for s in window], [s.f._mpf_ for s in window]
 
 
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
@@ -235,8 +234,7 @@ def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     for s, f in zip(window, fs):
         if mpf_eq(f, fzero):
             raise ExactRootHit(s.x)
-    terms = [mpf_div(w, f, prec, rounding)
-             for w, f in zip(as_raws(weights, prec, rounding), fs)]
+    terms = [mpf_div(w._mpf_, f, prec, rounding) for w, f in zip(weights, fs)]
     den = mpf_sum(terms, prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-df step")
@@ -251,9 +249,9 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
      / (sum [lam_i - gam_i f_i]/f_i^2)``
     """
     prec, rounding = mpmath.mp._prec_rounding
-    slopes = as_raws(sample_slopes(window), prec, rounding)
+    slopes = [sl._mpf_ for sl in sample_slopes(window)]
     xs, fs = _columns(window, prec, rounding)
-    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     num_terms = []
     den_terms = []
     for lam, gam, s, x, f, fp in zip(lams, gams, window, xs, fs, slopes):
@@ -277,7 +275,7 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
 def _estimate_parts(window: Sequence[Sample], weights: Sequence[Real], prec: int, rounding: str):
     """(index of the newest sample, the raw weights, their sum over the older samples)."""
     n = len(window) - 1
-    raw = as_raws(weights, prec, rounding)
+    raw = [w._mpf_ for w in weights]
     den = mpf_sum(raw[:n], prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("weight sum over the older samples vanished")
@@ -325,11 +323,11 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     """
     prec, rounding = mpmath.mp._prec_rounding
     n = len(window) - 1
-    slopes = as_raws(sample_slopes(window), prec, rounding)
+    slopes = [sl._mpf_ for sl in sample_slopes(window)]
     if any(mpf_eq(sl, fzero) for sl in slopes):
         raise ZeroDerivative("this estimate needs non-zero f_prime")
     xs, fs = _columns(window, prec, rounding)
-    lams, gams = as_raws(hweights.lam, prec, rounding), as_raws(hweights.gam, prec, rounding)
+    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_div(gams[n], slopes[n], prec, rounding)
     for k in range(n):
         df = mpf_sub(fs[n], fs[k], prec, rounding)
@@ -353,9 +351,7 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
     """
     slopes = sample_slopes(window)
     xs = [s.x for s in window]
-    prec, rounding = mpmath.mp._prec_rounding
-    newest = as_raw(xs[-1], prec, rounding)
-    if any(mpf_eq(newest, as_raw(x, prec, rounding)) for x in xs[:-1]):
+    if any(mpf_eq(xs[-1]._mpf_, x._mpf_) for x in xs[:-1]):
         raise DegenerateNodes("repeated x value in the window")
     return hermite_node_curvature(xs, [s.f for s in window], slopes, hweights)
 
@@ -368,7 +364,7 @@ def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -
     reduces it to the Newton update.
     """
     prec, rounding = mpmath.mp._prec_rounding
-    x, f, fp, fpp, beta = as_raws((x, f, fp, fpp, beta), prec, rounding)
+    x, f, fp, fpp, beta = x._mpf_, f._mpf_, fp._mpf_, fpp._mpf_, beta._mpf_
     if mpf_eq(fp, fzero):
         raise ZeroDerivative("Chebyshev-Halley update needs f' != 0")
     fp2 = mpf_mul(fp, fp, prec, rounding)
@@ -393,22 +389,22 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
         return problem.fixed_point(newest.x)
     prec, rounding = mpmath.mp._prec_rounding
     if method == "newton":
-        fp = as_raw(newest.f_prime, prec, rounding)
+        fp = newest.f_prime._mpf_
         if mpf_eq(fp, fzero):
             raise ZeroDerivative("Newton step needs f' != 0")
-        x, f = as_raws((newest.x, newest.f), prec, rounding)
+        x, f = newest.x._mpf_, newest.f._mpf_
         return make_mpf(mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding))
     if method == "halley":
         if problem.d2f is None:
             raise ValueError(f"problem {problem.name!r} has no second derivative")
-        fpp = problem.d2f(newest.x)
+        fpp = as_mpf(problem.d2f(newest.x))
         return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp,
                                        make_mpf(fhalf))
     if method == "secant":
         if len(window) < 2:
             raise SingularStep("secant needs two samples")
         prev = window[-2]
-        px, pf, x, f = as_raws((prev.x, prev.f, newest.x, newest.f), prec, rounding)
+        px, pf, x, f = prev.x._mpf_, prev.f._mpf_, newest.x._mpf_, newest.f._mpf_
         den = mpf_sub(f, pf, prec, rounding)
         if mpf_eq(den, fzero):
             raise SingularStep("secant denominator vanished")
@@ -460,7 +456,7 @@ def exact_d1(run: _Run, window: Sequence[Sample], weights):
 def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
     prec, rounding = mpmath.mp._prec_rounding
     inverse_slope = inverse_slope_estimate(window, weights)._mpf_
-    x, f = as_raws((window[-1].x, window[-1].f), prec, rounding)
+    x, f = window[-1].x._mpf_, window[-1].f._mpf_
     return make_mpf(mpf_sub(x, mpf_mul(f, inverse_slope, prec, rounding), prec, rounding)), None
 
 
@@ -469,7 +465,7 @@ def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
     slope = direct_slope_estimate(window, weights)._mpf_
     if mpf_eq(slope, fzero):
         raise SingularStep("estimated slope vanished")
-    x, f = as_raws((window[-1].x, window[-1].f), prec, rounding)
+    x, f = window[-1].x._mpf_, window[-1].f._mpf_
     return make_mpf(mpf_sub(x, mpf_div(f, slope, prec, rounding), prec, rounding)), None
 
 
@@ -493,28 +489,21 @@ def baseline(run: _Run, window: Sequence[Sample], weights):
 # the solver loop
 
 
-def select_window(samples: Sequence, size: int, keys: frozenset[str],
-                  scales: Optional[dict] = None) -> list:
+def select_window(samples: Sequence, size: int, keys: frozenset[str], scales: dict) -> list:
     """Newest ``size`` samples whose ``keys`` coordinates are pairwise distinct.
 
     Scans from the newest backwards; an older sample colliding with a newer
     one (within the separation floor) is skipped, implementing the
     evict-the-older-duplicate policy.  Each key's floor comes from the
-    largest |value| of that coordinate over ``samples``: ``scales`` maps
-    each key to it as a raw mpf, or it is found by a scan over ``samples``.
+    largest |value| of that coordinate over ``samples``, which ``scales``
+    maps the key to as a raw mpf (``_Run`` keeps it as samples are added).
     """
     prec, rounding = mpmath.mp._prec_rounding
-    if scales is None:
-        scales = {
-            key: raw_scale((as_raw(getattr(s, key), prec, rounding) for s in samples),
-                           prec, rounding) or fzero
-            for key in keys
-        }
     floors = [raw_floor(scales[key], prec, rounding) for key in keys]
     kept: list = []
     kept_values: list = []  # each kept sample's raw coordinates, in the order of keys
     for s in reversed(samples):
-        values = [as_raw(getattr(s, key), prec, rounding) for key in keys]
+        values = [getattr(s, key)._mpf_ for key in keys]
         if not _clashes(values, kept_values, floors, prec, rounding):
             kept.append(s)
             kept_values.append(values)
@@ -568,7 +557,7 @@ class _Run:
         self.samples.append(sample)
         prec, rounding = mpmath.mp._prec_rounding
         for key in self.keys:
-            value = as_raw(getattr(sample, key), prec, rounding)
+            value = getattr(sample, key)._mpf_
             self._scales[key] = raw_scale((value,), prec, rounding, self._scales.get(key))
         self._selected = None
 
@@ -690,9 +679,11 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
 
         steps: list[StepRecord] = []
 
-        def push(x: Real, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
-            fx = problem.f(x)
-            fpx = problem.df(x) if slopes else None
+        # a problem's values become mpf as they enter: here, in ``finish`` and halley's step
+        def push(x: Scalar, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
+            fx = as_mpf(problem.f(x))
+            fpx = as_mpf(problem.df(x)) if slopes else None
+            x = as_mpf(x)
             run.add(Sample(x, fx, fpx))
             steps.append(StepRecord(len(steps), x, fx, fpx, None, status, sign))
 
@@ -706,25 +697,23 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             except (BaryiterError, ArithmeticError):
                 reference = None
             if reference is not None:
-                ref = as_raw(reference, prec, rounding)
+                reference = as_mpf(reference)
                 for record in steps:
-                    x = as_raw(record.x, prec, rounding)
-                    record.error = make_mpf(mpf_sub(x, ref, prec, rounding))
+                    record.error = make_mpf(mpf_sub(record.x._mpf_, reference._mpf_,
+                                                    prec, rounding))
             return IterationTrace(problem.name, config.method, config, reference, steps)
 
         def terminal(previous_x: Optional[Real]) -> Optional[str]:
             record = steps[-1]
-            x = as_raw(record.x, prec, rounding)
-            if x in _NONFINITE or as_raw(record.f, prec, rounding) in _NONFINITE:
+            x = record.x._mpf_
+            if x in _NONFINITE or record.f._mpf_ in _NONFINITE:
                 return STATUS_DIVERGED
             if residual is None:
                 res = record.f
             else:
                 res = record.f_prime = residual(run)
-            if res is not None:
-                res = as_raw(res, prec, rounding)
-            if previous_x is not None:
-                previous_x = as_raw(previous_x, prec, rounding)
+            res = None if res is None else res._mpf_
+            previous_x = None if previous_x is None else previous_x._mpf_
             if _converged(x, res, previous_x, tol_f, tol_x, prec, rounding):
                 return STATUS_CONVERGED
             return None
@@ -737,7 +726,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             if status:
                 return finish(status)
             if family == "root":
-                previous = x
+                previous = steps[-1].x
 
         # no step raises ExactRootHit: a root sample with f == 0 converges when pushed
         while steps[-1].index < config.max_iter:
@@ -754,9 +743,10 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
     """Drive one root method on ``problem`` until convergence or budget end.
 
     ``problem`` needs ``f`` (plus ``df`` for the derivative methods,
-    ``d2f`` for halley, ``fixed_point`` for picard) returning mpf values,
-    and a ``reference(near)`` that fills the signed error column once the
-    run has ended: the solution nearest the final iterate (a stored root,
-    else one refined from it), when one is found.
+    ``d2f`` for halley, ``fixed_point`` for picard) returning mpf values
+    (anything else is converted as the run takes it), and a
+    ``reference(near)`` that fills the signed error column once the run has
+    ended: the solution nearest the final iterate (a stored root, else one
+    refined from it), when one is found.
     """
     return drive(problem, config, "root", _propose, select_window, _interp_step)

@@ -78,7 +78,7 @@ class HermiteWeights:
 
 
 def raw_floor(scale: Raw, prec: int, rounding: str) -> Raw:
-    """``separation_floor`` of a raw scale."""
+    """Smallest usable node gap: 2^-(precision-8) times |``scale``|, a raw value."""
     return mpf_shift(mpf_abs(scale, prec, rounding), 8 - prec)
 
 
@@ -93,17 +93,6 @@ def raw_scale(values: Iterable[Raw], prec: int, rounding: str,
         if largest is None or mpf_gt(magnitude, largest):
             largest = magnitude
     return largest
-
-
-def separation_floor(scale: Scalar) -> Real:
-    """Smallest usable node gap: 2^-(precision-8) times the node scale."""
-    prec, rounding = mp._prec_rounding
-    return make_mpf(raw_floor(to_raw(scale, prec, rounding), prec, rounding))
-
-
-def node_scale(nodes: Sequence[Real]) -> Real:
-    prec, rounding = mp._prec_rounding
-    return make_mpf(raw_scale((v._mpf_ for v in nodes), prec, rounding) or fzero)
 
 
 def _to_raw(values: Sequence[Scalar], prec: int, rounding: str) -> list[Raw]:

@@ -5,7 +5,9 @@ compiles must round exactly as these forms do, so every output bit of the
 solvers stays as it was when the built-ins were written as these lambdas.
 """
 
-from baryiter.numerics import cos, exp, real, sin
+from mpmath import cos, exp, sin
+
+from baryiter.numerics import real
 
 CLOSED_FORMS = {
     "cos_minus_x": {

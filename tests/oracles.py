@@ -250,10 +250,17 @@ def evaluate_direct(node, x):
     if head == "div":
         return evaluate_direct(node[1], x) / evaluate_direct(node[2], x)
     if head == "pow":
-        return numerics.powi(evaluate_direct(node[1], x), node[2])
+        return elementary("powi", evaluate_direct(node[1], x), node[2])
     if head == "call":
-        return getattr(numerics, node[1])(evaluate_direct(node[2], x))
+        return elementary(node[1], evaluate_direct(node[2], x))
     raise ValueError(f"cannot evaluate node {node!r}")
+
+
+def elementary(name, x, *args):
+    """``numerics``' raw kernel ``name`` (``powi`` takes the exponent) on a Scalar, as an mpf."""
+    prec, rounding = mpmath.mp._prec_rounding
+    kernel = numerics.raw_powi if name == "powi" else numerics.ELEMENTARY[name]
+    return numerics.make_mpf(kernel(numerics.to_raw(x, prec, rounding), *args, prec, rounding))
 
 
 # ---------------------------------------------------------------------------

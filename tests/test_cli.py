@@ -267,3 +267,29 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         assert run_cli(*argv) == (1, "")
         value = argv[-1].partition("=")[2] or argv[-1]
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+
+def test_an_exponent_beyond_the_bound_is_a_parse_error(capsys):
+    for expr in ("x^2^2^2^2^2", "x^" + "9" * 4400):
+        assert run_cli("solve", "--expr", expr, "--x0", "1") == (1, "")
+        assert capsys.readouterr().err == (
+            "error: exponent exceeds 1000000 in magnitude (column 3)\n")
+    code, text = run_cli("solve", "--expr", "x^2^2^2^2", "--x0", "1", "--precision-bits", "128")
+    assert code == 0 and text.startswith("problem: x^2^2^2^2")
+
+
+def test_compare_without_a_reference_prints_residual_cells():
+    code, text = run_cli("compare", "--expr", "x*x+1", "--x0", "0.5",
+                         "--methods", "secant,exact-df", "--max-iter", "4")
+    assert code == 2
+    assert text == (
+        "problem: x*x+1   |error| per step\n"
+        "i        secant    exact-df\n"
+        "0    f=1.25e+00  f=1.25e+00\n"
+        "1    f=1.25e+00  f=1.25e+00\n"
+        "2    f=1.56e+00  f=1.56e+00\n"
+        "3    f=3.18e+01  f=1.09e+00\n"
+        "4    f=2.15e+00  f=3.43e+00\n"
+        "secant: budget-exhausted after 4 steps\n"
+        "exact-df: budget-exhausted after 4 steps\n"
+    )

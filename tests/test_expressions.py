@@ -53,6 +53,29 @@ def test_exponent_must_be_integer():
     assert e.df(2) == -2 * mpf(2) ** -3
 
 
+def test_trailing_whitespace_is_ignored():
+    assert parse_expression("x*x - 2   ").nodes == parse_expression("x*x - 2").nodes
+
+
+def test_an_exponent_beyond_the_bound_is_a_parse_error():
+    # the column is that of the first literal of the exponent that grows too large
+    for src, column in (("x^2^2^2^2^2", 3), ("x^2^2^2^2^2^2", 5), ("x^" + "9" * 4400, 3),
+                        ("x^1000001", 3), ("(x+1)^-10^7", 8)):
+        with pytest.raises(ParseError, match="^exponent exceeds 1000000 in magnitude") as info:
+            parse_expression(src)
+        assert info.value.position == column
+    assert parse_expression("x^2^2^2^2").nodes[0] == ("pow", ("var",), 65536)
+    assert parse_expression("x^-1000000").nodes[0] == ("pow", ("var",), -1000000)
+
+
+def test_a_nested_negative_exponent_must_leave_an_integer():
+    for src in ("x^2^-1", "x^0^-1"):
+        with pytest.raises(ParseError, match="^exponent must be an integer") as info:
+            parse_expression(src)
+        assert info.value.position == 3
+    assert parse_expression("x^1^-3").nodes[0] == ("pow", ("var",), 1)
+
+
 def test_power_right_associative():
     e = parse_expression("2^3^2")
     assert e.f(0) == 512

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from baryiter import cli, corpus
+from baryiter import cli, corpus, root_search
 from baryiter.errors import BaryiterError, DegenerateNodes
 from baryiter.interpolants import ObjectiveSample, Sample
 from baryiter.methods import METHODS, OPT_METHODS, ROOT_METHODS
@@ -134,7 +134,11 @@ def test_a_window_keeps_distinct_what_its_weights_and_its_step_divide_by(method,
     with precision(128):
         samples = [make_sample(real(x), real(f), real(k + 2))
                    for k, (x, f) in enumerate(zip(xs, fs))]
-        window = select_window(samples, len(samples), keys)
+        run = root_search._Run(spec, method, None, build, keys, len(samples), real(0), real(1),
+                               select_window, None)
+        for s in samples:
+            run.add(s)
+        window = run.newest_window()
         try:
             spec.step(SimpleNamespace(beta=real(1)), window, build(window, real(0)))
         except BaryiterError as err:  # a vanished denominator, say, is the step's own outcome

@@ -1,11 +1,18 @@
+import math
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from baryiter import corpus, root_search
 from baryiter.errors import SingularStep, ZeroDerivative
 from baryiter.expressions import parse_expression
 from baryiter.interpolants import Sample
+from baryiter.methods import METHODS
 from baryiter.numerics import precision, real
+from baryiter.optimise import optimize
 from baryiter.root_search import IterationTrace, SolverConfig, select_window, solve
 
 
@@ -128,14 +135,22 @@ def test_duplicate_coordinate_eviction_prefers_newest():
         Sample(mpf(1), mpf(1)),
         Sample(mpf(2), mpf(4)),
     ]
-    window = select_window(samples, 3, frozenset({"f"}))
+    window = _newest_window(samples, 3, frozenset({"f"}))
     assert [s.x for s in window] == [mpf(1), mpf(2)]
-    window = select_window(samples, 3, frozenset({"x"}))
+    window = _newest_window(samples, 3, frozenset({"x"}))
     assert len(window) == 3
 
 
+def _newest_window(samples, size, keys):
+    """The window a run selects after taking ``samples`` in order."""
+    run = root_search._Run(None, "", None, None, keys, size, mpf(0), mpf(1), select_window, None)
+    for s in samples:
+        run.add(s)
+    return run.newest_window()
+
+
 def test_f_keyed_windows_take_a_problem_returning_floats():
-    # samples hold what the problem returns; window selection converts it
+    # the run converts what the problem returns as it takes each sample
     problem = corpus.Problem(name="floats", kind="root", f=lambda x: float(x) ** 2 - 2.0,
                              df=lambda x: 2 * float(x), default_x0="1")
     for scheme in ("x", "f"):
@@ -144,6 +159,68 @@ def test_f_keyed_windows_take_a_problem_returning_floats():
         trace = solve(problem, config)
         assert trace.status == "converged"
         assert abs(trace.steps[-1].x - mpf(2).sqrt()) < 1e-8
+
+
+def _float_problem(kind, a):
+    """A problem whose callables and reference return floats, with a > 0.
+
+    A root problem is x^2 - a with the Newton map as its fixed-point form; an
+    optimisation problem is x^4/4 - a x, stationary at the cube root of a.
+    """
+    if kind == "root":
+        return SimpleNamespace(
+            name="float-root", kind=kind, default_x0="1",
+            f=lambda x: float(x) ** 2 - a, df=lambda x: 2 * float(x), d2f=lambda x: 2.0,
+            fixed_point=lambda x: (float(x) + a / float(x)) / 2,
+            reference=lambda near: math.copysign(math.sqrt(a), float(near)))
+    return SimpleNamespace(
+        name="float-opt", kind=kind, default_x0="1",
+        f=lambda x: float(x) ** 4 / 4 - a * float(x), df=lambda x: float(x) ** 3 - a,
+        d2f=lambda x: 3 * float(x) ** 2, fixed_point=None, reference=lambda near: a ** (1 / 3))
+
+
+def _returning_mpf(problem):
+    """``problem`` with every callable's value wrapped in ``mpf``."""
+    def wrapped(function):
+        return None if function is None else (lambda x: mpf(function(x)))
+    return SimpleNamespace(**{
+        **vars(problem),
+        **{name: wrapped(getattr(problem, name))
+           for name in ("f", "df", "d2f", "fixed_point", "reference")}})
+
+
+def _run_outcome(problem, config):
+    """Each record's (x, f, f', error, status), or the error type and message."""
+    run = solve if problem.kind == "root" else optimize
+    try:
+        trace = run(problem, config)
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+    return [(s.x, s.f, s.f_prime, s.error, s.status) for s in trace.steps]
+
+
+BOUNDARY_METHODS = (("exact-df", "x"), ("exact-df", "f"), ("exact-d1", "x"),
+                    ("ch-x-interp", "x"), ("newton", "x"), ("halley", "x"), ("secant", "x"),
+                    ("picard", "x"), ("newton-df", "x"), ("ch-d1", "x"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    method=st.sampled_from(BOUNDARY_METHODS),
+    a=st.floats(0.5, 8),
+    x0=st.floats(0.5, 4),
+    window=st.integers(2, 5),
+    bits=st.sampled_from((64, 256)),
+)
+def test_a_problem_returning_floats_runs_as_one_returning_the_equal_mpf(method, a, x0, window,
+                                                                         bits):
+    method, scheme = method
+    spec = METHODS[method]
+    problem = _float_problem("root" if spec.family == "root" else "opt", a)
+    config = SolverConfig(method=method, weight_scheme=scheme, x0=repr(x0),
+                          window=max(window, spec.min_window), tol_f="1e-12", tol_x="1e-12",
+                          max_iter=12, precision_bits=bits)
+    assert _run_outcome(problem, config) == _run_outcome(_returning_mpf(problem), config)
 
 
 def test_diverged_status_on_non_finite_value():

@@ -4,11 +4,11 @@ import pytest
 from mpmath import fsum, mpf
 
 from baryiter.errors import DegenerateNodes, ZeroDerivative
-from baryiter.numerics import precision, real, set_precision
+from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.weights import (
     derivative_scaled_weights,
     product_weights,
-    separation_floor,
+    raw_floor,
     shifted_product_weights,
     squared_product_weights,
 )
@@ -153,5 +153,5 @@ def test_degenerate_nodes_rejected():
 
 def test_separation_floor_scales_with_magnitude():
     with precision(256):
-        assert separation_floor(1) == mpf(2) ** (8 - 256)
-        assert separation_floor(1024) == mpf(2) ** (18 - 256)
+        assert make_mpf(raw_floor(mpf(1)._mpf_, 256, "n")) == mpf(2) ** (8 - 256)
+        assert make_mpf(raw_floor(mpf(1024)._mpf_, 256, "n")) == mpf(2) ** (18 - 256)
