@@ -6,37 +6,44 @@ callables are the programs ``parse_expression`` compiles, as for ``--expr``
 input; where a symbolic derivative would round differently from the closed
 form the problem was first written with, the built-in gives that
 derivative's source too, so no output bit moves.  Reference solutions
-(roots, or stationary points for objectives) are Newton-refined at 1152
-bits until the residual drops below 1e-300, within ``REFERENCE_STEPS``
-steps.  Every real solution of each built-in (for ``cos`` its stationary
-points 0, pi and 2 pi) ships as a 320-digit decimal string in a sidecar
-file next to this module, read once at import into the problem's
-``roots``; a test checks each against a fresh refinement from a nearby
-start.  One rule gives a run its reference: the stored root nearest the
-point the caller names (a run's final iterate), or, for a problem that
-stores none, a refinement from that point.  Nothing is written back, and
-the digits are parsed at the caller's working precision.  The golden error
+(roots, or stationary points for objectives) are Newton-refined at the
+working precision plus ``REFERENCE_GUARD_BITS``, until f is exactly 0 or
+the Newton step falls below the working precision, within
+``REFERENCE_STEPS`` steps.  Every real solution of each built-in (for
+``cos`` its stationary points 0, pi and 2 pi) ships as a 320-digit decimal
+string in a sidecar file next to this module, read once at import into the
+problem's ``roots``; a test checks each against a fresh refinement from a
+nearby start.  One rule gives a run its reference: the stored root nearest
+the point the caller names (a run's final iterate), or, for a problem that
+stores none, a refinement from that point.  Up to ``STORED_BITS`` the
+stored digits are parsed at the caller's working precision; above it the
+nearest stored root is refined there, and the result is remembered per
+(problem, root, precision).  Nothing is written back.  The golden error
 tables for the ``cos x - x`` benchmark live here too; the command-line
 ``table`` command and the acceptance suite both replay them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
+import mpmath
 from mpmath import mpf
 
 from .errors import NonConvergence
 from .expressions import parse_expression
-from .numerics import Real, precision, real, to_decimal
+from .numerics import Real, precision, real
 
-REFERENCE_BITS = 1152          # leaves headroom over the 320 stored digits
-REFERENCE_DIGITS = 320
-REFERENCE_RESIDUAL = mpf(10) ** -300
-REFERENCE_STEPS = 16           # the built-ins need at most 11 from their default starts
+REFERENCE_DIGITS = 320         # digits of each stored root
+REFERENCE_GUARD_BITS = 64      # a refinement runs this far above the working precision
+# stored roots are parsed up to 999 bits: the 1 063 their digits carry, less the guard
+STORED_BITS = int(REFERENCE_DIGITS * math.log2(10)) - REFERENCE_GUARD_BITS
+REFERENCE_STEPS = 16           # up to 1 023 bits; one more per doubling, as Newton doubles the digits
 _SIDECAR = Path(__file__).with_name("_references.tsv")
 
 
@@ -84,7 +91,7 @@ PROBLEMS = {problem.name: problem for problem in (
     _builtin("cos_minus_x", "root", "3", "cos(x) - x", fixed_point="cos(x)"),
     # roots -sqrt(2) and sqrt(2)
     _builtin("x2_minus_2", "root", "1", "x*x - 2"),
-    # roots 0 (stored as the refinement's -1.1e-347) and about 1.2564; f is convex
+    # roots 0 and about 1.2564; f is convex
     _builtin("exp_root", "root", "2", "exp(x) - 2*x - 1"),
     # cubic with constant third derivative, for error-factor checks
     _builtin("cubic_x3_minus_x_minus_2", "root", "2", "x^3 - x - 2", "3*x*x - 1"),
@@ -115,12 +122,15 @@ def get_problem(name: str) -> Problem:
 # reference solutions
 
 
-def refine_reference(problem: Problem, near: Optional[Real] = None) -> str:
-    """Newton-refine the reference at 1152 bits; returns a 320-digit decimal string.
+def refine_reference(problem: Problem, near: Optional[Real] = None) -> Real:
+    """Newton-refine the reference; returns an mpf at the working precision p.
 
-    Starts from ``near``, else from the problem's default start, and takes
-    at most ``REFERENCE_STEPS`` steps.  Root problems refine on f/f';
-    optimisation problems on f'/f''.
+    Starts from ``near``, else from the problem's default start, and runs
+    at p + ``REFERENCE_GUARD_BITS`` bits.  It stops when the residual is
+    exactly 0, or after a step no larger than 2^-(p+32) max(|x|, |start|);
+    the start's term lets a root at 0 stop.  It raises ``NonConvergence``
+    after ``REFERENCE_STEPS`` steps, plus one per doubling of p above 1 023
+    bits.  Root problems refine on f/f'; optimisation problems on f'/f''.
     """
     if problem.kind == "root":
         value, slope = problem.f, problem.df
@@ -128,30 +138,49 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> str:
         value, slope = problem.df, problem.d2f
     if value is None or slope is None:
         raise NonConvergence(f"problem {problem.name!r} lacks the derivatives to refine")
-    with precision(REFERENCE_BITS):
+    bits = mpmath.mp.prec
+    with precision(bits + REFERENCE_GUARD_BITS):
         x = real(problem.default_x0 if near is None else near)
-        for _ in range(REFERENCE_STEPS):
+        scale = abs(x)
+        for _ in range(REFERENCE_STEPS + max(0, bits.bit_length() - 10)):
             residual = value(x)
-            if abs(residual) < REFERENCE_RESIDUAL:
-                return to_decimal(x, REFERENCE_DIGITS)
+            if residual == 0:
+                break
             derivative = slope(x)
             if derivative == 0:
+                raise NonConvergence(f"reference for {problem.name!r} met a zero slope")
+            step = residual / derivative
+            x -= step
+            if abs(step) <= mpmath.ldexp(max(abs(x), scale), -(bits + 32)):
                 break
-            x = x - residual / derivative
-    raise NonConvergence(f"reference for {problem.name!r} did not reach the target residual")
+        else:
+            raise NonConvergence(f"reference for {problem.name!r} did not settle")
+    return +x
+
+
+@lru_cache(maxsize=64)
+def _refined_stored_root(problem: Problem, root: str, bits: int) -> Real:
+    # keyed on the problem object, not its name, so a library problem never reads a built-in's
+    with precision(bits):
+        return refine_reference(problem, real(root))
 
 
 def reference_root(problem: Problem, near: Optional[Real] = None) -> Real:
     """The reference solution nearest ``near``, else nearest the default start.
 
     A problem that stores ``roots`` gets the stored root nearest that point,
-    picked in binary64 and then parsed alone at the working precision; one
-    that stores none is refined from that point.
+    picked in binary64: up to ``STORED_BITS`` it is parsed alone at the
+    working precision, above it refined there once per (problem, root,
+    precision).  One that stores none is refined from that point, and
+    nothing is kept.
     """
     if not problem.roots:
-        return real(refine_reference(problem, near))
+        return refine_reference(problem, near)
     start = float(problem.default_x0 if near is None else near)
-    return real(min(problem.roots, key=lambda root: abs(float(root) - start)))
+    root = min(problem.roots, key=lambda root: abs(float(root) - start))
+    if mpmath.mp.prec <= STORED_BITS:
+        return real(root)
+    return _refined_stored_root(problem, root, mpmath.mp.prec)
 
 
 # ---------------------------------------------------------------------------

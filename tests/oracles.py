@@ -12,7 +12,8 @@ import mpmath
 from mpmath import fsum, mpf
 
 from baryiter import numerics
-from baryiter.errors import DegenerateNodes, ExactRootHit, SingularStep, ZeroDerivative
+from baryiter.errors import (DegenerateNodes, ExactRootHit, NonConvergence, SingularStep,
+                             ZeroDerivative)
 from baryiter.interpolants import sample_slopes
 from baryiter.numerics import real
 
@@ -30,6 +31,29 @@ def newton_sqrt(a, bits):
             y = y_next
     with mpmath.mp.workprec(bits):
         return +y
+
+
+def refine_reference_direct(problem, near=None):
+    """The earlier reference rule: Newton at 1152 bits until |residual| < 1e-300.
+
+    Returns the root as a 320-digit decimal string, as the sidecar stores
+    it; raises ``NonConvergence`` after 16 steps or at a zero slope.
+    """
+    if problem.kind == "root":
+        value, slope = problem.f, problem.df
+    else:
+        value, slope = problem.df, problem.d2f
+    with mpmath.mp.workprec(1152):
+        x = mpf(problem.default_x0 if near is None else near)
+        for _ in range(16):
+            residual = value(x)
+            if abs(residual) < mpf(10) ** -300:
+                return numerics.to_decimal(x, 320)
+            derivative = slope(x)
+            if derivative == 0:
+                break
+            x = x - residual / derivative
+    raise NonConvergence(f"reference for {problem.name!r} did not reach the target residual")
 
 
 def taylor_cos(x, terms=300):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ from mpmath import mpf
 
 from baryiter import cli, corpus
 from baryiter.expressions import Expression
-from baryiter.numerics import precision, real, set_precision
+from baryiter.numerics import precision, real, set_precision, to_decimal
 from baryiter.optimise import optimize
 from baryiter.root_search import SolverConfig, solve
 
@@ -98,15 +99,28 @@ def test_sidecar_round_trip_format():
             assert len(mantissa) >= corpus.REFERENCE_DIGITS, (name, digits[:20])
 
 
+def _in_stored_units(value, root: str) -> tuple:
+    # (value, the stored root) as integers, in units of the stored root's last digit
+    sign, digits, exponent = Decimal(root).as_tuple()
+    stored = (-1) ** sign * int("".join(map(str, digits)))
+    return int(mpmath.nint(value * mpf(10) ** -exponent)), stored
+
+
 def test_sidecar_matches_a_fresh_refinement():
-    # check only: nothing rewrites the sidecar, so a stale root fails here; each root
-    # is refined afresh from the binary64 point 1e-3 * max(1, |root|) above it
+    # check only: nothing rewrites the sidecar, so a stale root fails here.  Each root is
+    # refined afresh from the binary64 point 1e-3 * max(1, |root|) above it, at 1152 bits
+    # (over the 1 063 that 320 digits carry), and must round to the stored root at the
+    # stored root's last digit: a root at 0 ends wherever the computed residual is 0
     stale = []
-    for problem in corpus.list_problems():
-        starts = [float(root) + 1e-3 * max(1.0, abs(float(root))) for root in problem.roots]
-        fresh = tuple(corpus.refine_reference(problem, real(start)) for start in starts)
-        if fresh != problem.roots:
-            stale.append("\t".join((problem.name,) + fresh))
+    with precision(1152):
+        for problem in corpus.list_problems():
+            starts = [float(root) + 1e-3 * max(1.0, abs(float(root))) for root in problem.roots]
+            units = [_in_stored_units(corpus.refine_reference(problem, real(start)), root)
+                     for start, root in zip(starts, problem.roots)]
+            if any(fresh != stored for fresh, stored in units):
+                fresh = (to_decimal(fresh * mpf(10) ** Decimal(root).as_tuple().exponent, 320)
+                         for (fresh, _), root in zip(units, problem.roots))
+                stale.append("\t".join((problem.name, *fresh)))
     assert not stale, "update src/baryiter/_references.tsv with:\n" + "\n".join(stale)
 
 
