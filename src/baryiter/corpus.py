@@ -43,7 +43,7 @@ REFERENCE_DIGITS = 320         # digits of each stored root
 REFERENCE_GUARD_BITS = 64      # a refinement runs this far above the working precision
 # stored roots are parsed up to 999 bits: the 1 063 their digits carry, less the guard
 STORED_BITS = int(REFERENCE_DIGITS * math.log2(10)) - REFERENCE_GUARD_BITS
-REFERENCE_STEPS = 16           # up to 1 023 bits; one more per doubling, as Newton doubles the digits
+REFERENCE_STEPS = 16           # to 1 023 bits; one more per doubling, as Newton doubles digits
 _SIDECAR = Path(__file__).with_name("_references.tsv")
 
 
