@@ -8,19 +8,20 @@ form the problem was first written with, the built-in gives that
 derivative's source too, so no output bit moves.  Reference solutions
 (roots, or stationary points for objectives) are Newton-refined at the
 working precision plus ``REFERENCE_GUARD_BITS``, until f is exactly 0 or
-the Newton step falls below the working precision, within
-``REFERENCE_STEPS`` steps.  Every real solution of each built-in (for
-``cos`` its stationary points 0, pi and 2 pi) ships as a 320-digit decimal
-string in a sidecar file next to this module, read once at import into the
-problem's ``roots``; a test checks each against a fresh refinement from a
-nearby start.  One rule gives a run its reference: the stored root nearest
-the point the caller names (a run's final iterate), or, for a problem that
-stores none, a refinement from that point.  Up to ``STORED_BITS`` the
-stored digits are parsed at the caller's working precision; above it the
-nearest stored root is refined there, and the result is remembered per
-(problem, root, precision).  Nothing is written back.  The golden error
-tables for the ``cos x - x`` benchmark live here too; the command-line
-``table`` command and the acceptance suite both replay them.
+the Newton step falls below the working precision and to half the step
+before, within ``REFERENCE_STEPS`` steps.  Every real solution of each
+built-in (for ``cos`` its stationary points 0, pi and 2 pi) ships as a
+320-digit decimal string in a sidecar file next to this module, read once
+at import into the problem's ``roots``; a test checks each against a fresh
+refinement from a nearby start.  One rule gives a run its reference: the
+stored root nearest the point the caller names (a run's final iterate),
+or, for a problem that stores none, a refinement from that point.  Up to
+``STORED_BITS`` the stored digits are parsed at the caller's working
+precision; above it the nearest stored root is refined there.  Either
+result is remembered per (problem, root, precision); nothing is written
+back.  The golden error tables for the ``cos x - x`` benchmark live here
+too; the command-line ``table`` command and the acceptance suite both
+replay them.
 """
 
 from __future__ import annotations
@@ -127,10 +128,13 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> Real:
 
     Starts from ``near``, else from the problem's default start, and runs
     at p + ``REFERENCE_GUARD_BITS`` bits.  It stops when the residual is
-    exactly 0, or after a step no larger than 2^-(p+32) max(|x|, |start|);
-    the start's term lets a root at 0 stop.  It raises ``NonConvergence``
-    after ``REFERENCE_STEPS`` steps, plus one per doubling of p above 1 023
-    bits.  Root problems refine on f/f'; optimisation problems on f'/f''.
+    exactly 0, or after a step no larger than 2^-(p+32) max(|x|, |start|)
+    that is also at most half the step before.  The start's term lets a
+    root at 0 stop; the halving keeps a far point, where f/f' stays near 1
+    while |x| is huge, from passing for a root.  It raises
+    ``NonConvergence`` after ``REFERENCE_STEPS`` steps, plus one per
+    doubling of p above 1 023 bits.  Root problems refine on f/f';
+    optimisation problems on f'/f''.
     """
     if problem.kind == "root":
         value, slope = problem.f, problem.df
@@ -142,6 +146,7 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> Real:
     with precision(bits + REFERENCE_GUARD_BITS):
         x = real(problem.default_x0 if near is None else near)
         scale = abs(x)
+        previous = None
         for _ in range(REFERENCE_STEPS + max(0, bits.bit_length() - 10)):
             residual = value(x)
             if residual == 0:
@@ -151,36 +156,38 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> Real:
                 raise NonConvergence(f"reference for {problem.name!r} met a zero slope")
             step = residual / derivative
             x -= step
-            if abs(step) <= mpmath.ldexp(max(abs(x), scale), -(bits + 32)):
+            # a small step alone proves nothing far out; it must also have halved
+            if (previous is not None and 2 * abs(step) <= abs(previous)
+                    and abs(step) <= mpmath.ldexp(max(abs(x), scale), -(bits + 32))):
                 break
+            previous = step
         else:
             raise NonConvergence(f"reference for {problem.name!r} did not settle")
     return +x
 
 
 @lru_cache(maxsize=64)
-def _refined_stored_root(problem: Problem, root: str, bits: int) -> Real:
+def _stored_root(problem: Problem, root: str, bits: int) -> Real:
     # keyed on the problem object, not its name, so a library problem never reads a built-in's
-    with precision(bits):
-        return refine_reference(problem, real(root))
+    if bits <= STORED_BITS:
+        return real(root)
+    return refine_reference(problem, real(root))
 
 
 def reference_root(problem: Problem, near: Optional[Real] = None) -> Real:
     """The reference solution nearest ``near``, else nearest the default start.
 
     A problem that stores ``roots`` gets the stored root nearest that point,
-    picked in binary64: up to ``STORED_BITS`` it is parsed alone at the
-    working precision, above it refined there once per (problem, root,
-    precision).  One that stores none is refined from that point, and
-    nothing is kept.
+    picked in binary64: up to ``STORED_BITS`` its digits are parsed at the
+    working precision, above it the root is refined there, and either
+    value is remembered per (problem, root, precision).  One that stores
+    none is refined from that point, and nothing is kept.
     """
     if not problem.roots:
         return refine_reference(problem, near)
     start = float(problem.default_x0 if near is None else near)
     root = min(problem.roots, key=lambda root: abs(float(root) - start))
-    if mpmath.mp.prec <= STORED_BITS:
-        return real(root)
-    return _refined_stored_root(problem, root, mpmath.mp.prec)
+    return _stored_root(problem, root, mpmath.mp.prec)
 
 
 # ---------------------------------------------------------------------------
