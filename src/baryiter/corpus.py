@@ -5,32 +5,27 @@ kind, a default start and, for ``cos x - x``, a fixed-point source.  Its
 callables are the programs ``parse_expression`` compiles, as for ``--expr``
 input; where a symbolic derivative would round differently from the closed
 form the problem was first written with, the built-in gives that
-derivative's source too, so no output bit moves.  Reference solutions
-(roots, or stationary points for objectives) are Newton-refined at the
-working precision plus ``REFERENCE_GUARD_BITS``, until f is exactly 0 or
-the Newton step falls below the working precision and to half the step
-before, within ``REFERENCE_STEPS`` steps.  Every real solution of each
-built-in (for ``cos`` its stationary points 0, pi and 2 pi) ships as a
-320-digit decimal string in a sidecar file next to this module, read once
-at import into the problem's ``roots``; a test checks each against a fresh
-refinement from a nearby start.  One rule gives a run its reference: the
-stored root nearest the point the caller names (a run's final iterate),
-or, for a problem that stores none, a refinement from that point.  Up to
-``STORED_BITS`` the stored digits are parsed at the caller's working
-precision; above it the nearest stored root is refined there.  Either
-result is remembered per (problem, root, precision); nothing is written
-back.  The golden error tables for the ``cos x - x`` benchmark live here
-too; the command-line ``table`` command and the acceptance suite both
-replay them.
+derivative's source too, so no output bit moves.  Every real solution of
+each built-in (roots, or stationary points for objectives; for ``cos``
+those at 0, pi and 2 pi) is written beside it as a short decimal seed:
+the solution's binary64 value, or exactly "0".  One rule gives a run its
+reference at every working precision: the seed nearest the point the
+caller names (a run's final iterate) is Newton-refined at that precision
+and remembered per (problem, seed, precision); a problem that stores no
+seeds is refined from that point, and nothing is kept.  A refinement runs
+at the working precision plus ``REFERENCE_GUARD_BITS`` until f is exactly
+0 or the Newton step falls below the working precision and to half the
+step before, within ``REFERENCE_STEPS`` steps.  Newton doubles the
+correct digits each step, so a 53-bit seed reaches any precision.  The
+golden error tables for the ``cos x - x`` benchmark live here too; the
+command-line ``table`` command and the acceptance suite both replay them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Optional
 
 import mpmath
@@ -40,12 +35,8 @@ from .errors import NonConvergence
 from .expressions import parse_expression
 from .numerics import Real, precision, real
 
-REFERENCE_DIGITS = 320         # digits of each stored root
 REFERENCE_GUARD_BITS = 64      # a refinement runs this far above the working precision
-# stored roots are parsed up to 999 bits: the 1 063 their digits carry, less the guard
-STORED_BITS = int(REFERENCE_DIGITS * math.log2(10)) - REFERENCE_GUARD_BITS
 REFERENCE_STEPS = 16           # to 1 023 bits; one more per doubling, as Newton doubles digits
-_SIDECAR = Path(__file__).with_name("_references.tsv")
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class Problem:
     d3f: Optional[Callable[[Real], Real]] = None
     fixed_point: Optional[Callable[[Real], Real]] = None
     default_x0: str = "1"
-    roots: tuple[str, ...] = ()  # known solutions as decimal strings, at least about 1 apart
+    roots: tuple[str, ...] = ()  # seeds of the known solutions, decimals at least about 1 apart
 
     def reference(self, near: Optional[Real] = None) -> Real:
         """The solution nearest ``near`` at the working precision; see ``reference_root``."""
@@ -74,37 +65,37 @@ def from_expression(expression, name: str, kind: str, default_x0: str,
                    d3f=expression.d3f, fixed_point=fixed_point, default_x0=default_x0)
 
 
-# one line per built-in: its name, then each of its solutions, tab-separated
-_STORED_ROOTS = {name: tuple(roots) for name, *roots in
-                 (line.split("\t") for line in _SIDECAR.read_text().splitlines() if line)}
-
-
 def _builtin(name: str, kind: str, x0: str, f: str, *derivatives: Optional[str],
-             fixed_point: Optional[str] = None) -> Problem:
+             roots: tuple[str, ...], fixed_point: Optional[str] = None) -> Problem:
     # derivatives: source of f', f'', f''' in order, None where the symbolic form rounds alike
     fixed = parse_expression(fixed_point).f if fixed_point else None
     problem = from_expression(parse_expression(f, derivatives), name, kind, x0, fixed)
-    return replace(problem, roots=_STORED_ROOTS.get(name, ()))
+    return replace(problem, roots=roots)
 
 
 PROBLEMS = {problem.name: problem for problem in (
     # fixed-point benchmark behind the golden error tables
-    _builtin("cos_minus_x", "root", "3", "cos(x) - x", fixed_point="cos(x)"),
+    _builtin("cos_minus_x", "root", "3", "cos(x) - x", roots=("0.7390851332151607",),
+             fixed_point="cos(x)"),
     # roots -sqrt(2) and sqrt(2)
-    _builtin("x2_minus_2", "root", "1", "x*x - 2"),
+    _builtin("x2_minus_2", "root", "1", "x*x - 2",
+             roots=("-1.4142135623730951", "1.4142135623730951")),
     # roots 0 and about 1.2564; f is convex
-    _builtin("exp_root", "root", "2", "exp(x) - 2*x - 1"),
+    _builtin("exp_root", "root", "2", "exp(x) - 2*x - 1", roots=("0", "1.2564312086261697")),
     # cubic with constant third derivative, for error-factor checks
-    _builtin("cubic_x3_minus_x_minus_2", "root", "2", "x^3 - x - 2", "3*x*x - 1"),
+    _builtin("cubic_x3_minus_x_minus_2", "root", "2", "x^3 - x - 2", "3*x*x - 1",
+             roots=("1.5213797068045676",)),
     # minimiser 2; exactness benchmark
-    _builtin("opt_quadratic", "optimisation", "0", "(x - 2)^2 + 1"),
+    _builtin("opt_quadratic", "optimisation", "0", "(x - 2)^2 + 1", roots=("2",)),
     # minimiser exactly -1
     _builtin("opt_xexp", "optimisation", "0", "x*exp(x)",
-             "(1 + x)*exp(x)", "(2 + x)*exp(x)", "(3 + x)*exp(x)"),
+             "(1 + x)*exp(x)", "(2 + x)*exp(x)", "(3 + x)*exp(x)", roots=("-1",)),
     # minimiser pi; of the stationary points k pi, those with k = 0, 1, 2 are stored
-    _builtin("opt_cos", "optimisation", "2.5", "cos(x)"),
+    _builtin("opt_cos", "optimisation", "2.5", "cos(x)",
+             roots=("0", "3.141592653589793", "6.283185307179586")),
     # double-well: minimisers -1 and +1 (the default start's), maximiser 0
-    _builtin("opt_quartic", "optimisation", "0.8", "x^4 - 2*x*x", None, "12*x*x - 4"),
+    _builtin("opt_quartic", "optimisation", "0.8", "x^4 - 2*x*x", None, "12*x*x - 4",
+             roots=("-1", "0", "1")),
 )}
 
 
@@ -167,27 +158,24 @@ def refine_reference(problem: Problem, near: Optional[Real] = None) -> Real:
 
 
 @lru_cache(maxsize=64)
-def _stored_root(problem: Problem, root: str, bits: int) -> Real:
+def _stored_root(problem: Problem, seed: str, bits: int) -> Real:
     # keyed on the problem object, not its name, so a library problem never reads a built-in's
-    if bits <= STORED_BITS:
-        return real(root)
-    return refine_reference(problem, real(root))
+    return refine_reference(problem, real(seed))
 
 
 def reference_root(problem: Problem, near: Optional[Real] = None) -> Real:
     """The reference solution nearest ``near``, else nearest the default start.
 
-    A problem that stores ``roots`` gets the stored root nearest that point,
-    picked in binary64: up to ``STORED_BITS`` its digits are parsed at the
-    working precision, above it the root is refined there, and either
-    value is remembered per (problem, root, precision).  One that stores
-    none is refined from that point, and nothing is kept.
+    A problem that stores ``roots`` gets the seed nearest that point, picked
+    in binary64, Newton-refined at the working precision and remembered per
+    (problem, seed, precision).  One that stores none is refined from that
+    point, and nothing is kept.
     """
     if not problem.roots:
         return refine_reference(problem, near)
     start = float(problem.default_x0 if near is None else near)
-    root = min(problem.roots, key=lambda root: abs(float(root) - start))
-    return _stored_root(problem, root, mpmath.mp.prec)
+    seed = min(problem.roots, key=lambda seed: abs(float(seed) - start))
+    return _stored_root(problem, seed, mpmath.mp.prec)
 
 
 # ---------------------------------------------------------------------------

@@ -384,8 +384,6 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
     """Classical single-step baselines: picard, newton, halley, secant."""
     newest = window[-1]
     if method == "picard":
-        if problem.fixed_point is None:
-            raise ValueError(f"problem {problem.name!r} has no fixed-point form")
         return problem.fixed_point(newest.x)
     prec, rounding = mpmath.mp._prec_rounding
     if method == "newton":
@@ -395,8 +393,6 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
         x, f = newest.x._mpf_, newest.f._mpf_
         return make_mpf(mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding))
     if method == "halley":
-        if problem.d2f is None:
-            raise ValueError(f"problem {problem.name!r} has no second derivative")
         fpp = as_mpf(problem.d2f(newest.x))
         return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp,
                                        make_mpf(fhalf))
@@ -746,7 +742,8 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
     ``d2f`` for halley, ``fixed_point`` for picard) returning mpf values
     (anything else is converted as the run takes it), and a
     ``reference(near)`` that fills the signed error column once the run has
-    ended: the solution nearest the final iterate (a stored root, else one
-    refined from it), when one is found.
+    ended: the solution nearest the final iterate (a built-in's seed refined
+    at the working precision, else a refinement from the iterate), when one
+    is found.
     """
     return drive(problem, config, "root", _propose, select_window, _interp_step)

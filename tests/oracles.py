@@ -36,8 +36,9 @@ def newton_sqrt(a, bits):
 def refine_reference_direct(problem, near=None):
     """The earlier reference rule: Newton at 1152 bits until |residual| < 1e-300.
 
-    Returns the root as a 320-digit decimal string, as the sidecar stores
-    it; raises ``NonConvergence`` after 16 steps or at a zero slope.
+    Returns the root as a 320-digit decimal string, the form of the oracle
+    digits in ``reference_digits``; raises ``NonConvergence`` after 16 steps
+    or at a zero slope.
     """
     if problem.kind == "root":
         value, slope = problem.f, problem.df

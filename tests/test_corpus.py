@@ -1,7 +1,5 @@
-import dataclasses
 import io
 import random
-from decimal import Decimal
 from pathlib import Path
 
 import mpmath
@@ -10,12 +8,13 @@ from mpmath import mpf
 
 from baryiter import cli, corpus
 from baryiter.expressions import Expression
-from baryiter.numerics import precision, real, set_precision, to_decimal
+from baryiter.numerics import precision, real, set_precision
 from baryiter.optimise import optimize
 from baryiter.root_search import SolverConfig, solve
 
 from closed_forms import CLOSED_FORMS
 from oracles import fd_derivative, rel_err
+from reference_digits import ROOT_DIGITS
 
 DERIVATIVE_ORDERS = ("f", "df", "d2f", "d3f")
 CALLABLES = DERIVATIVE_ORDERS + ("fixed_point",)
@@ -70,58 +69,31 @@ def test_references_reproducible_bit_identically():
         assert problem.reference() == problem.reference()
 
 
-def test_unregistered_problem_not_cached_in_sidecar():
-    problem = corpus.Problem(
-        name="throwaway_x2_minus_9",
-        kind="root",
-        f=lambda x: x * x - 9,
-        df=lambda x: 2 * x,
-        default_x0="2",
-    )
-    with precision(256):
-        assert abs(corpus.reference_root(problem) - 3) < real("1e-70")
-    assert "throwaway_x2_minus_9" not in corpus._SIDECAR.read_text()
+@pytest.mark.parametrize("name,index", [(problem.name, index)
+                                        for problem in corpus.list_problems()
+                                        for index in range(len(problem.roots))])
+def test_references_match_the_320_digit_oracle_at_every_precision(name, index):
+    # every precision the 320 digits carry with the guard to spare, none thinned out:
+    # the seed refined at p must be the oracle's digits rounded to p, bit for bit
+    problem = corpus.get_problem(name)
+    digits = ROOT_DIGITS[name][index]
+    near = float(digits)
+    wrong = []
+    for bits in range(64, 1000):
+        with precision(bits):
+            if corpus.reference_root(problem, near)._mpf_ != real(digits)._mpf_:
+                wrong.append(bits)
+    assert not wrong, (name, digits[:20], wrong)
 
 
-def _sidecar_rows() -> list:
-    lines = [line for line in corpus._SIDECAR.read_text().splitlines() if line.strip()]
-    return [line.split("\t") for line in lines]
-
-
-def test_sidecar_round_trip_format():
-    rows = _sidecar_rows()
-    assert len(rows) == len(EXPECTED_NAMES)
-    for name, *roots in rows:
-        assert name in EXPECTED_NAMES and roots, name
-        assert tuple(roots) == corpus.get_problem(name).roots
+def test_the_oracle_digits_are_the_seeds_and_320_long():
+    assert set(ROOT_DIGITS) == EXPECTED_NAMES
+    for name, roots in ROOT_DIGITS.items():
+        seeds = corpus.get_problem(name).roots
+        assert [float(digits) for digits in roots] == [float(seed) for seed in seeds], name
         for digits in roots:
-            mantissa = digits.split("e")[0].replace("-", "").replace(".", "")
-            assert len(mantissa) >= corpus.REFERENCE_DIGITS, (name, digits[:20])
-
-
-def _in_stored_units(value, root: str) -> tuple:
-    # (value, the stored root) as integers, in units of the stored root's last digit
-    sign, digits, exponent = Decimal(root).as_tuple()
-    stored = (-1) ** sign * int("".join(map(str, digits)))
-    return int(mpmath.nint(value * mpf(10) ** -exponent)), stored
-
-
-def test_sidecar_matches_a_fresh_refinement():
-    # check only: nothing rewrites the sidecar, so a stale root fails here.  Each root is
-    # refined afresh from the binary64 point 1e-3 * max(1, |root|) above it, at 1152 bits
-    # (over the 1 063 that 320 digits carry), and must round to the stored root at the
-    # stored root's last digit: a root at 0 ends wherever the computed residual is 0
-    stale = []
-    with precision(1152):
-        for problem in corpus.list_problems():
-            starts = [float(root) + 1e-3 * max(1.0, abs(float(root))) for root in problem.roots]
-            units = [_in_stored_units(corpus.refine_reference(problem, real(start)), root)
-                     for start, root in zip(starts, problem.roots)]
-            if any(fresh != stored for fresh, stored in units):
-                fresh = (to_decimal(fresh * mpf(10) ** Decimal(root).as_tuple().exponent, 320)
-                         for (fresh, _), root in zip(units, problem.roots))
-                stale.append("\t".join((problem.name, *fresh)))
-    assert not stale, "update src/baryiter/_references.tsv with:\n" + "\n".join(stale)
+            mantissa = digits.replace("-", "").replace(".", "")
+            assert len(mantissa) >= 320, (name, digits[:20])
 
 
 def _sign_changes(fn, low, high, count=4001):
@@ -132,7 +104,11 @@ def _sign_changes(fn, low, high, count=4001):
     return [(a, b) for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]) if fa * fb < 0]
 
 
-def test_sidecar_holds_every_real_solution():
+def _refined_seeds(problem) -> list:
+    return [corpus.reference_root(problem, float(seed)) for seed in problem.roots]
+
+
+def test_seeds_cover_every_real_solution():
     polynomials = {  # the residual (f, or f' of an objective) as coefficients, highest first
         "x2_minus_2": [1, 0, -2],
         "cubic_x3_minus_x_minus_2": [1, 0, -1, -2],
@@ -141,14 +117,14 @@ def test_sidecar_holds_every_real_solution():
     }
     # a sign scan finds every zero in its range: exp_root is convex, so it has at most
     # two; cos x - x is monotone and (1 + x) e^x changes sign once; of the stationary
-    # points k pi of cos, those in the stored range [0, 2 pi] count
+    # points k pi of cos, those in the seeded range [0, 2 pi] count
     scans = {"exp_root": (-10, 10), "cos_minus_x": (-10, 10), "opt_xexp": (-10, 10),
              "opt_cos": (-1, 7.5)}
     assert set(polynomials) | set(scans) == EXPECTED_NAMES
     with precision(512):
         for name, coefficients in polynomials.items():
             problem = corpus.get_problem(name)
-            stored = [real(root) for root in problem.roots]
+            stored = _refined_seeds(problem)
             found = [mpmath.re(root) for root in
                      mpmath.polyroots(coefficients, maxsteps=200, extraprec=512)
                      if abs(mpmath.im(root)) < real("1e-100")]
@@ -158,7 +134,7 @@ def test_sidecar_holds_every_real_solution():
         for name, (low, high) in scans.items():
             problem = corpus.get_problem(name)
             residual = problem.f if problem.kind == "root" else problem.df
-            stored = [real(root) for root in problem.roots]
+            stored = _refined_seeds(problem)
             brackets = _sign_changes(residual, real(low), real(high))
             assert len(brackets) == len(stored), name
             for a, b in brackets:
@@ -173,9 +149,12 @@ def _package_files() -> dict:
             if path.is_file() and "__pycache__" not in path.parts}
 
 
-def test_runs_write_nothing_into_the_package(monkeypatch):
-    for problem in corpus.list_problems():  # without stored roots the built-ins refine afresh
-        monkeypatch.setitem(corpus.PROBLEMS, problem.name, dataclasses.replace(problem, roots=()))
+def test_the_package_holds_only_python_files():
+    # the built-ins carry their seeds in the code, so an install has no data file to miss
+    assert _package_files() and all(name.endswith(".py") for name in _package_files())
+
+
+def test_runs_write_nothing_into_the_package():
     before = _package_files()
     solve(corpus.get_problem("exp_root"), SolverConfig(method="secant", precision_bits=128))
     optimize(corpus.get_problem("opt_cos"), SolverConfig(method="ch-d1", precision_bits=128))

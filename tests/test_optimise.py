@@ -235,6 +235,21 @@ def test_optimize_explicit_second_seed():
     assert trace.status == "converged"
 
 
+def test_newton_df_leaves_the_residual_out_where_the_slope_estimate_is_singular():
+    # phi = x + 2^-41 x^2 from the seeds 0, 1, -1 steps exactly to its minimiser -2^40;
+    # there the product weights of the three older nodes cancel to an exact zero sum at
+    # 64 bits, so the slope estimate has no residual and the run goes on without one
+    k = mpf(2) ** -41
+    problem = corpus.Problem(name="far_minimiser", kind="optimisation",
+                             f=lambda x: x + k * x * x)
+    config = SolverConfig(method="newton-df", window=4, x0="0", x1="1", bootstrap="explicit",
+                          precision_bits=64, max_iter=8)
+    trace = optimize(problem, config)
+    assert trace.steps[3].x == -mpf(2) ** 40
+    assert trace.steps[3].f_prime is None
+    assert trace.status == "converged" and trace.steps[-1].x == -mpf(2) ** 40
+
+
 def test_opt_step_df_quartic_matches_composed_estimates():
     set_precision(256)
     xs = [real("0.8"), real("0.9"), real("1.1")]

@@ -1,9 +1,8 @@
 """The error column is measured against the root the run approached.
 
-A run's reference is taken after it ends, near its final iterate: the
-nearest stored root of a built-in, else a refinement from that iterate
-within ``corpus.REFERENCE_STEPS`` Newton steps, at the working precision
-plus guard bits.
+A run's reference is taken after it ends, near its final iterate: a
+built-in's nearest seed, else that iterate, Newton-refined within
+``corpus.REFERENCE_STEPS`` steps at the working precision plus guard bits.
 """
 
 import io
@@ -106,8 +105,20 @@ def test_a_refinement_from_afar_keeps_its_reach_at_high_precision():
         assert abs(mpmath.cos(root) - root) <= mpmath.ldexp(1, -32760)
 
 
+def test_a_library_problem_without_df_runs_without_a_reference():
+    # exact-df needs no derivative, but the reference refinement does: the run ends
+    # normally with no reference and no error column
+    problem = corpus.Problem(name="no_slope", kind="root", f=lambda x: x * x - 2)
+    trace = solve(problem, SolverConfig(method="exact-df", window=3, x0="1",
+                                        precision_bits=128))
+    assert trace.status == "converged"
+    assert abs(trace.steps[-1].x - mpmath.sqrt(2)) < real("1e-10")
+    assert trace.reference is None
+    assert all(step.error is None for step in trace.steps)
+
+
 def test_builtin_references_follow_near():
-    # opt_quartic has minimisers at -1 and +1 and a maximiser at 0; the sidecar keeps all three
+    # opt_quartic has minimisers at -1 and +1 and a maximiser at 0; it seeds all three
     with precision(256):
         problem = corpus.get_problem("opt_quartic")
         assert problem.reference(real("-1.1")) == -1
@@ -131,8 +142,8 @@ def test_builtin_error_is_measured_against_the_root_it_approached(argv):
 
 @pytest.mark.parametrize("bits", [256, 2048])
 def test_a_library_problem_that_reuses_a_builtin_name_keeps_its_own_root(bits):
-    # a built-in's root is remembered (parsed at 256 bits, refined at 2048); the memo is
-    # keyed on the problem object, and a problem that stores no roots adds no entry
+    # a built-in's root is refined from its seed and remembered at each precision; the memo
+    # is keyed on the problem object, and a problem that stores no roots adds no entry
     expression = parse_expression("x*x - 3")
     problem = corpus.Problem(name="x2_minus_2", kind="root", f=expression.f, df=expression.df,
                              default_x0="1")
