@@ -278,19 +278,21 @@ def run_golden_table(name: str, precision_bits: Optional[int] = None):
     return computed, mismatches, all_match
 
 
+def _print_grid(labels: Sequence[str], columns: Sequence[Sequence[str]], rows: int, width: int,
+                out) -> None:
+    """Rows 0 to ``rows - 1`` of ``columns`` under their labels, right-aligned; "-" past an end."""
+    print("i  " + "".join(f"{label:>{width}}" for label in labels), file=out)
+    for i in range(rows):
+        cells = (column[i] if i < len(column) else "-" for column in columns)
+        print(f"{i:<2} " + "".join(f"{cell:>{width}}" for cell in cells), file=out)
+
+
 def _table_command(args, out) -> int:
     spec = corpus.golden_table(args.reproduce)
     computed, mismatches, all_match = run_golden_table(args.reproduce, args.precision_bits)
     labels = [c["label"] for c in spec["columns"]]
-    width = 12
-    print("i  " + "".join(f"{label:>{width}}" for label in labels), file=out)
     rows = len(next(iter(spec["cells"].values())))
-    for i in range(rows):
-        row = "".join(
-            f"{computed[label][i] if i < len(computed[label]) else '-':>{width}}"
-            for label in labels
-        )
-        print(f"{i:<2} {row}", file=out)
+    _print_grid(labels, [computed[label] for label in labels], rows, 12, out)
     for label in labels:
         bad = mismatches[label]
         verdict = "ok" if not bad else f"MISMATCH at i={bad}"
@@ -318,21 +320,12 @@ def _compare_command(args, out) -> int:
             precision_bits=bits,
         )
         traces.append(root_search.solve(problem, config))
-    width = args.digits + 9
+    with precision(bits):  # |error|, or |f| where a run has no reference
+        columns = [[to_decimal(s.abs_error, args.digits) if s.error is not None
+                    else "f=" + to_decimal(abs(s.f), args.digits) for s in t.steps]
+                   for t in traces]
     print(f"problem: {problem.name}   |error| per step", file=out)
-    print("i  " + "".join(f"{m:>{width}}" for m in methods), file=out)
-    rows = max(len(t.steps) for t in traces)
-    with precision(bits):
-        for i in range(rows):
-            cells = []
-            for trace in traces:
-                if i < len(trace.steps) and trace.steps[i].error is not None:
-                    cells.append(to_decimal(trace.steps[i].abs_error, args.digits))
-                elif i < len(trace.steps) and trace.steps[i].f is not None:
-                    cells.append("f=" + to_decimal(abs(trace.steps[i].f), args.digits))
-                else:
-                    cells.append("-")
-            print(f"{i:<2} " + "".join(f"{c:>{width}}" for c in cells), file=out)
+    _print_grid(methods, columns, max(len(t.steps) for t in traces), args.digits + 9, out)
     for method, trace in zip(methods, traces):
         print(f"{method}: {trace.status} after {trace.iterations} steps", file=out)
     return EXIT_OK if all(t.status == root_search.STATUS_CONVERGED for t in traces) else EXIT_FAILED

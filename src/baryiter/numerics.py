@@ -8,8 +8,10 @@ per-value precision and no user-facing rounding control; mpmath rounds to
 nearest, so results are deterministic for a fixed precision.  Values are
 immutable and safe to share between threads.  Each kernel reads
 ``mp._prec_rounding`` once at entry and runs on that (precision, rounding)
-pair throughout, so changing the working precision while solvers are
-running concurrently at another precision is not supported.
+pair throughout.  ``precision`` holds one process-wide re-entrant lock for
+the length of its block, so runs and ``precision`` blocks in different
+threads are serialised, and a nested block in the same thread re-enters;
+``set_precision`` is for single-threaded setup only.
 
 The hot paths (weights, expression programs, window selection, the step
 formulas and the solver loop's checks) run on raw libmp tuples, the ``_mpf_``
@@ -22,19 +24,21 @@ a run takes them, so the kernels read every sample's ``_mpf_`` as it is.
 The ``raw_*`` functions are the elementary functions on raw values.
 
 ``raw_cos`` and ``raw_sin`` share one evaluation of mpmath's ``mpf_cos_sin``,
-which always computes both, and ``raw_exp`` keeps its last result: each
-remembers only its last argument, keyed on the value's exact bits, the
-precision and the rounding mode, so a function and its derivative at the
-same point (f then f' in one solver step) pay for one evaluation.  The
-results are those of ``mpmath.cos``, ``mpmath.sin`` and ``mpmath.exp`` bit
-for bit.
+which always computes both, and ``raw_exp`` keeps its last result: each is
+an ``lru_cache`` of size 1 keyed on what mpmath's own wrappers pass to the
+libmp function (the value's exact bits, the precision and the rounding mode),
+so a function and its derivative at the same point (f then f' in one solver
+step) pay for one evaluation.  The results are those of ``mpmath.cos``,
+``mpmath.sin`` and ``mpmath.exp`` bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Union
+from functools import lru_cache
+from typing import Iterator, Union
 
 import mpmath
 from mpmath import mpf
@@ -79,15 +83,14 @@ def get_precision() -> int:
     return mpmath.mp.prec
 
 
+_PRECISION_LOCK = threading.RLock()
+
+
 @contextmanager
 def precision(bits: int) -> Iterator[None]:
-    """Run a block at a temporary working precision."""
-    saved = mpmath.mp.prec
-    mpmath.mp.prec = _validated_bits(bits)
-    try:
+    """Run a block at a temporary working precision, holding the precision lock."""
+    with _PRECISION_LOCK, mpmath.workprec(_validated_bits(bits)):
         yield
-    finally:
-        mpmath.mp.prec = saved
 
 
 def default_precision_bits() -> int:
@@ -159,30 +162,8 @@ def to_decimal(value: Scalar, digits: int) -> str:
 # ---------------------------------------------------------------------------
 # elementary functions on raw values, with domain checks
 
-def _remembering_last(libmp_function: Callable) -> Callable:
-    """``libmp_function`` of a raw value, remembering its last call.
-
-    The key is what mpmath's own wrappers pass to a libmp function: the
-    argument's exact value, the precision and the rounding mode.  The
-    (key, result) pair is replaced in one assignment, so a reader in another
-    thread sees a consistent pair.
-    """
-    last: tuple = (None, None)
-
-    def call(x: Raw, prec: int, rounding: str):
-        nonlocal last
-        key = x, prec, rounding
-        last_key, result = last
-        if last_key != key:
-            result = libmp_function(*key)
-            last = key, result
-        return result
-
-    return call
-
-
-_cos_sin = _remembering_last(mpf_cos_sin)  # both values from one evaluation
-_exp = _remembering_last(mpf_exp)
+_cos_sin = lru_cache(maxsize=1)(mpf_cos_sin)  # both values from one evaluation
+_exp = lru_cache(maxsize=1)(mpf_exp)
 
 
 # the memos are looked up when called, so a replaced memo sees every call

@@ -78,7 +78,7 @@ def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: R
     """
     prec, rounding = mpmath.mp._prec_rounding
     n, ws, den = _estimate_parts(window, weights, prec, rounding)
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     slope = slope._mpf_
     terms = []
     for k in range(n):
@@ -125,7 +125,7 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
     n = len(window) - 1
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_div(mpf_mul(gams[n], curvature._mpf_, prec, rounding), ftwo, prec, rounding)
     for k in range(n):

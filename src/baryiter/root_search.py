@@ -98,17 +98,14 @@ STATUS_DIVERGED = "diverged"
 STATUS_EXHAUSTED = "budget-exhausted"
 
 
+@lru_cache(maxsize=32)
 def default_tolerance(precision_bits: int) -> Real:
     """Default convergence tolerance: 10^-(0.3 * decimal digits of the precision).
 
-    Computed once per (precision_bits, working precision) pair.
+    Computed once per precision, at that precision.
     """
-    return _tolerance(precision_bits, numerics.get_precision())
-
-
-@lru_cache(maxsize=32)
-def _tolerance(precision_bits: int, working_bits: int) -> Real:
-    return mpf(10) ** (-(mpf(3) / 10) * precision_bits * mpf("0.3010299956639812"))
+    with numerics.precision(precision_bits):
+        return mpf(10) ** (-(mpf(3) / 10) * precision_bits * mpf("0.3010299956639812"))
 
 
 @dataclass
@@ -222,7 +219,7 @@ class IterationTrace:
 # bit.  Each argument is an mpf (``drive`` converts a problem's values), read as its ``_mpf_``.
 
 
-def _columns(window: Sequence[Sample], prec: int, rounding: str) -> tuple[list, list]:
+def _columns(window: Sequence[Sample]) -> tuple[list, list]:
     """The window's x and f coordinates as raw values."""
     return [s.x._mpf_ for s in window], [s.f._mpf_ for s in window]
 
@@ -230,7 +227,7 @@ def _columns(window: Sequence[Sample], prec: int, rounding: str) -> tuple[list, 
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """Exact root of the inverse interpolant: (sum w_i x_i/f_i) / (sum w_i/f_i)."""
     prec, rounding = mpmath.mp._prec_rounding
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     for s, f in zip(window, fs):
         if mpf_eq(f, fzero):
             raise ExactRootHit(s.x)
@@ -250,7 +247,7 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     num_terms = []
     den_terms = []
@@ -287,7 +284,7 @@ def _slope_estimate(window: Sequence[Sample], weights: Sequence[Real], inverse: 
     # for the inverse interpolant and (f, x) for the direct one
     prec, rounding = mpmath.mp._prec_rounding
     n, ws, den = _estimate_parts(window, weights, prec, rounding)
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     tops, bottoms, name = (xs, fs, "f") if inverse else (fs, xs, "x")
     terms = []
     for k in range(n):
@@ -326,7 +323,7 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
     if any(mpf_eq(sl, fzero) for sl in slopes):
         raise ZeroDerivative("this estimate needs non-zero f_prime")
-    xs, fs = _columns(window, prec, rounding)
+    xs, fs = _columns(window)
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_div(gams[n], slopes[n], prec, rounding)
     for k in range(n):
@@ -610,14 +607,15 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     yield x0
     if spec.min_window == 1:
         return
+    fixed_point = getattr(problem, "fixed_point", None)
     if config.x1 is not None:
         x1 = real(config.x1)
     elif config.bootstrap == "picard" or (
-        config.bootstrap == "auto" and "picard" in spec.seeding and problem.fixed_point is not None
+        config.bootstrap == "auto" and "picard" in spec.seeding and fixed_point is not None
     ):
-        if problem.fixed_point is None:
+        if fixed_point is None:
             raise ValueError(f"problem {problem.name!r} has no fixed-point form")
-        x1 = problem.fixed_point(x0)
+        x1 = fixed_point(x0)
     else:
         h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
         x1 = x0 + h
@@ -657,14 +655,19 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
     """
     config = config.validated(family)
     spec = method_spec(config.method, family)
+    required = ("name", "f", "reference") + (("default_x0",) if config.x0 is None else ())
+    missing = [name for name in required if getattr(problem, name, None) is None]
+    if missing:
+        raise ValueError(f"{type(problem).__name__} is not a problem: it has no "
+                         f"{', '.join(missing)}")
+    for need in spec.needs:
+        if getattr(problem, need, None) is None:
+            raise ValueError(f"problem {problem.name!r} has no {_NEEDS[need]}")
     with numerics.precision(config.precision_bits):
         prec, rounding = mpmath.mp._prec_rounding
         tolerance = default_tolerance(config.precision_bits)
         tol_f = (real(config.tol_f) if config.tol_f is not None else tolerance)._mpf_
         tol_x = (real(config.tol_x) if config.tol_x is not None else tolerance)._mpf_
-        for need in spec.needs:
-            if getattr(problem, need) is None:
-                raise ValueError(f"problem {problem.name!r} has no {_NEEDS[need]}")
         scheme = spec.schemes[config.weight_scheme]
         # the baselines (no weights) step on exactly their minimum window
         window = config.window if scheme.build is not None else spec.min_window

@@ -164,6 +164,28 @@ def test_predicted_error_factor_unsupported_cells():
         predicted_error_factor(ErrorFactorSpec("secant", 2, ("0", "2")))
 
 
+_TRACE = ["0.5", "0.1", "0.01", "0.001", "1e-5", "1e-9"]
+_FLAT = ErrorFactorSpec("exact-df/f", 4, ("3", "0", "0", "0"))  # predicted factor 0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: theoretical_order("root", 1, -1), ValueError, "n must be non-negative"),
+    (lambda: empirical_order(_synthetic_trace(_TRACE), 0), ValueError,
+     "k_last must be positive"),
+    # the secant cell reads f'' past the one derivative given
+    (lambda: predicted_error_factor(ErrorFactorSpec("secant", 2, ("2",))), UnsupportedCell,
+     "needs the solution derivative of order 2"),
+    (lambda: verify_error_factor(_synthetic_trace(_TRACE), _FLAT, 0), ValueError,
+     "window_tail must be positive"),
+    (lambda: verify_error_factor(_synthetic_trace(_TRACE), _FLAT, 1), ValueError,
+     "predicted factor is zero; relative deviation is undefined"),
+])
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_predicted_error_factor_opt_scheme():
     # window 3 (n=2): +phi'''/(3! phi'')
     spec = ErrorFactorSpec("newton-df/x", 3, ("0", "2", "12"))

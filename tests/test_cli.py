@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from baryiter import cli, corpus
 from baryiter.numerics import PRECISION_ENV_VAR
 
@@ -214,6 +216,17 @@ def test_order_rejects_nonpositive_digits(capsys):
                              "--digits", digits)
         assert (code, text) == (1, "")
         assert capsys.readouterr().err.strip() == "error: --digits must be positive"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("order", "--family", "root", "--m", "0", "--n", "2"), "--m must be at least 1"),
+    (("order", "--family", "root", "--m", "1", "--n", "-1"), "--n must be non-negative or 'inf'"),
+    (("compare", "--problem", "x2_minus_2", "--methods", ","),
+     "--methods must name at least one method"),
+])
+def test_an_out_of_range_argument_is_a_usage_error(capsys, argv, message):
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_compare_rejects_nonpositive_digits_before_printing(capsys):

@@ -6,6 +6,8 @@ compiles run on raw libmp values and must give the same bits and raise the
 same errors, except that division by zero is now a ``DomainError``.
 """
 
+from functools import lru_cache
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -114,7 +116,7 @@ def test_f_then_df_at_one_point_evaluate_cos_sin_once(monkeypatch):
         calls.append(key)
         return mpf_cos_sin(*key)
 
-    monkeypatch.setattr(numerics, "_cos_sin", numerics._remembering_last(counted))
+    monkeypatch.setattr(numerics, "_cos_sin", lru_cache(maxsize=1)(counted))
     problem = corpus.get_problem("cos_minus_x")
     with numerics.precision(256):
         x = mpf(1) / 3

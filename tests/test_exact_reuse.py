@@ -6,6 +6,7 @@ the mpf loops in ``oracles``; and call counts show the weights of a window
 and the default tolerance being built once.
 """
 
+from functools import lru_cache
 from types import SimpleNamespace
 
 import mpmath
@@ -81,8 +82,8 @@ def test_cos_and_sin_at_one_point_share_one_evaluation(monkeypatch):
     def counted(libmp_function):
         return lambda *key: calls.append(key) or libmp_function(*key)
 
-    monkeypatch.setattr(numerics, "_cos_sin", numerics._remembering_last(counted(mpf_cos_sin)))
-    monkeypatch.setattr(numerics, "_exp", numerics._remembering_last(counted(mpf_exp)))
+    monkeypatch.setattr(numerics, "_cos_sin", lru_cache(maxsize=1)(counted(mpf_cos_sin)))
+    monkeypatch.setattr(numerics, "_exp", lru_cache(maxsize=1)(counted(mpf_exp)))
     with numerics.precision(256):
         x = mpf(1) / 3
         for name in ("cos", "sin", "cos", "exp", "exp"):
@@ -255,11 +256,11 @@ def test_newton_df_builds_the_weights_once_per_proposed_step(monkeypatch):
 
 
 def test_default_tolerance_is_computed_once_per_precision():
-    root_search._tolerance.cache_clear()
+    root_search.default_tolerance.cache_clear()
     problem = corpus.get_problem("cos_minus_x")
     for _ in range(2):
         root_search.solve(problem, SolverConfig(method="secant", precision_bits=320))
-    info = root_search._tolerance.cache_info()
+    info = root_search.default_tolerance.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 

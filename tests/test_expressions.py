@@ -41,6 +41,9 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_expression("x$2")
     assert info.value.position == 2
+    with pytest.raises(ParseError, match=r"^unexpected '2' \(column 3\)$") as info:
+        parse_expression("x 2")
+    assert info.value.position == 3
 
 
 def test_exponent_must_be_integer():

@@ -202,6 +202,23 @@ def test_a_missing_slope_is_the_one_value_error_of_every_consumer(consumer):
         call(window, hw)
 
 
+_LINE = [Sample(mpf(1), mpf(-1), mpf(2)), Sample(mpf(2), mpf(1), mpf(2))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eval_plain(_LINE, product_weights([1, 2]), 0, orientation="sideways"),
+     "orientation must be one of ('direct', 'inverse'), got 'sideways'"),
+    (lambda: eval_plain(_LINE, product_weights([1, 2, 3]), 0),
+     "weight list length must equal the sample count"),
+    (lambda: eval_hermite(_LINE, squared_product_weights([1, 2, 3]), 0),
+     "weight list length must equal the sample count"),
+])
+def test_an_argument_that_does_not_fit_the_samples_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_public_names_resolve_and_an_objective_sample_is_a_frozen_sample():
     for name in baryiter.__all__:
         assert hasattr(baryiter, name), name

@@ -84,6 +84,12 @@ def test_a_non_finite_numeric_field_is_rejected(name, value):
         optimize(corpus.get_problem("opt_cos"), config)
 
 
+def test_a_nonpositive_budget_is_rejected():
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="^max_iter must be positive$"):
+            SolverConfig(max_iter=max_iter).validated()
+
+
 def test_finite_numeric_fields_of_every_type_are_accepted():
     for value in (0, 3, "1e-40", 0.5, real("2")):
         fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)

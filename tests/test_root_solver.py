@@ -1,4 +1,5 @@
 import math
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from baryiter import corpus, root_search
+from baryiter import corpus, expressions, root_search
 from baryiter.errors import SingularStep, ZeroDerivative
 from baryiter.expressions import parse_expression
 from baryiter.interpolants import Sample
@@ -292,6 +293,49 @@ def test_concurrent_solvers_at_one_precision_agree():
     with ThreadPoolExecutor(max_workers=4) as pool:
         traces = list(pool.map(run, range(8)))
     assert all(t == traces[0] for t in traces)
+
+
+def test_runs_at_different_precisions_in_two_threads_match_runs_made_alone():
+    problem = corpus.get_problem("cos_minus_x")
+
+    def run(bits):
+        trace = solve(problem, SolverConfig(method="exact-df", window=4, precision_bits=bits))
+        return [(s.x._mpf_, s.error._mpf_, s.status) for s in trace.steps]
+
+    alone = {bits: run(bits) for bits in (64, 4096)}
+    stop = threading.Event()
+    low = []
+
+    def churn():
+        for _ in range(1000):  # bounded, should the other thread never get in
+            if stop.is_set():
+                return
+            low.append(run(64))
+
+    thread = threading.Thread(target=churn)
+    thread.start()
+    try:
+        high = [run(4096) for _ in range(2)]
+    finally:
+        stop.set()
+        thread.join()
+    assert high == [alone[4096]] * 2
+    assert low and all(trace == alone[64] for trace in low)
+
+
+@pytest.mark.parametrize("config, missing", [
+    (SolverConfig(x0="3"), "name, reference"),
+    (SolverConfig(method="newton", window=1, x0="3"), "name, reference"),
+    (SolverConfig(), "name, reference, default_x0"),
+])
+def test_a_non_problem_is_refused_before_its_first_evaluation(monkeypatch, config, missing):
+    calls = []
+    evaluate = expressions._evaluate
+    monkeypatch.setattr(expressions, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    with pytest.raises(ValueError) as info:
+        solve(parse_expression("-sin(x)"), config)
+    assert str(info.value) == f"Expression is not a problem: it has no {missing}"
+    assert calls == []
 
 
 def test_trace_records_signed_errors():

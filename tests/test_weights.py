@@ -6,6 +6,7 @@ from mpmath import fsum, mpf
 from baryiter.errors import DegenerateNodes, ZeroDerivative
 from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.weights import (
+    HermiteWeights,
     derivative_scaled_weights,
     product_weights,
     raw_floor,
@@ -101,6 +102,16 @@ def test_derivative_scaled_weights_single_node_empty_products():
 def test_derivative_scaled_weights_zero_slope_rejected():
     with pytest.raises(ZeroDerivative):
         derivative_scaled_weights([0, 1], [1, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HermiteWeights((mpf(1), mpf(2)), (mpf(1),)), "lam and gam must have equal length"),
+    (lambda: derivative_scaled_weights([0, 1], [1]), "need one slope per node"),
+])
+def test_mismatched_lengths_are_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_squared_product_weights_hand_values():
