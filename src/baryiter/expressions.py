@@ -244,8 +244,6 @@ def _mul(a, b):
 def _div(a, b):
     if _is_num(a, 0):
         return _num(0)
-    if _is_num(b, 1):
-        return a
     return ("div", a, b)
 
 

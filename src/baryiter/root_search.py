@@ -119,7 +119,9 @@ class SolverConfig:
     may reach (the initial point is index 0).  ``alpha`` only matters for
     the alpha weight scheme; its default of 0 is arbitrary (any value with
     the right asymptotics works, none is preferred).  ``x1`` goes with the
-    ``auto`` or ``explicit`` bootstrap only.
+    ``auto`` or ``explicit`` bootstrap of a method that seeds more than one
+    point, and ``max_iter`` is at least the number of seeds, so every run
+    proposes a step; ``validated`` refuses anything else.
     """
 
     method: str = "exact-df"
@@ -146,6 +148,8 @@ class SolverConfig:
             raise ValueError(f"{self.method} takes the weight schemes {tuple(spec.schemes)}")
         if self.bootstrap not in spec.seeding:
             raise ValueError(f"{self.method} takes the bootstraps {spec.seeding}")
+        if self.x1 is not None and spec.min_window == 1:
+            raise ValueError(f"{self.method} starts from x0 alone and takes no x1")
         if self.x1 is not None and self.bootstrap in ("picard", "perturb"):
             raise ValueError(f"x1 needs the explicit or auto bootstrap, not {self.bootstrap}")
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
@@ -154,6 +158,9 @@ class SolverConfig:
             raise ValueError(f"{self.method} needs a window of at least {spec.min_window}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if self.max_iter < spec.min_window:
+            raise ValueError(f"{self.method} seeds {spec.min_window} points, so max_iter must be "
+                             f"at least {spec.min_window}")
         if self.precision_bits < numerics.MIN_PRECISION_BITS:
             raise ValueError(f"precision must be at least {numerics.MIN_PRECISION_BITS} bits")
         for name in ("alpha", "beta", "tol_f", "tol_x", "perturb_h"):
@@ -650,8 +657,9 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
     and ``_interp_step`` under the calling module's names, read when it is
     called, so each family's layers can be instrumented apart.  A root
     run's residual is f; an optimisation run's is its method's slope,
-    written into ``f_prime``.  A root run checks its second starting point
-    against ``tol_x`` too; optimisation seeds converge on the residual only.
+    written into ``f_prime``.  The starting points converge on their
+    residual only; from the first proposed step on, a step below ``tol_x``
+    converges too.
     """
     config = config.validated(family)
     spec = method_spec(config.method, family)
@@ -718,14 +726,12 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             return None
 
         x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
-        previous: Optional[Real] = None
+        # a seed is placed, not stepped to: it converges on its residual alone
         for x in seed_points(problem, config, spec, x0):
             push(x)
-            status = terminal(previous)
+            status = terminal(None)
             if status:
                 return finish(status)
-            if family == "root":
-                previous = steps[-1].x
 
         # no step raises ExactRootHit: a root sample with f == 0 converges when pushed
         while steps[-1].index < config.max_iter:

@@ -1,11 +1,13 @@
 """Barycentric weight families used by the memory-based iteration schemes.
 
-Four families cover every scheme in the library.  Over a node set
-``v_0..v_n`` (either the x or the f coordinates of the solver memory):
+Four families cover every scheme in the library, built by three kernels:
+the alpha-shifted family is the product weights of a shifted node set.
+Over a node set ``v_0..v_n`` (either the x or the f coordinates of the
+solver memory):
 
 * first-order product weights    ``w_i = prod_{j!=i} 1/(v_i - v_j)``
-* alpha-shifted product weights  (newest node replaced by ``alpha * v_n``
-  in the factor it contributes to the others)
+* alpha-shifted product weights  first-order weights over the node set
+                                 with the newest node moved to ``alpha * v_n``
 * squared-product pairs          ``lam_i = prod_{j!=i} 1/(v_i - v_j)^2`` and
                                  ``gam_i = -2 lam_i sum_{j!=i} 1/(v_i - v_j)``
 * derivative-scaled pairs        squared-product pairs with ``lam_i``
@@ -59,7 +61,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DegenerateNodes, ZeroDerivative
-from .numerics import Raw, Real, Scalar, make_mpf, to_raw
+from .numerics import Raw, Real, Scalar, make_mpf, real, to_raw
 
 
 @dataclass(frozen=True)
@@ -132,42 +134,15 @@ def product_weights(nodes: Sequence[Scalar]) -> list[Real]:
 
 
 def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar) -> list[Real]:
-    """Product weights with the newest node's value shifted by a free ``alpha``.
+    """Product weights over the nodes with the newest, the last entry, moved to ``alpha * v_n``.
 
     For ``i != n``: ``w_i = 1/(v_i - alpha v_n) * prod_{j not in {i,n}} 1/(v_i - v_j)``;
-    for the newest node: ``w_n = prod_{j != n} 1/(alpha v_n - v_j)``.
-    ``alpha = 1`` recovers ``product_weights`` exactly.  The newest node is
-    the last entry.
+    for the newest node: ``w_n = prod_{j != n} 1/(alpha v_n - v_j)``.  The
+    unshifted ``v_n`` is not a node of this set, so only the shifted set must
+    clear the separation floor; ``alpha = 1`` is ``product_weights`` itself.
     """
-    prec, rounding = mp._prec_rounding
-    values = _to_raw(nodes, prec, rounding)
-    alpha = to_raw(alpha, prec, rounding)
-    if mpf_eq(alpha, fone):
-        return product_weights(nodes)
-    diffs = _differences(values, prec, rounding)
-    n = len(values) - 1
-    shifted = mpf_mul(alpha, values[n], prec, rounding)
-    scale = raw_scale([shifted], prec, rounding, raw_scale(values, prec, rounding) or fzero)
-    floor = raw_floor(scale, prec, rounding)
-    gaps = []  # v_i - alpha v_n for the older nodes
-    for vi in values[:n]:
-        gap = mpf_sub(vi, shifted, prec, rounding)
-        if mpf_le(mpf_abs(gap, prec, rounding), floor):
-            raise DegenerateNodes(
-                f"node {make_mpf(vi)} collides with the shifted value {make_mpf(shifted)}")
-        gaps.append(gap)
-    out = []
-    for i, gap in enumerate(gaps):
-        w = mpf_rdiv_int(1, gap, prec, rounding)
-        for j in range(n):
-            if j != i:
-                w = mpf_div(w, diffs[i][j], prec, rounding)
-        out.append(make_mpf(w))
-    wn = fone
-    for gap in gaps:
-        wn = mpf_div(wn, mpf_neg(gap, prec, rounding), prec, rounding)
-    out.append(make_mpf(wn))
-    return out
+    *older, newest = nodes
+    return product_weights(older + [real(alpha) * real(newest)])
 
 
 def squared_product_weights(nodes: Sequence[Scalar]) -> HermiteWeights:

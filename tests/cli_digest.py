@@ -2,13 +2,16 @@
 
 From the repository root::
 
-    python tests/cli_digest.py
+    python tests/cli_digest.py [--each]
 
 Runs ``cli.main`` in this process on every invocation of ``invocations()``
 and hashes each one's argv, exit code, stdout and stderr, in order, into one
 sha256; prints the invocation count and the digest.  Two checkouts whose CLI
 output is byte-identical print the same line, so a change that must not move
-an output bit is checked by running this on each side.  The set is the
+an output bit is checked by running this on each side.  ``--each`` first
+prints one line per invocation: its index, the first 12 hex digits of the
+sha256 of its record, and its argv shell-quoted; a ``diff`` of two
+checkouts' output lists the invocations whose output changed.  The set is the
 ``expr_cli`` items of ``perfbench.workloads`` for seeds 1-20 (read, not
 edited), then ``solve``, ``optimize``, ``compare``, both golden tables and a
 few usage errors, in every output format at 64, 256 and 4096 bits, with
@@ -19,6 +22,7 @@ not start with ``test_``.
 import hashlib
 import io
 import json
+import shlex
 import sys
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -66,18 +70,24 @@ def invocations() -> list:
     return runs
 
 
-def main() -> int:
+def main(args: list) -> int:
+    each = args == ["--each"]
+    if args and not each:
+        print("usage: python tests/cli_digest.py [--each]", file=sys.stderr)
+        return 2
     digest = hashlib.sha256()
     runs = invocations()
-    for argv in runs:
+    for index, argv in enumerate(runs):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stderr(err):
             code = cli.main(argv, out=out)
-        record = [argv, code, out.getvalue(), err.getvalue()]
-        digest.update(json.dumps(record).encode() + b"\n")
+        line = json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n"
+        digest.update(line)
+        if each:
+            print(f"{index:4d} {hashlib.sha256(line).hexdigest()[:12]} {shlex.join(argv)}")
     print(f"{len(runs)} invocations  sha256 {digest.hexdigest()}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -179,6 +179,19 @@ def product_weights_direct(nodes):
 
 
 def shifted_product_weights_direct(nodes, alpha):
+    """Product weights over the nodes with the newest, the last entry, moved to ``alpha * v_n``."""
+    nodes = [+mpf(v) for v in nodes]
+    return product_weights_direct(nodes[:-1] + [+mpf(alpha) * nodes[-1]])
+
+
+def shifted_product_weights_by_definition(nodes, alpha):
+    """The shifted weights from their defining formula, dividing in its own order.
+
+    ``w_i = 1/(v_i - alpha v_n) * prod_{j not in {i,n}} 1/(v_i - v_j)`` and
+    ``w_n = prod_{j != n} 1/(alpha v_n - v_j)``, the unshifted ``v_n`` kept
+    in the separation check; it agrees with the library to rounding, not
+    bit for bit.
+    """
     nodes = [+mpf(v) for v in nodes]
     alpha = +mpf(alpha)
     if alpha == 1:

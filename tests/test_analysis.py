@@ -223,6 +223,17 @@ def test_verify_error_factor_newton_on_sqrt2():
     assert abs(predicted - 1 / (2 * root)) <= real("1e-70")
 
 
+def test_verify_error_factor_skips_a_window_holding_a_zero_error():
+    # secant with factor 1/2: e_j = e_{j-1} e_{j-2} / 2 exactly, except the zeros
+    spec = ErrorFactorSpec("secant", 2, ("2", "2"))
+    for errors, usable in ((["1", "0", "0.5", "0.25", "0.0625"], 1),
+                           (["1", "0.5", "0.25", "0.0625", "0"], 2)):
+        trace = _synthetic_trace(errors)
+        assert verify_error_factor(trace, spec, usable) == 0
+        with pytest.raises(InsufficientData, match=f"have {usable}$"):
+            verify_error_factor(trace, spec, usable + 1)
+
+
 def test_verify_error_factor_rejects_zero_prediction():
     trace = _synthetic_trace(["0.5", "0.1", "0.01"])
     spec = ErrorFactorSpec("exact-df/f", 4, ("3", "0", "0", "0"))

@@ -170,12 +170,15 @@ def test_weights_are_bit_identical_to_the_direct_loops(bits):
 def test_a_colliding_pair_is_named_as_before():
     with numerics.precision(256):
         tiny = mpf(2) ** -260
-        # two pairs collide; the first in row order is (1, 1 + tiny)
+        # two pairs collide; the first in row order is (1, 1 + tiny), and in the
+        # shifted family, whose newest node moves to (1 + tiny) / 2, it is (2, 2 + tiny)
         nodes = [mpf(3), mpf(1), mpf(2), mpf(2) + tiny, mpf(1) + tiny]
-        for got, want in _families(nodes, mpf("0.5"), [mpf(1)] * len(nodes)):
+        families = _families(nodes, mpf("0.5"), [mpf(1)] * len(nodes))
+        for index, (got, want) in enumerate(families):
+            pair = (2, 2 + tiny) if index == 1 else (1, 1 + tiny)
             assert got == want
             assert got[0] is DegenerateNodes
-            assert got[1] == f"nodes too close: {mpf(1)} and {mpf(1) + tiny}"
+            assert got[1] == f"nodes too close: {mpf(pair[0])} and {mpf(pair[1])}"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from baryiter.root_search import (
     second_derivative_x_interp,
     step_exact_d1,
 )
-from baryiter.weights import product_weights, squared_product_weights
+from baryiter.weights import HermiteWeights, product_weights, squared_product_weights
 
 from oracles import fd_derivative, random_nodes, rel_err
 
@@ -82,6 +82,14 @@ def test_plain_singular_denominator():
     # equal weights: the inverse-form denominator vanishes midway between the f nodes
     with pytest.raises(SingularDenominator):
         eval_plain(samples, [mpf(1), mpf(1)], 1, orientation="inverse")
+
+
+def test_hermite_singular_denominator():
+    samples = [Sample(mpf(0), mpf(0), mpf(1)), Sample(mpf(1), mpf(2), mpf(1))]
+    # opposite lam and no gam: the denominator vanishes midway between the x nodes
+    hw = HermiteWeights((mpf(1), mpf(-1)), (mpf(0), mpf(0)))
+    with pytest.raises(SingularDenominator, match="^denominator sum vanished at t=0.5$"):
+        eval_hermite(samples, hw, "0.5")
 
 
 def test_hermite_single_sample_inverse_is_tangent():

@@ -90,22 +90,68 @@ def test_a_nonpositive_budget_is_rejected():
             SolverConfig(max_iter=max_iter).validated()
 
 
+# (command, problem, method, family, seeds) for a method of each seed count
+SEEDED = (("solve", "cos_minus_x", "newton", "root", 1),
+          ("solve", "cos_minus_x", "secant", "root", 2),
+          ("optimize", "opt_cos", "newton-df", "opt", 3))
+
+
+@pytest.mark.parametrize("command, problem, method, family, seeds", SEEDED)
+def test_a_budget_below_the_seed_count_is_refused(command, problem, method, family, seeds):
+    # max_iter is the highest step index: below the seed count the seeds fill or overrun
+    # it, and the run would propose no step
+    for max_iter in range(1, seeds):
+        with pytest.raises(ValueError, match=f"^{method} seeds {seeds} points, so max_iter "
+                                             f"must be at least {seeds}$"):
+            SolverConfig(method=method, window=seeds, max_iter=max_iter).validated(family)
+        argv = [command, "--problem", problem, "--method", method, "--max-iter", str(max_iter)]
+        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+    SolverConfig(method=method, window=seeds, max_iter=seeds).validated(family)
+    argv = [command, "--problem", problem, "--method", method, "--max-iter", str(seeds)]
+    assert cli.main(argv, out=io.StringIO()) != cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("method", [m for m, s in METHODS.items() if s.min_window == 1])
+def test_x1_on_a_one_point_method_is_refused(method):
+    # every one-point method is a root method
+    with pytest.raises(ValueError, match=f"^{method} starts from x0 alone and takes no x1$"):
+        SolverConfig(method=method, window=1, x1="5").validated()
+    argv = ["solve", "--problem", "cos_minus_x", "--method", method, "--x1", "5"]
+    assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+
+
 def test_finite_numeric_fields_of_every_type_are_accepted():
     for value in (0, 3, "1e-40", 0.5, real("2")):
         fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)
         SolverConfig(method="ch-d1", window=2, **fields).validated("opt")
 
 
-def test_only_a_root_run_checks_its_second_seed_against_tol_x():
-    # the seeds lie 1e-30 apart, far inside tol_x, while both residuals are large
-    root = solve(corpus.get_problem("x2_minus_2"), SolverConfig(
-        method="exact-df", window=2, x0="1", x1="1.000000000000000000000000000001",
-        bootstrap="explicit", tol_x="1e-20", precision_bits=256))
-    assert (root.status, root.iterations) == ("converged", 1)
-    opt = optimize(corpus.get_problem("opt_quadratic"), SolverConfig(
-        method="newton-df", window=3, x0="0", x1="1e-30", bootstrap="explicit",
-        tol_x="1e-20", precision_bits=256))
-    assert opt.status == "converged" and opt.iterations > 2
+def test_both_families_judge_a_seed_on_its_residual():
+    # the seeds lie 1e-30 apart, far inside tol_x, while both residuals are large:
+    # neither run stops on its seeds, and each converges at its solution
+    far = (
+        (solve, "x2_minus_2", SolverConfig(
+            method="exact-df", window=2, x0="1", x1="1.000000000000000000000000000001",
+            bootstrap="explicit", tol_x="1e-20", precision_bits=256)),
+        (optimize, "opt_quadratic", SolverConfig(
+            method="newton-df", window=3, x0="0", x1="1e-30", bootstrap="explicit",
+            tol_x="1e-20", precision_bits=256)),
+    )
+    for runner, name, config in far:
+        trace = runner(corpus.get_problem(name), config)
+        assert trace.status == "converged" and trace.iterations > 2, name
+        assert abs(trace.steps[-1].error) < real("1e-20"), name
+    # a second seed whose residual is below tol_f converges where it is placed
+    near = (
+        (solve, "x2_minus_2", SolverConfig(
+            method="exact-df", window=2, x0="1", x1="1.41421356237309504880168872420969807857",
+            bootstrap="explicit", precision_bits=256)),
+        (optimize, "opt_quadratic", SolverConfig(
+            method="ch-d1", window=2, x0="0", x1="2", bootstrap="explicit", precision_bits=256)),
+    )
+    for runner, name, config in near:
+        trace = runner(corpus.get_problem(name), config)
+        assert (trace.status, trace.iterations) == ("converged", 1), name
 
 
 @pytest.mark.parametrize("method", [m for m, s in METHODS.items() if s.error_cells])

@@ -1,6 +1,9 @@
 import random
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import fsum, mpf
 
 from baryiter.errors import DegenerateNodes, ZeroDerivative
@@ -14,7 +17,7 @@ from baryiter.weights import (
     squared_product_weights,
 )
 
-from oracles import random_nodes
+from oracles import random_nodes, shifted_product_weights_by_definition
 
 
 def test_product_weights_hand_values():
@@ -80,6 +83,31 @@ def test_shifted_weights_alpha_zero_hand_values():
 def test_shifted_weights_collision_with_shifted_value():
     with pytest.raises(DegenerateNodes):
         shifted_product_weights([1, 2], "0.5")  # f_0 == alpha * f_n
+
+
+# (p, q) for the node or factor p/q, which fills the whole mantissa at the working precision
+RATIONALS = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 997))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nodes=st.lists(RATIONALS, min_size=2, max_size=9), alpha=RATIONALS,
+       bits=st.sampled_from((64, 256, 4096)))
+def test_shifted_weights_agree_with_their_definition_to_rounding(nodes, alpha, bits):
+    # both divide the same rounded differences, in different orders: each weight is
+    # a chain of one rounding per other node, so the two differ by under 2n units of 2^-p
+    with precision(bits):
+        nodes = [mpf(p) / q for p, q in nodes]
+        alpha = mpf(alpha[0]) / alpha[1]
+        try:
+            want = shifted_product_weights_by_definition(nodes, alpha)
+        except DegenerateNodes:
+            assume(False)
+        got = shifted_product_weights(nodes, alpha)
+    assert len(got) == len(want)
+    bound = 2 * len(nodes) * mpf(2) ** -bits
+    with mpmath.workprec(2 * bits):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= bound * abs(w)
 
 
 def test_derivative_scaled_weights_hand_values():
