@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=default_window, help="memory size n+1")
         p.add_argument("--beta", default="1", help="Chebyshev-Halley parameter")
         p.add_argument("--bootstrap", choices=root_search.BOOTSTRAPS, default="auto")
-        p.add_argument("--perturb-h", help="step for the perturbation bootstrap")
+        p.add_argument("--perturb-h", help="non-zero step for the perturbation bootstrap")
         p.add_argument("--tol-f", help="residual tolerance (default scales with precision)")
         p.add_argument("--tol-x", help="step-size tolerance")
         p.add_argument("--max-iter", type=int, default=60)
@@ -230,10 +230,13 @@ def _run_command(args, kind: str, out) -> int:
 
 def _order_command(args, out) -> int:
     _check_digits(args.digits)
-    n = math.inf if args.n.strip().lower() in ("inf", "infinity") else int(args.n)
     if args.m < 1:
         raise UsageError("--m must be at least 1")
-    if n != math.inf and n < 0:
+    try:
+        n = math.inf if args.n.strip().lower() in ("inf", "infinity") else int(args.n)
+    except ValueError:
+        n = None  # not a whole number: the same usage error as a negative one
+    if n is None or n < 0:
         raise UsageError("--n must be non-negative or 'inf'")
     value = analysis.theoretical_order(args.family, args.m, n)
     print(mpmath.nstr(value, args.digits, strip_zeros=False), file=out)

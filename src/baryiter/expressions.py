@@ -13,10 +13,7 @@ Exponents must reduce to integer constants (optionally signed, and
 themselves allowed to be integer powers, so 2^3^2 = 2^9); that keeps
 symbolic differentiation closed under the grammar.  An exponent, and each
 literal or power in it, is at most ``MAX_EXPONENT`` = 10^6 in magnitude
-(x^2^2^2^2 = x^65536).  A caller may give the source of any derivative
-order in place of the symbolic one (the built-in problems do, where the
-symbolic form would round differently); each higher order is then
-differentiated from it.
+(x^2^2^2^2 = x^65536).
 
 ``parse_expression`` compiles the value tree and each derivative tree once
 into nested closures on raw libmp values (see ``numerics``); evaluating one
@@ -39,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import mpmath
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
@@ -377,16 +374,11 @@ class Expression:
         return _evaluate(self.programs[3], x)
 
 
-def parse_expression(src: str, derivatives: Sequence[Optional[str]] = ()) -> Expression:
-    """Parse ``src`` into an evaluator with analytic derivatives up to order 3.
-
-    ``derivatives[k - 1]``, when given, is the source of the order-k
-    derivative; any other order is the symbolic derivative of the one below.
-    """
+def parse_expression(src: str) -> Expression:
+    """Parse ``src`` into an evaluator with symbolic derivatives up to order 3."""
     if not src or not src.strip():
         raise ParseError("empty expression", 1)
     nodes = [_Parser(src).parse()]
-    for order in range(1, 4):
-        given = derivatives[order - 1] if order <= len(derivatives) else None
-        nodes.append(_Parser(given).parse() if given else differentiate(nodes[-1]))
+    for _ in range(3):
+        nodes.append(differentiate(nodes[-1]))
     return Expression(source=src, nodes=tuple(nodes))

@@ -168,6 +168,8 @@ class SolverConfig:
             # an int is finite; anything else is parsed as the run will parse it
             if value is not None and not isinstance(value, int) and not mpmath.isfinite(mpf(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.perturb_h is not None and mpf(self.perturb_h) == 0:
+            raise ValueError("perturb_h must be non-zero")  # it would seed x1 = x0
         return self
 
 

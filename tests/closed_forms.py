@@ -1,8 +1,10 @@
-"""The built-in problems' hand-written closed forms, kept as a reference.
+"""The built-in problems' closed forms, written out by hand as a reference.
 
-``corpus`` builds each built-in from expression source; the programs it
-compiles must round exactly as these forms do, so every output bit of the
-solvers stays as it was when the built-ins were written as these lambdas.
+``corpus`` builds each built-in from expression source, and its derivatives
+are the symbolic derivatives that ``expressions.differentiate`` builds.  The
+programs it compiles must round exactly as these forms do.  So each
+derivative here follows its symbolic tree's operation order: ``exp(x) + x *
+exp(x)`` for the derivative of ``x*exp(x)``, not ``(1 + x) * exp(x)``.
 """
 
 from mpmath import cos, exp, sin
@@ -31,7 +33,7 @@ CLOSED_FORMS = {
     },
     "cubic_x3_minus_x_minus_2": {
         "f": lambda x: x ** 3 - x - 2,
-        "df": lambda x: 3 * x * x - 1,
+        "df": lambda x: 3 * x ** 2 - 1,
         "d2f": lambda x: 6 * x,
         "d3f": lambda x: real(6),
     },
@@ -43,9 +45,9 @@ CLOSED_FORMS = {
     },
     "opt_xexp": {
         "f": lambda x: x * exp(x),
-        "df": lambda x: (1 + x) * exp(x),
-        "d2f": lambda x: (2 + x) * exp(x),
-        "d3f": lambda x: (3 + x) * exp(x),
+        "df": lambda x: exp(x) + x * exp(x),
+        "d2f": lambda x: exp(x) + (exp(x) + x * exp(x)),
+        "d3f": lambda x: exp(x) + (exp(x) + (exp(x) + x * exp(x))),
     },
     "opt_cos": {
         "f": lambda x: cos(x),
@@ -56,7 +58,7 @@ CLOSED_FORMS = {
     "opt_quartic": {
         "f": lambda x: x ** 4 - 2 * x * x,
         "df": lambda x: 4 * x ** 3 - 4 * x,
-        "d2f": lambda x: 12 * x * x - 4,
+        "d2f": lambda x: 4 * (3 * x ** 2) - (2 + 2),
         "d3f": lambda x: 24 * x,
     },
 }

@@ -1,5 +1,7 @@
 import io
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -221,6 +223,8 @@ def test_order_rejects_nonpositive_digits(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("order", "--family", "root", "--m", "0", "--n", "2"), "--m must be at least 1"),
     (("order", "--family", "root", "--m", "1", "--n", "-1"), "--n must be non-negative or 'inf'"),
+    (("order", "--family", "root", "--m", "1", "--n", "abc"), "--n must be non-negative or 'inf'"),
+    (("order", "--family", "root", "--m", "1", "--n", "1.5"), "--n must be non-negative or 'inf'"),
     (("compare", "--problem", "x2_minus_2", "--methods", ","),
      "--methods must name at least one method"),
 ])
@@ -280,6 +284,34 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         assert run_cli(*argv) == (1, "")
         value = argv[-1].partition("=")[2] or argv[-1]
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+
+def test_a_zero_perturbation_is_a_usage_error(capsys):
+    # it would seed x1 = x0, and the run would end in a singular step with no trace
+    for h in ("0", "-0.0"):
+        argv = ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", h)
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err == "error: perturb_h must be non-zero\n"
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (["order", "--family", "root", "--m", "1", "--n", "2"], 0, "1.83929\n"),
+    (["order", "--family", "root", "--m", "0", "--n", "2"], 1, ""),
+])
+def test_the_console_entry_point_and_module_exit_with_mains_code(monkeypatch, capsys, argv,
+                                                                  code, printed):
+    assert cli.main(argv, out=io.StringIO()) == code
+    monkeypatch.setattr(sys, "argv", ["baryiter", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert exit_info.value.code == code
+    assert capsys.readouterr().out == printed
+    # python -m baryiter.cli, in this process: runpy warns that the module is already imported
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("baryiter.cli", run_name="__main__")
+    assert exit_info.value.code == code
+    assert capsys.readouterr().out == printed
 
 
 def test_an_exponent_beyond_the_bound_is_a_parse_error(capsys):

@@ -107,17 +107,6 @@ def test_function_derivatives_match_finite_differences():
             assert rel_err(e.d3f(x), fd_derivative(e.d2f, x, h)) <= real("1e-20"), src
 
 
-def test_a_given_derivative_source_replaces_that_order_and_seeds_the_next():
-    e = parse_expression("x^3", [None, "6*x + 0*x"])
-    symbolic = parse_expression("x^3")
-    assert e.nodes[1] == symbolic.nodes[1]
-    assert e.nodes[2] == parse_expression("6*x + 0*x").nodes[0]
-    assert e.nodes[3] == parse_expression("6*x + 0*x").nodes[1]
-    assert (e.df(2), e.d2f(2), e.d3f(2)) == (12, 12, 6)
-    with pytest.raises(ParseError):
-        parse_expression("x^3", ["3*x^"])
-
-
 def test_numbers_parse_at_working_precision():
     e = parse_expression("x-0.1")
     with precision(64):

@@ -84,6 +84,16 @@ def test_a_non_finite_numeric_field_is_rejected(name, value):
         optimize(corpus.get_problem("opt_cos"), config)
 
 
+@pytest.mark.parametrize("value", [0, "0", "-0.0", 0.0, real(0)])
+def test_a_zero_perturbation_is_rejected(value):
+    # x1 = x0 + h would repeat x0 and collapse the memory before the first step
+    config = SolverConfig(method="exact-df", window=2, bootstrap="perturb", perturb_h=value)
+    with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
+        config.validated()
+    with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
+        solve(corpus.get_problem("cos_minus_x"), config)
+
+
 def test_a_nonpositive_budget_is_rejected():
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="^max_iter must be positive$"):
@@ -123,6 +133,8 @@ def test_x1_on_a_one_point_method_is_refused(method):
 def test_finite_numeric_fields_of_every_type_are_accepted():
     for value in (0, 3, "1e-40", 0.5, real("2")):
         fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)
+        if value == 0:
+            del fields["perturb_h"]  # the one field that must also be non-zero
         SolverConfig(method="ch-d1", window=2, **fields).validated("opt")
 
 
