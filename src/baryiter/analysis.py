@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import mpmath
-from mpmath import fsum, mpf
+from mpmath import mpf
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_div, mpf_log, mpf_lt, mpf_sum
 
 from .errors import InsufficientData, UnsupportedCell
 from .methods import METHODS, MethodSpec
-from .numerics import Real, Scalar, real
+from .numerics import Real, Scalar, make_mpf, real
 from .root_search import IterationTrace
 
 FAMILIES = ("root", "opt")
@@ -95,22 +96,24 @@ def empirical_order(trace: IterationTrace, k_last: int) -> Real:
     """Mean of log|e_{i+1}| / log|e_i| over the last ``k_last`` usable steps.
 
     Usable steps carry a reference error strictly inside (0, 1); at least
-    ``k_last + 1`` of them are required.
+    ``k_last + 1`` of them are required.  Runs on raw libmp values (see
+    ``numerics``): each |e| and log is rounded and each ratio divided at the
+    working precision, and the ratios are summed exactly and rounded once,
+    as ``fsum`` does, so the result is that of ``fsum`` over the
+    ``mpmath.log`` ratios, divided by ``k_last``, bit for bit.
     """
     if k_last < 1:
         raise ValueError("k_last must be positive")
-    errors = [
-        s.abs_error
-        for s in trace.steps
-        if s.abs_error is not None and 0 < s.abs_error < 1
-    ]
+    prec, rounding = mpmath.mp._prec_rounding
+    errors = [mpf_abs(s.error._mpf_, prec, rounding) for s in trace.steps if s.error is not None]
+    errors = [e for e in errors if mpf_lt(fzero, e) and mpf_lt(e, fone)]
     if len(errors) < k_last + 1:
         raise InsufficientData(
             f"need {k_last + 1} steps with errors in (0, 1), have {len(errors)}"
         )
-    tail = errors[-(k_last + 1):]
-    ratios = [mpmath.log(tail[i + 1]) / mpmath.log(tail[i]) for i in range(k_last)]
-    return fsum(ratios) / k_last
+    logs = [mpf_log(e, prec, rounding) for e in errors[-(k_last + 1):]]
+    ratios = [mpf_div(logs[i + 1], logs[i], prec, rounding) for i in range(k_last)]
+    return make_mpf(mpf_div(mpf_sum(ratios, prec, rounding), from_int(k_last), prec, rounding))
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,9 @@ def _config_from(args) -> SolverConfig:
 
 
 def _summary_order(trace: IterationTrace) -> Optional[str]:
+    """The empirical order over the last three steps, to 6 digits, at the working precision."""
     try:
-        with precision(trace.config.precision_bits):
-            return to_decimal(analysis.empirical_order(trace, 3), 6)
+        return to_decimal(analysis.empirical_order(trace, 3), 6)
     except InsufficientData:
         return None
 
@@ -165,6 +165,7 @@ def trace_document(trace: IterationTrace, digits: int) -> dict:
             }
             for s in trace.steps
         ]
+        order = _summary_order(trace)
     return {
         "problem": trace.problem,
         "method": trace.method,
@@ -173,15 +174,55 @@ def trace_document(trace: IterationTrace, digits: int) -> dict:
         "summary": {
             "status": trace.status,
             "iterations": trace.iterations,
-            "empirical_order": _summary_order(trace),
+            "empirical_order": order,
         },
     }
+
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' own quoting under ensure_ascii
+_STEP_JSON = ('{\n      "i": %d,\n      "x": %s,\n      "f": %s,\n      "abs_error": %s,\n'
+              '      "status": %s\n    }')
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _json_steps(steps: list) -> str:
+    """A document's step list, nested in the top level, each step from one template."""
+    if not steps:
+        return "[]"
+    return "[\n    " + ",\n    ".join(
+        _STEP_JSON % (s["i"], _quote(s["x"]), _json_scalar(s["f"]), _json_scalar(s["abs_error"]),
+                      _quote(s["status"]))
+        for s in steps
+    ) + "\n  ]"
+
+
+def document_json(doc: dict, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2)`` of a ``trace_document``, or of an object nested in one.
+
+    Values are strings, ints, None, non-empty objects of these, and the step list.
+    """
+    inner = indent + "  "
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            text = document_json(value, inner)
+        elif isinstance(value, list):
+            text = _json_steps(value)
+        else:
+            text = _json_scalar(value)
+        items.append(f"\n{inner}{_quote(key)}: {text}")
+    return "{" + ",".join(items) + "\n" + indent + "}"
 
 
 def emit_json(trace: IterationTrace, digits: Optional[int], out) -> None:
     if digits is None:
         digits = numerics.decimal_digits(trace.config.precision_bits) + 2
-    print(json.dumps(trace_document(trace, digits), indent=2), file=out)
+    print(document_json(trace_document(trace, digits)), file=out)
 
 
 def emit_csv(trace: IterationTrace, digits: Optional[int], out) -> None:

@@ -43,6 +43,9 @@ from typing import Iterator, Union
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
     fzero,
     mpf_cos_sin,
     mpf_exp,
@@ -52,6 +55,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow_int,
     mpf_sqrt,
+    to_str,
 )
 
 from .errors import DomainError
@@ -139,21 +143,22 @@ def as_mpf(value: Scalar) -> Real:
 make_mpf = mpmath.mp.make_mpf  # an mpf holding a raw value as it is
 
 
+_SPECIAL_TEXT = {fnan: "nan", finf: "inf", fninf: "-inf"}
+
+
 def to_decimal(value: Scalar, digits: int) -> str:
-    """Scientific-notation decimal string ``d.ddd...e±nn`` with ``digits`` significant digits."""
+    """Scientific-notation decimal string ``d.ddd...e±nn`` with ``digits`` significant digits.
+
+    ``value`` is first rounded to the working precision, as ``real`` does.
+    """
     if digits < 1:
         raise ValueError("digits must be positive")
-    x = real(value)
-    if mpmath.isnan(x):
-        return "nan"
-    if mpmath.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0:
-        mantissa = "0" if digits == 1 else "0." + "0" * (digits - 1)
-        return mantissa + "e+00"
-    s = mpmath.nstr(
-        x, digits, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True
-    )
+    x = to_raw(value, *mpmath.mp._prec_rounding)
+    if not x[1]:  # zero, the infinities and nan carry no mantissa
+        if x in _SPECIAL_TEXT:
+            return _SPECIAL_TEXT[x]
+        return ("0" if digits == 1 else "0." + "0" * (digits - 1)) + "e+00"
+    s = to_str(x, digits, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True)
     mantissa, _, exponent = s.partition("e")
     sign, magnitude = exponent[0], exponent[1:]
     return f"{mantissa}e{sign}{magnitude.zfill(2)}"

@@ -15,8 +15,9 @@ checkouts' output lists the invocations whose output changed.  The set is the
 ``expr_cli`` items of ``perfbench.workloads`` for seeds 1-20 (read, not
 edited), then ``solve``, ``optimize``, ``compare``, both golden tables and a
 few usage errors, in every output format at 64, 256 and 4096 bits, with
-``--digits`` up to 150.  Pytest does not collect this file: its name does
-not start with ``test_``.
+``--digits`` up to 150.  ``tests/test_cli_digest.py`` pins the digest;
+pytest does not collect this file itself: its name does not start with
+``test_``.
 """
 
 import hashlib
@@ -70,6 +71,14 @@ def invocations() -> list:
     return runs
 
 
+def record(argv: list) -> bytes:
+    """One invocation's argv, exit code, stdout and stderr, as one JSON line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(argv, out=out)
+    return json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n"
+
+
 def main(args: list) -> int:
     each = args == ["--each"]
     if args and not each:
@@ -78,10 +87,7 @@ def main(args: list) -> int:
     digest = hashlib.sha256()
     runs = invocations()
     for index, argv in enumerate(runs):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stderr(err):
-            code = cli.main(argv, out=out)
-        line = json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n"
+        line = record(argv)
         digest.update(line)
         if each:
             print(f"{index:4d} {hashlib.sha256(line).hexdigest()[:12]} {shlex.join(argv)}")

@@ -12,8 +12,8 @@ import mpmath
 from mpmath import fsum, mpf
 
 from baryiter import numerics
-from baryiter.errors import (DegenerateNodes, ExactRootHit, NonConvergence, SingularStep,
-                             ZeroDerivative)
+from baryiter.errors import (DegenerateNodes, ExactRootHit, InsufficientData, NonConvergence,
+                             SingularStep, ZeroDerivative)
 from baryiter.interpolants import sample_slopes
 from baryiter.numerics import real
 
@@ -55,6 +55,46 @@ def refine_reference_direct(problem, near=None):
                 break
             x = x - residual / derivative
     raise NonConvergence(f"reference for {problem.name!r} did not reach the target residual")
+
+
+def to_decimal_direct(value, digits):
+    """``d.ddd...e±nn`` through mpf's own predicates and ``mpmath.nstr``.
+
+    The formatter ``numerics.to_decimal`` used before it formatted raw
+    values with libmp's ``to_str``; the two must agree character for
+    character.
+    """
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    x = real(value)
+    if mpmath.isnan(x):
+        return "nan"
+    if mpmath.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if x == 0:
+        mantissa = "0" if digits == 1 else "0." + "0" * (digits - 1)
+        return mantissa + "e+00"
+    s = mpmath.nstr(
+        x, digits, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True
+    )
+    mantissa, _, exponent = s.partition("e")
+    sign, magnitude = exponent[0], exponent[1:]
+    return f"{mantissa}e{sign}{magnitude.zfill(2)}"
+
+
+def empirical_order_direct(trace, k_last):
+    """Mean log-error ratio over the last ``k_last`` usable steps, in mpf arithmetic.
+
+    The form ``analysis.empirical_order`` had before it ran on raw libmp
+    values: ``fsum`` of the ``mpmath.log`` ratios, divided by ``k_last``.
+    """
+    errors = [s.abs_error for s in trace.steps
+              if s.abs_error is not None and 0 < s.abs_error < 1]
+    if len(errors) < k_last + 1:
+        raise InsufficientData(f"need {k_last + 1} steps, have {len(errors)}")
+    tail = errors[-(k_last + 1):]
+    ratios = [mpmath.log(tail[i + 1]) / mpmath.log(tail[i]) for i in range(k_last)]
+    return fsum(ratios) / k_last
 
 
 def taylor_cos(x, terms=300):

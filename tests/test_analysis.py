@@ -2,7 +2,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from baryiter import corpus
 from baryiter.analysis import (
@@ -14,8 +17,10 @@ from baryiter.analysis import (
     verify_error_factor,
 )
 from baryiter.errors import InsufficientData, UnsupportedCell
-from baryiter.numerics import precision, real, set_precision
+from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.root_search import IterationTrace, SolverConfig, StepRecord, solve
+
+from oracles import empirical_order_direct
 
 # published convergence indexes, five decimal places
 ROOT_ORDERS = {
@@ -142,6 +147,37 @@ def test_empirical_order_requires_enough_data():
     trace = _synthetic_trace(["2.26", "1.73", "0.5"])
     with pytest.raises(InsufficientData):
         empirical_order(trace, 2)
+
+
+# signed errors |man| 2^exp with |man| up to 4200 bits, so some carry more
+# bits than the working precision; most lie in (0, 1), a few at or above 1,
+# some are exactly zero and some steps have none
+_errors = st.one_of(
+    st.none(),
+    st.just(mpf(0)),
+    st.builds(
+        lambda negative, man, shift: make_mpf(
+            from_man_exp(-man if negative else man, -man.bit_length() - shift)),
+        st.booleans(), st.integers(min_value=1, max_value=2 ** 4200),
+        st.integers(min_value=-3, max_value=100000),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_errors, min_size=2, max_size=16), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=64, max_value=4096))
+def test_empirical_order_is_the_fsum_of_log_ratios_bit_for_bit(errors, k_last, bits):
+    steps = [StepRecord(i, mpf(0), mpf(0), None, e, "ok") for i, e in enumerate(errors)]
+    trace = IterationTrace("synthetic", "none", SolverConfig(), mpf(0), steps)
+    with precision(bits):
+        try:
+            expected = empirical_order_direct(trace, k_last)
+        except InsufficientData:
+            with pytest.raises(InsufficientData):
+                empirical_order(trace, k_last)
+            return
+        assert empirical_order(trace, k_last)._mpf_ == expected._mpf_
 
 
 def test_predicted_error_factor_hand_values():

@@ -4,6 +4,8 @@ import runpy
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baryiter import cli, corpus
 from baryiter.numerics import PRECISION_ENV_VAR
@@ -338,3 +340,44 @@ def test_compare_without_a_reference_prints_residual_cells():
         "secant: budget-exhausted after 4 steps\n"
         "exact-df: budget-exhausted after 4 steps\n"
     )
+
+
+# user text: quotes, backslashes, control characters, non-ASCII text, a lone
+# surrogate (an undecodable argv byte) and text that looks like the writer's own
+_names = st.one_of(
+    st.text(),
+    st.sampled_from(['"steps": []', '{"steps": []}', 'a"b', "back\\slash", "\x00\x1f\n\t\r",
+                     "cos(x)-é", "✓ x^2", "😀", "\udcff", ""]),
+)
+_decimals = st.one_of(st.none(), st.text(alphabet="0123456789.e+-naif", max_size=40))
+# a step's keys in ``trace_document``'s order, which the writer's template follows
+_steps = st.lists(
+    st.builds(
+        lambda *values: dict(zip(("i", "x", "f", "abs_error", "status"), values)),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.text(alphabet="0123456789.e+-nf", max_size=40), _decimals, _decimals, _names,
+    ),
+    max_size=200,
+)
+_documents = st.fixed_dictionaries({
+    "problem": _names,
+    "method": _names,
+    "config": st.fixed_dictionaries({
+        "method": _names, "weights": _names, "alpha": _names,
+        "window": st.integers(min_value=1, max_value=64), "beta": _names,
+        "bootstrap": _names, "max_iter": st.integers(min_value=0, max_value=10 ** 6),
+        "precision_bits": st.integers(min_value=64, max_value=10 ** 5),
+    }),
+    "steps": _steps,
+    "summary": st.fixed_dictionaries({
+        "status": _names,
+        "iterations": st.integers(min_value=0, max_value=10 ** 6),
+        "empirical_order": _decimals,
+    }),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_the_json_writer_prints_what_json_dumps_prints(doc):
+    assert cli.document_json(doc) == json.dumps(doc, indent=2)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from baryiter import numerics
 from baryiter.errors import DomainError
 from baryiter.numerics import get_precision, precision, real, set_precision, to_decimal
 
-from oracles import elementary, newton_sqrt, taylor_cos, ulp
+from oracles import elementary, newton_sqrt, taylor_cos, to_decimal_direct, ulp
 
 cos, sin, exp, log, sqrt, powi = (partial(elementary, name)
                                   for name in ("cos", "sin", "exp", "log", "sqrt", "powi"))
@@ -89,6 +90,40 @@ def test_to_decimal_format():
     for digits in (0, -3):
         with pytest.raises(ValueError, match="digits must be positive"):
             to_decimal(1, digits)
+
+
+# exact mpf values of random sign, mantissa and exponent; a mantissa of up to
+# 4200 bits carries more bits than the working precision, which rounds first
+_exact_mpfs = st.builds(
+    lambda negative, man, exp: numerics.make_mpf(from_man_exp(-man if negative else man, exp)),
+    st.booleans(), st.integers(min_value=1, max_value=2 ** 4200),
+    st.integers(min_value=-20000, max_value=20000),
+)
+_scalars = st.one_of(
+    _exact_mpfs,
+    st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+    st.floats(),  # nan and the infinities included
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.sampled_from([0, 0.0, -0.0, "0", "-0.000", mpf(0), mpf("inf"), mpf("-inf"), mpf("nan"),
+                     "inf", "-inf", "nan", float("inf"), float("-inf")]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scalars, st.integers(min_value=1, max_value=150),
+       st.integers(min_value=64, max_value=4096))
+def test_to_decimal_matches_the_nstr_formatter(value, digits, bits):
+    with precision(bits):
+        assert to_decimal(value, digits) == to_decimal_direct(value, digits)
+
+
+def test_to_decimal_rounds_to_the_working_precision_first():
+    x = numerics.make_mpf(from_man_exp(2 ** 100 + 1, -100))  # 1 + 2^-100, exactly
+    with precision(64):
+        assert to_decimal(x, 40) == "1." + "0" * 39 + "e+00"
+        assert to_decimal(x, 40) == to_decimal_direct(x, 40)
+    with precision(128):
+        assert to_decimal(x, 40) == "1.000000000000000000000000000000788860905e+00"
 
 
 def test_decimal_round_trip_exact_cases():
