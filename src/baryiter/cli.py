@@ -49,54 +49,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="baryiter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p, methods, default_method, default_window):
+    def add_shared_flags(p, max_iter, digits, digits_help):
+        """The flags ``solve``, ``optimize`` and ``compare`` share."""
         target = p.add_mutually_exclusive_group(required=True)
         target.add_argument("--problem", help="built-in problem name")
         target.add_argument("--expr", help="expression in x, e.g. 'cos(x)-x'")
         p.add_argument("--x0", help="starting point (required with --expr)")
+        p.add_argument("--weights", choices=root_search.WEIGHT_SCHEMES, default="x")
+        p.add_argument("--window", type=int, default=4, help="memory size n+1")
+        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--precision-bits", type=int, default=None)
+        p.add_argument("--digits", type=int, default=digits, help=digits_help)
+
+    for name, methods, default_method, kind, about in (
+        ("solve", ROOT_METHODS, "exact-df", "root", "run a root method"),
+        ("optimize", OPT_METHODS, "newton-df", "optimisation", "run an optimisation method"),
+    ):
+        p = sub.add_parser(name, help=about)
+        add_shared_flags(p, 60, None,
+                         "displayed significant digits (default 20; json uses full precision)")
         p.add_argument("--x1", help="explicit second starting point")
         p.add_argument("--method", choices=methods, default=default_method)
-        p.add_argument("--weights", choices=root_search.WEIGHT_SCHEMES, default="x")
         p.add_argument("--alpha", default="0", help="shift for the alpha weight scheme")
-        p.add_argument("--window", type=int, default=default_window, help="memory size n+1")
         p.add_argument("--beta", default="1", help="Chebyshev-Halley parameter")
         p.add_argument("--bootstrap", choices=root_search.BOOTSTRAPS, default="auto")
         p.add_argument("--perturb-h", help="non-zero step for the perturbation bootstrap")
         p.add_argument("--tol-f", help="residual tolerance (default scales with precision)")
         p.add_argument("--tol-x", help="step-size tolerance")
-        p.add_argument("--max-iter", type=int, default=60)
-        p.add_argument("--precision-bits", type=int, default=None)
         p.add_argument("--output", choices=("human", "json", "csv"), default="human")
-        p.add_argument("--digits", type=int, default=None,
-                       help="displayed significant digits (default 20; json uses full precision)")
-
-    solve = sub.add_parser("solve", help="run a root method")
-    add_run_flags(solve, ROOT_METHODS, "exact-df", 4)
-
-    optimize = sub.add_parser("optimize", help="run an optimisation method")
-    add_run_flags(optimize, OPT_METHODS, "newton-df", 4)
+        p.set_defaults(handler=_run_command, kind=kind)
 
     order = sub.add_parser("order", help="theoretical convergence order")
     order.add_argument("--family", choices=analysis.FAMILIES, required=True)
     order.add_argument("--m", type=int, required=True, help="coincidence multiplicity")
     order.add_argument("--n", required=True, help="memory parameter, or 'inf'")
     order.add_argument("--digits", type=int, default=6)
+    order.set_defaults(handler=_order_command)
 
     table = sub.add_parser("table", help="replay a golden error table and check every cell")
     table.add_argument("--reproduce", choices=sorted(corpus.GOLDEN_TABLES), required=True)
     table.add_argument("--precision-bits", type=int, default=None)
+    table.set_defaults(handler=_table_command)
 
     compare = sub.add_parser("compare", help="run several methods side by side")
-    target = compare.add_mutually_exclusive_group(required=True)
-    target.add_argument("--problem")
-    target.add_argument("--expr")
-    compare.add_argument("--x0")
+    add_shared_flags(compare, 30, 3, "displayed significant digits (default 3)")
     compare.add_argument("--methods", required=True, help="comma-separated method list")
-    compare.add_argument("--weights", choices=root_search.WEIGHT_SCHEMES, default="x")
-    compare.add_argument("--window", type=int, default=4)
-    compare.add_argument("--max-iter", type=int, default=30)
-    compare.add_argument("--precision-bits", type=int, default=None)
-    compare.add_argument("--digits", type=int, default=3)
+    compare.set_defaults(handler=_compare_command)
 
     return parser
 
@@ -112,8 +110,12 @@ def _resolve_problem(args, kind: str) -> corpus.Problem:
     return corpus.from_expression(parse_expression(args.expr), args.expr, kind, args.x0)
 
 
+def _bits(args) -> int:
+    """``--precision-bits``, or the default precision when it is not given."""
+    return numerics.default_precision_bits() if args.precision_bits is None else args.precision_bits
+
+
 def _config_from(args) -> SolverConfig:
-    bits = args.precision_bits if args.precision_bits is not None else numerics.default_precision_bits()
     return SolverConfig(
         method=args.method,
         weight_scheme=args.weights,
@@ -127,7 +129,7 @@ def _config_from(args) -> SolverConfig:
         tol_f=args.tol_f,
         tol_x=args.tol_x,
         max_iter=args.max_iter,
-        precision_bits=bits,
+        precision_bits=_bits(args),
     )
 
 
@@ -152,19 +154,24 @@ def _config_document(config: SolverConfig) -> dict:
     }
 
 
+def _step_cells(trace: IterationTrace, digits: int) -> list:
+    """Each step of ``trace`` with its numbers as decimal strings, at the working precision."""
+    return [
+        {
+            "i": s.index,
+            "x": to_decimal(s.x, digits),
+            "f": to_decimal(s.f, digits) if s.f is not None else None,
+            "abs_error": to_decimal(s.abs_error, digits) if s.error is not None else None,
+            "status": s.status,
+        }
+        for s in trace.steps
+    ]
+
+
 def trace_document(trace: IterationTrace, digits: int) -> dict:
     """JSON-ready form of a trace; every number is a decimal string."""
     with precision(trace.config.precision_bits):
-        steps = [
-            {
-                "i": s.index,
-                "x": to_decimal(s.x, digits),
-                "f": to_decimal(s.f, digits) if s.f is not None else None,
-                "abs_error": to_decimal(s.abs_error, digits) if s.error is not None else None,
-                "status": s.status,
-            }
-            for s in trace.steps
-        ]
+        steps = _step_cells(trace, digits)
         order = _summary_order(trace)
     return {
         "problem": trace.problem,
@@ -227,9 +234,10 @@ def emit_json(trace: IterationTrace, digits: Optional[int], out) -> None:
 
 def emit_csv(trace: IterationTrace, digits: Optional[int], out) -> None:
     digits = HUMAN_DIGITS if digits is None else digits
-    doc = trace_document(trace, digits)
+    with precision(trace.config.precision_bits):
+        steps = _step_cells(trace, digits)  # csv has no summary row, so no order
     print("i,x,f,abs_error,status", file=out)
-    for s in doc["steps"]:
+    for s in steps:
         cells = [str(s["i"]), s["x"], s["f"] or "", s["abs_error"] or "", s["status"]]
         print(",".join(cells), file=out)
 
@@ -254,23 +262,16 @@ def emit_human(trace: IterationTrace, digits: Optional[int], out) -> None:
 _EMITTERS = {"json": emit_json, "csv": emit_csv, "human": emit_human}
 
 
-def _check_digits(digits: Optional[int]) -> None:
-    if digits is not None and digits < 1:
-        raise UsageError("--digits must be positive")
-
-
-def _run_command(args, kind: str, out) -> int:
-    _check_digits(args.digits)
-    problem = _resolve_problem(args, kind)
+def _run_command(args, out) -> int:
+    problem = _resolve_problem(args, args.kind)
     config = _config_from(args)
-    runner = root_search.solve if kind == "root" else optimise.optimize
+    runner = root_search.solve if args.kind == "root" else optimise.optimize
     trace = runner(problem, config)
     _EMITTERS[args.output](trace, args.digits, out)
     return EXIT_OK if trace.status == root_search.STATUS_CONVERGED else EXIT_FAILED
 
 
 def _order_command(args, out) -> int:
-    _check_digits(args.digits)
     if args.m < 1:
         raise UsageError("--m must be at least 1")
     try:
@@ -346,12 +347,11 @@ def _table_command(args, out) -> int:
 
 
 def _compare_command(args, out) -> int:
-    _check_digits(args.digits)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods must name at least one method")
     problem = _resolve_problem(args, "root")
-    bits = args.precision_bits if args.precision_bits is not None else numerics.default_precision_bits()
+    bits = _bits(args)
     traces = []
     for method in methods:
         spec = METHODS.get(method)  # an unknown name is rejected by the solver
@@ -377,19 +377,12 @@ def _compare_command(args, out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _run_command(args, "root", out)
-        if args.command == "optimize":
-            return _run_command(args, "optimisation", out)
-        if args.command == "order":
-            return _order_command(args, out)
-        if args.command == "table":
-            return _table_command(args, out)
-        # argparse requires one of the five subcommands, so this one is compare
-        return _compare_command(args, out)
+        args = build_parser().parse_args(argv)
+        # before any other check, so a bad --digits reads the same everywhere
+        if getattr(args, "digits", None) is not None and args.digits < 1:
+            raise UsageError("--digits must be positive")
+        return args.handler(args, out)
     except (UsageError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -120,8 +120,9 @@ class SolverConfig:
     the alpha weight scheme; its default of 0 is arbitrary (any value with
     the right asymptotics works, none is preferred).  ``x1`` goes with the
     ``auto`` or ``explicit`` bootstrap of a method that seeds more than one
-    point, and ``max_iter`` is at least the number of seeds, so every run
-    proposes a step; ``validated`` refuses anything else.
+    point and differs from ``x0`` at the working precision, and ``max_iter``
+    is at least the number of seeds, so every run proposes a step;
+    ``validated`` refuses anything else.
     """
 
     method: str = "exact-df"
@@ -170,6 +171,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.perturb_h is not None and mpf(self.perturb_h) == 0:
             raise ValueError("perturb_h must be non-zero")  # it would seed x1 = x0
+        if self.x0 is not None and self.x1 is not None:
+            with numerics.precision(self.precision_bits):
+                if real(self.x0) == real(self.x1):
+                    raise ValueError("x1 must differ from x0 at the working precision")
         return self
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import runpy
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baryiter import cli, corpus
+from baryiter import analysis, cli, corpus
 from baryiter.numerics import PRECISION_ENV_VAR
 
 
@@ -206,12 +207,14 @@ def test_table_rejects_a_precision_below_the_floor(capsys):
 
 
 def test_nonpositive_digits_is_the_same_usage_error_in_every_format(capsys):
-    for digits in ("0", "-3"):
-        for output in ("human", "csv", "json"):
-            code, text = run_cli("solve", "--problem", "x2_minus_2", "--precision-bits", "128",
-                                 "--output", output, "--digits", digits)
-            assert (code, text) == (1, "")
-            assert capsys.readouterr().err.strip() == "error: --digits must be positive"
+    runs = (("solve", "--problem", "x2_minus_2"), ("optimize", "--problem", "opt_quadratic"))
+    for run in runs:
+        for digits in ("0", "-3"):
+            for output in ("human", "csv", "json"):
+                code, text = run_cli(*run, "--precision-bits", "128", "--output", output,
+                                     "--digits", digits)
+                assert (code, text) == (1, "")
+                assert capsys.readouterr().err.strip() == "error: --digits must be positive"
 
 
 def test_order_rejects_nonpositive_digits(capsys):
@@ -229,10 +232,64 @@ def test_order_rejects_nonpositive_digits(capsys):
     (("order", "--family", "root", "--m", "1", "--n", "1.5"), "--n must be non-negative or 'inf'"),
     (("compare", "--problem", "x2_minus_2", "--methods", ","),
      "--methods must name at least one method"),
+    # --digits is checked first, before any subcommand's own checks
+    (("compare", "--problem", "x2_minus_2", "--methods", ",", "--digits", "0"),
+     "--digits must be positive"),
+    (("order", "--family", "root", "--m", "0", "--n", "2", "--digits", "0"),
+     "--digits must be positive"),
 ])
 def test_an_out_of_range_argument_is_a_usage_error(capsys, argv, message):
     assert run_cli(*argv) == (1, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# each subcommand's (option, default) pairs as they stood when its flag set was unified
+FLAG_SET = {
+    "solve": {"--problem": None, "--expr": None, "--x0": None, "--x1": None,
+              "--method": "exact-df", "--weights": "x", "--alpha": "0", "--window": 4,
+              "--beta": "1", "--bootstrap": "auto", "--perturb-h": None, "--tol-f": None,
+              "--tol-x": None, "--max-iter": 60, "--precision-bits": None, "--output": "human",
+              "--digits": None},
+    "order": {"--family": None, "--m": None, "--n": None, "--digits": 6},
+    "table": {"--reproduce": None, "--precision-bits": None},
+    "compare": {"--problem": None, "--expr": None, "--x0": None, "--methods": None,
+                "--weights": "x", "--window": 4, "--max-iter": 30, "--precision-bits": None,
+                "--digits": 3},
+}
+FLAG_SET["optimize"] = {**FLAG_SET["solve"], "--method": "newton-df"}
+
+
+def test_no_option_is_added_or_removed():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {
+        name: {option: action.default for action in parser._actions
+               if not isinstance(action, argparse._HelpAction) for option in action.option_strings}
+        for name, parser in commands.items()
+    }
+    assert flags == FLAG_SET
+
+
+@pytest.mark.parametrize("output, orders", [("csv", 0), ("json", 1), ("human", 1)])
+def test_only_a_format_that_prints_the_order_computes_it(monkeypatch, output, orders):
+    calls = []
+    empirical_order = analysis.empirical_order
+
+    def counted(*args):
+        calls.append(args)
+        return empirical_order(*args)
+
+    monkeypatch.setattr(analysis, "empirical_order", counted)
+    code, text = run_cli("solve", "--expr", "cos(x)-x", "--x0", "1", "--output", output)
+    assert code == 0 and text
+    assert len(calls) == orders
+
+
+@pytest.mark.parametrize("x1", ["1", "1.0", "1." + "0" * 100 + "1"])
+def test_an_x1_equal_to_x0_at_the_working_precision_is_a_usage_error(capsys, x1):
+    code, text = run_cli("solve", "--expr", "cos(x)-x", "--x0", "1", "--x1", x1)
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 
 
 def test_compare_rejects_nonpositive_digits_before_printing(capsys):

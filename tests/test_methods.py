@@ -130,6 +130,22 @@ def test_x1_on_a_one_point_method_is_refused(method):
     assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])
+def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
+    def never(x):
+        raise AssertionError("f was evaluated")
+
+    problem = SimpleNamespace(name="p", f=never, df=never, d2f=never, reference=never)
+    runner = RUNNERS[family][0]
+    # 1 + 1e-22 rounds to 1 at 64 bits and is a distinct seed at 128
+    for x0, x1 in ((1, "1.0"), ("0.5", real("0.5")), ("1", "1.0000000000000000000001")):
+        config = SolverConfig(method=method, window=3, x0=x0, x1=x1, precision_bits=64)
+        with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
+            runner(problem, config)
+    SolverConfig(method=method, window=3, x0="1", x1="1.0000000000000000000001",
+                 precision_bits=128).validated(family)
+
+
 def test_finite_numeric_fields_of_every_type_are_accepted():
     for value in (0, 3, "1e-40", 0.5, real("2")):
         fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)
