@@ -9,7 +9,9 @@ has an asymptotic order ``l`` solving a scalar fixed-point equation:
   ``(m + sqrt(4 + m^2))/2``.
 
 ``theoretical_order`` finds the largest root in [1, limit] with Newton
-started from the limit; the fixed point is unique in that interval.
+started from the limit; the fixed point is unique in that interval.  It
+stops on a step within 2^10 ulps of the limit, so its last iterate, one
+quadratic step on, is good to the working precision.
 ``empirical_order`` averages log-error ratios, matching the defining
 relation ``e_{i+1} ~ e_i^l`` directly, which is more robust than regression
 on the few asymptotic steps a trace provides.
@@ -38,8 +40,6 @@ from .numerics import Real, Scalar, make_mpf, real
 from .root_search import IterationTrace
 
 FAMILIES = ("root", "opt")
-
-_ORDER_TOL = mpf(10) ** -16
 
 
 def order_limit(family: str, m: int) -> Real:
@@ -86,7 +86,7 @@ def theoretical_order(family: str, m: int, n) -> Real:
     l = limit
     for _ in range(200):
         candidate = l - _residual(family, m, n, l) / _slope(family, m, n, l)
-        if abs(candidate - l) < _ORDER_TOL * limit:
+        if abs(candidate - l) < mpmath.ldexp(limit, 10 - mpmath.mp.prec):
             return candidate
         l = candidate
     return l

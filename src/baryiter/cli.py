@@ -27,6 +27,7 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 
 HUMAN_DIGITS = 20
+GUARD_BITS = 16  # beyond the printed digits, for ``order``
 
 
 class UsageError(Exception):
@@ -103,7 +104,8 @@ def _resolve_problem(args, kind: str) -> corpus.Problem:
     if args.problem:
         problem = corpus.get_problem(args.problem)
         if problem.kind != kind:
-            raise UsageError(f"problem {problem.name!r} is a {problem.kind} problem")
+            article = "an" if problem.kind == "optimisation" else "a"
+            raise UsageError(f"problem {problem.name!r} is {article} {problem.kind} problem")
         return problem
     if args.x0 is None:
         raise UsageError("--expr needs --x0")
@@ -112,7 +114,7 @@ def _resolve_problem(args, kind: str) -> corpus.Problem:
 
 def _bits(args) -> int:
     """``--precision-bits``, or the default precision when it is not given."""
-    return numerics.default_precision_bits() if args.precision_bits is None else args.precision_bits
+    return numerics.DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
 
 
 def _config_from(args) -> SolverConfig:
@@ -280,8 +282,11 @@ def _order_command(args, out) -> int:
         n = None  # not a whole number: the same usage error as a negative one
     if n is None or n < 0:
         raise UsageError("--n must be non-negative or 'inf'")
-    value = analysis.theoretical_order(args.family, args.m, n)
-    print(mpmath.nstr(value, args.digits, strip_zeros=False), file=out)
+    # every printed digit is computed: the run's precision follows --digits alone
+    bits = max(numerics.DEFAULT_PRECISION_BITS, math.ceil(args.digits * math.log2(10)) + GUARD_BITS)
+    with precision(bits):
+        value = analysis.theoretical_order(args.family, args.m, n)
+        print(mpmath.nstr(value, args.digits, strip_zeros=False), file=out)
     return EXIT_OK
 
 

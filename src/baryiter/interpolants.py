@@ -1,8 +1,9 @@
 """Evaluate the barycentric interpolants behind the iteration schemes.
 
-These evaluators are diagnostics: the solvers never evaluate an interpolant
-away from its nodes, but finite differences of these functions are the
-independent check for every derivative estimate the steps use.
+The solvers do not call them, but ``exact-df``'s step is
+``eval_plain(window, w, 0, "inverse")`` bit for bit, and ``exact-d1``'s is
+``eval_hermite``'s inverse value at 0 up to operation order.  Finite
+differences of them check every derivative estimate the steps use.
 
 Two forms, each in two orientations:
 

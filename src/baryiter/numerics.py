@@ -34,7 +34,6 @@ step) pay for one evaluation.  The results are those of ``mpmath.cos``,
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -67,8 +66,6 @@ Raw = tuple  # an mpf's ``_mpf_``: (sign, mantissa, exponent, bit count)
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
 
-PRECISION_ENV_VAR = "BARYITER_PRECISION_BITS"
-
 
 def _validated_bits(bits) -> int:
     bits = int(bits)
@@ -95,14 +92,6 @@ def precision(bits: int) -> Iterator[None]:
     """Run a block at a temporary working precision, holding the precision lock."""
     with _PRECISION_LOCK, mpmath.workprec(_validated_bits(bits)):
         yield
-
-
-def default_precision_bits() -> int:
-    """Default precision, overridable through ``BARYITER_PRECISION_BITS``."""
-    env = os.environ.get(PRECISION_ENV_VAR)
-    if env is not None and env.strip():
-        return _validated_bits(env)
-    return DEFAULT_PRECISION_BITS
 
 
 def decimal_digits(bits: int) -> int:

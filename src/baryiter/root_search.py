@@ -614,9 +614,9 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
 
     After ``x0`` comes ``x1`` when given; otherwise one fixed-point step
     (bootstrap ``picard``, or ``auto`` when the method accepts ``picard``
-    and the problem has that form); otherwise the relative perturbation
-    ``x0 + h`` with ``h = 1e-3 * max(1, |x0|)``.  A third point mirrors the
-    second about ``x0``.
+    and the problem has that form); otherwise ``x0 + h``, ``h`` being
+    ``perturb_h`` or ``1e-3 * max(1, |x0|)``, refused if it rounds to
+    ``x0``.  A third point mirrors the second about ``x0``.
     """
     yield x0
     if spec.min_window == 1:
@@ -633,6 +633,8 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     else:
         h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
         x1 = x0 + h
+        if x1 == x0:  # h != 0 rounded away: ``validated`` has no x0 to check it on
+            raise ValueError("x1 must differ from x0 at the working precision")
     yield x1
     if spec.min_window > 2:
         yield x0 - (x1 - x0)

@@ -93,9 +93,9 @@ def test_theoretical_order_matches_findroot_on_the_same_residual(family):
             # the largest root lies between the midpoint of [1, limit] and the limit
             root = mpmath.findroot(residual, ((1 + l) / 2, order_limit(family, m)),
                                    solver="anderson")
-            # Newton stops after a step under 1e-16 of the limit, so the last
-            # iterate is good to about the square of that
-            assert abs(l - root) <= real("1e-30") * l, (m, n)
+            # Newton stops after a step within 2^10 ulps of the limit, so the last
+            # iterate, a quadratic step further on, is good to the working precision
+            assert abs(l - root) <= mpmath.ldexp(l, 4 - mpmath.mp.prec), (m, n)
 
 
 def test_theoretical_order_holds_at_the_precision_floor():

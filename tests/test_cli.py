@@ -4,12 +4,12 @@ import json
 import runpy
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryiter import analysis, cli, corpus
-from baryiter.numerics import PRECISION_ENV_VAR
 
 
 def run_cli(*argv):
@@ -106,18 +106,54 @@ def test_optimize_command():
     assert doc["steps"][-1]["x"].startswith(("1.99999999999999999", "2.0000"))
 
 
-def test_optimize_rejects_root_problem():
+def test_optimize_rejects_root_problem(capsys):
     code, _ = run_cli("optimize", "--problem", "x2_minus_2")
     assert code == 1
+    assert capsys.readouterr().err == "error: problem 'x2_minus_2' is a root problem\n"
+    # and solve an optimisation problem, with the article that kind takes
+    assert run_cli("solve", "--problem", "opt_cos") == (1, "")
+    assert capsys.readouterr().err == "error: problem 'opt_cos' is an optimisation problem\n"
 
 
-def test_env_var_precision_override(monkeypatch):
-    monkeypatch.setenv(PRECISION_ENV_VAR, "192")
-    code, text = run_cli(
-        "solve", "--problem", "x2_minus_2", "--method", "newton", "--output", "json",
-    )
+@pytest.mark.parametrize("family, m, n", [("root", 1, 2), ("opt", 2, 3), ("opt", 1, 1)])
+def test_order_computes_every_digit_it_prints(family, m, n):
+    code, text = run_cli("order", "--family", family, "--m", str(m), "--n", str(n),
+                         "--digits", "70")
     assert code == 0
-    assert json.loads(text)["config"]["precision_bits"] == 192
+    with mpmath.workprec(400):
+        if family == "root":
+            residual = lambda t: t - (m + 1) + m * t ** (-(n + 1))  # noqa: E731
+        else:
+            residual = lambda t: t * t - 1 - m * (t - t ** (-n))  # noqa: E731
+        # modified Newton from the limit: (opt, 1, 1) is the double root 1
+        root = mpmath.findroot(residual, analysis.order_limit(family, m), solver="mnewton")
+        assert text == mpmath.nstr(root, 70, strip_zeros=False) + "\n"
+
+
+# one of each subcommand, with no --precision-bits where it takes one
+ARGV_ALONE = [
+    ("solve", "--expr", "cos(x)-x", "--x0", "1", "--output", "json"),
+    ("optimize", "--problem", "opt_cos", "--method", "ch-d1", "--window", "3"),
+    ("compare", "--problem", "cos_minus_x", "--methods", "secant,exact-df"),
+    ("table", "--reproduce", "table4"),
+    ("order", "--family", "root", "--m", "1", "--n", "2", "--digits", "60"),
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_ALONE, ids=lambda argv: argv[0])
+def test_the_output_depends_on_argv_alone(monkeypatch, capsys, argv):
+    def printed():
+        code, text = run_cli(*argv)
+        return code, text, capsys.readouterr().err
+
+    clean = printed()
+    # neither the environment variable earlier versions read nor the process-wide
+    # precision moves a byte
+    monkeypatch.setenv("BARYITER_PRECISION_BITS", "64")
+    assert printed() == clean
+    monkeypatch.delenv("BARYITER_PRECISION_BITS")
+    mpmath.mp.prec = 64  # the conftest fixture restores it
+    assert printed() == clean
 
 
 def test_table_reproduction_table6():
@@ -351,6 +387,14 @@ def test_a_zero_perturbation_is_a_usage_error(capsys):
         argv = ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", h)
         assert run_cli(*argv) == (1, "")
         assert capsys.readouterr().err == "error: perturb_h must be non-zero\n"
+
+
+def test_a_perturbation_that_rounds_away_is_a_usage_error(capsys):
+    # non-zero, but x0 + 1e-400 is x0 at 256 bits: the run would end in a singular
+    # step with no trace
+    argv = ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", "1e-400")
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 
 
 @pytest.mark.parametrize("argv, code, printed", [

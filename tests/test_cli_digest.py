@@ -14,13 +14,11 @@ them next to the new pin.
 import hashlib
 
 import cli_digest
-from baryiter.numerics import PRECISION_ENV_VAR
 
 PINNED = (1158, "b0da0c8f23543e3c6bdbd841554b6606f3fed772de6b9f382975e400841915db")
 
 
-def test_cli_output_hashes_to_the_pinned_digest(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)  # the default precision is pinned too
+def test_cli_output_hashes_to_the_pinned_digest():
     digest = hashlib.sha256()
     runs = cli_digest.invocations()
     for argv in runs:

@@ -1,11 +1,15 @@
 import random
 from dataclasses import FrozenInstanceError
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 import baryiter
-from baryiter.errors import SingularDenominator, ZeroDerivative
+from baryiter.errors import DegenerateNodes, SingularDenominator, SingularStep, ZeroDerivative
 from baryiter.interpolants import (
     ObjectiveSample,
     Sample,
@@ -13,12 +17,16 @@ from baryiter.interpolants import (
     eval_plain,
     hermite_node_curvature,
 )
-from baryiter.numerics import real, set_precision
+from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.optimise import phi_curvature_d1, phi_third_d1
 from baryiter.root_search import (
+    f_product,
+    f_shifted,
     second_derivative_f_interp,
     second_derivative_x_interp,
     step_exact_d1,
+    step_exact_df,
+    x_product,
 )
 from baryiter.weights import HermiteWeights, product_weights, squared_product_weights
 
@@ -235,3 +243,40 @@ def test_public_names_resolve_and_an_objective_sample_is_a_frozen_sample():
     assert (s.phi, s.phi_prime) == (s.f, s.f_prime) == (2, 3)
     with pytest.raises(FrozenInstanceError):
         s.f = mpf(0)
+
+
+# the weight builders of exact-df's schemes, as the solver calls them
+EXACT_DF_WEIGHTS = {"x": x_product, "f": f_product, "alpha": f_shifted}
+
+
+def _full_width(bits):
+    """Non-zero values with a ``bits``-bit mantissa, either sign, magnitudes 2^-21 to 2^20."""
+    return st.builds(
+        lambda negative, man, exp: make_mpf(from_man_exp(-man if negative else man, exp - bits)),
+        st.booleans(), st.integers(2 ** (bits - 1), 2 ** bits - 1), st.integers(-20, 20),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((64, 256, 4096)), st.sampled_from(tuple(EXACT_DF_WEIGHTS)),
+       st.integers(2, 8))
+def test_the_exact_df_step_is_the_inverse_interpolant_at_zero(data, bits, scheme, size):
+    values = _full_width(bits)
+    xs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    fs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    alpha = data.draw(values)
+    with precision(bits):
+        # eval_plain returns a node's value within the separation floor of t = 0
+        assume(all(abs(f) > mpmath.ldexp(max(abs(f) for f in fs), 8 - bits) for f in fs))
+        window = [Sample(x, f) for x, f in zip(xs, fs)]
+        try:
+            weights = EXACT_DF_WEIGHTS[scheme](window, alpha)
+        except DegenerateNodes:  # an alpha-shifted node on another
+            assume(False)
+        try:
+            step = step_exact_df(window, weights)
+        except SingularStep:
+            with pytest.raises(SingularDenominator):
+                eval_plain(window, weights, 0, "inverse")
+            return
+        assert step._mpf_ == eval_plain(window, weights, 0, "inverse")._mpf_

@@ -94,6 +94,22 @@ def test_a_zero_perturbation_is_rejected(value):
         solve(corpus.get_problem("cos_minus_x"), config)
 
 
+@pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])
+def test_a_perturbation_below_half_an_ulp_of_x0_is_rejected(method, family):
+    # non-zero, so ``validated`` passes it, but x0 + h rounds to x0: the memory would
+    # collapse before the first step and the run end with no trace
+    runner, name = RUNNERS[family]
+    problem = corpus.get_problem(name)
+    for x0, h, bits in (("1", "1e-400", 256), ("1", "2e-20", 64), ("1e30", "1", 64)):
+        config = SolverConfig(method=method, window=3, x0=x0, bootstrap="perturb", perturb_h=h,
+                              precision_bits=bits)
+        with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
+            runner(problem, config)
+    config = SolverConfig(method=method, window=3, x0="1", bootstrap="perturb",
+                          perturb_h="1e-3", precision_bits=64)
+    assert runner(problem, config).steps[1].x > 1
+
+
 def test_a_nonpositive_budget_is_rejected():
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="^max_iter must be positive$"):

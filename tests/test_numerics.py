@@ -66,16 +66,6 @@ def test_precision_floor_and_context():
     assert get_precision() == before
 
 
-def test_default_precision_env(monkeypatch):
-    monkeypatch.setenv(numerics.PRECISION_ENV_VAR, "384")
-    assert numerics.default_precision_bits() == 384
-    monkeypatch.setenv(numerics.PRECISION_ENV_VAR, "8")
-    with pytest.raises(ValueError):
-        numerics.default_precision_bits()
-    monkeypatch.delenv(numerics.PRECISION_ENV_VAR)
-    assert numerics.default_precision_bits() == numerics.DEFAULT_PRECISION_BITS
-
-
 def test_to_decimal_format():
     set_precision(256)
     assert to_decimal("0.000123456789", 8) == "1.2345679e-04"
