@@ -13,7 +13,6 @@ from .errors import (
     BaryiterError,
     DegenerateNodes,
     DomainError,
-    ExactRootHit,
     InsufficientData,
     NonConvergence,
     ParseError,
@@ -48,7 +47,6 @@ __all__ = [
     "DegenerateNodes",
     "DomainError",
     "ErrorFactorSpec",
-    "ExactRootHit",
     "HermiteWeights",
     "InsufficientData",
     "IterationTrace",

@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=methods, default=default_method)
         p.add_argument("--alpha", default="0", help="shift for the alpha weight scheme")
         p.add_argument("--beta", default="1", help="Chebyshev-Halley parameter")
-        p.add_argument("--bootstrap", choices=root_search.BOOTSTRAPS, default="auto")
-        p.add_argument("--perturb-h", help="non-zero step for the perturbation bootstrap")
+        p.add_argument("--perturb-h", help="non-zero step from x0 to the second starting point")
         p.add_argument("--tol-f", help="residual tolerance (default scales with precision)")
         p.add_argument("--tol-x", help="step-size tolerance")
         p.add_argument("--output", choices=("human", "json", "csv"), default="human")
@@ -102,11 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_problem(args, kind: str) -> corpus.Problem:
     if args.problem:
-        problem = corpus.get_problem(args.problem)
-        if problem.kind != kind:
-            article = "an" if problem.kind == "optimisation" else "a"
-            raise UsageError(f"problem {problem.name!r} is {article} {problem.kind} problem")
-        return problem
+        return corpus.get_problem(args.problem)  # the solver checks its kind
     if args.x0 is None:
         raise UsageError("--expr needs --x0")
     return corpus.from_expression(parse_expression(args.expr), args.expr, kind, args.x0)
@@ -126,7 +121,6 @@ def _config_from(args) -> SolverConfig:
         beta=args.beta,
         x0=args.x0,
         x1=args.x1,
-        bootstrap=args.bootstrap,
         perturb_h=args.perturb_h,
         tol_f=args.tol_f,
         tol_x=args.tol_x,

@@ -25,14 +25,6 @@ class SingularStep(BaryiterError, ArithmeticError):
     """A step formula's denominator vanished; the solver may retry with less memory."""
 
 
-class ExactRootHit(BaryiterError):
-    """A stored sample already has f == 0; signals convergence, not failure."""
-
-    def __init__(self, x):
-        super().__init__("stored sample is an exact root")
-        self.x = x
-
-
 class NonConvergence(BaryiterError, RuntimeError):
     """Reference refinement failed to reach the target residual."""
 

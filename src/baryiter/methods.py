@@ -22,7 +22,7 @@ from mpmath import mpf
 from . import optimise as opt
 from . import root_search as rs
 from .errors import UnsupportedCell
-from .root_search import BOOTSTRAPS, WEIGHT_SCHEMES
+from .root_search import WEIGHT_SCHEMES
 
 
 class WeightScheme(NamedTuple):
@@ -36,7 +36,6 @@ class MethodSpec:
     min_window: int                     # smallest window the step takes; a run seeds this many points
     schemes: Mapping[str, WeightScheme]  # accepted weight schemes
     needs: tuple[str, ...]              # problem callables besides f ("df" is sampled everywhere)
-    seeding: tuple[str, ...]            # bootstrap modes accepted for the points after x0
     step: Callable                      # (run, window, weights) -> (x_new, curvature or None)
     multiplicity: Optional[int] = None  # m of the order equation; None if not tabulated
     residual: Optional[Callable] = None  # (run) -> newest sample's slope residual; root runs use f
@@ -45,7 +44,6 @@ class MethodSpec:
 
 
 _X, _F, _NONE = frozenset({"x"}), frozenset({"f"}), frozenset()
-_NO_PICARD = tuple(mode for mode in BOOTSTRAPS if mode != "picard")
 
 
 def _fixed(keys: frozenset[str], build: Optional[Callable] = None) -> dict[str, WeightScheme]:
@@ -126,36 +124,36 @@ _DIRECT_F = _published({2: _half, 3: _x3, 4: _direct_f4})
 
 
 METHODS: dict[str, MethodSpec] = {
-    "exact-df": MethodSpec("root", 2, _products(_NONE), (), BOOTSTRAPS, rs.exact_df, 1,
+    "exact-df": MethodSpec("root", 2, _products(_NONE), (), rs.exact_df, 1,
                            error_cells={"x": _DF_X, "f": _DF_F}),
     "exact-d1": MethodSpec(
         "root", 1, {"x": WeightScheme(_X, rs.x_slope_scaled), "f": WeightScheme(_F, rs.f_squared)},
-        ("df",), BOOTSTRAPS, rs.exact_d1, 2, error_cells={"x": _D1_X, "f": _D1_F}),
+        ("df",), rs.exact_d1, 2, error_cells={"x": _D1_X, "f": _D1_F}),
     "newton-x-interp": MethodSpec(
-        "root", 2, _products(_F), (), BOOTSTRAPS, rs.newton_x_interp, 1,
+        "root", 2, _products(_F), (), rs.newton_x_interp, 1,
         error_cells={"x": _DF_X, "f": _DF_F}),
     "newton-f-interp": MethodSpec(
-        "root", 2, _products(_X), (), BOOTSTRAPS, rs.newton_f_interp, 1,
+        "root", 2, _products(_X), (), rs.newton_f_interp, 1,
         error_cells={"x": _DIRECT_X, "f": _DIRECT_F}),
     # the fixed weights give one cell, whatever scheme is configured
     "ch-x-interp": MethodSpec(
-        "root", 1, _fixed(_F, rs.f_squared), ("df",), BOOTSTRAPS, rs.ch_x_interp, 2,
+        "root", 1, _fixed(_F, rs.f_squared), ("df",), rs.ch_x_interp, 2,
         error_cells=dict.fromkeys(WEIGHT_SCHEMES, _D1_F)),
     "ch-f-interp": MethodSpec(
-        "root", 1, _fixed(_X, rs.x_squared), ("df",), BOOTSTRAPS, rs.ch_f_interp, 2,
+        "root", 1, _fixed(_X, rs.x_squared), ("df",), rs.ch_f_interp, 2,
         error_cells=dict.fromkeys(WEIGHT_SCHEMES, _published({1: _half, 2: _fourth}))),
-    "picard": MethodSpec("root", 1, _fixed(_NONE), ("fixed_point",), BOOTSTRAPS, rs.baseline),
+    "picard": MethodSpec("root", 1, _fixed(_NONE), ("fixed_point",), rs.baseline),
     # a baseline steps on its minimum window only, where it is the scheme it reduces to
-    "newton": MethodSpec("root", 1, _fixed(_NONE), ("df",), BOOTSTRAPS, rs.baseline, 2,
+    "newton": MethodSpec("root", 1, _fixed(_NONE), ("df",), rs.baseline, 2,
                          error_cells={None: _published({1: _half})}),
-    "halley": MethodSpec("root", 1, _fixed(_NONE), ("df", "d2f"), BOOTSTRAPS, rs.baseline),
-    "secant": MethodSpec("root", 2, _fixed(_F), (), BOOTSTRAPS, rs.baseline, 1,
+    "halley": MethodSpec("root", 1, _fixed(_NONE), ("df", "d2f"), rs.baseline),
+    "secant": MethodSpec("root", 2, _fixed(_F), (), rs.baseline, 1,
                          error_cells={None: _published({2: _half})}),
     "newton-df": MethodSpec(
-        "opt", 3, _fixed(_X, opt.x_product), (), _NO_PICARD, opt.newton_df, 1,
+        "opt", 3, _fixed(_X, opt.x_product), (), opt.newton_df, 1,
         residual=opt.estimated_slope, error_cells={"x": _opt_df}),
     "ch-d1": MethodSpec(
-        "opt", 2, _fixed(_X, opt.x_squared), ("df",), _NO_PICARD, opt.ch_d1, 2,
+        "opt", 2, _fixed(_X, opt.x_squared), ("df",), opt.ch_d1, 2,
         residual=opt.sampled_slope),
 }
 

@@ -27,10 +27,10 @@ Methods (``SolverConfig.method``):
 Each method's facts live in one ``MethodSpec`` in ``methods.METHODS``.
 ``drive`` is the one solver loop, behind ``solve`` and ``optimise.optimize``.
 It keeps the newest ``window`` samples distinct in their weight scheme's keys,
-growing from as many starting points as the method's window minimum: after x0,
-``x1`` when given, else one fixed-point step when the problem has that form,
-else a small perturbation.  A singular step is retried with one sample fewer
-(``singular-step-fallback``) down to the method minimum, then raised.
+growing from as many starting points as the method's window minimum, chosen
+by ``seed_points`` from the seed values given.  A singular step is retried
+with one sample fewer (``singular-step-fallback``) down to the method
+minimum, then raised.
 
 The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
@@ -69,7 +69,6 @@ from . import numerics
 from .errors import (
     BaryiterError,
     DegenerateNodes,
-    ExactRootHit,
     SingularStep,
     ZeroDerivative,
 )
@@ -118,11 +117,11 @@ class SolverConfig:
     optimisation runs.  ``max_iter`` is the highest step index the trace
     may reach (the initial point is index 0).  ``alpha`` only matters for
     the alpha weight scheme; its default of 0 is arbitrary (any value with
-    the right asymptotics works, none is preferred).  ``x1`` goes with the
-    ``auto`` or ``explicit`` bootstrap of a method that seeds more than one
-    point and differs from ``x0`` at the working precision, and ``max_iter``
-    is at least the number of seeds, so every run proposes a step;
-    ``validated`` refuses anything else.
+    the right asymptotics works, none is preferred).  ``seed_points`` picks
+    the second starting point from ``x1``, ``perturb_h`` and ``bootstrap``
+    (one of ``BOOTSTRAPS``).  ``validated`` refuses a seed value no seed
+    would use, an ``x1`` equal to ``x0`` at the working precision, and a
+    ``max_iter`` below the number of seeds, so every run proposes a step.
     """
 
     method: str = "exact-df"
@@ -147,12 +146,17 @@ class SolverConfig:
         spec = method_spec(self.method, family)
         if self.weight_scheme not in spec.schemes:
             raise ValueError(f"{self.method} takes the weight schemes {tuple(spec.schemes)}")
-        if self.bootstrap not in spec.seeding:
-            raise ValueError(f"{self.method} takes the bootstraps {spec.seeding}")
-        if self.x1 is not None and spec.min_window == 1:
-            raise ValueError(f"{self.method} starts from x0 alone and takes no x1")
+        if self.bootstrap not in BOOTSTRAPS:
+            raise ValueError(f"unknown bootstrap {self.bootstrap!r}; expected one of {BOOTSTRAPS}")
+        for name in ("x1", "perturb_h"):
+            if getattr(self, name) is not None and spec.min_window == 1:
+                raise ValueError(f"{self.method} starts from x0 alone and takes no {name}")
         if self.x1 is not None and self.bootstrap in ("picard", "perturb"):
             raise ValueError(f"x1 needs the explicit or auto bootstrap, not {self.bootstrap}")
+        if self.x1 is not None and self.perturb_h is not None:
+            raise ValueError("x1 and perturb_h both give the second point: pass one")
+        if self.perturb_h is not None and self.bootstrap in ("picard", "explicit"):
+            raise ValueError(f"perturb_h needs the perturb or auto bootstrap, not {self.bootstrap}")
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
             raise ValueError("explicit bootstrap needs x1")
         if self.window < spec.min_window:
@@ -239,12 +243,15 @@ def _columns(window: Sequence[Sample]) -> tuple[list, list]:
 
 
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
-    """Exact root of the inverse interpolant: (sum w_i x_i/f_i) / (sum w_i/f_i)."""
+    """Exact root of the inverse interpolant: (sum w_i x_i/f_i) / (sum w_i/f_i).
+
+    A sample with f == 0 is that root: its x is returned.
+    """
     prec, rounding = mpmath.mp._prec_rounding
     xs, fs = _columns(window)
     for s, f in zip(window, fs):
         if mpf_eq(f, fzero):
-            raise ExactRootHit(s.x)
+            return s.x
     terms = [mpf_div(w._mpf_, f, prec, rounding) for w, f in zip(weights, fs)]
     den = mpf_sum(terms, prec, rounding)
     if mpf_eq(den, fzero):
@@ -257,7 +264,8 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """Exact root of the slope-matching inverse interpolant.
 
     ``(sum [lam_i (x_i - f_i/f'_i) - gam_i f_i x_i]/f_i^2)
-     / (sum [lam_i - gam_i f_i]/f_i^2)``
+     / (sum [lam_i - gam_i f_i]/f_i^2)``; a sample with f == 0 is that root:
+    its x is returned.
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
@@ -267,7 +275,7 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     den_terms = []
     for lam, gam, s, x, f, fp in zip(lams, gams, window, xs, fs, slopes):
         if mpf_eq(f, fzero):
-            raise ExactRootHit(s.x)
+            return s.x
         if mpf_eq(fp, fzero):
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
         f2 = mpf_mul(f, f, prec, rounding)
@@ -612,11 +620,11 @@ def _propose(run: _Run):
 def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
     """The ``spec.min_window`` starting points, each made only when asked for.
 
-    After ``x0`` comes ``x1`` when given; otherwise one fixed-point step
-    (bootstrap ``picard``, or ``auto`` when the method accepts ``picard``
-    and the problem has that form); otherwise ``x0 + h``, ``h`` being
-    ``perturb_h`` or ``1e-3 * max(1, |x0|)``, refused if it rounds to
-    ``x0``.  A third point mirrors the second about ``x0``.
+    After ``x0`` comes ``x1`` when given; otherwise ``x0 + perturb_h`` when
+    that is given; otherwise one fixed-point step, under the ``picard``
+    bootstrap or under ``auto`` when the problem has that form; otherwise
+    ``x0 + 1e-3 * max(1, |x0|)``.  A perturbation that rounds to ``x0`` is
+    refused.  A third point mirrors the second about ``x0``.
     """
     yield x0
     if spec.min_window == 1:
@@ -624,8 +632,8 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     fixed_point = getattr(problem, "fixed_point", None)
     if config.x1 is not None:
         x1 = real(config.x1)
-    elif config.bootstrap == "picard" or (
-        config.bootstrap == "auto" and "picard" in spec.seeding and fixed_point is not None
+    elif config.perturb_h is None and (
+        config.bootstrap == "picard" or (config.bootstrap == "auto" and fixed_point is not None)
     ):
         if fixed_point is None:
             raise ValueError(f"problem {problem.name!r} has no fixed-point form")
@@ -640,6 +648,7 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
         yield x0 - (x1 - x0)
 
 
+_KINDS = {"root": "root", "opt": "optimisation"}  # family -> the kind of problem it runs on
 _NEEDS = {"df": "first derivative", "d2f": "second derivative", "fixed_point": "fixed-point form"}
 _NONFINITE = (finf, fninf, fnan)
 
@@ -668,8 +677,12 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
     run's residual is f; an optimisation run's is its method's slope,
     written into ``f_prime``.  The starting points converge on their
     residual only; from the first proposed step on, a step below ``tol_x``
-    converges too.
+    converges too.  A problem with a ``kind`` must be of the family's kind.
     """
+    kind = getattr(problem, "kind", None)
+    if kind is not None and kind != _KINDS[family]:
+        article = "an" if kind == "optimisation" else "a"
+        raise ValueError(f"problem {problem.name!r} is {article} {kind} problem")
     config = config.validated(family)
     spec = method_spec(config.method, family)
     required = ("name", "f", "reference") + (("default_x0",) if config.x0 is None else ())
@@ -742,7 +755,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
             if status:
                 return finish(status)
 
-        # no step raises ExactRootHit: a root sample with f == 0 converges when pushed
+        # a root run's sample with f == 0 converges when pushed: no exact-root step meets one
         while steps[-1].index < config.max_iter:
             x_new, sign, reduced = propose(run)
             previous = steps[-1].x

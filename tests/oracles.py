@@ -12,8 +12,8 @@ import mpmath
 from mpmath import fsum, mpf
 
 from baryiter import numerics
-from baryiter.errors import (DegenerateNodes, ExactRootHit, InsufficientData, NonConvergence,
-                             SingularStep, ZeroDerivative)
+from baryiter.errors import (DegenerateNodes, InsufficientData, NonConvergence, SingularStep,
+                             ZeroDerivative)
 from baryiter.interpolants import sample_slopes
 from baryiter.numerics import real
 
@@ -350,7 +350,7 @@ def elementary(name, x, *args):
 def step_exact_df_direct(window, weights):
     for s in window:
         if s.f == 0:
-            raise ExactRootHit(s.x)
+            return s.x
     terms = [w / s.f for w, s in zip(weights, window)]
     den = fsum(terms)
     if den == 0:
@@ -364,7 +364,7 @@ def step_exact_d1_direct(window, hweights):
     den_terms = []
     for lam, gam, s, fp in zip(hweights.lam, hweights.gam, window, sample_slopes(window)):
         if s.f == 0:
-            raise ExactRootHit(s.x)
+            return s.x
         if fp == 0:
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
         f2 = s.f * s.f

@@ -168,7 +168,7 @@ def test_solve_with_defaults_reproduces_golden_column():
 
     code, text = run_cli(
         "solve", "--problem", "cos_minus_x", "--method", "exact-df", "--weights", "x",
-        "--window", "4", "--bootstrap", "picard", "--precision-bits", "512",
+        "--window", "4", "--precision-bits", "512",
         "--output", "json",
     )
     assert code == 0
@@ -279,11 +279,11 @@ def test_an_out_of_range_argument_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# each subcommand's (option, default) pairs as they stood when its flag set was unified
+# each subcommand's (option, default) pairs; --x1 and --perturb-h alone choose the second seed
 FLAG_SET = {
     "solve": {"--problem": None, "--expr": None, "--x0": None, "--x1": None,
               "--method": "exact-df", "--weights": "x", "--alpha": "0", "--window": 4,
-              "--beta": "1", "--bootstrap": "auto", "--perturb-h": None, "--tol-f": None,
+              "--beta": "1", "--perturb-h": None, "--tol-f": None,
               "--tol-x": None, "--max-iter": 60, "--precision-bits": None, "--output": "human",
               "--digits": None},
     "order": {"--family": None, "--m": None, "--n": None, "--digits": 6},
@@ -348,16 +348,6 @@ def test_collapsed_memory_is_the_same_singular_step_under_every_weight_scheme(ca
             "error: SingularStep: memory collapsed below the method minimum")
 
 
-def test_picard_bootstrap_needs_a_fixed_point_form_only_for_a_second_point(capsys):
-    args = ("solve", "--expr", "x*x-2", "--x0", "1", "--bootstrap", "picard")
-    code, text = run_cli(*args, "--method", "exact-df")
-    assert (code, text) == (1, "")
-    assert "has no fixed-point form" in capsys.readouterr().err
-    # newton's window is 1: no second point is seeded, so the form is never asked for
-    code, _ = run_cli(*args, "--method", "newton")
-    assert code == 0
-
-
 def test_an_unknown_problem_prints_the_message_itself(capsys):
     code, text = run_cli("solve", "--problem", "nope")
     assert (code, text) == (1, "")
@@ -372,8 +362,7 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         ("solve", "--problem", "cos_minus_x", "--weights", "alpha", "--alpha", "inf"): "alpha",
         ("solve", "--problem", "cos_minus_x", "--tol-f", "nan"): "tol_f",
         ("solve", "--problem", "cos_minus_x", "--tol-x", "inf"): "tol_x",
-        ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", "nan"):
-            "perturb_h",
+        ("solve", "--problem", "cos_minus_x", "--perturb-h", "nan"): "perturb_h",
     }
     for argv, name in runs.items():
         assert run_cli(*argv) == (1, "")
@@ -384,7 +373,7 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
 def test_a_zero_perturbation_is_a_usage_error(capsys):
     # it would seed x1 = x0, and the run would end in a singular step with no trace
     for h in ("0", "-0.0"):
-        argv = ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", h)
+        argv = ("solve", "--problem", "cos_minus_x", "--perturb-h", h)
         assert run_cli(*argv) == (1, "")
         assert capsys.readouterr().err == "error: perturb_h must be non-zero\n"
 
@@ -392,7 +381,7 @@ def test_a_zero_perturbation_is_a_usage_error(capsys):
 def test_a_perturbation_that_rounds_away_is_a_usage_error(capsys):
     # non-zero, but x0 + 1e-400 is x0 at 256 bits: the run would end in a singular
     # step with no trace
-    argv = ("solve", "--problem", "cos_minus_x", "--bootstrap", "perturb", "--perturb-h", "1e-400")
+    argv = ("solve", "--problem", "cos_minus_x", "--perturb-h", "1e-400")
     assert run_cli(*argv) == (1, "")
     assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 

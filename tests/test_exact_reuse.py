@@ -18,7 +18,7 @@ from mpmath import mpf
 from mpmath.libmp import mpf_cos_sin, mpf_exp
 
 from baryiter import corpus, interpolants, numerics, optimise, root_search
-from baryiter.errors import DegenerateNodes, ExactRootHit, SingularStep, ZeroDerivative
+from baryiter.errors import DegenerateNodes, SingularStep, ZeroDerivative
 from baryiter.interpolants import Sample
 from baryiter.root_search import STATUS_FALLBACK, SolverConfig, select_window
 from baryiter.weights import (
@@ -313,11 +313,11 @@ def _exact(value):
 
 
 def _step_outcome(fn, *args):
-    """The exact result, or the exception's type and message (and ``x`` for ExactRootHit)."""
+    """The exact result, or the exception's type and message."""
     try:
         return _exact(fn(*args))
     except Exception as err:  # which guard fires first is part of the outcome
-        return type(err), str(err), _exact(getattr(err, "x", None))
+        return type(err), str(err)
 
 
 def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
@@ -435,34 +435,37 @@ def _window(*points):
     return [Sample(*map(mpf, point)) for point in points]
 
 
-# (window, weights, (lam, gam), guard that fires) for each guard the draws must reach
+# (window, weights, (lam, gam), guard that fires) for each guard the draws must reach;
+# an exact-root step returns the sample with f == 0
 GUARDS = [
     ("step_exact_df", _window((1, 0, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
-     (ExactRootHit, "stored sample is an exact root", (mpf, mpf(1)._mpf_))),
+     (mpf, mpf(1)._mpf_)),
     ("step_exact_df", _window((1, 1, 1), (2, -1, 1)), (1, 1), ((1, 1), (1, 1)),
-     (SingularStep, "denominator sum vanished in exact-df step", None)),
+     (SingularStep, "denominator sum vanished in exact-df step")),
     ("step_exact_d1", _window((1, 1, 0), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
-     (ZeroDerivative, "exact-d1 needs non-zero f_prime", None)),
+     (ZeroDerivative, "exact-d1 needs non-zero f_prime")),
     ("step_exact_d1", _window((1, 1, 1), (2, -1, 1)), (1, 1), ((1, -1), (0, 0)),
-     (SingularStep, "denominator sum vanished in exact-d1 step", None)),
+     (SingularStep, "denominator sum vanished in exact-d1 step")),
     ("inverse_slope_estimate", _window((1, 2, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
-     (DegenerateNodes, "repeated f value in the window", None)),
+     (DegenerateNodes, "repeated f value in the window")),
     ("direct_slope_estimate", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
-     (DegenerateNodes, "repeated x value in the window", None)),
+     (DegenerateNodes, "repeated x value in the window")),
     ("direct_slope_estimate", _window((1, 1, 1), (2, 2, 1), (3, 3, 1)), (1, -1, 1),
-     ((1, 1, 1), (1, 1, 1)), (SingularStep, "weight sum over the older samples vanished", None)),
+     ((1, 1, 1), (1, 1, 1)), (SingularStep, "weight sum over the older samples vanished")),
     ("newton_f_interp", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
-     (SingularStep, "estimated slope vanished", None)),
+     (SingularStep, "estimated slope vanished")),
     ("second_derivative_x_interp", _window((1, 1, 1), (2, 2, 0)), (1, 1), ((1, 1), (1, 1)),
-     (ZeroDerivative, "this estimate needs non-zero f_prime", None)),
+     (ZeroDerivative, "this estimate needs non-zero f_prime")),
     ("second_derivative_f_interp", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
-     (DegenerateNodes, "repeated x value in the window", None)),
+     (DegenerateNodes, "repeated x value in the window")),
     ("baseline_step/secant", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
-     (SingularStep, "secant denominator vanished", None)),
+     (SingularStep, "secant denominator vanished")),
     ("baseline_step/newton", _window((1, 1, 0)), (1,), ((1,), (1,)),
-     (ZeroDerivative, "Newton step needs f' != 0", None)),
+     (ZeroDerivative, "Newton step needs f' != 0")),
     ("_d1_step", _window((0, 0, 0), (1, 0, 0)), (1, 1), ((1, 1), (0, 0)),
-     (SingularStep, "estimated curvature vanished", None)),
+     (SingularStep, "estimated curvature vanished")),
+    ("step_exact_d1", _window((1, 0, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
+     (mpf, mpf(1)._mpf_)),
 ]
 
 

@@ -265,9 +265,13 @@ def test_the_exact_df_step_is_the_inverse_interpolant_at_zero(data, bits, scheme
     xs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
     fs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
     alpha = data.draw(values)
+    zero = data.draw(st.one_of(st.none(), st.integers(0, size - 1)))
+    if zero is not None:  # an exact root in the window: both return its x
+        fs[zero] = mpf(0)
     with precision(bits):
         # eval_plain returns a node's value within the separation floor of t = 0
-        assume(all(abs(f) > mpmath.ldexp(max(abs(f) for f in fs), 8 - bits) for f in fs))
+        floor = mpmath.ldexp(max(abs(f) for f in fs), 8 - bits)
+        assume(all(f == 0 or abs(f) > floor for f in fs))
         window = [Sample(x, f) for x, f in zip(xs, fs)]
         try:
             weights = EXACT_DF_WEIGHTS[scheme](window, alpha)

@@ -3,6 +3,7 @@ import io
 from types import SimpleNamespace
 
 import pytest
+from mpmath import mpf
 
 from baryiter import cli, corpus, root_search
 from baryiter.errors import BaryiterError, DegenerateNodes
@@ -50,7 +51,7 @@ def test_cli_method_choices_are_the_table_keys():
 
 
 @pytest.mark.parametrize("bootstrap", ["perturb", "picard"])
-def test_x1_with_perturb_or_picard_is_rejected(bootstrap):
+def test_x1_with_perturb_or_picard_is_rejected(bootstrap, capsys):
     # an explicit second point contradicts both modes, in either family
     with pytest.raises(ValueError):
         solve(corpus.get_problem("cos_minus_x"),
@@ -58,11 +59,14 @@ def test_x1_with_perturb_or_picard_is_rejected(bootstrap):
     with pytest.raises(ValueError):
         optimize(corpus.get_problem("opt_quadratic"),
                  SolverConfig(method="newton-df", window=3, x1="0.5", bootstrap=bootstrap))
+    # the CLI has no bootstrap option: an x1 contradicts the one seed value it takes besides
     for command, problem, method in (("solve", "cos_minus_x", "exact-df"),
                                      ("optimize", "opt_quadratic", "newton-df")):
         argv = [command, "--problem", problem, "--method", method, "--x1", "0.5",
-                "--bootstrap", bootstrap]
+                "--perturb-h", "0.1"]
         assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: x1 and perturb_h both give the second point: pass one\n")
 
 
 def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
@@ -139,11 +143,85 @@ def test_a_budget_below_the_seed_count_is_refused(command, problem, method, fami
 
 @pytest.mark.parametrize("method", [m for m, s in METHODS.items() if s.min_window == 1])
 def test_x1_on_a_one_point_method_is_refused(method):
-    # every one-point method is a root method
-    with pytest.raises(ValueError, match=f"^{method} starts from x0 alone and takes no x1$"):
-        SolverConfig(method=method, window=1, x1="5").validated()
-    argv = ["solve", "--problem", "cos_minus_x", "--method", method, "--x1", "5"]
-    assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+    # every one-point method is a root method; a perturbation has no seed to place either
+    for name, flag in (("x1", "--x1"), ("perturb_h", "--perturb-h")):
+        message = f"{method} starts from x0 alone and takes no {name}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolverConfig(method=method, window=1, **{name: "5"}).validated()
+        argv = ["solve", "--problem", "cos_minus_x", "--method", method, flag, "5"]
+        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"x1": "2"}, "x1 and perturb_h both give the second point: pass one"),
+    ({"x1": "2", "bootstrap": "explicit"},
+     "x1 and perturb_h both give the second point: pass one"),
+    ({"bootstrap": "picard"}, "perturb_h needs the perturb or auto bootstrap, not picard"),
+    ({"bootstrap": "explicit"}, "perturb_h needs the perturb or auto bootstrap, not explicit"),
+], ids=["x1", "explicit-x1", "picard", "explicit"])
+def test_a_perturbation_that_no_seed_uses_is_refused(fields, message):
+    for method, family in (("exact-df", "root"), ("newton-df", "opt")):
+        config = SolverConfig(method=method, window=3, perturb_h="0.5", **fields)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config.validated(family)
+
+
+# (runner, problem) for each family's seed-input check: cos x - x has a fixed-point form
+SEED_PROBLEMS = {"root": ((solve, "cos_minus_x"), (solve, "x2_minus_2")),
+                 "opt": ((optimize, "opt_quadratic"),)}
+
+
+def _refusal(spec, problem, bootstrap, x1, h) -> bool:
+    """Whether a run refuses these seed inputs, as ``SolverConfig.validated`` lists them."""
+    if spec.min_window == 1:
+        return x1 is not None or h is not None
+    if x1 is not None:
+        return bootstrap in ("picard", "perturb") or h is not None
+    if h is not None:
+        return bootstrap in ("picard", "explicit")
+    # no value names the second seed: explicit has none, picard needs the form
+    return bootstrap == "explicit" or (bootstrap == "picard" and problem.fixed_point is None)
+
+
+def _second_seed(problem, x0, bootstrap, x1, h):
+    """The second seed by the one rule: x1, else x0 + h, else a fixed-point step, else x0 + h0."""
+    if x1 is not None:
+        return real(x1)
+    if h is not None:
+        return x0 + real(h)
+    if bootstrap == "picard" or (bootstrap == "auto" and problem.fixed_point is not None):
+        return problem.fixed_point(x0)
+    return x0 + mpf(10) ** -3 * max(1, abs(x0))
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_every_seed_input_is_used_or_refused(method):
+    spec = METHODS[method]
+    for runner, name in SEED_PROBLEMS[spec.family]:
+        problem = corpus.get_problem(name)
+        if any(getattr(problem, need) is None for need in spec.needs):
+            continue
+        for bootstrap in root_search.BOOTSTRAPS:
+            for x1 in (None, "1.75"):
+                seconds = {}
+                for h in (None, "0.25", "0.5"):
+                    config = SolverConfig(method=method, window=spec.min_window, x1=x1,
+                                          bootstrap=bootstrap, perturb_h=h, precision_bits=64,
+                                          max_iter=spec.min_window)
+                    case = (name, bootstrap, x1, h)
+                    if _refusal(spec, problem, bootstrap, x1, h):
+                        with pytest.raises(ValueError):
+                            runner(problem, config)
+                        continue
+                    trace = runner(problem, config)
+                    if spec.min_window == 1:
+                        continue  # step 1 is the method's own step
+                    with precision(64):
+                        x0 = real(problem.default_x0)
+                        assert trace.steps[1].x == _second_seed(problem, x0, bootstrap, x1, h), case
+                    seconds[h] = trace.steps[1].x
+                if "0.25" in seconds or "0.5" in seconds:
+                    assert seconds["0.25"] != seconds["0.5"], (name, bootstrap, x1)
 
 
 @pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])

@@ -96,6 +96,32 @@ def test_picard_bootstrap_is_default_for_fixed_point_problems():
     assert trace.status == "converged"
 
 
+def test_picard_bootstrap_needs_a_fixed_point_form_only_for_a_second_point():
+    problem = _expr_problem("x*x-2")
+    config = SolverConfig(method="exact-df", window=2, bootstrap="picard", precision_bits=128)
+    with pytest.raises(ValueError, match="^problem 'x\\*x-2' has no fixed-point form$"):
+        solve(problem, config)
+    # newton's window is 1: no second point is seeded, so the form is never asked for
+    config = SolverConfig(method="newton", window=1, bootstrap="picard", precision_bits=128)
+    assert solve(problem, config).status == "converged"
+
+
+@pytest.mark.parametrize("runner, name, config, message", [
+    # unrefused, each converges at a solution of the other kind, x e^x = 0 and 2x = 0, with
+    # an error column measured against the minimiser -1 and the root -sqrt(2)
+    (solve, "opt_xexp", SolverConfig(method="newton", window=1, x0="0.5", precision_bits=128),
+     "problem 'opt_xexp' is an optimisation problem"),
+    (optimize, "x2_minus_2", SolverConfig(method="ch-d1", window=2, x0="1", precision_bits=128),
+     "problem 'x2_minus_2' is a root problem"),
+])
+def test_a_run_refuses_a_problem_of_the_other_kind(runner, name, config, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        runner(corpus.get_problem(name), config)
+    # the kind is checked before the config: a bad config reads the same refusal
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        runner(corpus.get_problem(name), SolverConfig(method="nope"))
+
+
 def test_perturb_bootstrap_scales_with_x0():
     problem = corpus.get_problem("x2_minus_2")
     config = SolverConfig(method="exact-df", window=2, x0="400", precision_bits=128)
@@ -257,6 +283,8 @@ def test_config_validation():
         SolverConfig(method="exact-d1", weight_scheme="alpha").validated()
     with pytest.raises(ValueError):
         SolverConfig(precision_bits=16).validated()
+    with pytest.raises(ValueError, match="^unknown bootstrap 'fixed'; expected one of "):
+        SolverConfig(bootstrap="fixed").validated()
 
 
 def test_alpha_scheme_runs_and_converges():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from baryiter import corpus
-from baryiter.errors import DegenerateNodes, ExactRootHit, SingularStep, ZeroDerivative
+from baryiter.errors import DegenerateNodes, SingularStep, ZeroDerivative
 from baryiter.interpolants import Sample, eval_hermite, eval_plain
 from baryiter.numerics import real, set_precision
 from baryiter.root_search import (
@@ -62,11 +62,12 @@ def test_exact_df_two_points_is_secant_value():
     assert step_exact_df(window, w) == mpf(4) / 3
 
 
-def test_exact_df_exact_root_hit():
+def test_exact_df_returns_a_sample_with_a_zero_f():
+    # that sample is the inverse interpolant's root, whatever the weights
     window = _window([(1, -1, None), (2, 0, None)])
-    with pytest.raises(ExactRootHit) as info:
-        step_exact_df(window, [mpf(1), mpf(-1)])
-    assert info.value.x == 2
+    weights = [mpf(1), mpf(-1)]
+    assert step_exact_df(window, weights) is window[1].x
+    assert eval_plain(window, weights, 0, orientation="inverse") == 2
 
 
 def test_exact_df_singular_step():
@@ -89,11 +90,11 @@ def test_exact_d1_zero_derivative():
         step_exact_d1(window, hw)
 
 
-def test_exact_d1_exact_root_hit():
+def test_exact_d1_returns_a_sample_with_a_zero_f():
     window = _window([(1, -1, 2), (2, 0, 1)])
-    with pytest.raises(ExactRootHit) as info:
-        step_exact_d1(window, _hermite([1, 1], [0, 0]))
-    assert info.value.x == 2
+    hw = _hermite([1, 1], [0, 0])
+    assert step_exact_d1(window, hw) is window[1].x
+    assert eval_hermite(window, hw, 0, orientation="inverse") == 2
 
 
 def test_chebyshev_halley_update_hand_values():
