@@ -21,8 +21,10 @@ slope-matching form matches the stored first derivatives as well.
 run interpolates its objective directly, so (x, phi, phi') is stored as
 (x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
 
-``hermite_node_curvature`` is on the solver's hot path and runs on the raw
-libmp values of its mpf arguments, bit for bit as the mpf formula (see
+The node derivatives at the newest node, ``node_derivative`` (plain form,
+both orientations, first and second order) and ``hermite_node_curvature``
+(slope-matching, direct), are on the solver's hot path and run on the raw
+libmp values of their mpf arguments, bit for bit as the mpf formulas (see
 ``numerics``); the evaluators stay mpf loops.
 """
 
@@ -33,9 +35,10 @@ from typing import Sequence
 
 import mpmath
 from mpmath import fsum
-from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, mpf_sum)
 
-from .errors import SingularDenominator, ZeroDerivative
+from .errors import DegenerateNodes, SingularDenominator, SingularStep, ZeroDerivative
 from .numerics import Real, Scalar, make_mpf, real
 from .weights import HermiteWeights, raw_floor, raw_scale
 
@@ -73,12 +76,17 @@ def sample_slopes(window: Sequence[Sample]) -> list[Real]:
 ORIENTATIONS = ("direct", "inverse")
 
 
-def _plain_data(samples: Sequence[Sample], orientation: str):
+def _oriented(xs: list, fs: list, orientation: str) -> tuple[list, list]:
+    """(nodes, values) of the plain form: (x, f) direct, (f, x) inverse."""
     if orientation == "direct":
-        return [s.x for s in samples], [s.f for s in samples]
+        return xs, fs
     if orientation == "inverse":
-        return [s.f for s in samples], [s.x for s in samples]
+        return fs, xs
     raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
+
+
+def _plain_data(samples: Sequence[Sample], orientation: str):
+    return _oriented([s.x for s in samples], [s.f for s in samples], orientation)
 
 
 def _hermite_data(samples: Sequence[Sample], orientation: str):
@@ -157,6 +165,47 @@ def eval_hermite(
     return fsum(num_terms) / den
 
 
+def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
+                    orientation: str = "direct", slope: Real | None = None) -> Real:
+    """r'(c_n) of the plain ratio at the newest node, or r''(c_n) given ``slope`` = r'(c_n).
+
+    With d_k = c_n - c_k, the newest node last (Schneider & Werner 1986;
+    Berrut & Trefethen 2004, section 9):
+
+    ``r'  =    (sum_{k!=n} w_k (v_n - v_k)/d_k) / (sum_{k!=n} w_k)``
+    ``r'' = -2 (sum_{k!=n} w_k [(v_n - v_k) - r' d_k]/d_k^2) / (sum_{k!=n} w_k)``
+
+    These are the ratio's derivatives when the weights sum to zero, as every
+    product family's do, so that the older weights sum to -w_n.
+    """
+    prec, rounding = mpmath.mp._prec_rounding
+    nodes, values = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples],
+                              orientation)
+    n = len(samples) - 1
+    ws = [w._mpf_ for w in weights]
+    tangent = None if slope is None else slope._mpf_
+    den = mpf_sum(ws[:n], prec, rounding)
+    if mpf_eq(den, fzero):
+        raise SingularStep("weight sum over the older samples vanished")
+    terms = []
+    for k in range(n):
+        d = mpf_sub(nodes[n], nodes[k], prec, rounding)
+        if mpf_eq(d, fzero):
+            raise DegenerateNodes(f"repeated {'x' if orientation == 'direct' else 'f'} value "
+                                  "in the window")
+        rise = mpf_sub(values[n], values[k], prec, rounding)
+        if tangent is None:
+            terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding), d, prec, rounding))
+        else:
+            rise = mpf_sub(rise, mpf_mul(tangent, d, prec, rounding), prec, rounding)
+            terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding),
+                                 mpf_pow_int(d, 2, prec, rounding), prec, rounding))
+    num = mpf_sum(terms, prec, rounding)
+    if tangent is not None:
+        num = mpf_mul_int(num, -2, prec, rounding)
+    return make_mpf(mpf_div(num, den, prec, rounding))
+
+
 def hermite_node_curvature(
     nodes: Sequence[Real],
     values: Sequence[Real],
@@ -177,6 +226,8 @@ def hermite_node_curvature(
     acc = mpf_mul(gams[n], ss[n], prec, rounding)
     for k in range(n):
         d = mpf_sub(cs[n], cs[k], prec, rounding)
+        if mpf_eq(d, fzero):
+            raise DegenerateNodes("repeated x value in the window")
         dv = mpf_sub(vs[n], vs[k], prec, rounding)
         top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), mpf_mul(lams[k], ss[k], prec, rounding),
                       prec, rounding)

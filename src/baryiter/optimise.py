@@ -8,8 +8,8 @@ and ``f_prime`` as phi'.
 
 ``newton-df``
     Newton step on slope and curvature estimated from (x_i, phi_i) memory
-    with x-based product weights; the slope is the root solver's
-    ``direct_slope_estimate``.  Needs at least three points for a
+    with x-based product weights: the direct interpolant's first and second
+    ``node_derivative`` at the newest sample.  Needs at least three points for a
     non-degenerate curvature, so the window minimum is 3.
 ``ch-d1``
     Chebyshev-Halley step on (slope, curvature, third-derivative) estimates
@@ -43,21 +43,18 @@ from mpmath.libmp import (
     mpf_eq,
     mpf_mul,
     mpf_mul_int,
-    mpf_pow_int,
     mpf_rdiv_int,
     mpf_sub,
-    mpf_sum,
 )
 
-from .errors import SingularStep
+from .errors import DegenerateNodes, SingularStep
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
-from .interpolants import Sample, hermite_node_curvature, sample_slopes
+from .interpolants import Sample, hermite_node_curvature, node_derivative, sample_slopes
 from .numerics import Real, make_mpf
 from .root_search import (
     IterationTrace,
     SolverConfig,
     _columns,
-    _estimate_parts,
     chebyshev_halley_update,
     drive,
     select_window,
@@ -71,24 +68,8 @@ from .weights import HermiteWeights, product_weights, squared_product_weights
 
 
 def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
-    """Interpolant curvature at the newest sample, given its slope estimate.
-
-    ``-2 (sum_{k!=n} w_k [(phi_n - phi_k) - slope (x_n - x_k)]/(x_n - x_k)^2)
-     / (sum_{k!=n} w_k)``
-    """
-    prec, rounding = mpmath.mp._prec_rounding
-    n, ws, den = _estimate_parts(window, weights, prec, rounding)
-    xs, fs = _columns(window)
-    slope = slope._mpf_
-    terms = []
-    for k in range(n):
-        dx = mpf_sub(xs[n], xs[k], prec, rounding)
-        off_tangent = mpf_sub(mpf_sub(fs[n], fs[k], prec, rounding),
-                              mpf_mul(slope, dx, prec, rounding), prec, rounding)
-        terms.append(mpf_div(mpf_mul(ws[k], off_tangent, prec, rounding),
-                             mpf_pow_int(dx, 2, prec, rounding), prec, rounding))
-    num = mpf_mul_int(mpf_sum(terms, prec, rounding), -2, prec, rounding)
-    return make_mpf(mpf_div(num, den, prec, rounding))
+    """Interpolant curvature at the newest sample, given its slope: see ``node_derivative``."""
+    return node_derivative(window, weights, slope=slope)
 
 
 def _df_step(window: Sequence[Sample], weights: Sequence[Real]):
@@ -130,6 +111,8 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
     acc = mpf_div(mpf_mul(gams[n], curvature._mpf_, prec, rounding), ftwo, prec, rounding)
     for k in range(n):
         d = mpf_sub(xs[n], xs[k], prec, rounding)
+        if mpf_eq(d, fzero):
+            raise DegenerateNodes("repeated x value in the window")
         dphi = mpf_sub(fs[n], fs[k], prec, rounding)
         acc = mpf_add(acc, mpf_div(mpf_mul(gams[k], slopes[n], prec, rounding), d, prec, rounding),
                       prec, rounding)

@@ -72,7 +72,7 @@ from .errors import (
     SingularStep,
     ZeroDerivative,
 )
-from .interpolants import Sample, hermite_node_curvature, sample_slopes
+from .interpolants import Sample, hermite_node_curvature, node_derivative, sample_slopes
 from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
@@ -291,47 +291,14 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     return make_mpf(mpf_div(mpf_sum(num_terms, prec, rounding), den, prec, rounding))
 
 
-def _estimate_parts(window: Sequence[Sample], weights: Sequence[Real], prec: int, rounding: str):
-    """(index of the newest sample, the raw weights, their sum over the older samples)."""
-    n = len(window) - 1
-    raw = [w._mpf_ for w in weights]
-    den = mpf_sum(raw[:n], prec, rounding)
-    if mpf_eq(den, fzero):
-        raise SingularStep("weight sum over the older samples vanished")
-    return n, raw, den
-
-
-def _slope_estimate(window: Sequence[Sample], weights: Sequence[Real], inverse: bool) -> Real:
-    # (sum_{k!=n} w_k (a_n - a_k)/(b_n - b_k)) / (sum_{k!=n} w_k), with (a, b) = (x, f)
-    # for the inverse interpolant and (f, x) for the direct one
-    prec, rounding = mpmath.mp._prec_rounding
-    n, ws, den = _estimate_parts(window, weights, prec, rounding)
-    xs, fs = _columns(window)
-    tops, bottoms, name = (xs, fs, "f") if inverse else (fs, xs, "x")
-    terms = []
-    for k in range(n):
-        gap = mpf_sub(bottoms[n], bottoms[k], prec, rounding)
-        if mpf_eq(gap, fzero):
-            raise DegenerateNodes(f"repeated {name} value in the window")
-        rise = mpf_sub(tops[n], tops[k], prec, rounding)
-        terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding), gap, prec, rounding))
-    return make_mpf(mpf_div(mpf_sum(terms, prec, rounding), den, prec, rounding))
-
-
 def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
-    """1/f' at the newest sample from the inverse interpolant.
-
-    ``(sum_{k!=n} w_k (x_n - x_k)/(f_n - f_k)) / (sum_{k!=n} w_k)``
-    """
-    return _slope_estimate(window, weights, inverse=True)
+    """1/f' at the newest sample: ``node_derivative`` of the inverse interpolant."""
+    return node_derivative(window, weights, "inverse")
 
 
 def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
-    """f' at the newest sample from the direct interpolant.
-
-    ``(sum_{k!=n} w_k (f_n - f_k)/(x_n - x_k)) / (sum_{k!=n} w_k)``
-    """
-    return _slope_estimate(window, weights, inverse=False)
+    """f' at the newest sample: ``node_derivative`` of the direct interpolant."""
+    return node_derivative(window, weights)
 
 
 def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
@@ -369,10 +336,7 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
     Expects squared-product weights over the x values.
     """
     slopes = sample_slopes(window)
-    xs = [s.x for s in window]
-    if any(mpf_eq(xs[-1]._mpf_, x._mpf_) for x in xs[:-1]):
-        raise DegenerateNodes("repeated x value in the window")
-    return hermite_node_curvature(xs, [s.f for s in window], slopes, hweights)
+    return hermite_node_curvature([s.x for s in window], [s.f for s in window], slopes, hweights)
 
 
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:

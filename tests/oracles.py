@@ -413,6 +413,8 @@ def hermite_node_curvature_direct(nodes, values, slopes, hweights):
     acc = hweights.gam[n] * slopes[n]
     for k in range(n):
         d = nodes[n] - nodes[k]
+        if d == 0:
+            raise DegenerateNodes("repeated x value in the window")
         dv = values[n] - values[k]
         acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) / d
         acc += hweights.lam[k] * dv / (d * d)
@@ -439,10 +441,8 @@ def second_derivative_x_interp_direct(window, hweights):
 
 def second_derivative_f_interp_direct(window, hweights):
     slopes = sample_slopes(window)
-    xs = [s.x for s in window]
-    if any(xs[-1] == x for x in xs[:-1]):
-        raise DegenerateNodes("repeated x value in the window")
-    return hermite_node_curvature_direct(xs, [s.f for s in window], slopes, hweights)
+    return hermite_node_curvature_direct([s.x for s in window], [s.f for s in window], slopes,
+                                         hweights)
 
 
 def chebyshev_halley_update_direct(x, f, fp, fpp, beta):
@@ -499,13 +499,13 @@ def newton_f_interp_direct(window, weights):
 def phi_curvature_df_direct(window, weights, slope):
     n, den = _estimate_parts_direct(window, weights)
     newest = window[n]
-    num = fsum(
-        weights[k]
-        * ((newest.f - window[k].f) - slope * (newest.x - window[k].x))
-        / (newest.x - window[k].x) ** 2
-        for k in range(n)
-    )
-    return -2 * num / den
+    terms = []
+    for k in range(n):
+        dx = newest.x - window[k].x
+        if dx == 0:
+            raise DegenerateNodes("repeated x value in the window")
+        terms.append(weights[k] * ((newest.f - window[k].f) - slope * dx) / dx ** 2)
+    return -2 * fsum(terms) / den
 
 
 def df_step_direct(window, weights):
@@ -523,6 +523,8 @@ def phi_third_d1_direct(window, hweights, curvature):
     acc = hweights.gam[n] * curvature / 2
     for k in range(n):
         d = newest.x - window[k].x
+        if d == 0:
+            raise DegenerateNodes("repeated x value in the window")
         dphi = newest.f - window[k].f
         acc += hweights.gam[k] * slopes[n] / d
         acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) / (d * d)

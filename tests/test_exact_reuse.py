@@ -466,6 +466,12 @@ GUARDS = [
      (SingularStep, "estimated curvature vanished")),
     ("step_exact_d1", _window((1, 0, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
      (mpf, mpf(1)._mpf_)),
+    ("phi_curvature_df", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated x value in the window")),
+    ("hermite_node_curvature", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated x value in the window")),
+    ("phi_third_d1", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated x value in the window")),
 ]
 
 

@@ -16,19 +16,27 @@ from baryiter.interpolants import (
     eval_hermite,
     eval_plain,
     hermite_node_curvature,
+    node_derivative,
 )
 from baryiter.numerics import make_mpf, precision, real, set_precision
-from baryiter.optimise import phi_curvature_d1, phi_third_d1
+from baryiter.optimise import phi_curvature_d1, phi_curvature_df, phi_third_d1
 from baryiter.root_search import (
+    direct_slope_estimate,
     f_product,
     f_shifted,
+    inverse_slope_estimate,
     second_derivative_f_interp,
     second_derivative_x_interp,
     step_exact_d1,
     step_exact_df,
     x_product,
 )
-from baryiter.weights import HermiteWeights, product_weights, squared_product_weights
+from baryiter.weights import (
+    HermiteWeights,
+    product_weights,
+    shifted_product_weights,
+    squared_product_weights,
+)
 
 from oracles import fd_derivative, random_nodes, rel_err
 
@@ -218,11 +226,73 @@ def test_a_missing_slope_is_the_one_value_error_of_every_consumer(consumer):
         call(window, hw)
 
 
+_PAIR = [mpf(1), mpf(-1)]
+_HW = HermiteWeights((mpf(1), mpf(1)), (mpf(1), mpf(1)))
+
+# every estimate of a derivative at the newest node, with the coordinate its nodes are
+REPEATED_NODE_ESTIMATES = {
+    "inverse_slope_estimate": ("f", lambda window: inverse_slope_estimate(window, _PAIR)),
+    "direct_slope_estimate": ("x", lambda window: direct_slope_estimate(window, _PAIR)),
+    "phi_curvature_df": ("x", lambda window: phi_curvature_df(window, _PAIR, mpf(1))),
+    "second_derivative_x_interp": ("f", lambda window: second_derivative_x_interp(window, _HW)),
+    "second_derivative_f_interp": ("x", lambda window: second_derivative_f_interp(window, _HW)),
+    "hermite_node_curvature": ("x", lambda window: hermite_node_curvature(
+        [s.x for s in window], [s.f for s in window], [s.f_prime for s in window], _HW)),
+    "phi_curvature_d1": ("x", lambda window: phi_curvature_d1(window, _HW)),
+    "phi_third_d1": ("x", lambda window: phi_third_d1(window, _HW, mpf(1))),
+}
+
+
+@pytest.mark.parametrize("estimate", REPEATED_NODE_ESTIMATES)
+def test_a_repeated_node_is_the_one_degenerate_nodes_of_every_node_derivative_estimate(estimate):
+    key, call = REPEATED_NODE_ESTIMATES[estimate]
+    # (x, f, f') = (1, 2, 3) and (1, 5, 1), with x and f swapped when the nodes are f
+    window = [Sample(mpf(1), mpf(2), mpf(3)), Sample(mpf(1), mpf(5), mpf(1))]
+    if key == "f":
+        window = [Sample(s.f, s.x, s.f_prime) for s in window]
+    with pytest.raises(DegenerateNodes) as info:
+        call(window)
+    assert type(info.value) is DegenerateNodes
+    assert str(info.value) == f"repeated {key} value in the window"
+
+
+# the weights over the nodes c: product weights, and alpha-shifted ones; both sum to zero
+NODE_WEIGHTS = {
+    "product": product_weights,
+    "alpha": lambda nodes: shifted_product_weights(nodes, mpf("1.25")),
+}
+
+
+@pytest.mark.parametrize("scheme", NODE_WEIGHTS)
+@pytest.mark.parametrize("orientation", ("direct", "inverse"))
+def test_node_derivative_is_the_plain_ratios_derivative_at_the_newest_node(orientation, scheme):
+    rng = random.Random(f"{orientation}-{scheme}")
+    for size in range(2, 9):
+        with precision(256):
+            xs = random_nodes(rng, size)
+            rng.shuffle(xs)
+            window = [Sample(x, mpmath.cos(x) - x) for x in xs]
+            nodes = xs if orientation == "direct" else [s.f for s in window]
+            weights = NODE_WEIGHTS[scheme](nodes)
+            slope = node_derivative(window, weights, orientation)
+            curvature = node_derivative(window, weights, orientation, slope=slope)
+        with precision(512):
+            # mpmath.diff steps 2^-522 from the node, far outside eval_plain's
+            # separation floor at its working precision; a two-node ratio is
+            # linear, so its r'' is 0 up to the rounding of the sum
+            for order, got in ((1, slope), (2, curvature)):
+                want = mpmath.diff(lambda t: eval_plain(window, weights, t, orientation),
+                                   nodes[-1], order)
+                assert rel_err(got, want, floor=1) <= mpf(10) ** -60, (size, order)
+
+
 _LINE = [Sample(mpf(1), mpf(-1), mpf(2)), Sample(mpf(2), mpf(1), mpf(2))]
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: eval_plain(_LINE, product_weights([1, 2]), 0, orientation="sideways"),
+     "orientation must be one of ('direct', 'inverse'), got 'sideways'"),
+    (lambda: node_derivative(_LINE, product_weights([1, 2]), orientation="sideways"),
      "orientation must be one of ('direct', 'inverse'), got 'sideways'"),
     (lambda: eval_plain(_LINE, product_weights([1, 2, 3]), 0),
      "weight list length must equal the sample count"),
