@@ -64,7 +64,7 @@ from .root_search import (
 # instrumented apart
 from .root_search import _interp_step, _propose as _opt_propose
 from .root_search import direct_slope_estimate as phi_slope_df
-from .weights import HermiteWeights, product_weights, squared_product_weights
+from .weights import HermiteWeights, WeightMemory, product_weights, squared_product_weights
 
 
 def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
@@ -72,8 +72,9 @@ def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: R
     return node_derivative(window, weights, slope=slope)
 
 
-def _df_step(window: Sequence[Sample], weights: Sequence[Real]):
-    slope = phi_slope_df(window, weights)
+def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[Real] = None):
+    if slope is None:
+        slope = phi_slope_df(window, weights)
     curvature = phi_curvature_df(window, weights, slope)
     prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(curvature._mpf_, fzero):
@@ -146,16 +147,20 @@ def opt_step_d1(window: Sequence[Sample], hweights: HermiteWeights, beta: Real) 
 # residual of each method, calling this module's names at call time
 
 
-def x_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
-    return product_weights([s.x for s in window])
+def x_product(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> list[Real]:
+    return product_weights([s.x for s in window], memory)
 
 
-def x_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
-    return squared_product_weights([s.x for s in window])
+def x_squared(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window], memory)
 
 
 def newton_df(run, window: Sequence[Sample], weights):
-    return _df_step(window, weights)
+    # the residual's slope, when it was estimated on these very weights
+    slope_weights, slope = run.slope
+    return _df_step(window, weights, slope if slope_weights is weights else None)
 
 
 def ch_d1(run, window: Sequence[Sample], weights):
@@ -172,10 +177,13 @@ def estimated_slope(run) -> Optional[Real]:
     window = run.newest_window()
     if len(window) < 2:
         return None
+    weights = run.weights(window)
     try:
-        return phi_slope_df(window, run.weights(window))
+        slope = phi_slope_df(window, weights)
     except SingularStep:
         return None
+    run.slope = weights, slope
+    return slope
 
 
 def optimize(problem, config: SolverConfig) -> IterationTrace:

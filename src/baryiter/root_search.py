@@ -76,6 +76,7 @@ from .interpolants import Sample, hermite_node_curvature, node_derivative, sampl
 from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
+    WeightMemory,
     derivative_scaled_weights,
     product_weights,
     raw_floor,
@@ -394,34 +395,40 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# table pieces: weight builders (window, alpha) -> weights and step formulas
+# table pieces: weight builders (window, alpha, memory) -> weights and step formulas
 # (run, window, weights) -> (x_new, curvature or None).  The builders and
 # ``baseline_step`` are looked up in this module at call time, so wrappers
 # installed on these names (perfbench/tracing.py) see every call.
 
 
-def x_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
-    return product_weights([s.x for s in window])
+def x_product(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> list[Real]:
+    return product_weights([s.x for s in window], memory)
 
 
-def f_product(window: Sequence[Sample], alpha: Real) -> list[Real]:
-    return product_weights([s.f for s in window])
+def f_product(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> list[Real]:
+    return product_weights([s.f for s in window], memory)
 
 
-def f_shifted(window: Sequence[Sample], alpha: Real) -> list[Real]:
-    return shifted_product_weights([s.f for s in window], alpha)
+def f_shifted(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> list[Real]:
+    return shifted_product_weights([s.f for s in window], alpha, memory)
 
 
-def x_slope_scaled(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
-    return derivative_scaled_weights([s.x for s in window], [s.f_prime for s in window])
+def x_slope_scaled(window: Sequence[Sample], alpha: Real,
+                   memory: Optional[WeightMemory] = None) -> HermiteWeights:
+    return derivative_scaled_weights([s.x for s in window], [s.f_prime for s in window], memory)
 
 
-def x_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
-    return squared_product_weights([s.x for s in window])
+def x_squared(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window], memory)
 
 
-def f_squared(window: Sequence[Sample], alpha: Real) -> HermiteWeights:
-    return squared_product_weights([s.f for s in window])
+def f_squared(window: Sequence[Sample], alpha: Real,
+              memory: Optional[WeightMemory] = None) -> HermiteWeights:
+    return squared_product_weights([s.f for s in window], memory)
 
 
 def exact_df(run: _Run, window: Sequence[Sample], weights):
@@ -509,7 +516,8 @@ class _Run:
     (a raw mpf) by that sample alone, so ``select_window`` never rescans the
     history.  The window selected after the newest sample and the last
     window's weights are kept: an optimisation residual and the step
-    proposed after it use the same window, selected and built once.
+    proposed after it use the same window, selected and built once.  Each
+    build starts from the run's ``WeightMemory`` of the build before it.
     """
 
     spec: MethodSpec
@@ -528,8 +536,12 @@ class _Run:
     _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the window selected since the newest sample was added, if any
     _selected: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    # (window, weights) of the last build
+    # (window, weights) of the last build, and what the next build starts from
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
+    _memory: WeightMemory = field(default_factory=WeightMemory, init=False, repr=False,
+                                  compare=False)
+    # (weights, slope) of the last interpolant-slope residual, which newton-df's step reuses
+    slope: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def add(self, sample: Sample) -> None:
         """Append ``sample``, extend the running maxima by it and drop the selected window."""
@@ -553,7 +565,7 @@ class _Run:
         """The scheme's weights on ``window``, reused while the samples are the same objects."""
         last_window, weights = self._last
         if len(last_window) != len(window) or any(a is not b for a, b in zip(last_window, window)):
-            weights = self.build(window, self.alpha)
+            weights = self.build(window, self.alpha, self._memory)
             self._last = tuple(window), weights
         return weights
 

@@ -21,24 +21,33 @@ formulas are ratios, so common factors cancel, and the kernel identity
 stays exactly testable.
 
 Nodes closer together than the separation floor make entries overflow any
-useful precision.  Every constructor subtracts each pair of nodes once, in
-one pass that also checks the gap against the floor, and takes
-``v_j - v_i`` as ``-(v_i - v_j)``: round-to-nearest is symmetric in sign,
-so that is the rounded difference bit for bit.  The squared families also
-square and invert each pair's difference once.  Each weight is then the
-same chain of divisions, in the same order, as from the defining products.
+useful precision: every pair of a window is checked against the floor, in
+row order, before any weight is formed.
+
+A solver's window loses its oldest node and gains a new one at each step,
+so each kernel takes an optional ``WeightMemory``, owned by one run, and
+updates its last build: kept products have the nodes that left multiplied
+out, and each new node is added as a build from empty adds it (Berrut &
+Trefethen, SIAM Review 46, 2004, section 3), O(m) divisions per node that
+joins instead of O(m^2) per window.  A kept weight carries a few more
+roundings than a fresh one, and the barycentric formula stays
+forward-stable for weights with a small relative error (Higham, IMA J.
+Numer. Anal. 24, 2004).  A call without a memory, or with an empty one,
+is the build from empty: each weight is the same chain of divisions, in
+the same order, as from the defining products.
 
 The kernels run on raw libmp values (see ``numerics``): each reads the
 working precision and rounding once, calls for every operation the libmp
 function mpf's operator would call with them, and builds the returned mpf
-values at the end, so the weights are those of the mpf loops bit for bit.
-The separation floor ``2^(8-precision)·scale`` is the scale's bits with
-the exponent shifted, exactly.
+values at the end, so a build from empty gives the weights of the mpf
+loops bit for bit.  The separation floor ``2^(8-precision)·scale`` is the
+scale's bits with the exponent shifted, exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from mpmath import mp
@@ -101,39 +110,100 @@ def _to_raw(values: Sequence[Scalar], prec: int, rounding: str) -> list[Raw]:
     return [to_raw(v, prec, rounding) for v in values]
 
 
-def _differences(nodes: list[Raw], prec: int, rounding: str) -> list[list[Raw]]:
-    """``d[i][j] = v_i - v_j`` (``None`` on the diagonal), one subtraction per pair.
+@dataclass
+class WeightMemory:
+    """A run's last build, from which its next build starts; a new memory is empty."""
 
-    Raises DegenerateNodes for the first pair, in row order over ``i < j``,
-    whose gap does not clear the separation floor.
+    key: Optional[tuple] = None  # (squared family, precision, rounding) of the last build
+    nodes: list = field(default_factory=list)     # raw values, in window order
+    products: list = field(default_factory=list)  # each node's product of factors
+    # pairs[i][j] = (v_i - v_j, factor, reciprocal or None), None on the diagonal; the
+    # factor is the difference, or for the squared family its square
+    pairs: list = field(default_factory=list)
+
+
+def _pair(gap: Raw, squared: bool, prec: int, rounding: str) -> tuple:
+    """The (difference, factor, reciprocal) of a pair both ways round, from ``gap = v_i - v_j``.
+
+    ``v_j - v_i`` is ``-(v_i - v_j)``: round-to-nearest is symmetric in
+    sign, so that is the rounded difference bit for bit.
     """
+    back = mpf_neg(gap, prec, rounding)
+    if not squared:
+        return (gap, gap, None), (back, back, None)
+    square = mpf_pow_int(gap, 2, prec, rounding)
+    inverse = mpf_rdiv_int(1, gap, prec, rounding)
+    return (gap, square, inverse), (back, square, mpf_neg(inverse, prec, rounding))
+
+
+def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec: int,
+           rounding: str) -> tuple[list, list]:
+    """Each node's product over ``nodes``, and the pair table, started from ``memory``.
+
+    The nodes the window shares, in order, with the memory's window keep
+    their pairs and, unless only one is kept, their products, multiplied by
+    their factor to each node that left.  Each other node is then added in
+    window order: every product present is divided by its factor to it, and
+    its own chain is ``1`` divided by its factor to each node present.
+    DegenerateNodes names the first pair, in row order over ``i < j``,
+    whose gap does not clear the window's separation floor.  ``memory``
+    holds the new build on return and is untouched on a raise.
+    """
+    key = (squared, prec, rounding)
+    old = memory if memory is not None and memory.key == key else WeightMemory()
+    position = {v: p for p, v in enumerate(old.nodes)}
+    source = []  # each node's index in the old window, or None
+    last = -1
+    for v in nodes:
+        p = position.get(v, -1)
+        source.append(p if p > last else None)
+        last = max(p, last)
     floor = raw_floor(raw_scale(nodes, prec, rounding) or fzero, prec, rounding)
     count = len(nodes)
-    d = [[None] * count for _ in range(count)]
-    for i, vi in enumerate(nodes):
+    pairs = [[None] * count for _ in range(count)]
+    for i, (vi, p) in enumerate(zip(nodes, source)):
         for j in range(i + 1, count):
-            gap = mpf_sub(vi, nodes[j], prec, rounding)
+            q = source[j]
+            kept = p is not None and q is not None
+            gap = old.pairs[p][q][0] if kept else mpf_sub(vi, nodes[j], prec, rounding)
             if mpf_le(mpf_abs(gap, prec, rounding), floor):
                 raise DegenerateNodes(f"nodes too close: {make_mpf(vi)} and {make_mpf(nodes[j])}")
-            d[i][j] = gap
-            d[j][i] = mpf_neg(gap, prec, rounding)
-    return d
+            pairs[i][j], pairs[j][i] = ((old.pairs[p][q], old.pairs[q][p]) if kept
+                                        else _pair(gap, squared, prec, rounding))
+    products = [None] * count
+    present = []  # the nodes added so far, in window order
+    if count - source.count(None) > 1:  # a lone kept node's product is 1: it is added anew
+        gone = [g for g in range(len(old.nodes)) if g not in source]
+        for i, p in enumerate(source):
+            if p is not None:
+                w = old.products[p]
+                for g in gone:
+                    w = mpf_mul(w, old.pairs[p][g][1], prec, rounding)
+                products[i] = w
+                present.append(i)
+    for k in range(count):
+        if products[k] is None:
+            w = fone
+            for j in present:
+                products[j] = mpf_div(products[j], pairs[j][k][1], prec, rounding)
+                w = mpf_div(w, pairs[k][j][1], prec, rounding)
+            products[k] = w
+            insort(present, k)
+    if memory is not None:
+        memory.key, memory.nodes, memory.products, memory.pairs = key, nodes, products, pairs
+    return products, pairs
 
 
-def product_weights(nodes: Sequence[Scalar]) -> list[Real]:
-    """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j)."""
+def product_weights(nodes: Sequence[Scalar],
+                    memory: Optional[WeightMemory] = None) -> list[Real]:
+    """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j), started from ``memory``."""
     prec, rounding = mp._prec_rounding
-    out = []
-    for i, row in enumerate(_differences(_to_raw(nodes, prec, rounding), prec, rounding)):
-        w = fone
-        for j, d in enumerate(row):
-            if j != i:
-                w = mpf_div(w, d, prec, rounding)
-        out.append(make_mpf(w))
-    return out
+    products, _ = _build(_to_raw(nodes, prec, rounding), False, memory, prec, rounding)
+    return [make_mpf(w) for w in products]
 
 
-def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar) -> list[Real]:
+def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar,
+                            memory: Optional[WeightMemory] = None) -> list[Real]:
     """Product weights over the nodes with the newest, the last entry, moved to ``alpha * v_n``.
 
     For ``i != n``: ``w_i = 1/(v_i - alpha v_n) * prod_{j not in {i,n}} 1/(v_i - v_j)``;
@@ -142,35 +212,30 @@ def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar) -> list[Real
     clear the separation floor; ``alpha = 1`` is ``product_weights`` itself.
     """
     *older, newest = nodes
-    return product_weights(older + [real(alpha) * real(newest)])
+    return product_weights(older + [real(alpha) * real(newest)], memory)
 
 
-def squared_product_weights(nodes: Sequence[Scalar]) -> HermiteWeights:
-    """Partial-fraction pairs lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j)."""
+def squared_product_weights(nodes: Sequence[Scalar],
+                            memory: Optional[WeightMemory] = None) -> HermiteWeights:
+    """Partial-fraction pairs lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j).
+
+    Each gam sum is added afresh, in window order, from the pair reciprocals.
+    """
     prec, rounding = mp._prec_rounding
-    diffs = _differences(_to_raw(nodes, prec, rounding), prec, rounding)
-    count = len(diffs)
-    squares = [[None] * count for _ in range(count)]
-    inverses = [[None] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i + 1, count):
-            squares[i][j] = squares[j][i] = mpf_pow_int(diffs[i][j], 2, prec, rounding)
-            inverses[i][j] = mpf_rdiv_int(1, diffs[i][j], prec, rounding)
-            inverses[j][i] = mpf_neg(inverses[i][j], prec, rounding)
+    products, pairs = _build(_to_raw(nodes, prec, rounding), True, memory, prec, rounding)
     lam, gam = [], []
-    for i in range(count):
-        u2 = fone
+    for i, (u2, row) in enumerate(zip(products, pairs)):
         s = fzero
-        for j in range(count):
+        for j, pair in enumerate(row):
             if j != i:
-                u2 = mpf_div(u2, squares[i][j], prec, rounding)
-                s = mpf_add(s, inverses[i][j], prec, rounding)
+                s = mpf_add(s, pair[2], prec, rounding)
         lam.append(make_mpf(u2))
         gam.append(make_mpf(mpf_mul(mpf_mul_int(u2, -2, prec, rounding), s, prec, rounding)))
     return HermiteWeights(tuple(lam), tuple(gam))
 
 
-def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar]) -> HermiteWeights:
+def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar],
+                              memory: Optional[WeightMemory] = None) -> HermiteWeights:
     """Squared-product pairs with lam_i scaled by the sample slope f'_i.
 
     ``lam_i = f'_i prod_{j!=i} 1/(v_i - v_j)^2`` and
@@ -185,6 +250,6 @@ def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar])
     for s in slopes:
         if mpf_eq(s, fzero):
             raise ZeroDerivative("derivative-scaled weights need non-zero slopes")
-    base = squared_product_weights(nodes)
+    base = squared_product_weights(nodes, memory)
     lam = tuple(make_mpf(mpf_mul(s, u2._mpf_, prec, rounding)) for s, u2 in zip(slopes, base.lam))
     return HermiteWeights(lam, base.gam)

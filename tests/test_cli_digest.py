@@ -15,7 +15,7 @@ import hashlib
 
 import cli_digest
 
-PINNED = (1158, "b0da0c8f23543e3c6bdbd841554b6606f3fed772de6b9f382975e400841915db")
+PINNED = (1158, "47df66259795b44ab1e770e730fbf26f9c947e1f3b7be61cfbce2f4acfe73f30")
 
 
 def test_cli_output_hashes_to_the_pinned_digest():

@@ -238,7 +238,8 @@ def test_newton_df_builds_the_weights_once_per_proposed_step(monkeypatch):
     builds, proposals = [], []
     build = optimise.product_weights
     propose = optimise._opt_propose
-    monkeypatch.setattr(optimise, "product_weights", lambda nodes: builds.append(1) or build(nodes))
+    monkeypatch.setattr(optimise, "product_weights",
+                        lambda *args: builds.append(1) or build(*args))
 
     def counted_propose(run):
         before = len(builds)
@@ -256,6 +257,51 @@ def test_newton_df_builds_the_weights_once_per_proposed_step(monkeypatch):
     # residuals of the second and third seed build the other two
     assert proposals and set(proposals) == {0}
     assert len(builds) == len(proposals) + 2
+
+
+def test_newton_df_estimates_the_slope_once_per_window(monkeypatch):
+    slopes, proposals = [], []
+    estimate = optimise.phi_slope_df
+    propose = optimise._opt_propose
+    monkeypatch.setattr(optimise, "phi_slope_df",
+                        lambda *args: slopes.append(1) or estimate(*args))
+
+    def counted_propose(run):
+        before = len(slopes)
+        try:
+            return propose(run)
+        finally:
+            proposals.append(len(slopes) - before)
+
+    monkeypatch.setattr(optimise, "_opt_propose", counted_propose)
+    config = SolverConfig(method="newton-df", window=4, precision_bits=256)
+    trace = optimise.optimize(corpus.get_problem("opt_cos"), config)
+    assert trace.status == "converged"
+    assert all(step.status != STATUS_FALLBACK for step in trace.steps)
+    # a proposal steps on the slope its sample's residual estimated; every
+    # sample after the first has a residual, and none is estimated again
+    assert proposals and set(proposals) == {0}
+    assert len(slopes) == len(trace.steps) - 1
+
+
+def test_a_fallback_newton_df_step_estimates_its_own_slope(monkeypatch):
+    windows = []
+    estimate = optimise.phi_slope_df
+    monkeypatch.setattr(optimise, "phi_slope_df",
+                        lambda window, weights: windows.append(len(window)) or
+                        estimate(window, weights))
+    run = SimpleNamespace(slope=(None, None))
+    with numerics.precision(256):
+        window = [Sample(mpf(x), mpf(x) ** 2) for x in (1, 2, 4, 5)]
+        weights = optimise.x_product(window, mpf(0))
+        run.slope = weights, estimate(window, weights)
+        want = optimise._df_step(window[1:], optimise.x_product(window[1:], mpf(0)))
+        windows.clear()
+        got = optimise.newton_df(run, window[1:], optimise.x_product(window[1:], mpf(0)))
+    # the residual's weights belong to the four-sample window: the three-sample one
+    # estimates its own slope
+    assert windows == [3]
+    assert _exact(got) == _exact(want)
 
 
 def test_default_tolerance_is_computed_once_per_precision():

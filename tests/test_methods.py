@@ -314,6 +314,6 @@ def test_a_window_keeps_distinct_what_its_weights_and_its_step_divide_by(method,
             run.add(s)
         window = run.newest_window()
         try:
-            spec.step(SimpleNamespace(beta=real(1)), window, build(window, real(0)))
+            spec.step(run, window, build(window, real(0)))
         except BaryiterError as err:  # a vanished denominator, say, is the step's own outcome
             assert not isinstance(err, DegenerateNodes), err

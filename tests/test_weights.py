@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import mpmath
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from mpmath import fsum, mpf
 
 from baryiter.errors import DegenerateNodes, ZeroDerivative
+from baryiter import weights
 from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.weights import (
     HermiteWeights,
+    WeightMemory,
     derivative_scaled_weights,
     product_weights,
     raw_floor,
@@ -194,3 +197,153 @@ def test_separation_floor_scales_with_magnitude():
     with precision(256):
         assert make_mpf(raw_floor(mpf(1)._mpf_, 256, "n")) == mpf(2) ** (8 - 256)
         assert make_mpf(raw_floor(mpf(1024)._mpf_, 256, "n")) == mpf(2) ** (18 - 256)
+
+
+# ---------------------------------------------------------------------------
+# weights kept in a memory and updated as the window moves
+
+# Bits a maintained weight may lose against the build from empty, and the
+# kernel sums against their terms.  Measured: over runs of the lowprec_sweep
+# and hiprec_grid benchmark items (seeds 1 and 2) the worst weight lost 2.6
+# bits, at 256 bits; over 3 000 random sequences of these moves at 64, 256
+# and 4096 bits, 3.1 bits, and the worst kernel sum 2.3.  Each update of a
+# kept product adds one rounding, so the bound leaves two bits for longer chains.
+LOST_BITS = 5
+# (hypothesis examples, most windows in a sequence) per precision
+MAINTAINED_RUNS = {64: (120, 12), 256: (120, 12), 4096: (30, 8)}
+MOVES = ("slide", "slide", "slide", "dedup", "shrink", "grow", "collide")
+
+
+def _slopes(nodes):
+    return [1 + v * v for v in nodes]  # never zero
+
+
+# family -> build(nodes, memory or None); the alpha family shifts the newest node
+MAINTAINED = {
+    "product": lambda nodes, alpha, memory: product_weights(nodes, memory),
+    "alpha": lambda nodes, alpha, memory: shifted_product_weights(nodes, alpha, memory),
+    "squared": lambda nodes, alpha, memory: squared_product_weights(nodes, memory),
+    "scaled": lambda nodes, alpha, memory: derivative_scaled_weights(nodes, _slopes(nodes),
+                                                                     memory),
+}
+
+
+def _moved(window, move, fresh, pick):
+    """The window after ``move``: the newest sample is last, as in a run."""
+    if move == "slide":
+        return window[1:] + [fresh]
+    if move == "dedup" and len(window) > 2:  # an older sample evicted from the middle
+        cut = pick % (len(window) - 2) + 1
+        return window[:cut] + window[cut + 1:] + [fresh]
+    if move == "shrink" and len(window) > 2:  # a fallback step on one sample fewer
+        return window[1:]
+    if move == "collide":  # a new node on, or within the separation floor of, an older one
+        twin = window[pick % len(window)]
+        return window[1:] + [twin if pick % 2 else twin * (1 + mpf(2) ** (4 - mpmath.mp.prec))]
+    return window + [fresh] if len(window) < 9 else window[1:] + [fresh]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DegenerateNodes as err:
+        return type(err), str(err)
+
+
+def _columns(result):
+    return [result.lam, result.gam] if isinstance(result, HermiteWeights) else [result]
+
+
+def _check_kernel(nodes, w, bound):
+    # sum_i w_i v_i^k = 0 for k < n, summed well above the working precision
+    with mpmath.workprec(mpmath.mp.prec + 64):
+        for k in range(len(nodes) - 1):
+            terms = [wi * v ** k for wi, v in zip(w, nodes)]
+            assert abs(fsum(terms)) <= bound * fsum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("bits", sorted(MAINTAINED_RUNS))
+def test_maintained_weights_track_the_build_from_empty(bits):
+    examples, most_windows = MAINTAINED_RUNS[bits]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        start=st.lists(RATIONALS, min_size=2, max_size=8),
+        moves=st.lists(st.tuples(st.sampled_from(MOVES), RATIONALS, st.integers(0, 15)),
+                       min_size=1, max_size=most_windows),
+        alpha=st.one_of(st.sampled_from(((0, 1), (1, 1))), RATIONALS),
+    )
+    def check(start, moves, alpha):
+        with precision(bits):
+            bound = mpf(2) ** (LOST_BITS - bits)
+            alpha = mpf(alpha[0]) / alpha[1]
+            windows = [[mpf(p) / q for p, q in start]]
+            for move, fresh, pick in moves:
+                windows.append(_moved(windows[-1], move, mpf(fresh[0]) / fresh[1], pick))
+            for family, build in MAINTAINED.items():
+                memory = WeightMemory()
+                for nodes in windows:
+                    want = _outcome(lambda: build(nodes, alpha, None))
+                    got = _outcome(lambda: build(nodes, alpha, memory))
+                    if isinstance(want, tuple):  # refused: the same error, and the memory kept
+                        assert got == want, family
+                        continue
+                    for got_column, want_column in zip(_columns(got), _columns(want)):
+                        for g, w in zip(got_column, want_column):
+                            assert abs(g - w) <= bound * abs(w), family
+                    if family in ("product", "alpha"):
+                        shifted = nodes[:-1] + [alpha * nodes[-1]] if family == "alpha" else nodes
+                        _check_kernel(shifted, got, bound)
+
+    check()
+
+
+@pytest.mark.parametrize("family", sorted(MAINTAINED))
+def test_a_kept_pair_is_checked_against_the_new_windows_floor(family):
+    with precision(64):
+        # the close pair clears the floor, about 2^-53 at the scale 6 of 2 shifted
+        close = [mpf(1), 1 + mpf(2) ** -50, mpf(2)]
+        memory = WeightMemory()
+        MAINTAINED[family](close, mpf(3), memory)
+        grown = close + [mpf(2) ** 10]  # the floor rises to about 2^-44
+        want = _outcome(lambda: MAINTAINED[family](grown, mpf(3), None))
+        assert want[0] is DegenerateNodes
+        assert _outcome(lambda: MAINTAINED[family](grown, mpf(3), memory)) == want
+
+
+def test_a_memory_from_another_family_or_precision_is_not_used():
+    nodes = [mpf(1) / 3, mpf(2) / 7, mpf(5) / 11]
+    memory = WeightMemory()
+    with precision(256):
+        product_weights(nodes, memory)
+        assert squared_product_weights(nodes[1:] + [mpf(3)], memory) == \
+            squared_product_weights(nodes[1:] + [mpf(3)])
+    with precision(64):
+        assert squared_product_weights(nodes[1:] + [mpf(4)], memory) == \
+            squared_product_weights(nodes[1:] + [mpf(4)])
+
+
+# (family, most divisions for a one-node slide of an 8-node window, divisions from empty)
+SLIDE_COSTS = [(product_weights, 16, 56), (squared_product_weights, 24, 56 + 28)]
+
+
+@pytest.mark.parametrize("build, most, from_empty", SLIDE_COSTS,
+                         ids=[build.__name__ for build, _, _ in SLIDE_COSTS])
+def test_a_one_node_slide_makes_linearly_many_divisions(monkeypatch, build, most, from_empty):
+    divisions = Counter()
+    for name in ("mpf_div", "mpf_rdiv_int"):
+        def counted(*args, _name=name, _fn=getattr(weights, name)):
+            divisions[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(weights, name, counted)
+    with precision(256):
+        nodes = [mpf(k) / 7 for k in range(1, 10)]
+        memory = WeightMemory()
+        build(nodes[:8], memory)
+        divisions.clear()
+        build(nodes[1:], memory)
+        slide = sum(divisions.values())
+        divisions.clear()
+        build(nodes[1:])
+    assert slide <= most
+    assert sum(divisions.values()) == from_empty
