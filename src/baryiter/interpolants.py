@@ -24,8 +24,11 @@ run interpolates its objective directly, so (x, phi, phi') is stored as
 The node derivatives at the newest node, ``node_derivative`` (plain form,
 both orientations, first and second order) and ``hermite_node_curvature``
 (slope-matching, direct), are on the solver's hot path and run on the raw
-libmp values of their mpf arguments, bit for bit as the mpf formulas (see
-``numerics``); the evaluators stay mpf loops.
+libmp values of their mpf arguments (see ``numerics``), bit for bit as the
+mpf formulas that multiply by the newest node's reciprocal differences
+1/d_k and 1/d_k^2 of ``weights.newest_pairs``: read from the run's weight
+memory, so a step divides once per pair, or formed on the spot with the
+same bits.  The evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from typing import Sequence
 
 import mpmath
 from mpmath import fsum
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sub, mpf_sum)
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_rdiv_int,
+                          mpf_sub, mpf_sum)
 
-from .errors import DegenerateNodes, SingularDenominator, SingularStep, ZeroDerivative
+from .errors import SingularDenominator, SingularStep, ZeroDerivative
 from .numerics import Real, Scalar, make_mpf, real
-from .weights import HermiteWeights, raw_floor, raw_scale
+from .weights import HermiteWeights, WeightMemory, newest_pairs, raw_floor, raw_scale
 
 
 @dataclass(frozen=True)
@@ -166,17 +169,20 @@ def eval_hermite(
 
 
 def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
-                    orientation: str = "direct", slope: Real | None = None) -> Real:
+                    orientation: str = "direct", slope: Real | None = None,
+                    memory: WeightMemory | None = None) -> Real:
     """r'(c_n) of the plain ratio at the newest node, or r''(c_n) given ``slope`` = r'(c_n).
 
     With d_k = c_n - c_k, the newest node last (Schneider & Werner 1986;
     Berrut & Trefethen 2004, section 9):
 
-    ``r'  =    (sum_{k!=n} w_k (v_n - v_k)/d_k) / (sum_{k!=n} w_k)``
-    ``r'' = -2 (sum_{k!=n} w_k [(v_n - v_k) - r' d_k]/d_k^2) / (sum_{k!=n} w_k)``
+    ``r'  =    (sum_{k!=n} w_k (v_n - v_k) (1/d_k)) / (sum_{k!=n} w_k)``
+    ``r'' = -2 (sum_{k!=n} w_k [(v_n - v_k) - r' d_k] (1/d_k) (1/d_k)) / (sum_{k!=n} w_k)``
 
     These are the ratio's derivatives when the weights sum to zero, as every
-    product family's do, so that the older weights sum to -w_n.
+    product family's do, so that the older weights sum to -w_n.  d_k and
+    1/d_k are the product family's newest pair row (``weights.newest_pairs``),
+    read from ``memory`` when it holds the product weights of these nodes.
     """
     prec, rounding = mpmath.mp._prec_rounding
     nodes, values = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples],
@@ -187,19 +193,15 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
     den = mpf_sum(ws[:n], prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("weight sum over the older samples vanished")
+    pairs = newest_pairs(nodes, False, memory, prec, rounding,
+                         "x" if orientation == "direct" else "f")
     terms = []
-    for k in range(n):
-        d = mpf_sub(nodes[n], nodes[k], prec, rounding)
-        if mpf_eq(d, fzero):
-            raise DegenerateNodes(f"repeated {'x' if orientation == 'direct' else 'f'} value "
-                                  "in the window")
+    for k, (d, _, inverse, _) in enumerate(pairs):
         rise = mpf_sub(values[n], values[k], prec, rounding)
-        if tangent is None:
-            terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding), d, prec, rounding))
-        else:
+        if tangent is not None:
             rise = mpf_sub(rise, mpf_mul(tangent, d, prec, rounding), prec, rounding)
-            terms.append(mpf_div(mpf_mul(ws[k], rise, prec, rounding),
-                                 mpf_pow_int(d, 2, prec, rounding), prec, rounding))
+        term = mpf_mul(mpf_mul(ws[k], rise, prec, rounding), inverse, prec, rounding)
+        terms.append(term if tangent is None else mpf_mul(term, inverse, prec, rounding))
     num = mpf_sum(terms, prec, rounding)
     if tangent is not None:
         num = mpf_mul_int(num, -2, prec, rounding)
@@ -211,28 +213,29 @@ def hermite_node_curvature(
     values: Sequence[Real],
     slopes: Sequence[Real],
     hweights: HermiteWeights,
+    memory: WeightMemory | None = None,
 ) -> Real:
     """Second derivative of the direct slope-matching interpolant at the newest node.
 
-    ``-(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k)/(c_n - c_k)
-    + lam_k (v_n - v_k)/(c_n - c_k)^2])`` with the newest node last.  Agrees
-    with finite differences of ``eval_hermite`` for the squared-product
-    weights (checked in the test suite).
+    ``-(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k) (1/d_k)
+    + lam_k (v_n - v_k) (1/d_k^2)])`` with the newest node last and
+    d_k = c_n - c_k.  1/d_k and 1/d_k^2 are the squared family's newest pair
+    row (``weights.newest_pairs``), read from ``memory`` when it holds the
+    squared weights of these nodes.  Agrees with finite differences of
+    ``eval_hermite`` for the squared-product weights (checked in the test
+    suite).
     """
     prec, rounding = mpmath.mp._prec_rounding
     n = len(nodes) - 1
     cs, vs, ss = ([v._mpf_ for v in column] for column in (nodes, values, slopes))
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_mul(gams[n], ss[n], prec, rounding)
-    for k in range(n):
-        d = mpf_sub(cs[n], cs[k], prec, rounding)
-        if mpf_eq(d, fzero):
-            raise DegenerateNodes("repeated x value in the window")
+    for k, (_, _, inverse, inverse_square) in enumerate(
+            newest_pairs(cs, True, memory, prec, rounding, "x")):
         dv = mpf_sub(vs[n], vs[k], prec, rounding)
         top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), mpf_mul(lams[k], ss[k], prec, rounding),
                       prec, rounding)
-        acc = mpf_add(acc, mpf_div(top, d, prec, rounding), prec, rounding)
+        acc = mpf_add(acc, mpf_mul(top, inverse, prec, rounding), prec, rounding)
         top = mpf_mul(lams[k], dv, prec, rounding)
-        acc = mpf_add(acc, mpf_div(top, mpf_mul(d, d, prec, rounding), prec, rounding),
-                      prec, rounding)
+        acc = mpf_add(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
     return make_mpf(mpf_mul(mpf_rdiv_int(-2, lams[n], prec, rounding), acc, prec, rounding))

@@ -27,7 +27,9 @@ curvature estimate; the solver does not classify the stationary point.
 
 The curvature and third-derivative estimates and both steps run on raw
 libmp values, as the root solver's step formulas do, bit for bit as the
-mpf formulas.
+mpf formulas that multiply by the newest node's reciprocal differences
+1/d_k and 1/d_k^2 (``weights.newest_pairs``, read from the run's weight
+memory when it holds the step's weights).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Optional, Sequence
 
 import mpmath
 from mpmath.libmp import (
-    ftwo,
     fzero,
     mpf_add,
     mpf_div,
@@ -44,10 +45,11 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_rdiv_int,
+    mpf_shift,
     mpf_sub,
 )
 
-from .errors import DegenerateNodes, SingularStep
+from .errors import SingularStep
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
 from .interpolants import Sample, hermite_node_curvature, node_derivative, sample_slopes
 from .numerics import Real, make_mpf
@@ -64,18 +66,21 @@ from .root_search import (
 # instrumented apart
 from .root_search import _interp_step, _propose as _opt_propose
 from .root_search import direct_slope_estimate as phi_slope_df
-from .weights import HermiteWeights, WeightMemory, product_weights, squared_product_weights
+from .weights import (HermiteWeights, WeightMemory, newest_pairs, product_weights,
+                      squared_product_weights)
 
 
-def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
+def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real,
+                     memory: Optional[WeightMemory] = None) -> Real:
     """Interpolant curvature at the newest sample, given its slope: see ``node_derivative``."""
-    return node_derivative(window, weights, slope=slope)
+    return node_derivative(window, weights, slope=slope, memory=memory)
 
 
-def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[Real] = None):
+def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[Real] = None,
+             memory: Optional[WeightMemory] = None):
     if slope is None:
-        slope = phi_slope_df(window, weights)
-    curvature = phi_curvature_df(window, weights, slope)
+        slope = phi_slope_df(window, weights, memory)
+    curvature = phi_curvature_df(window, weights, slope, memory)
     prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
@@ -89,50 +94,52 @@ def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     return _df_step(window, weights)[0]
 
 
-def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
+def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights,
+                     memory: Optional[WeightMemory] = None) -> Real:
     """phi'' at the newest sample from the slope-matching interpolant."""
     return hermite_node_curvature(
-        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights
+        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights, memory
     )
 
 
-def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real) -> Real:
+def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real,
+                 memory: Optional[WeightMemory] = None) -> Real:
     """phi''' at the newest sample, given the curvature estimate.
 
     ``-(6/lam_n) (gam_n phi''_n / 2
-      + sum_{k!=n} [gam_k phi'_n/(x_n - x_k)
-                    - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k))/(x_n - x_k)^2
-                    - 2 lam_k (phi_n - phi_k)/(x_n - x_k)^3])``
+      + sum_{k!=n} [gam_k phi'_n (1/d_k)
+                    - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k)) (1/d_k^2)
+                    - 2 lam_k (phi_n - phi_k) (1/d_k^2) (1/d_k)])``
+    with d_k = x_n - x_k; 1/d_k and 1/d_k^2 are the squared family's newest
+    pair row (``newest_pairs``, from ``memory`` when it holds these weights).
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
     n = len(window) - 1
     xs, fs = _columns(window)
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    acc = mpf_div(mpf_mul(gams[n], curvature._mpf_, prec, rounding), ftwo, prec, rounding)
-    for k in range(n):
-        d = mpf_sub(xs[n], xs[k], prec, rounding)
-        if mpf_eq(d, fzero):
-            raise DegenerateNodes("repeated x value in the window")
+    acc = mpf_shift(mpf_mul(gams[n], curvature._mpf_, prec, rounding), -1)  # halved exactly
+    for k, (_, _, inverse, inverse_square) in enumerate(
+            newest_pairs(xs, True, memory, prec, rounding, "x")):
         dphi = mpf_sub(fs[n], fs[k], prec, rounding)
-        acc = mpf_add(acc, mpf_div(mpf_mul(gams[k], slopes[n], prec, rounding), d, prec, rounding),
-                      prec, rounding)
-        d2 = mpf_mul(d, d, prec, rounding)
+        acc = mpf_add(acc, mpf_mul(mpf_mul(gams[k], slopes[n], prec, rounding), inverse,
+                                   prec, rounding), prec, rounding)
         slope_sum = mpf_add(slopes[n], slopes[k], prec, rounding)
         top = mpf_sub(mpf_mul(gams[k], dphi, prec, rounding),
                       mpf_mul(lams[k], slope_sum, prec, rounding), prec, rounding)
-        acc = mpf_sub(acc, mpf_div(top, d2, prec, rounding), prec, rounding)
+        acc = mpf_sub(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
         top = mpf_mul(mpf_mul_int(lams[k], 2, prec, rounding), dphi, prec, rounding)
-        acc = mpf_sub(acc, mpf_div(top, mpf_mul(d2, d, prec, rounding), prec, rounding),
-                      prec, rounding)
+        top = mpf_mul(mpf_mul(top, inverse_square, prec, rounding), inverse, prec, rounding)
+        acc = mpf_sub(acc, top, prec, rounding)
     return make_mpf(mpf_mul(mpf_rdiv_int(-6, lams[n], prec, rounding), acc, prec, rounding))
 
 
-def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):
-    curvature = phi_curvature_d1(window, hweights)
+def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real,
+             memory: Optional[WeightMemory] = None):
+    curvature = phi_curvature_d1(window, hweights, memory)
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
-    third = phi_third_d1(window, hweights, curvature)
+    third = phi_third_d1(window, hweights, curvature, memory)
     newest = window[-1]
     return chebyshev_halley_update(newest.x, newest.f_prime, curvature, third, beta), curvature
 
@@ -160,11 +167,11 @@ def x_squared(window: Sequence[Sample], alpha: Real,
 def newton_df(run, window: Sequence[Sample], weights):
     # the residual's slope, when it was estimated on these very weights
     slope_weights, slope = run.slope
-    return _df_step(window, weights, slope if slope_weights is weights else None)
+    return _df_step(window, weights, slope if slope_weights is weights else None, run.memory)
 
 
 def ch_d1(run, window: Sequence[Sample], weights):
-    return _d1_step(window, weights, run.beta)
+    return _d1_step(window, weights, run.beta, run.memory)
 
 
 def sampled_slope(run) -> Optional[Real]:
@@ -179,7 +186,7 @@ def estimated_slope(run) -> Optional[Real]:
         return None
     weights = run.weights(window)
     try:
-        slope = phi_slope_df(window, weights)
+        slope = phi_slope_df(window, weights, run.memory)
     except SingularStep:
         return None
     run.slope = weights, slope

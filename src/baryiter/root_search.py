@@ -34,7 +34,11 @@ minimum, then raised.
 
 The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
-raw libmp values, bit for bit as the mpf formulas (see ``numerics``).
+raw libmp values, bit for bit as the mpf formulas (see ``numerics``).  The
+formulas multiply by reciprocals a run computes once: the node derivatives
+by the newest node's pair row of the run's ``WeightMemory`` (1/d_k, 1/d_k^2,
+see ``weights.newest_pairs``), and ``exact-d1`` by each sample's 1/f^2,
+next to its Newton point x - f/f', kept per sample in ``_Run``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_pow_int,
+    mpf_rdiv_int,
     mpf_sub,
     mpf_sum,
 )
@@ -68,7 +73,6 @@ from mpmath.libmp import (
 from . import numerics
 from .errors import (
     BaryiterError,
-    DegenerateNodes,
     SingularStep,
     ZeroDerivative,
 )
@@ -78,6 +82,7 @@ from .weights import (
     HermiteWeights,
     WeightMemory,
     derivative_scaled_weights,
+    newest_pairs,
     product_weights,
     raw_floor,
     raw_scale,
@@ -261,12 +266,15 @@ def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     return make_mpf(mpf_div(num, den, prec, rounding))
 
 
-def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
+def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights,
+                  known: Optional[dict] = None) -> Real:
     """Exact root of the slope-matching inverse interpolant.
 
-    ``(sum [lam_i (x_i - f_i/f'_i) - gam_i f_i x_i]/f_i^2)
-     / (sum [lam_i - gam_i f_i]/f_i^2)``; a sample with f == 0 is that root:
-    its x is returned.
+    ``(sum [lam_i (x_i - f_i/f'_i) - gam_i f_i x_i] (1/f_i^2))
+     / (sum [lam_i - gam_i f_i] (1/f_i^2))``; a sample with f == 0 is that
+    root: its x is returned.  Each sample's (x - f/f', 1/f^2) is taken from
+    ``known``, a run's map from ``id(sample)`` to (sample, x - f/f', 1/f^2),
+    which gains the samples it lacks; the bits are those of a step without it.
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
@@ -279,34 +287,45 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
             return s.x
         if mpf_eq(fp, fzero):
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
-        f2 = mpf_mul(f, f, prec, rounding)
-        newton = mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding)
+        entry = None if known is None else known.get(id(s))
+        if entry is None or entry[0] is not s:  # the key is the identity of a live sample
+            entry = (s, mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding),
+                     mpf_rdiv_int(1, mpf_mul(f, f, prec, rounding), prec, rounding))
+            if known is not None:
+                known[id(s)] = entry
+        _, newton, inverse_square = entry
         gam_f = mpf_mul(gam, f, prec, rounding)
         num = mpf_sub(mpf_mul(lam, newton, prec, rounding), mpf_mul(gam_f, x, prec, rounding),
                       prec, rounding)
-        num_terms.append(mpf_div(num, f2, prec, rounding))
-        den_terms.append(mpf_div(mpf_sub(lam, gam_f, prec, rounding), f2, prec, rounding))
+        num_terms.append(mpf_mul(num, inverse_square, prec, rounding))
+        den_terms.append(mpf_mul(mpf_sub(lam, gam_f, prec, rounding), inverse_square,
+                                 prec, rounding))
     den = mpf_sum(den_terms, prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-d1 step")
     return make_mpf(mpf_div(mpf_sum(num_terms, prec, rounding), den, prec, rounding))
 
 
-def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
+def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real],
+                           memory: Optional[WeightMemory] = None) -> Real:
     """1/f' at the newest sample: ``node_derivative`` of the inverse interpolant."""
-    return node_derivative(window, weights, "inverse")
+    return node_derivative(window, weights, "inverse", memory=memory)
 
 
-def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
+def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real],
+                          memory: Optional[WeightMemory] = None) -> Real:
     """f' at the newest sample: ``node_derivative`` of the direct interpolant."""
-    return node_derivative(window, weights)
+    return node_derivative(window, weights, memory=memory)
 
 
-def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
+def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights,
+                               memory: Optional[WeightMemory] = None) -> Real:
     """f'' at the newest sample via the slope-matching inverse interpolant.
 
     The interpolant's x''[f] at the newest node is converted through
-    ``x'' = -f''/f'^3``.  Expects squared-product weights over the f values.
+    ``x'' = -f''/f'^3``.  Expects squared-product weights over the f values,
+    and multiplies by 1/df_k^2 of their newest pair row (``newest_pairs``,
+    from ``memory`` when it holds these weights).
     """
     prec, rounding = mpmath.mp._prec_rounding
     n = len(window) - 1
@@ -316,28 +335,27 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     xs, fs = _columns(window)
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_div(gams[n], slopes[n], prec, rounding)
-    for k in range(n):
-        df = mpf_sub(fs[n], fs[k], prec, rounding)
-        if mpf_eq(df, fzero):
-            raise DegenerateNodes("repeated f value in the window")
+    for k, (df, _, _, inverse_square) in enumerate(
+            newest_pairs(fs, True, memory, prec, rounding, "f")):
         dx = mpf_sub(xs[n], xs[k], prec, rounding)
         tilt = mpf_sub(mpf_mul(gams[k], dx, prec, rounding),
                        mpf_div(lams[k], slopes[k], prec, rounding), prec, rounding)
         top = mpf_add(mpf_mul(lams[k], dx, prec, rounding), mpf_mul(tilt, df, prec, rounding),
                       prec, rounding)
-        acc = mpf_add(acc, mpf_div(top, mpf_mul(df, df, prec, rounding), prec, rounding),
-                      prec, rounding)
+        acc = mpf_add(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
     scale = mpf_mul_int(mpf_pow_int(slopes[n], 3, prec, rounding), 2, prec, rounding)
     return make_mpf(mpf_mul(mpf_div(scale, lams[n], prec, rounding), acc, prec, rounding))
 
 
-def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
+def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights,
+                               memory: Optional[WeightMemory] = None) -> Real:
     """f'' at the newest sample via the slope-matching direct interpolant.
 
     Expects squared-product weights over the x values.
     """
     slopes = sample_slopes(window)
-    return hermite_node_curvature([s.x for s in window], [s.f for s in window], slopes, hweights)
+    return hermite_node_curvature([s.x for s in window], [s.f for s in window], slopes, hweights,
+                                  memory)
 
 
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:
@@ -436,19 +454,19 @@ def exact_df(run: _Run, window: Sequence[Sample], weights):
 
 
 def exact_d1(run: _Run, window: Sequence[Sample], weights):
-    return step_exact_d1(window, weights), None
+    return step_exact_d1(window, weights, run.newton_points), None
 
 
 def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
     prec, rounding = mpmath.mp._prec_rounding
-    inverse_slope = inverse_slope_estimate(window, weights)._mpf_
+    inverse_slope = inverse_slope_estimate(window, weights, run.memory)._mpf_
     x, f = window[-1].x._mpf_, window[-1].f._mpf_
     return make_mpf(mpf_sub(x, mpf_mul(f, inverse_slope, prec, rounding), prec, rounding)), None
 
 
 def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
     prec, rounding = mpmath.mp._prec_rounding
-    slope = direct_slope_estimate(window, weights)._mpf_
+    slope = direct_slope_estimate(window, weights, run.memory)._mpf_
     if mpf_eq(slope, fzero):
         raise SingularStep("estimated slope vanished")
     x, f = window[-1].x._mpf_, window[-1].f._mpf_
@@ -457,13 +475,13 @@ def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
 
 def ch_x_interp(run: _Run, window: Sequence[Sample], weights):
     newest = window[-1]
-    fpp = second_derivative_x_interp(window, weights)
+    fpp = second_derivative_x_interp(window, weights, run.memory)
     return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
 
 
 def ch_f_interp(run: _Run, window: Sequence[Sample], weights):
     newest = window[-1]
-    fpp = second_derivative_f_interp(window, weights)
+    fpp = second_derivative_f_interp(window, weights, run.memory)
     return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
 
 
@@ -517,7 +535,8 @@ class _Run:
     history.  The window selected after the newest sample and the last
     window's weights are kept: an optimisation residual and the step
     proposed after it use the same window, selected and built once.  Each
-    build starts from the run's ``WeightMemory`` of the build before it.
+    build starts from the run's ``WeightMemory`` of the build before it, and
+    the step formulas read the newest node's pair row from it.
     """
 
     spec: MethodSpec
@@ -538,8 +557,10 @@ class _Run:
     _selected: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     # (window, weights) of the last build, and what the next build starts from
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
-    _memory: WeightMemory = field(default_factory=WeightMemory, init=False, repr=False,
-                                  compare=False)
+    memory: WeightMemory = field(default_factory=WeightMemory, init=False, repr=False,
+                                 compare=False)
+    # id(sample) -> (sample, x - f/f', 1/f^2), computed once per sample by exact-d1's step
+    newton_points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (weights, slope) of the last interpolant-slope residual, which newton-df's step reuses
     slope: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -565,7 +586,7 @@ class _Run:
         """The scheme's weights on ``window``, reused while the samples are the same objects."""
         last_window, weights = self._last
         if len(last_window) != len(window) or any(a is not b for a, b in zip(last_window, window)):
-            weights = self.build(window, self.alpha, self._memory)
+            weights = self.build(window, self.alpha, self.memory)
             self._last = tuple(window), weights
         return weights
 

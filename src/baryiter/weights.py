@@ -24,24 +24,33 @@ Nodes closer together than the separation floor make entries overflow any
 useful precision: every pair of a window is checked against the floor, in
 row order, before any weight is formed.
 
+Every pair of nodes is one row of a pair table: the difference, the
+factor (the difference, or for the squared family its square) and the
+reciprocals of both, from one division per pair (``1/d``, or ``1/d^2`` and
+``1/d = d * 1/d^2``).  A build multiplies by the reciprocals, so a build
+from empty makes m(m-1)/2 divisions in either family.  The newest node's
+row is what the solvers' node derivatives divide by: ``newest_pairs``
+hands it to them, from the run's memory when it holds these nodes.
+
 A solver's window loses its oldest node and gains a new one at each step,
 so each kernel takes an optional ``WeightMemory``, owned by one run, and
 updates its last build: kept products have the nodes that left multiplied
 out, and each new node is added as a build from empty adds it (Berrut &
-Trefethen, SIAM Review 46, 2004, section 3), O(m) divisions per node that
-joins instead of O(m^2) per window.  A kept weight carries a few more
-roundings than a fresh one, and the barycentric formula stays
-forward-stable for weights with a small relative error (Higham, IMA J.
-Numer. Anal. 24, 2004).  A call without a memory, or with an empty one,
-is the build from empty: each weight is the same chain of divisions, in
-the same order, as from the defining products.
+Trefethen, SIAM Review 46, 2004, section 3), O(m) operations and m - 1
+divisions per node that joins instead of O(m^2) per window.  A kept weight
+carries a few more roundings than a fresh one, and the barycentric formula
+stays forward-stable for weights with a small relative error (Higham, IMA
+J. Numer. Anal. 24, 2004).  A call without a memory, or with an empty one,
+is the build from empty: each weight is the chain of the reciprocal factors
+to the other nodes, multiplied in window order.
 
 The kernels run on raw libmp values (see ``numerics``): each reads the
 working precision and rounding once, calls for every operation the libmp
 function mpf's operator would call with them, and builds the returned mpf
 values at the end, so a build from empty gives the weights of the mpf
-loops bit for bit.  The separation floor ``2^(8-precision)·scale`` is the
-scale's bits with the exponent shifted, exactly.
+loops that multiply by the same reciprocals bit for bit.  The separation
+floor ``2^(8-precision)·scale`` is the scale's bits with the exponent
+shifted, exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
-    mpf_div,
     mpf_eq,
     mpf_gt,
     mpf_le,
@@ -117,23 +125,51 @@ class WeightMemory:
     key: Optional[tuple] = None  # (squared family, precision, rounding) of the last build
     nodes: list = field(default_factory=list)     # raw values, in window order
     products: list = field(default_factory=list)  # each node's product of factors
-    # pairs[i][j] = (v_i - v_j, factor, reciprocal or None), None on the diagonal; the
-    # factor is the difference, or for the squared family its square
+    # pairs[i][j] = (v_i - v_j, factor, 1/(v_i - v_j), 1/factor), None on the diagonal;
+    # the factor is the difference, or for the squared family its square
     pairs: list = field(default_factory=list)
 
 
 def _pair(gap: Raw, squared: bool, prec: int, rounding: str) -> tuple:
-    """The (difference, factor, reciprocal) of a pair both ways round, from ``gap = v_i - v_j``.
+    """The (difference, factor, reciprocal, reciprocal factor) rows of a pair both ways round.
 
+    From ``gap = v_i - v_j``, with one division: ``1/d`` for the product
+    family; ``1/d^2`` for the squared family, whose ``1/d`` is ``d * 1/d^2``.
     ``v_j - v_i`` is ``-(v_i - v_j)``: round-to-nearest is symmetric in
-    sign, so that is the rounded difference bit for bit.
+    sign, so negating the difference and its reciprocal gives the row of
+    ``-gap`` bit for bit.
     """
     back = mpf_neg(gap, prec, rounding)
     if not squared:
-        return (gap, gap, None), (back, back, None)
+        inverse = mpf_rdiv_int(1, gap, prec, rounding)
+        inverse_back = mpf_neg(inverse, prec, rounding)
+        return (gap, gap, inverse, inverse), (back, back, inverse_back, inverse_back)
     square = mpf_pow_int(gap, 2, prec, rounding)
-    inverse = mpf_rdiv_int(1, gap, prec, rounding)
-    return (gap, square, inverse), (back, square, mpf_neg(inverse, prec, rounding))
+    inverse_square = mpf_rdiv_int(1, square, prec, rounding)
+    inverse = mpf_mul(gap, inverse_square, prec, rounding)
+    return ((gap, square, inverse, inverse_square),
+            (back, square, mpf_neg(inverse, prec, rounding), inverse_square))
+
+
+def newest_pairs(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec: int,
+                 rounding: str, coordinate: str) -> list[tuple]:
+    """The newest node's row to each older node: ``_pair(v_n - v_k)`` for k < n, newest last.
+
+    Read from ``memory`` when its last build was of this family and
+    precision over these very nodes, else formed here as a build forms it,
+    so the bits are the same either way.  A zero difference is
+    DegenerateNodes, naming the repeated ``coordinate``.
+    """
+    if memory is not None and memory.key == (squared, prec, rounding) and memory.nodes == nodes:
+        return memory.pairs[-1][:-1]
+    newest = nodes[-1]
+    row = []
+    for v in nodes[:-1]:
+        gap = mpf_sub(newest, v, prec, rounding)
+        if mpf_eq(gap, fzero):
+            raise DegenerateNodes(f"repeated {coordinate} value in the window")
+        row.append(_pair(gap, squared, prec, rounding)[0])
+    return row
 
 
 def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec: int,
@@ -143,10 +179,11 @@ def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec
     The nodes the window shares, in order, with the memory's window keep
     their pairs and, unless only one is kept, their products, multiplied by
     their factor to each node that left.  Each other node is then added in
-    window order: every product present is divided by its factor to it, and
-    its own chain is ``1`` divided by its factor to each node present.
-    DegenerateNodes names the first pair, in row order over ``i < j``,
-    whose gap does not clear the window's separation floor.  ``memory``
+    window order: every product present is multiplied by its reciprocal
+    factor to it, and its own chain is the product of its reciprocal factors
+    to each node present.  DegenerateNodes names the first pair, in row
+    order over ``i < j``, whose gap does not clear the window's separation
+    floor.  ``memory``
     holds the new build on return and is untouched on a raise.
     """
     key = (squared, prec, rounding)
@@ -185,8 +222,8 @@ def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec
         if products[k] is None:
             w = fone
             for j in present:
-                products[j] = mpf_div(products[j], pairs[j][k][1], prec, rounding)
-                w = mpf_div(w, pairs[k][j][1], prec, rounding)
+                products[j] = mpf_mul(products[j], pairs[j][k][3], prec, rounding)
+                w = mpf_mul(w, pairs[k][j][3], prec, rounding)
             products[k] = w
             insort(present, k)
     if memory is not None:

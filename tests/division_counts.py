@@ -1,16 +1,18 @@
-"""Count the library's mpf divisions over one pass of a benchmark workload.
+"""Count the library's mpf divisions and multiplications over one pass of a benchmark workload.
 
 From the repository root::
 
     python tests/division_counts.py [--workload hiprec_grid] [--seed 1]
 
-Wraps ``mpf_div`` and ``mpf_rdiv_int`` as each baryiter module imported
-them, runs every item of the workload once through
-``perfbench.workloads.execute`` (read, not edited), and prints the calls
-per module and function.  A division libmp makes inside one of its own
-functions (``mpf_cos_sin``, ``mpf_exp`` ...) is not counted.  The counts
-depend on the code alone, not on the machine, so two checkouts' output
-compares directly.
+Wraps ``mpf_div``, ``mpf_rdiv_int``, ``mpf_mul`` and ``mpf_pow_int`` as
+each baryiter module imported them, runs every item of the workload once
+through ``perfbench.workloads.execute`` (read, not edited), and prints the
+calls per module and function, then the total of each function.  An
+operation libmp makes inside one of its own functions (``mpf_cos_sin``,
+``mpf_exp`` ...) is not counted, nor is one made through a reference taken
+at import (the operator table of ``expressions``).  The counts depend on
+the code alone, not on the machine, so two checkouts' output compares
+directly: a division traded for multiplications shows in both columns.
 """
 
 import argparse
@@ -26,10 +28,10 @@ from perfbench.workloads import execute, generate  # noqa: E402
 
 MODULES = ("weights", "root_search", "optimise", "interpolants", "expressions", "numerics",
            "analysis")
-FUNCTIONS = ("mpf_div", "mpf_rdiv_int")
+FUNCTIONS = ("mpf_div", "mpf_rdiv_int", "mpf_mul", "mpf_pow_int")
 
 
-def count_divisions(items) -> Counter:
+def count_operations(items) -> Counter:
     """Calls per (module, function) while ``items`` run once each."""
     counts = Counter()
     saved = []
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="hiprec_grid")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    counts = count_divisions(generate(args.workload, args.seed))
+    counts = count_operations(generate(args.workload, args.seed))
     for (module, function), calls in sorted(counts.items()):
         print(f"{module:<13} {function:<13} {calls:>7}")
     for function in FUNCTIONS:

@@ -190,6 +190,7 @@ def ulp(value):
 # ---------------------------------------------------------------------------
 # barycentric weights straight from their defining products: a separate
 # distinctness pass, then every factor (v_i - v_j) subtracted where it is used
+# and multiplied in as its reciprocal, one division per factor
 
 
 def _floor(scale):
@@ -213,7 +214,7 @@ def product_weights_direct(nodes):
         w = mpf(1)
         for j, vj in enumerate(nodes):
             if j != i:
-                w /= vi - vj
+                w *= 1 / (vi - vj)
         out.append(w)
     return out
 
@@ -259,7 +260,11 @@ def shifted_product_weights_by_definition(nodes, alpha):
 
 
 def squared_product_weights_direct(nodes):
-    """(lam, gam) with lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j)."""
+    """(lam, gam) with lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j).
+
+    Each pair's one division is 1/(v_i - v_j)^2; its 1/(v_i - v_j) is
+    (v_i - v_j) times that.
+    """
     nodes = [+mpf(v) for v in nodes]
     _require_distinct_direct(nodes)
     lam, gam = [], []
@@ -268,8 +273,9 @@ def squared_product_weights_direct(nodes):
         s = mpf(0)
         for j, vj in enumerate(nodes):
             if j != i:
-                u2 /= (vi - vj) ** 2
-                s += 1 / (vi - vj)
+                inverse_square = 1 / (vi - vj) ** 2
+                u2 *= inverse_square
+                s += (vi - vj) * inverse_square
         lam.append(u2)
         gam.append(-2 * u2 * s)
     return lam, gam
@@ -343,8 +349,16 @@ def elementary(name, x, *args):
 
 # ---------------------------------------------------------------------------
 # the step formulas and the solver loop's checks as mpf loops: one mpf per
-# operation, as ``root_search``, ``optimise`` and ``interpolants`` computed
-# them before they ran on raw libmp values
+# operation, as ``root_search``, ``optimise`` and ``interpolants`` compute
+# them on raw libmp values.  A formula that divides by a node difference d
+# multiplies by its reciprocals instead, formed as a weight build forms them:
+# 1/d for the product weights; 1/d^2, and 1/d = d * 1/d^2, for the squared ones.
+
+
+def _squared_reciprocals(d):
+    """(1/d, 1/d^2) as the squared weight family forms them: one division."""
+    inverse_square = 1 / d ** 2
+    return d * inverse_square, inverse_square
 
 
 def step_exact_df_direct(window, weights):
@@ -367,9 +381,9 @@ def step_exact_d1_direct(window, hweights):
             return s.x
         if fp == 0:
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
-        f2 = s.f * s.f
-        num_terms.append((lam * (s.x - s.f / fp) - gam * s.f * s.x) / f2)
-        den_terms.append((lam - gam * s.f) / f2)
+        newton, inverse_square = s.x - s.f / fp, 1 / (s.f * s.f)
+        num_terms.append((lam * newton - gam * s.f * s.x) * inverse_square)
+        den_terms.append((lam - gam * s.f) * inverse_square)
     den = fsum(den_terms)
     if den == 0:
         raise SingularStep("denominator sum vanished in exact-d1 step")
@@ -392,7 +406,7 @@ def inverse_slope_estimate_direct(window, weights):
         df = newest.f - window[k].f
         if df == 0:
             raise DegenerateNodes("repeated f value in the window")
-        terms.append(weights[k] * (newest.x - window[k].x) / df)
+        terms.append(weights[k] * (newest.x - window[k].x) * (1 / df))
     return fsum(terms) / den
 
 
@@ -404,7 +418,7 @@ def direct_slope_estimate_direct(window, weights):
         dx = newest.x - window[k].x
         if dx == 0:
             raise DegenerateNodes("repeated x value in the window")
-        terms.append(weights[k] * (newest.f - window[k].f) / dx)
+        terms.append(weights[k] * (newest.f - window[k].f) * (1 / dx))
     return fsum(terms) / den
 
 
@@ -415,9 +429,10 @@ def hermite_node_curvature_direct(nodes, values, slopes, hweights):
         d = nodes[n] - nodes[k]
         if d == 0:
             raise DegenerateNodes("repeated x value in the window")
+        inverse, inverse_square = _squared_reciprocals(d)
         dv = values[n] - values[k]
-        acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) / d
-        acc += hweights.lam[k] * dv / (d * d)
+        acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) * inverse
+        acc += hweights.lam[k] * dv * inverse_square
     return -2 / hweights.lam[n] * acc
 
 
@@ -435,7 +450,7 @@ def second_derivative_x_interp_direct(window, hweights):
         acc += (
             hweights.lam[k] * (newest.x - window[k].x)
             + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / slopes[k]) * df
-        ) / (df * df)
+        ) * _squared_reciprocals(df)[1]
     return 2 * slopes[n] ** 3 / hweights.lam[n] * acc
 
 
@@ -504,7 +519,8 @@ def phi_curvature_df_direct(window, weights, slope):
         dx = newest.x - window[k].x
         if dx == 0:
             raise DegenerateNodes("repeated x value in the window")
-        terms.append(weights[k] * ((newest.f - window[k].f) - slope * dx) / dx ** 2)
+        inverse = 1 / dx
+        terms.append(weights[k] * ((newest.f - window[k].f) - slope * dx) * inverse * inverse)
     return -2 * fsum(terms) / den
 
 
@@ -525,10 +541,11 @@ def phi_third_d1_direct(window, hweights, curvature):
         d = newest.x - window[k].x
         if d == 0:
             raise DegenerateNodes("repeated x value in the window")
+        inverse, inverse_square = _squared_reciprocals(d)
         dphi = newest.f - window[k].f
-        acc += hweights.gam[k] * slopes[n] / d
-        acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) / (d * d)
-        acc -= 2 * hweights.lam[k] * dphi / (d * d * d)
+        acc += hweights.gam[k] * slopes[n] * inverse
+        acc -= (hweights.gam[k] * dphi - hweights.lam[k] * (slopes[n] + slopes[k])) * inverse_square
+        acc -= 2 * hweights.lam[k] * dphi * inverse_square * inverse
     return -6 / hweights.lam[n] * acc
 
 

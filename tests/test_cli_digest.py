@@ -15,7 +15,7 @@ import hashlib
 
 import cli_digest
 
-PINNED = (1158, "47df66259795b44ab1e770e730fbf26f9c947e1f3b7be61cfbce2f4acfe73f30")
+PINNED = (1158, "343889ee6cad59a54953e1506a0e0a3c8ec8d3228173e8f6084de9db595a1c1b")
 
 
 def test_cli_output_hashes_to_the_pinned_digest():

@@ -6,6 +6,7 @@ the mpf loops in ``oracles``; and call counts show the weights of a window
 and the default tolerance being built once.
 """
 
+from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -18,11 +19,13 @@ from mpmath import mpf
 from mpmath.libmp import mpf_cos_sin, mpf_exp
 
 from baryiter import corpus, interpolants, numerics, optimise, root_search
+from baryiter import weights as weight_families
 from baryiter.errors import DegenerateNodes, SingularStep, ZeroDerivative
 from baryiter.interpolants import Sample
 from baryiter.root_search import STATUS_FALLBACK, SolverConfig, select_window
 from baryiter.weights import (
     HermiteWeights,
+    WeightMemory,
     derivative_scaled_weights,
     product_weights,
     shifted_product_weights,
@@ -288,9 +291,9 @@ def test_a_fallback_newton_df_step_estimates_its_own_slope(monkeypatch):
     windows = []
     estimate = optimise.phi_slope_df
     monkeypatch.setattr(optimise, "phi_slope_df",
-                        lambda window, weights: windows.append(len(window)) or
-                        estimate(window, weights))
-    run = SimpleNamespace(slope=(None, None))
+                        lambda window, weights, memory=None: windows.append(len(window)) or
+                        estimate(window, weights, memory))
+    run = SimpleNamespace(slope=(None, None), memory=None)
     with numerics.precision(256):
         window = [Sample(mpf(x), mpf(x) ** 2) for x in (1, 2, 4, 5)]
         weights = optimise.x_product(window, mpf(0))
@@ -366,6 +369,9 @@ def _step_outcome(fn, *args):
         return type(err), str(err)
 
 
+NO_MEMORY = SimpleNamespace(memory=None)  # a run whose steps form every pair row themselves
+
+
 def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
     """(name, library call, oracle call) for every converted formula on one draw."""
     problem = SimpleNamespace(name="drawn", fixed_point=lambda x: x + 1, d2f=lambda x: fpp)
@@ -382,9 +388,11 @@ def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
          (oracles.second_derivative_x_interp_direct, window, hweights)),
         ("second_derivative_f_interp", (root_search.second_derivative_f_interp, window, hweights),
          (oracles.second_derivative_f_interp_direct, window, hweights)),
-        ("newton_x_interp", (lambda *a: root_search.newton_x_interp(None, *a)[0], window, weights),
+        ("newton_x_interp", (lambda *a: root_search.newton_x_interp(NO_MEMORY, *a)[0], window,
+                             weights),
          (oracles.newton_x_interp_direct, window, weights)),
-        ("newton_f_interp", (lambda *a: root_search.newton_f_interp(None, *a)[0], window, weights),
+        ("newton_f_interp", (lambda *a: root_search.newton_f_interp(NO_MEMORY, *a)[0], window,
+                             weights),
          (oracles.newton_f_interp_direct, window, weights)),
         ("phi_curvature_df", (optimise.phi_curvature_df, window, weights, slope),
          (oracles.phi_curvature_df_direct, window, weights, slope)),
@@ -534,3 +542,123 @@ def test_each_guard_fires_as_in_the_mpf_formulas(bits, name, window, weights, hw
         for got, want in outcomes.values():
             assert got == want
         assert outcomes[name][0] == guard
+
+
+# ---------------------------------------------------------------------------
+# pair rows read from a run's weight memory, and exact-d1's per-sample constants:
+# the same bits as a step that forms them itself
+
+# memory name -> (window, alpha, memory) -> a build over the window's x or f,
+# maintained across windows as a run maintains its one memory
+MEMORY_BUILDS = {
+    "x product": lambda window, alpha, memory: product_weights([s.x for s in window], memory),
+    "f product": lambda window, alpha, memory: product_weights([s.f for s in window], memory),
+    "f shifted": lambda window, alpha, memory: shifted_product_weights(
+        [s.f for s in window], alpha, memory),
+    "x squared": lambda window, alpha, memory: squared_product_weights(
+        [s.x for s in window], memory),
+    "f squared": lambda window, alpha, memory: squared_product_weights(
+        [s.f for s in window], memory),
+}
+# hypothesis examples per precision: each draws a sequence of windows
+MEMORY_RUNS = {64: 80, 256: 80, 4096: 20}
+
+
+def _newest_node_loops(window, weights, hweights, slope, curvature, memory):
+    """name -> (loop, args) for every newest-node loop, given ``memory`` as its last argument."""
+    xs, fs, slopes = [s.x for s in window], [s.f for s in window], [s.f_prime for s in window]
+    return {
+        "node_derivative/direct": (interpolants.node_derivative, window, weights, "direct",
+                                   None, memory),
+        "node_derivative/inverse": (interpolants.node_derivative, window, weights, "inverse",
+                                    None, memory),
+        "node_derivative/direct/2": (interpolants.node_derivative, window, weights, "direct",
+                                     slope, memory),
+        "node_derivative/inverse/2": (interpolants.node_derivative, window, weights, "inverse",
+                                      slope, memory),
+        "hermite_node_curvature": (interpolants.hermite_node_curvature, xs, fs, slopes, hweights,
+                                   memory),
+        "phi_third_d1": (optimise.phi_third_d1, window, hweights, curvature, memory),
+        "second_derivative_x_interp": (root_search.second_derivative_x_interp, window, hweights,
+                                       memory),
+    }
+
+
+@pytest.mark.parametrize("bits", sorted(MEMORY_RUNS))
+def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
+    @settings(max_examples=MEMORY_RUNS[bits], deadline=None)
+    @given(
+        points=st.lists(st.tuples(STEP_VALUES, STEP_VALUES, STEP_VALUES), min_size=1, max_size=10),
+        size=st.integers(1, 6),
+        alpha=STEP_VALUES,
+        weights=st.lists(STEP_VALUES, min_size=6, max_size=6),
+        lam=st.lists(STEP_VALUES, min_size=6, max_size=6),
+        gam=st.lists(STEP_VALUES, min_size=6, max_size=6),
+        scalars=st.tuples(STEP_VALUES, STEP_VALUES),
+    )
+    def check(points, size, alpha, weights, lam, gam, scalars):
+        with numerics.precision(bits):
+            samples = [Sample(_value(x), _value(f), _value(fp)) for x, f, fp in points]
+            alpha, slope, curvature = _value(alpha), *map(_value, scalars)
+            memories = {name: WeightMemory() for name in MEMORY_BUILDS}
+            known = {}  # one run's exact-d1 constants, over every window of the sequence
+            # the windows slide over the samples, newest last, as a run's do
+            for end in range(1, len(samples) + 1):
+                window = samples[max(0, end - size):end]
+                count = len(window)
+                w = [_value(v) for v in weights[:count]]
+                hw = HermiteWeights(tuple(map(_value, lam[:count])),
+                                    tuple(map(_value, gam[:count])))
+                want = {name: _step_outcome(*call) for name, call in
+                        _newest_node_loops(window, w, hw, slope, curvature, None).items()}
+                for memory_name, build in MEMORY_BUILDS.items():
+                    memory = memories[memory_name]
+                    try:  # a refused build leaves the memory with the window before
+                        build(window, alpha, memory)
+                    except DegenerateNodes:
+                        pass
+                    loops = _newest_node_loops(window, w, hw, slope, curvature, memory)
+                    for name, call in loops.items():
+                        assert _step_outcome(*call) == want[name], (memory_name, name)
+                assert (_step_outcome(root_search.step_exact_d1, window, hw, known)
+                        == _step_outcome(root_search.step_exact_d1, window, hw))
+
+    check()
+
+
+@pytest.mark.parametrize("count", range(2, 9))
+def test_the_newest_node_loops_divide_only_at_the_end_given_the_matching_memory(monkeypatch,
+                                                                              count):
+    divisions = Counter()
+    for module in (interpolants, optimise, weight_families):
+        for name in ("mpf_div", "mpf_rdiv_int"):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name)):
+                    divisions["all"] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    with numerics.precision(256):
+        window = [Sample(mpf(k) / 7, mpf(k * k) / 5 + 1, mpf(k) / 3 + 1) for k in range(count)]
+        xs, fs, slopes = [s.x for s in window], [s.f for s in window], [s.f_prime for s in window]
+        product, squared = WeightMemory(), WeightMemory()
+        w = product_weights(xs, product)
+        hw = squared_product_weights(xs, squared)
+        curvature = mpf(1) / 3
+        loops = {
+            "node_derivative": lambda memory: interpolants.node_derivative(window, w,
+                                                                           memory=memory),
+            "node_derivative/2": lambda memory: interpolants.node_derivative(
+                window, w, slope=curvature, memory=memory),
+            "hermite_node_curvature": lambda memory: interpolants.hermite_node_curvature(
+                xs, fs, slopes, hw, memory),
+            "phi_third_d1": lambda memory: optimise.phi_third_d1(window, hw, curvature, memory),
+        }
+        made = {}
+        for name, loop in loops.items():
+            for memory in (product if name.startswith("node") else squared, None):
+                divisions.clear()
+                loop(memory)
+                made[name, memory is None] = divisions["all"]
+    # with the run's memory only the final division; without it, one more per older node
+    assert made == {(name, without): 1 + (count - 1) * without
+                    for name in loops for without in (False, True)}

@@ -160,16 +160,19 @@ def test_opt_step_d1_quartic_matches_hand_composition():
     n = 1
     d = xs[n] - xs[0]
     dphi = phis[n] - phis[0]
+    # one division per pair: 1/d^2, and 1/d = d * 1/d^2, as the weights form them
+    inv2 = 1 / d ** 2
+    inv = d * inv2
     curv = -2 / lam[n] * (
         gam[n] * dphis[n]
-        + (gam[0] * dphi - lam[0] * dphis[0]) / d
-        + lam[0] * dphi / d ** 2
+        + (gam[0] * dphi - lam[0] * dphis[0]) * inv
+        + lam[0] * dphi * inv2
     )
     third = -6 / lam[n] * (
         gam[n] * curv / 2
-        + gam[0] * dphis[n] / d
-        - (gam[0] * dphi - lam[0] * (dphis[n] + dphis[0])) / d ** 2
-        - 2 * lam[0] * dphi / d ** 3
+        + gam[0] * dphis[n] * inv
+        - (gam[0] * dphi - lam[0] * (dphis[n] + dphis[0])) * inv2
+        - 2 * lam[0] * dphi * inv2 * inv
     )
     expected = xs[n] - (
         (curv ** 2 + (mpf(1) / 2 - 1) * dphis[n] * third)

@@ -323,8 +323,9 @@ def test_a_memory_from_another_family_or_precision_is_not_used():
             squared_product_weights(nodes[1:] + [mpf(4)])
 
 
-# (family, most divisions for a one-node slide of an 8-node window, divisions from empty)
-SLIDE_COSTS = [(product_weights, 16, 56), (squared_product_weights, 24, 56 + 28)]
+# (family, most divisions for a one-node slide of an 8-node window, divisions from empty):
+# one reciprocal per pair in either family, 8 * 7 / 2 from empty
+SLIDE_COSTS = [(product_weights, 7, 28), (squared_product_weights, 7, 28)]
 
 
 @pytest.mark.parametrize("build, most, from_empty", SLIDE_COSTS,
@@ -332,6 +333,8 @@ SLIDE_COSTS = [(product_weights, 16, 56), (squared_product_weights, 24, 56 + 28)
 def test_a_one_node_slide_makes_linearly_many_divisions(monkeypatch, build, most, from_empty):
     divisions = Counter()
     for name in ("mpf_div", "mpf_rdiv_int"):
+        if not hasattr(weights, name):
+            continue
         def counted(*args, _name=name, _fn=getattr(weights, name)):
             divisions[_name] += 1
             return _fn(*args)
