@@ -22,13 +22,13 @@ run interpolates its objective directly, so (x, phi, phi') is stored as
 (x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
 
 The node derivatives at the newest node, ``node_derivative`` (plain form,
-both orientations, first and second order) and ``hermite_node_curvature``
-(slope-matching, direct), are on the solver's hot path and run on the raw
-libmp values of their mpf arguments (see ``numerics``), bit for bit as the
-mpf formulas that multiply by the newest node's reciprocal differences
-1/d_k and 1/d_k^2 of ``weights.newest_pairs``: read from the run's weight
-memory, so a step divides once per pair, or formed on the spot with the
-same bits.  The evaluators stay mpf loops.
+first and second order) and ``hermite_node_curvature`` (slope-matching,
+second order), each in both orientations, are on the solver's hot path and
+run on the raw libmp values of their mpf arguments (see ``numerics``), bit
+for bit as the mpf formulas that multiply by the newest node's reciprocal
+differences 1/d_k and 1/d_k^2 of ``weights.newest_pairs``: read from the
+run's weight memory, so a step divides once per pair, or formed on the spot
+with the same bits.  The evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -208,32 +208,35 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
     return make_mpf(mpf_div(num, den, prec, rounding))
 
 
-def hermite_node_curvature(
-    nodes: Sequence[Real],
-    values: Sequence[Real],
-    slopes: Sequence[Real],
-    hweights: HermiteWeights,
-    memory: WeightMemory | None = None,
-) -> Real:
-    """Second derivative of the direct slope-matching interpolant at the newest node.
+def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
+                           orientation: str = "direct",
+                           memory: WeightMemory | None = None) -> Real:
+    """r''(c_n) of the slope-matching ratio at the newest node.
 
     ``-(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k) (1/d_k)
     + lam_k (v_n - v_k) (1/d_k^2)])`` with the newest node last and
-    d_k = c_n - c_k.  1/d_k and 1/d_k^2 are the squared family's newest pair
-    row (``weights.newest_pairs``), read from ``memory`` when it holds the
-    squared weights of these nodes.  Agrees with finite differences of
+    d_k = c_n - c_k: f''(x_n) in the direct orientation, x''(f_n) in the
+    inverse one, whose slopes s = 1/f' are taken as divisions by f'.
+    1/d_k and 1/d_k^2 are the squared family's newest pair row
+    (``weights.newest_pairs``), read from ``memory`` when it holds the
+    squared weights of these nodes.  Agrees with ``mpmath.diff`` of
     ``eval_hermite`` for the squared-product weights (checked in the test
     suite).
     """
     prec, rounding = mpmath.mp._prec_rounding
-    n = len(nodes) - 1
-    cs, vs, ss = ([v._mpf_ for v in column] for column in (nodes, values, slopes))
+    n = len(samples) - 1
+    cs, vs = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples], orientation)
+    fps = [sl._mpf_ for sl in sample_slopes(samples)]
+    if orientation == "inverse" and any(mpf_eq(fp, fzero) for fp in fps):
+        raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+    tilt = mpf_mul if orientation == "direct" else mpf_div  # a weight times s = f' or 1/f'
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    acc = mpf_mul(gams[n], ss[n], prec, rounding)
+    acc = tilt(gams[n], fps[n], prec, rounding)
     for k, (_, _, inverse, inverse_square) in enumerate(
-            newest_pairs(cs, True, memory, prec, rounding, "x")):
+            newest_pairs(cs, True, memory, prec, rounding,
+                         "x" if orientation == "direct" else "f")):
         dv = mpf_sub(vs[n], vs[k], prec, rounding)
-        top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), mpf_mul(lams[k], ss[k], prec, rounding),
+        top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), tilt(lams[k], fps[k], prec, rounding),
                       prec, rounding)
         acc = mpf_add(acc, mpf_mul(top, inverse, prec, rounding), prec, rounding)
         top = mpf_mul(lams[k], dv, prec, rounding)

@@ -97,9 +97,7 @@ def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
 def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights,
                      memory: Optional[WeightMemory] = None) -> Real:
     """phi'' at the newest sample from the slope-matching interpolant."""
-    return hermite_node_curvature(
-        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights, memory
-    )
+    return hermite_node_curvature(window, hweights, memory=memory)
 
 
 def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real,

@@ -17,9 +17,10 @@ Methods (``SolverConfig.method``):
 ``ch-x-interp`` / ``ch-f-interp``
     Chebyshev-Halley step at the newest point with f'' estimated from the
     slope-matching inverse (f-based weights) or direct (x-based weights)
-    interpolant; the weights are fixed by the scheme and the configured
-    weight scheme is ignored.  ``beta`` selects the family member: 0 is
-    Chebyshev, 1/2 Halley, 1 super-Halley (the recommended default).
+    interpolant, both by ``interpolants.hermite_node_curvature``; the
+    weights are fixed by the scheme and the configured weight scheme is
+    ignored.  ``beta`` selects the family member: 0 is Chebyshev, 1/2
+    Halley, 1 super-Halley (the recommended default).
 ``picard`` / ``newton`` / ``halley`` / ``secant``
     Classical baselines.  ``picard`` needs the problem in fixed-point form;
     ``halley`` uses the true second derivative.
@@ -63,7 +64,7 @@ from mpmath.libmp import (
     mpf_le,
     mpf_lt,
     mpf_mul,
-    mpf_mul_int,
+    mpf_neg,
     mpf_pow_int,
     mpf_rdiv_int,
     mpf_sub,
@@ -82,7 +83,6 @@ from .weights import (
     HermiteWeights,
     WeightMemory,
     derivative_scaled_weights,
-    newest_pairs,
     product_weights,
     raw_floor,
     raw_scale,
@@ -125,9 +125,10 @@ class SolverConfig:
     the alpha weight scheme; its default of 0 is arbitrary (any value with
     the right asymptotics works, none is preferred).  ``seed_points`` picks
     the second starting point from ``x1``, ``perturb_h`` and ``bootstrap``
-    (one of ``BOOTSTRAPS``).  ``validated`` refuses a seed value no seed
-    would use, an ``x1`` equal to ``x0`` at the working precision, and a
-    ``max_iter`` below the number of seeds, so every run proposes a step.
+    (one of ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric
+    field, a seed value no seed would use, an ``x1`` equal to ``x0`` at the
+    working precision, and a ``max_iter`` below the number of seeds, so
+    every run proposes a step.
     """
 
     method: str = "exact-df"
@@ -174,7 +175,7 @@ class SolverConfig:
                              f"at least {spec.min_window}")
         if self.precision_bits < numerics.MIN_PRECISION_BITS:
             raise ValueError(f"precision must be at least {numerics.MIN_PRECISION_BITS} bits")
-        for name in ("alpha", "beta", "tol_f", "tol_x", "perturb_h"):
+        for name in ("x0", "x1", "alpha", "beta", "tol_f", "tol_x", "perturb_h"):
             value = getattr(self, name)
             # an int is finite; anything else is parsed as the run will parse it
             if value is not None and not isinstance(value, int) and not mpmath.isfinite(mpf(value)):
@@ -322,29 +323,14 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
                                memory: Optional[WeightMemory] = None) -> Real:
     """f'' at the newest sample via the slope-matching inverse interpolant.
 
-    The interpolant's x''[f] at the newest node is converted through
-    ``x'' = -f''/f'^3``.  Expects squared-product weights over the f values,
-    and multiplies by 1/df_k^2 of their newest pair row (``newest_pairs``,
-    from ``memory`` when it holds these weights).
+    ``-x'' f'^3`` of the interpolant's x''[f] at the newest node
+    (``hermite_node_curvature``, inverse orientation).  Expects
+    squared-product weights over the f values.
     """
     prec, rounding = mpmath.mp._prec_rounding
-    n = len(window) - 1
-    slopes = [sl._mpf_ for sl in sample_slopes(window)]
-    if any(mpf_eq(sl, fzero) for sl in slopes):
-        raise ZeroDerivative("this estimate needs non-zero f_prime")
-    xs, fs = _columns(window)
-    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    acc = mpf_div(gams[n], slopes[n], prec, rounding)
-    for k, (df, _, _, inverse_square) in enumerate(
-            newest_pairs(fs, True, memory, prec, rounding, "f")):
-        dx = mpf_sub(xs[n], xs[k], prec, rounding)
-        tilt = mpf_sub(mpf_mul(gams[k], dx, prec, rounding),
-                       mpf_div(lams[k], slopes[k], prec, rounding), prec, rounding)
-        top = mpf_add(mpf_mul(lams[k], dx, prec, rounding), mpf_mul(tilt, df, prec, rounding),
-                      prec, rounding)
-        acc = mpf_add(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
-    scale = mpf_mul_int(mpf_pow_int(slopes[n], 3, prec, rounding), 2, prec, rounding)
-    return make_mpf(mpf_mul(mpf_div(scale, lams[n], prec, rounding), acc, prec, rounding))
+    curvature = hermite_node_curvature(window, hweights, "inverse", memory)._mpf_
+    cube = mpf_pow_int(window[-1].f_prime._mpf_, 3, prec, rounding)
+    return make_mpf(mpf_neg(mpf_mul(curvature, cube, prec, rounding)))
 
 
 def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights,
@@ -353,17 +339,15 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
 
     Expects squared-product weights over the x values.
     """
-    slopes = sample_slopes(window)
-    return hermite_node_curvature([s.x for s in window], [s.f for s in window], slopes, hweights,
-                                  memory)
+    return hermite_node_curvature(window, hweights, memory=memory)
 
 
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:
     """One Chebyshev-Halley step.
 
-    ``x - [(f'^2 + (1/2 - beta) f f'') / (f'^2 - beta f f'')] * f/f'``;
-    beta=0 Chebyshev, beta=1/2 Halley, beta=1 super-Halley.  A zero f''
-    reduces it to the Newton update.
+    ``x - [(f'^2 + (1/2 - beta) f f'') f] / [(f'^2 - beta f f'') f']``, with
+    one division; beta=0 Chebyshev, beta=1/2 Halley, beta=1 super-Halley.
+    A zero f'' reduces it to the Newton update.
     """
     prec, rounding = mpmath.mp._prec_rounding
     x, f, fp, fpp, beta = x._mpf_, f._mpf_, fp._mpf_, fpp._mpf_, beta._mpf_
@@ -377,7 +361,7 @@ def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -
     # 1/2 is exact at any precision
     share = mpf_mul(mpf_sub(fhalf, beta, prec, rounding), f, prec, rounding)
     num = mpf_add(fp2, mpf_mul(share, fpp, prec, rounding), prec, rounding)
-    step = mpf_mul(mpf_div(num, den, prec, rounding), mpf_div(f, fp, prec, rounding),
+    step = mpf_div(mpf_mul(num, f, prec, rounding), mpf_mul(den, fp, prec, rounding),
                    prec, rounding)
     return make_mpf(mpf_sub(x, step, prec, rounding))
 

@@ -422,42 +422,38 @@ def direct_slope_estimate_direct(window, weights):
     return fsum(terms) / den
 
 
-def hermite_node_curvature_direct(nodes, values, slopes, hweights):
+def hermite_node_curvature_direct(window, hweights, orientation="direct"):
+    direct = orientation == "direct"
+    nodes, values = [s.x for s in window], [s.f for s in window]
+    if not direct:
+        nodes, values = values, nodes
+    slopes = sample_slopes(window)
+    if not direct and any(sl == 0 for sl in slopes):
+        raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+
+    def tilt(weight, slope):  # the weight times s: s = f' direct, s = 1/f' inverse
+        return weight * slope if direct else weight / slope
+
     n = len(nodes) - 1
-    acc = hweights.gam[n] * slopes[n]
+    acc = tilt(hweights.gam[n], slopes[n])
     for k in range(n):
         d = nodes[n] - nodes[k]
         if d == 0:
-            raise DegenerateNodes("repeated x value in the window")
+            raise DegenerateNodes(f"repeated {'x' if direct else 'f'} value in the window")
         inverse, inverse_square = _squared_reciprocals(d)
         dv = values[n] - values[k]
-        acc += (hweights.gam[k] * dv - hweights.lam[k] * slopes[k]) * inverse
+        acc += (hweights.gam[k] * dv - tilt(hweights.lam[k], slopes[k])) * inverse
         acc += hweights.lam[k] * dv * inverse_square
     return -2 / hweights.lam[n] * acc
 
 
 def second_derivative_x_interp_direct(window, hweights):
-    n = len(window) - 1
-    newest = window[n]
-    slopes = sample_slopes(window)
-    if any(sl == 0 for sl in slopes):
-        raise ZeroDerivative("this estimate needs non-zero f_prime")
-    acc = hweights.gam[n] / slopes[n]
-    for k in range(n):
-        df = newest.f - window[k].f
-        if df == 0:
-            raise DegenerateNodes("repeated f value in the window")
-        acc += (
-            hweights.lam[k] * (newest.x - window[k].x)
-            + (hweights.gam[k] * (newest.x - window[k].x) - hweights.lam[k] / slopes[k]) * df
-        ) * _squared_reciprocals(df)[1]
-    return 2 * slopes[n] ** 3 / hweights.lam[n] * acc
+    curvature = hermite_node_curvature_direct(window, hweights, "inverse")
+    return -(curvature * window[-1].f_prime ** 3)
 
 
 def second_derivative_f_interp_direct(window, hweights):
-    slopes = sample_slopes(window)
-    return hermite_node_curvature_direct([s.x for s in window], [s.f for s in window], slopes,
-                                         hweights)
+    return hermite_node_curvature_direct(window, hweights)
 
 
 def chebyshev_halley_update_direct(x, f, fp, fpp, beta):
@@ -468,7 +464,7 @@ def chebyshev_halley_update_direct(x, f, fp, fpp, beta):
     if den == 0:
         raise SingularStep("Chebyshev-Halley denominator vanished")
     num = fp2 + (mpf(1) / 2 - beta) * f * fpp
-    return x - (num / den) * (f / fp)
+    return x - (num * f) / (den * fp)
 
 
 def baseline_step_direct(method, problem, window):
@@ -550,8 +546,7 @@ def phi_third_d1_direct(window, hweights, curvature):
 
 
 def d1_step_direct(window, hweights, beta):
-    curvature = hermite_node_curvature_direct(
-        [s.x for s in window], [s.f for s in window], sample_slopes(window), hweights)
+    curvature = hermite_node_curvature_direct(window, hweights)
     if curvature == 0:
         raise SingularStep("estimated curvature vanished")
     third = phi_third_d1_direct(window, hweights, curvature)

@@ -363,6 +363,9 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         ("solve", "--problem", "cos_minus_x", "--tol-f", "nan"): "tol_f",
         ("solve", "--problem", "cos_minus_x", "--tol-x", "inf"): "tol_x",
         ("solve", "--problem", "cos_minus_x", "--perturb-h", "nan"): "perturb_h",
+        ("solve", "--problem", "cos_minus_x", "--x0", "inf"): "x0",
+        ("solve", "--problem", "cos_minus_x", "--x0", "nan"): "x0",
+        ("solve", "--problem", "cos_minus_x", "--x1", "inf"): "x1",
     }
     for argv, name in runs.items():
         assert run_cli(*argv) == (1, "")

@@ -15,7 +15,7 @@ import hashlib
 
 import cli_digest
 
-PINNED = (1158, "343889ee6cad59a54953e1506a0e0a3c8ec8d3228173e8f6084de9db595a1c1b")
+PINNED = (1158, "a0f6c1efbc28cdb7e3122d591bc7e59774c985b4e3050781f357a2d64a2c3f77")
 
 
 def test_cli_output_hashes_to_the_pinned_digest():

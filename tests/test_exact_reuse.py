@@ -402,6 +402,11 @@ def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
          (oracles.phi_third_d1_direct, window, hweights, curvature)),
         ("_d1_step", (optimise._d1_step, window, hweights, beta),
          (oracles.d1_step_direct, window, hweights, beta)),
+        ("hermite_node_curvature", (interpolants.hermite_node_curvature, window, hweights),
+         (oracles.hermite_node_curvature_direct, window, hweights)),
+        ("hermite_node_curvature/inverse",
+         (interpolants.hermite_node_curvature, window, hweights, "inverse"),
+         (oracles.hermite_node_curvature_direct, window, hweights, "inverse")),
         ("baseline_step/secant", (root_search.baseline_step, "secant", problem, window),
          (oracles.baseline_step_direct, "secant", problem, window)),
         ("baseline_step/picard", (root_search.baseline_step, "picard", problem, window),
@@ -418,11 +423,6 @@ def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
              (oracles.baseline_step_direct, "newton", problem, window)),
             ("baseline_step/halley", (root_search.baseline_step, "halley", problem, window),
              (oracles.baseline_step_direct, "halley", problem, window)),
-            ("hermite_node_curvature",
-             (interpolants.hermite_node_curvature, [s.x for s in window], [s.f for s in window],
-              [s.f_prime for s in window], hweights),
-             (oracles.hermite_node_curvature_direct, [s.x for s in window],
-              [s.f for s in window], [s.f_prime for s in window], hweights)),
         ]
     return pairs
 
@@ -509,7 +509,7 @@ GUARDS = [
     ("newton_f_interp", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
      (SingularStep, "estimated slope vanished")),
     ("second_derivative_x_interp", _window((1, 1, 1), (2, 2, 0)), (1, 1), ((1, 1), (1, 1)),
-     (ZeroDerivative, "this estimate needs non-zero f_prime")),
+     (ZeroDerivative, "inverse orientation needs non-zero f_prime")),
     ("second_derivative_f_interp", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
      (DegenerateNodes, "repeated x value in the window")),
     ("baseline_step/secant", _window((1, 1, 1), (2, 1, 1)), (1, 1), ((1, 1), (1, 1)),
@@ -526,6 +526,10 @@ GUARDS = [
      (DegenerateNodes, "repeated x value in the window")),
     ("phi_third_d1", _window((2, 1, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
      (DegenerateNodes, "repeated x value in the window")),
+    ("hermite_node_curvature/inverse", _window((1, 2, 1), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (DegenerateNodes, "repeated f value in the window")),
+    ("hermite_node_curvature/inverse", _window((1, 1, 0), (2, 2, 1)), (1, 1), ((1, 1), (1, 1)),
+     (ZeroDerivative, "inverse orientation needs non-zero f_prime")),
 ]
 
 
@@ -566,7 +570,6 @@ MEMORY_RUNS = {64: 80, 256: 80, 4096: 20}
 
 def _newest_node_loops(window, weights, hweights, slope, curvature, memory):
     """name -> (loop, args) for every newest-node loop, given ``memory`` as its last argument."""
-    xs, fs, slopes = [s.x for s in window], [s.f for s in window], [s.f_prime for s in window]
     return {
         "node_derivative/direct": (interpolants.node_derivative, window, weights, "direct",
                                    None, memory),
@@ -576,8 +579,10 @@ def _newest_node_loops(window, weights, hweights, slope, curvature, memory):
                                      slope, memory),
         "node_derivative/inverse/2": (interpolants.node_derivative, window, weights, "inverse",
                                       slope, memory),
-        "hermite_node_curvature": (interpolants.hermite_node_curvature, xs, fs, slopes, hweights,
-                                   memory),
+        "hermite_node_curvature": (interpolants.hermite_node_curvature, window, hweights,
+                                   "direct", memory),
+        "hermite_node_curvature/inverse": (interpolants.hermite_node_curvature, window, hweights,
+                                           "inverse", memory),
         "phi_third_d1": (optimise.phi_third_d1, window, hweights, curvature, memory),
         "second_derivative_x_interp": (root_search.second_derivative_x_interp, window, hweights,
                                        memory),
@@ -639,26 +644,32 @@ def test_the_newest_node_loops_divide_only_at_the_end_given_the_matching_memory(
                 monkeypatch.setattr(module, name, counted)
     with numerics.precision(256):
         window = [Sample(mpf(k) / 7, mpf(k * k) / 5 + 1, mpf(k) / 3 + 1) for k in range(count)]
-        xs, fs, slopes = [s.x for s in window], [s.f for s in window], [s.f_prime for s in window]
-        product, squared = WeightMemory(), WeightMemory()
+        xs, fs = [s.x for s in window], [s.f for s in window]
+        product, squared, squared_f = WeightMemory(), WeightMemory(), WeightMemory()
         w = product_weights(xs, product)
         hw = squared_product_weights(xs, squared)
+        hw_f = squared_product_weights(fs, squared_f)
         curvature = mpf(1) / 3
+        # name -> (loop, the memory it reads, its divisions besides the pair rows)
         loops = {
-            "node_derivative": lambda memory: interpolants.node_derivative(window, w,
-                                                                           memory=memory),
-            "node_derivative/2": lambda memory: interpolants.node_derivative(
-                window, w, slope=curvature, memory=memory),
-            "hermite_node_curvature": lambda memory: interpolants.hermite_node_curvature(
-                xs, fs, slopes, hw, memory),
-            "phi_third_d1": lambda memory: optimise.phi_third_d1(window, hw, curvature, memory),
+            "node_derivative": (lambda memory: interpolants.node_derivative(
+                window, w, memory=memory), product, 1),
+            "node_derivative/2": (lambda memory: interpolants.node_derivative(
+                window, w, slope=curvature, memory=memory), product, 1),
+            "hermite_node_curvature": (lambda memory: interpolants.hermite_node_curvature(
+                window, hw, memory=memory), squared, 1),
+            # the inverse orientation also divides by each f'
+            "hermite_node_curvature/inverse": (lambda memory: interpolants.hermite_node_curvature(
+                window, hw_f, "inverse", memory), squared_f, count + 1),
+            "phi_third_d1": (lambda memory: optimise.phi_third_d1(window, hw, curvature, memory),
+                             squared, 1),
         }
         made = {}
-        for name, loop in loops.items():
-            for memory in (product if name.startswith("node") else squared, None):
+        for name, (loop, matching, _) in loops.items():
+            for memory in (matching, None):
                 divisions.clear()
                 loop(memory)
                 made[name, memory is None] = divisions["all"]
-    # with the run's memory only the final division; without it, one more per older node
-    assert made == {(name, without): 1 + (count - 1) * without
-                    for name in loops for without in (False, True)}
+    # with the run's memory no division per pair; without it, one per older node
+    assert made == {(name, without): own + (count - 1) * without
+                    for name, (_, _, own) in loops.items() for without in (False, True)}

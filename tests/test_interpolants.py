@@ -38,7 +38,7 @@ from baryiter.weights import (
     squared_product_weights,
 )
 
-from oracles import fd_derivative, random_nodes, rel_err
+from oracles import random_nodes, rel_err
 
 
 def _samples(xs, fn, dfn=None):
@@ -190,18 +190,26 @@ def test_hermite_inverse_requires_nonzero_slopes():
         eval_hermite([Sample(mpf(0), mpf(1))], squared_product_weights([mpf(0)]), 5)
 
 
-def test_node_curvature_matches_finite_differences():
-    set_precision(256)
-    xs = [mpf(1), mpf(2)]
-    samples = _samples(xs, lambda x: x ** 4, lambda x: 4 * x ** 3)
-    hw = squared_product_weights(xs)
-    curvature = hermite_node_curvature(
-        xs, [s.f for s in samples], [s.f_prime for s in samples], hw
-    )
-    fd = fd_derivative(lambda t: eval_hermite(samples, hw, t), xs[-1], mpf(10) ** -15, order=2)
-    assert rel_err(curvature, fd) <= mpf(10) ** -12
-    # the cubic fit of x^4 through these nodes has curvature 46 at x=2
-    assert curvature == 46
+@pytest.mark.parametrize("orientation", ("direct", "inverse"))
+def test_node_curvature_matches_finite_differences(orientation):
+    rng = random.Random(f"hermite-{orientation}")
+    for size in range(2, 9):
+        with precision(256):
+            xs = random_nodes(rng, size)
+            rng.shuffle(xs)
+            window = [Sample(x, mpmath.cos(x) - x, -mpmath.sin(x) - 1) for x in xs]
+            nodes = xs if orientation == "direct" else [s.f for s in window]
+            hw = squared_product_weights(nodes)
+            curvature = hermite_node_curvature(window, hw, orientation)
+        with precision(512):
+            # f''(x_n) of the direct ratio, x''(f_n) of the inverse one
+            want = mpmath.diff(lambda t: eval_hermite(window, hw, t, orientation), nodes[-1], 2)
+            assert rel_err(curvature, want, floor=1) <= mpf(10) ** -60, size
+    if orientation == "direct":
+        with precision(256):
+            # the cubic fit of x^4 through x = 1, 2 has curvature 46 at x = 2
+            quartic = _samples([mpf(1), mpf(2)], lambda x: x ** 4, lambda x: 4 * x ** 3)
+            assert hermite_node_curvature(quartic, squared_product_weights([1, 2])) == 46
 
 
 # every public consumer of the samples' slopes, called on its weights over x or f
@@ -236,8 +244,9 @@ REPEATED_NODE_ESTIMATES = {
     "phi_curvature_df": ("x", lambda window: phi_curvature_df(window, _PAIR, mpf(1))),
     "second_derivative_x_interp": ("f", lambda window: second_derivative_x_interp(window, _HW)),
     "second_derivative_f_interp": ("x", lambda window: second_derivative_f_interp(window, _HW)),
-    "hermite_node_curvature": ("x", lambda window: hermite_node_curvature(
-        [s.x for s in window], [s.f for s in window], [s.f_prime for s in window], _HW)),
+    "hermite_node_curvature": ("x", lambda window: hermite_node_curvature(window, _HW)),
+    "hermite_node_curvature/inverse": ("f", lambda window: hermite_node_curvature(
+        window, _HW, "inverse")),
     "phi_curvature_d1": ("x", lambda window: phi_curvature_d1(window, _HW)),
     "phi_third_d1": ("x", lambda window: phi_third_d1(window, _HW, mpf(1))),
 }

@@ -78,7 +78,7 @@ def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
     SolverConfig(method="newton", window=1, bootstrap="explicit").validated()
 
 
-@pytest.mark.parametrize("name", ["alpha", "beta", "tol_f", "tol_x", "perturb_h"])
+@pytest.mark.parametrize("name", ["x0", "x1", "alpha", "beta", "tol_f", "tol_x", "perturb_h"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("-inf")])
 def test_a_non_finite_numeric_field_is_rejected(name, value):
     config = SolverConfig(method="ch-d1", window=2, **{name: value})

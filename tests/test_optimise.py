@@ -175,9 +175,9 @@ def test_opt_step_d1_quartic_matches_hand_composition():
         - 2 * lam[0] * dphi * inv2 * inv
     )
     expected = xs[n] - (
-        (curv ** 2 + (mpf(1) / 2 - 1) * dphis[n] * third)
-        / (curv ** 2 - 1 * dphis[n] * third)
-    ) * (dphis[n] / curv)
+        ((curv ** 2 + (mpf(1) / 2 - 1) * dphis[n] * third) * dphis[n])
+        / ((curv ** 2 - 1 * dphis[n] * third) * curv)
+    )
     assert got == expected
 
 

@@ -272,7 +272,8 @@ def test_baseline_secant():
                  DegenerateNodes, "repeated x value in the window", id="direct-slope-repeated-x"),
     pytest.param(lambda: second_derivative_x_interp(_window([(0, 1, 2), (1, 2, 0)]),
                                                     _hermite([1, 1], [0, 0])),
-                 ZeroDerivative, "this estimate needs non-zero f_prime", id="x-interp-zero-slope"),
+                 ZeroDerivative, "inverse orientation needs non-zero f_prime",
+                 id="x-interp-zero-slope"),
     pytest.param(lambda: second_derivative_x_interp(_window([(0, 1, 2), (1, 1, 3)]),
                                                     _hermite([1, 1], [0, 0])),
                  DegenerateNodes, "repeated f value in the window", id="x-interp-repeated-f"),
