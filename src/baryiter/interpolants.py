@@ -27,8 +27,8 @@ second order), each in both orientations, are on the solver's hot path and
 run on the raw libmp values of their mpf arguments (see ``numerics``), bit
 for bit as the mpf formulas that multiply by the newest node's reciprocal
 differences 1/d_k and 1/d_k^2 of ``weights.newest_pairs``: read from the
-run's weight memory, so a step divides once per pair, or formed on the spot
-with the same bits.  The evaluators stay mpf loops.
+pair table the given weights carry, so a step divides once per pair, or
+formed on the spot with the same bits.  The evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int,
 
 from .errors import SingularDenominator, SingularStep, ZeroDerivative
 from .numerics import Real, Scalar, make_mpf, real
-from .weights import HermiteWeights, WeightMemory, newest_pairs, raw_floor, raw_scale
+from .weights import HermiteWeights, newest_pairs, raw_floor, raw_scale
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ def eval_hermite(
 
 
 def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
-                    orientation: str = "direct", slope: Real | None = None,
-                    memory: WeightMemory | None = None) -> Real:
+                    orientation: str = "direct", slope: Real | None = None) -> Real:
     """r'(c_n) of the plain ratio at the newest node, or r''(c_n) given ``slope`` = r'(c_n).
 
     With d_k = c_n - c_k, the newest node last (Schneider & Werner 1986;
@@ -182,7 +181,7 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
     These are the ratio's derivatives when the weights sum to zero, as every
     product family's do, so that the older weights sum to -w_n.  d_k and
     1/d_k are the product family's newest pair row (``weights.newest_pairs``),
-    read from ``memory`` when it holds the product weights of these nodes.
+    read from the table of ``weights`` when it holds these nodes.
     """
     prec, rounding = mpmath.mp._prec_rounding
     nodes, values = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples],
@@ -193,7 +192,7 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
     den = mpf_sum(ws[:n], prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("weight sum over the older samples vanished")
-    pairs = newest_pairs(nodes, False, memory, prec, rounding,
+    pairs = newest_pairs(nodes, False, weights, prec, rounding,
                          "x" if orientation == "direct" else "f")
     terms = []
     for k, (d, _, inverse, _) in enumerate(pairs):
@@ -209,8 +208,7 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
 
 
 def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
-                           orientation: str = "direct",
-                           memory: WeightMemory | None = None) -> Real:
+                           orientation: str = "direct") -> Real:
     """r''(c_n) of the slope-matching ratio at the newest node.
 
     ``-(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k) (1/d_k)
@@ -218,8 +216,8 @@ def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
     d_k = c_n - c_k: f''(x_n) in the direct orientation, x''(f_n) in the
     inverse one, whose slopes s = 1/f' are taken as divisions by f'.
     1/d_k and 1/d_k^2 are the squared family's newest pair row
-    (``weights.newest_pairs``), read from ``memory`` when it holds the
-    squared weights of these nodes.  Agrees with ``mpmath.diff`` of
+    (``weights.newest_pairs``), read from the table of ``hweights`` when
+    it holds these nodes.  Agrees with ``mpmath.diff`` of
     ``eval_hermite`` for the squared-product weights (checked in the test
     suite).
     """
@@ -233,7 +231,7 @@ def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = tilt(gams[n], fps[n], prec, rounding)
     for k, (_, _, inverse, inverse_square) in enumerate(
-            newest_pairs(cs, True, memory, prec, rounding,
+            newest_pairs(cs, True, hweights, prec, rounding,
                          "x" if orientation == "direct" else "f")):
         dv = mpf_sub(vs[n], vs[k], prec, rounding)
         top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), tilt(lams[k], fps[k], prec, rounding),

@@ -27,7 +27,7 @@ from .root_search import WEIGHT_SCHEMES
 
 class WeightScheme(NamedTuple):
     keys: frozenset[str]              # sample coordinates kept pairwise distinct in a window
-    build: Optional[Callable] = None  # (window, alpha, memory) -> weights; None for baselines
+    build: Optional[Callable] = None  # (window, alpha, previous) -> weights; None for baselines
 
 
 @dataclass(frozen=True)

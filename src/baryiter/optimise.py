@@ -28,8 +28,8 @@ curvature estimate; the solver does not classify the stationary point.
 The curvature and third-derivative estimates and both steps run on raw
 libmp values, as the root solver's step formulas do, bit for bit as the
 mpf formulas that multiply by the newest node's reciprocal differences
-1/d_k and 1/d_k^2 (``weights.newest_pairs``, read from the run's weight
-memory when it holds the step's weights).
+1/d_k and 1/d_k^2 (``weights.newest_pairs``, read from the pair table the
+step's weights carry).
 """
 
 from __future__ import annotations
@@ -66,21 +66,19 @@ from .root_search import (
 # instrumented apart
 from .root_search import _interp_step, _propose as _opt_propose
 from .root_search import direct_slope_estimate as phi_slope_df
-from .weights import (HermiteWeights, WeightMemory, newest_pairs, product_weights,
+from .weights import (HermiteWeights, ProductWeights, newest_pairs, product_weights,
                       squared_product_weights)
 
 
-def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real,
-                     memory: Optional[WeightMemory] = None) -> Real:
+def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
     """Interpolant curvature at the newest sample, given its slope: see ``node_derivative``."""
-    return node_derivative(window, weights, slope=slope, memory=memory)
+    return node_derivative(window, weights, slope=slope)
 
 
-def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[Real] = None,
-             memory: Optional[WeightMemory] = None):
+def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[Real] = None):
     if slope is None:
-        slope = phi_slope_df(window, weights, memory)
-    curvature = phi_curvature_df(window, weights, slope, memory)
+        slope = phi_slope_df(window, weights)
+    curvature = phi_curvature_df(window, weights, slope)
     prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
@@ -94,14 +92,12 @@ def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     return _df_step(window, weights)[0]
 
 
-def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights,
-                     memory: Optional[WeightMemory] = None) -> Real:
+def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """phi'' at the newest sample from the slope-matching interpolant."""
-    return hermite_node_curvature(window, hweights, memory=memory)
+    return hermite_node_curvature(window, hweights)
 
 
-def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real,
-                 memory: Optional[WeightMemory] = None) -> Real:
+def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real) -> Real:
     """phi''' at the newest sample, given the curvature estimate.
 
     ``-(6/lam_n) (gam_n phi''_n / 2
@@ -109,7 +105,7 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
                     - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k)) (1/d_k^2)
                     - 2 lam_k (phi_n - phi_k) (1/d_k^2) (1/d_k)])``
     with d_k = x_n - x_k; 1/d_k and 1/d_k^2 are the squared family's newest
-    pair row (``newest_pairs``, from ``memory`` when it holds these weights).
+    pair row (``newest_pairs``, from the table of ``hweights`` when it holds these nodes).
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = [sl._mpf_ for sl in sample_slopes(window)]
@@ -118,7 +114,7 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     acc = mpf_shift(mpf_mul(gams[n], curvature._mpf_, prec, rounding), -1)  # halved exactly
     for k, (_, _, inverse, inverse_square) in enumerate(
-            newest_pairs(xs, True, memory, prec, rounding, "x")):
+            newest_pairs(xs, True, hweights, prec, rounding, "x")):
         dphi = mpf_sub(fs[n], fs[k], prec, rounding)
         acc = mpf_add(acc, mpf_mul(mpf_mul(gams[k], slopes[n], prec, rounding), inverse,
                                    prec, rounding), prec, rounding)
@@ -132,12 +128,11 @@ def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: 
     return make_mpf(mpf_mul(mpf_rdiv_int(-6, lams[n], prec, rounding), acc, prec, rounding))
 
 
-def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real,
-             memory: Optional[WeightMemory] = None):
-    curvature = phi_curvature_d1(window, hweights, memory)
+def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):
+    curvature = phi_curvature_d1(window, hweights)
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
-    third = phi_third_d1(window, hweights, curvature, memory)
+    third = phi_third_d1(window, hweights, curvature)
     newest = window[-1]
     return chebyshev_halley_update(newest.x, newest.f_prime, curvature, third, beta), curvature
 
@@ -153,23 +148,23 @@ def opt_step_d1(window: Sequence[Sample], hweights: HermiteWeights, beta: Real) 
 
 
 def x_product(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> list[Real]:
-    return product_weights([s.x for s in window], memory)
+              previous: Optional[ProductWeights] = None) -> ProductWeights:
+    return product_weights([s.x for s in window], previous)
 
 
 def x_squared(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> HermiteWeights:
-    return squared_product_weights([s.x for s in window], memory)
+              previous: Optional[HermiteWeights] = None) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window], previous)
 
 
 def newton_df(run, window: Sequence[Sample], weights):
     # the residual's slope, when it was estimated on these very weights
     slope_weights, slope = run.slope
-    return _df_step(window, weights, slope if slope_weights is weights else None, run.memory)
+    return _df_step(window, weights, slope if slope_weights is weights else None)
 
 
 def ch_d1(run, window: Sequence[Sample], weights):
-    return _d1_step(window, weights, run.beta, run.memory)
+    return _d1_step(window, weights, run.beta)
 
 
 def sampled_slope(run) -> Optional[Real]:
@@ -184,7 +179,7 @@ def estimated_slope(run) -> Optional[Real]:
         return None
     weights = run.weights(window)
     try:
-        slope = phi_slope_df(window, weights, run.memory)
+        slope = phi_slope_df(window, weights)
     except SingularStep:
         return None
     run.slope = weights, slope

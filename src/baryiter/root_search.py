@@ -37,9 +37,9 @@ The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
 raw libmp values, bit for bit as the mpf formulas (see ``numerics``).  The
 formulas multiply by reciprocals a run computes once: the node derivatives
-by the newest node's pair row of the run's ``WeightMemory`` (1/d_k, 1/d_k^2,
-see ``weights.newest_pairs``), and ``exact-d1`` by each sample's 1/f^2,
-next to its Newton point x - f/f', kept per sample in ``_Run``.
+by the newest node's pair row of the table their weights carry (1/d_k,
+1/d_k^2, see ``weights.newest_pairs``), and ``exact-d1`` by each sample's
+1/f^2, next to its Newton point x - f/f', kept per sample in ``_Run``.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .interpolants import Sample, hermite_node_curvature, node_derivative, sampl
 from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
-    WeightMemory,
+    ProductWeights,
     derivative_scaled_weights,
     product_weights,
     raw_floor,
@@ -126,9 +126,9 @@ class SolverConfig:
     the right asymptotics works, none is preferred).  ``seed_points`` picks
     the second starting point from ``x1``, ``perturb_h`` and ``bootstrap``
     (one of ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric
-    field, a seed value no seed would use, an ``x1`` equal to ``x0`` at the
-    working precision, and a ``max_iter`` below the number of seeds, so
-    every run proposes a step.
+    field, a negative tolerance, a seed value no seed would use, an ``x1``
+    equal to ``x0`` at the working precision, and a ``max_iter`` below the
+    number of seeds, so every run proposes a step.
     """
 
     method: str = "exact-df"
@@ -180,6 +180,8 @@ class SolverConfig:
             # an int is finite; anything else is parsed as the run will parse it
             if value is not None and not isinstance(value, int) and not mpmath.isfinite(mpf(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if name.startswith("tol_") and value is not None and mpf(value) < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.perturb_h is not None and mpf(self.perturb_h) == 0:
             raise ValueError("perturb_h must be non-zero")  # it would seed x1 = x0
         if self.x0 is not None and self.x1 is not None:
@@ -307,20 +309,17 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights,
     return make_mpf(mpf_div(mpf_sum(num_terms, prec, rounding), den, prec, rounding))
 
 
-def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real],
-                           memory: Optional[WeightMemory] = None) -> Real:
+def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """1/f' at the newest sample: ``node_derivative`` of the inverse interpolant."""
-    return node_derivative(window, weights, "inverse", memory=memory)
+    return node_derivative(window, weights, "inverse")
 
 
-def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real],
-                          memory: Optional[WeightMemory] = None) -> Real:
+def direct_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """f' at the newest sample: ``node_derivative`` of the direct interpolant."""
-    return node_derivative(window, weights, memory=memory)
+    return node_derivative(window, weights)
 
 
-def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights,
-                               memory: Optional[WeightMemory] = None) -> Real:
+def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """f'' at the newest sample via the slope-matching inverse interpolant.
 
     ``-x'' f'^3`` of the interpolant's x''[f] at the newest node
@@ -328,18 +327,17 @@ def second_derivative_x_interp(window: Sequence[Sample], hweights: HermiteWeight
     squared-product weights over the f values.
     """
     prec, rounding = mpmath.mp._prec_rounding
-    curvature = hermite_node_curvature(window, hweights, "inverse", memory)._mpf_
+    curvature = hermite_node_curvature(window, hweights, "inverse")._mpf_
     cube = mpf_pow_int(window[-1].f_prime._mpf_, 3, prec, rounding)
     return make_mpf(mpf_neg(mpf_mul(curvature, cube, prec, rounding)))
 
 
-def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights,
-                               memory: Optional[WeightMemory] = None) -> Real:
+def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeights) -> Real:
     """f'' at the newest sample via the slope-matching direct interpolant.
 
     Expects squared-product weights over the x values.
     """
-    return hermite_node_curvature(window, hweights, memory=memory)
+    return hermite_node_curvature(window, hweights)
 
 
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:
@@ -397,40 +395,40 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# table pieces: weight builders (window, alpha, memory) -> weights and step formulas
+# table pieces: weight builders (window, alpha, previous weights) -> weights and step formulas
 # (run, window, weights) -> (x_new, curvature or None).  The builders and
 # ``baseline_step`` are looked up in this module at call time, so wrappers
 # installed on these names (perfbench/tracing.py) see every call.
 
 
 def x_product(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> list[Real]:
-    return product_weights([s.x for s in window], memory)
+              previous: Optional[ProductWeights] = None) -> ProductWeights:
+    return product_weights([s.x for s in window], previous)
 
 
 def f_product(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> list[Real]:
-    return product_weights([s.f for s in window], memory)
+              previous: Optional[ProductWeights] = None) -> ProductWeights:
+    return product_weights([s.f for s in window], previous)
 
 
 def f_shifted(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> list[Real]:
-    return shifted_product_weights([s.f for s in window], alpha, memory)
+              previous: Optional[ProductWeights] = None) -> ProductWeights:
+    return shifted_product_weights([s.f for s in window], alpha, previous)
 
 
 def x_slope_scaled(window: Sequence[Sample], alpha: Real,
-                   memory: Optional[WeightMemory] = None) -> HermiteWeights:
-    return derivative_scaled_weights([s.x for s in window], [s.f_prime for s in window], memory)
+                   previous: Optional[HermiteWeights] = None) -> HermiteWeights:
+    return derivative_scaled_weights([s.x for s in window], [s.f_prime for s in window], previous)
 
 
 def x_squared(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> HermiteWeights:
-    return squared_product_weights([s.x for s in window], memory)
+              previous: Optional[HermiteWeights] = None) -> HermiteWeights:
+    return squared_product_weights([s.x for s in window], previous)
 
 
 def f_squared(window: Sequence[Sample], alpha: Real,
-              memory: Optional[WeightMemory] = None) -> HermiteWeights:
-    return squared_product_weights([s.f for s in window], memory)
+              previous: Optional[HermiteWeights] = None) -> HermiteWeights:
+    return squared_product_weights([s.f for s in window], previous)
 
 
 def exact_df(run: _Run, window: Sequence[Sample], weights):
@@ -443,14 +441,14 @@ def exact_d1(run: _Run, window: Sequence[Sample], weights):
 
 def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
     prec, rounding = mpmath.mp._prec_rounding
-    inverse_slope = inverse_slope_estimate(window, weights, run.memory)._mpf_
+    inverse_slope = inverse_slope_estimate(window, weights)._mpf_
     x, f = window[-1].x._mpf_, window[-1].f._mpf_
     return make_mpf(mpf_sub(x, mpf_mul(f, inverse_slope, prec, rounding), prec, rounding)), None
 
 
 def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
     prec, rounding = mpmath.mp._prec_rounding
-    slope = direct_slope_estimate(window, weights, run.memory)._mpf_
+    slope = direct_slope_estimate(window, weights)._mpf_
     if mpf_eq(slope, fzero):
         raise SingularStep("estimated slope vanished")
     x, f = window[-1].x._mpf_, window[-1].f._mpf_
@@ -459,13 +457,13 @@ def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
 
 def ch_x_interp(run: _Run, window: Sequence[Sample], weights):
     newest = window[-1]
-    fpp = second_derivative_x_interp(window, weights, run.memory)
+    fpp = second_derivative_x_interp(window, weights)
     return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
 
 
 def ch_f_interp(run: _Run, window: Sequence[Sample], weights):
     newest = window[-1]
-    fpp = second_derivative_f_interp(window, weights, run.memory)
+    fpp = second_derivative_f_interp(window, weights)
     return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
 
 
@@ -519,8 +517,8 @@ class _Run:
     history.  The window selected after the newest sample and the last
     window's weights are kept: an optimisation residual and the step
     proposed after it use the same window, selected and built once.  Each
-    build starts from the run's ``WeightMemory`` of the build before it, and
-    the step formulas read the newest node's pair row from it.
+    build updates the last window's weights, and the step formulas read the
+    newest node's pair row from the table the weights carry.
     """
 
     spec: MethodSpec
@@ -539,10 +537,8 @@ class _Run:
     _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the window selected since the newest sample was added, if any
     _selected: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    # (window, weights) of the last build, and what the next build starts from
+    # (window, weights) of the last build, whose weights the next build updates
     _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
-    memory: WeightMemory = field(default_factory=WeightMemory, init=False, repr=False,
-                                 compare=False)
     # id(sample) -> (sample, x - f/f', 1/f^2), computed once per sample by exact-d1's step
     newton_points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (weights, slope) of the last interpolant-slope residual, which newton-df's step reuses
@@ -570,7 +566,7 @@ class _Run:
         """The scheme's weights on ``window``, reused while the samples are the same objects."""
         last_window, weights = self._last
         if len(last_window) != len(window) or any(a is not b for a, b in zip(last_window, window)):
-            weights = self.build(window, self.alpha, self.memory)
+            weights = self.build(window, self.alpha, weights)
             self._last = tuple(window), weights
         return weights
 
@@ -605,7 +601,8 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     that is given; otherwise one fixed-point step, under the ``picard``
     bootstrap or under ``auto`` when the problem has that form; otherwise
     ``x0 + 1e-3 * max(1, |x0|)``.  A perturbation that rounds to ``x0`` is
-    refused.  A third point mirrors the second about ``x0``.
+    refused.  A third point mirrors the second about ``x0``, and is refused
+    when it rounds to ``x0``.
     """
     yield x0
     if spec.min_window == 1:
@@ -626,7 +623,10 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
             raise ValueError("x1 must differ from x0 at the working precision")
     yield x1
     if spec.min_window > 2:
-        yield x0 - (x1 - x0)
+        x2 = x0 - (x1 - x0)
+        if x2 == x0:  # x1 - x0 is below half an ulp of x0
+            raise ValueError("x0 - (x1 - x0) must differ from x0 at the working precision")
+        yield x2
 
 
 _KINDS = {"root": "root", "opt": "optimisation"}  # family -> the kind of problem it runs on

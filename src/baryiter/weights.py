@@ -28,21 +28,21 @@ Every pair of nodes is one row of a pair table: the difference, the
 factor (the difference, or for the squared family its square) and the
 reciprocals of both, from one division per pair (``1/d``, or ``1/d^2`` and
 ``1/d = d * 1/d^2``).  A build multiplies by the reciprocals, so a build
-from empty makes m(m-1)/2 divisions in either family.  The newest node's
-row is what the solvers' node derivatives divide by: ``newest_pairs``
-hands it to them, from the run's memory when it holds these nodes.
+from empty makes m(m-1)/2 divisions in either family.  A build's table
+travels with the weights it returns, and ``newest_pairs`` hands the newest
+node's row, what the solvers' node derivatives divide by, from there.
 
 A solver's window loses its oldest node and gains a new one at each step,
-so each kernel takes an optional ``WeightMemory``, owned by one run, and
-updates its last build: kept products have the nodes that left multiplied
+so a kernel given ``previous``, earlier weights of its family, updates the
+build that made them: kept products have the nodes that left multiplied
 out, and each new node is added as a build from empty adds it (Berrut &
 Trefethen, SIAM Review 46, 2004, section 3), O(m) operations and m - 1
 divisions per node that joins instead of O(m^2) per window.  A kept weight
 carries a few more roundings than a fresh one, and the barycentric formula
 stays forward-stable for weights with a small relative error (Higham, IMA
-J. Numer. Anal. 24, 2004).  A call without a memory, or with an empty one,
-is the build from empty: each weight is the chain of the reciprocal factors
-to the other nodes, multiplied in window order.
+J. Numer. Anal. 24, 2004).  Without ``previous``, or from another family
+or precision, a build starts from empty: each weight is the chain of the
+reciprocal factors to the other nodes, multiplied in window order.
 
 The kernels run on raw libmp values (see ``numerics``): each reads the
 working precision and rounding once, calls for every operation the libmp
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -83,10 +83,11 @@ from .numerics import Raw, Real, Scalar, make_mpf, real, to_raw
 
 @dataclass(frozen=True)
 class HermiteWeights:
-    """Paired weights (lam, gam) for the order-2 barycentric forms."""
+    """Paired weights (lam, gam) for the order-2 barycentric forms, and their build's table."""
 
     lam: tuple[Real, ...]
     gam: tuple[Real, ...]
+    table: Optional[PairTable] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.lam) != len(self.gam):
@@ -118,16 +119,23 @@ def _to_raw(values: Sequence[Scalar], prec: int, rounding: str) -> list[Raw]:
     return [to_raw(v, prec, rounding) for v in values]
 
 
-@dataclass
-class WeightMemory:
-    """A run's last build, from which its next build starts; a new memory is empty."""
+class PairTable(NamedTuple):
+    """A build's nodes, products and pair rows, never written again; later builds start here."""
 
-    key: Optional[tuple] = None  # (squared family, precision, rounding) of the last build
-    nodes: list = field(default_factory=list)     # raw values, in window order
-    products: list = field(default_factory=list)  # each node's product of factors
+    key: tuple      # (squared family, precision, rounding)
+    nodes: list     # raw values, in window order
+    products: list  # each node's product of factors
     # pairs[i][j] = (v_i - v_j, factor, 1/(v_i - v_j), 1/factor), None on the diagonal;
     # the factor is the difference, or for the squared family its square
-    pairs: list = field(default_factory=list)
+    pairs: list
+
+
+class ProductWeights(list):
+    """First-order weights: a list that carries the ``PairTable`` of the build that made it."""
+
+    def __init__(self, values: Iterable[Real], table: Optional[PairTable]):
+        super().__init__(values)
+        self.table = table
 
 
 def _pair(gap: Raw, squared: bool, prec: int, rounding: str) -> tuple:
@@ -151,17 +159,18 @@ def _pair(gap: Raw, squared: bool, prec: int, rounding: str) -> tuple:
             (back, square, mpf_neg(inverse, prec, rounding), inverse_square))
 
 
-def newest_pairs(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec: int,
-                 rounding: str, coordinate: str) -> list[tuple]:
+def newest_pairs(nodes: list[Raw], squared: bool, weights, prec: int, rounding: str,
+                 coordinate: str) -> Sequence[tuple]:
     """The newest node's row to each older node: ``_pair(v_n - v_k)`` for k < n, newest last.
 
-    Read from ``memory`` when its last build was of this family and
+    Read from the table ``weights`` carry when it is of this family and
     precision over these very nodes, else formed here as a build forms it,
     so the bits are the same either way.  A zero difference is
     DegenerateNodes, naming the repeated ``coordinate``.
     """
-    if memory is not None and memory.key == (squared, prec, rounding) and memory.nodes == nodes:
-        return memory.pairs[-1][:-1]
+    table = getattr(weights, "table", None)
+    if table is not None and table.key == (squared, prec, rounding) and table.nodes == nodes:
+        return table.pairs[-1][:-1]
     newest = nodes[-1]
     row = []
     for v in nodes[:-1]:
@@ -172,22 +181,21 @@ def newest_pairs(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory]
     return row
 
 
-def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec: int,
-           rounding: str) -> tuple[list, list]:
-    """Each node's product over ``nodes``, and the pair table, started from ``memory``.
+def _build(nodes: list[Raw], squared: bool, previous, prec: int, rounding: str) -> PairTable:
+    """The pair table over ``nodes``, started from the table ``previous`` weights carry.
 
-    The nodes the window shares, in order, with the memory's window keep
+    The nodes the window shares, in order, with that table's window keep
     their pairs and, unless only one is kept, their products, multiplied by
     their factor to each node that left.  Each other node is then added in
     window order: every product present is multiplied by its reciprocal
     factor to it, and its own chain is the product of its reciprocal factors
     to each node present.  DegenerateNodes names the first pair, in row
     order over ``i < j``, whose gap does not clear the window's separation
-    floor.  ``memory``
-    holds the new build on return and is untouched on a raise.
+    floor.
     """
     key = (squared, prec, rounding)
-    old = memory if memory is not None and memory.key == key else WeightMemory()
+    old = getattr(previous, "table", None)
+    old = old if old is not None and old.key == key else PairTable(key, [], [], [])
     position = {v: p for p, v in enumerate(old.nodes)}
     source = []  # each node's index in the old window, or None
     last = -1
@@ -226,21 +234,19 @@ def _build(nodes: list[Raw], squared: bool, memory: Optional[WeightMemory], prec
                 w = mpf_mul(w, pairs[k][j][3], prec, rounding)
             products[k] = w
             insort(present, k)
-    if memory is not None:
-        memory.key, memory.nodes, memory.products, memory.pairs = key, nodes, products, pairs
-    return products, pairs
+    return PairTable(key, nodes, products, pairs)
 
 
 def product_weights(nodes: Sequence[Scalar],
-                    memory: Optional[WeightMemory] = None) -> list[Real]:
-    """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j), started from ``memory``."""
+                    previous: Optional[ProductWeights] = None) -> ProductWeights:
+    """First-order weights w_i = prod_{j!=i} 1/(v_i - v_j), updated from ``previous``."""
     prec, rounding = mp._prec_rounding
-    products, _ = _build(_to_raw(nodes, prec, rounding), False, memory, prec, rounding)
-    return [make_mpf(w) for w in products]
+    table = _build(_to_raw(nodes, prec, rounding), False, previous, prec, rounding)
+    return ProductWeights(map(make_mpf, table.products), table)
 
 
 def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar,
-                            memory: Optional[WeightMemory] = None) -> list[Real]:
+                            previous: Optional[ProductWeights] = None) -> ProductWeights:
     """Product weights over the nodes with the newest, the last entry, moved to ``alpha * v_n``.
 
     For ``i != n``: ``w_i = 1/(v_i - alpha v_n) * prod_{j not in {i,n}} 1/(v_i - v_j)``;
@@ -249,30 +255,30 @@ def shifted_product_weights(nodes: Sequence[Scalar], alpha: Scalar,
     clear the separation floor; ``alpha = 1`` is ``product_weights`` itself.
     """
     *older, newest = nodes
-    return product_weights(older + [real(alpha) * real(newest)], memory)
+    return product_weights(older + [real(alpha) * real(newest)], previous)
 
 
 def squared_product_weights(nodes: Sequence[Scalar],
-                            memory: Optional[WeightMemory] = None) -> HermiteWeights:
+                            previous: Optional[HermiteWeights] = None) -> HermiteWeights:
     """Partial-fraction pairs lam_i = prod 1/(v_i - v_j)^2, gam_i = -2 lam_i sum 1/(v_i - v_j).
 
     Each gam sum is added afresh, in window order, from the pair reciprocals.
     """
     prec, rounding = mp._prec_rounding
-    products, pairs = _build(_to_raw(nodes, prec, rounding), True, memory, prec, rounding)
+    table = _build(_to_raw(nodes, prec, rounding), True, previous, prec, rounding)
     lam, gam = [], []
-    for i, (u2, row) in enumerate(zip(products, pairs)):
+    for i, (u2, row) in enumerate(zip(table.products, table.pairs)):
         s = fzero
         for j, pair in enumerate(row):
             if j != i:
                 s = mpf_add(s, pair[2], prec, rounding)
         lam.append(make_mpf(u2))
         gam.append(make_mpf(mpf_mul(mpf_mul_int(u2, -2, prec, rounding), s, prec, rounding)))
-    return HermiteWeights(tuple(lam), tuple(gam))
+    return HermiteWeights(tuple(lam), tuple(gam), table)
 
 
 def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar],
-                              memory: Optional[WeightMemory] = None) -> HermiteWeights:
+                              previous: Optional[HermiteWeights] = None) -> HermiteWeights:
     """Squared-product pairs with lam_i scaled by the sample slope f'_i.
 
     ``lam_i = f'_i prod_{j!=i} 1/(v_i - v_j)^2`` and
@@ -287,6 +293,6 @@ def derivative_scaled_weights(nodes: Sequence[Scalar], slopes: Sequence[Scalar],
     for s in slopes:
         if mpf_eq(s, fzero):
             raise ZeroDerivative("derivative-scaled weights need non-zero slopes")
-    base = squared_product_weights(nodes, memory)
+    base = squared_product_weights(nodes, previous)
     lam = tuple(make_mpf(mpf_mul(s, u2._mpf_, prec, rounding)) for s, u2 in zip(slopes, base.lam))
-    return HermiteWeights(lam, base.gam)
+    return HermiteWeights(lam, base.gam, base.table)

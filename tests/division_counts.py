@@ -10,8 +10,10 @@ through ``perfbench.workloads.execute`` (read, not edited), and prints the
 calls per module and function, then the total of each function.  An
 operation libmp makes inside one of its own functions (``mpf_cos_sin``,
 ``mpf_exp`` ...) is not counted, nor is one made through a reference taken
-at import (the operator table of ``expressions``).  The counts depend on
-the code alone, not on the machine, so two checkouts' output compares
+at import (the operator table of ``expressions``).  The remembered
+reference roots are dropped first, so a pass refines them as a fresh
+process does.  The counts depend on the code alone, not on the machine or
+on what ran before in the process, so two checkouts' output compares
 directly: a division traded for multiplications shows in both columns.
 """
 
@@ -24,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from baryiter import corpus  # noqa: E402
 from perfbench.workloads import execute, generate  # noqa: E402
 
 MODULES = ("weights", "root_search", "optimise", "interpolants", "expressions", "numerics",
@@ -42,6 +45,7 @@ def count_operations(items) -> Counter:
             return fn(*args)
         return wrapper
 
+    corpus._stored_root.cache_clear()
     try:
         for name in MODULES:
             module = importlib.import_module(f"baryiter.{name}")

@@ -389,6 +389,23 @@ def test_a_perturbation_that_rounds_away_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 
 
+def test_a_mirrored_seed_that_rounds_to_x0_is_a_usage_error(capsys):
+    # x1 = 1 - 2^-256: newton-df's third seed x0 - (x1 - x0) rounds back to x0 at
+    # 256 bits, and the run would end in a singular step with no trace
+    x1 = "0." + "9" * 77 + "1363831444906"
+    argv = ("optimize", "--problem", "opt_quadratic", "--x0", "1", "--x1", x1, "--window", "3")
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: x0 - (x1 - x0) must differ from x0 at the working precision\n")
+
+
+def test_a_negative_tolerance_is_a_usage_error(capsys):
+    # the run would spend its whole budget: no residual or step is below it
+    for name, flag in (("tol_f", "--tol-f"), ("tol_x", "--tol-x")):
+        assert run_cli("solve", "--problem", "cos_minus_x", flag, "-1") == (1, "")
+        assert capsys.readouterr().err == f"error: {name} must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("argv, code, printed", [
     (["order", "--family", "root", "--m", "1", "--n", "2"], 0, "1.83929\n"),
     (["order", "--family", "root", "--m", "0", "--n", "2"], 1, ""),

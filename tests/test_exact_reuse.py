@@ -25,7 +25,7 @@ from baryiter.interpolants import Sample
 from baryiter.root_search import STATUS_FALLBACK, SolverConfig, select_window
 from baryiter.weights import (
     HermiteWeights,
-    WeightMemory,
+    ProductWeights,
     derivative_scaled_weights,
     product_weights,
     shifted_product_weights,
@@ -291,9 +291,9 @@ def test_a_fallback_newton_df_step_estimates_its_own_slope(monkeypatch):
     windows = []
     estimate = optimise.phi_slope_df
     monkeypatch.setattr(optimise, "phi_slope_df",
-                        lambda window, weights, memory=None: windows.append(len(window)) or
-                        estimate(window, weights, memory))
-    run = SimpleNamespace(slope=(None, None), memory=None)
+                        lambda window, weights: windows.append(len(window)) or
+                        estimate(window, weights))
+    run = SimpleNamespace(slope=(None, None))
     with numerics.precision(256):
         window = [Sample(mpf(x), mpf(x) ** 2) for x in (1, 2, 4, 5)]
         weights = optimise.x_product(window, mpf(0))
@@ -369,7 +369,7 @@ def _step_outcome(fn, *args):
         return type(err), str(err)
 
 
-NO_MEMORY = SimpleNamespace(memory=None)  # a run whose steps form every pair row themselves
+RUN = SimpleNamespace()  # the interpolant steps read nothing from their run
 
 
 def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
@@ -388,10 +388,10 @@ def _step_pairs(window, weights, hweights, beta, slope, curvature, fpp):
          (oracles.second_derivative_x_interp_direct, window, hweights)),
         ("second_derivative_f_interp", (root_search.second_derivative_f_interp, window, hweights),
          (oracles.second_derivative_f_interp_direct, window, hweights)),
-        ("newton_x_interp", (lambda *a: root_search.newton_x_interp(NO_MEMORY, *a)[0], window,
+        ("newton_x_interp", (lambda *a: root_search.newton_x_interp(RUN, *a)[0], window,
                              weights),
          (oracles.newton_x_interp_direct, window, weights)),
-        ("newton_f_interp", (lambda *a: root_search.newton_f_interp(NO_MEMORY, *a)[0], window,
+        ("newton_f_interp", (lambda *a: root_search.newton_f_interp(RUN, *a)[0], window,
                              weights),
          (oracles.newton_f_interp_direct, window, weights)),
         ("phi_curvature_df", (optimise.phi_curvature_df, window, weights, slope),
@@ -549,49 +549,46 @@ def test_each_guard_fires_as_in_the_mpf_formulas(bits, name, window, weights, hw
 
 
 # ---------------------------------------------------------------------------
-# pair rows read from a run's weight memory, and exact-d1's per-sample constants:
-# the same bits as a step that forms them itself
+# pair rows read from the table a build's weights carry, and exact-d1's per-sample
+# constants: the same bits as a step that forms them itself
 
-# memory name -> (window, alpha, memory) -> a build over the window's x or f,
-# maintained across windows as a run maintains its one memory
-MEMORY_BUILDS = {
-    "x product": lambda window, alpha, memory: product_weights([s.x for s in window], memory),
-    "f product": lambda window, alpha, memory: product_weights([s.f for s in window], memory),
-    "f shifted": lambda window, alpha, memory: shifted_product_weights(
-        [s.f for s in window], alpha, memory),
-    "x squared": lambda window, alpha, memory: squared_product_weights(
-        [s.x for s in window], memory),
-    "f squared": lambda window, alpha, memory: squared_product_weights(
-        [s.f for s in window], memory),
+# build name -> (window, alpha, previous weights) -> a build over the window's x or f,
+# each updating the one before it as a run's builds do
+BUILDS = {
+    "x product": lambda window, alpha, previous: product_weights([s.x for s in window], previous),
+    "f product": lambda window, alpha, previous: product_weights([s.f for s in window], previous),
+    "f shifted": lambda window, alpha, previous: shifted_product_weights(
+        [s.f for s in window], alpha, previous),
+    "x squared": lambda window, alpha, previous: squared_product_weights(
+        [s.x for s in window], previous),
+    "f squared": lambda window, alpha, previous: squared_product_weights(
+        [s.f for s in window], previous),
 }
 # hypothesis examples per precision: each draws a sequence of windows
-MEMORY_RUNS = {64: 80, 256: 80, 4096: 20}
+BUILD_RUNS = {64: 80, 256: 80, 4096: 20}
 
 
-def _newest_node_loops(window, weights, hweights, slope, curvature, memory):
-    """name -> (loop, args) for every newest-node loop, given ``memory`` as its last argument."""
+def _newest_node_loops(window, weights, hweights, slope, curvature):
+    """name -> (loop, args) for every newest-node loop."""
     return {
-        "node_derivative/direct": (interpolants.node_derivative, window, weights, "direct",
-                                   None, memory),
-        "node_derivative/inverse": (interpolants.node_derivative, window, weights, "inverse",
-                                    None, memory),
+        "node_derivative/direct": (interpolants.node_derivative, window, weights, "direct"),
+        "node_derivative/inverse": (interpolants.node_derivative, window, weights, "inverse"),
         "node_derivative/direct/2": (interpolants.node_derivative, window, weights, "direct",
-                                     slope, memory),
+                                     slope),
         "node_derivative/inverse/2": (interpolants.node_derivative, window, weights, "inverse",
-                                      slope, memory),
+                                      slope),
         "hermite_node_curvature": (interpolants.hermite_node_curvature, window, hweights,
-                                   "direct", memory),
+                                   "direct"),
         "hermite_node_curvature/inverse": (interpolants.hermite_node_curvature, window, hweights,
-                                           "inverse", memory),
-        "phi_third_d1": (optimise.phi_third_d1, window, hweights, curvature, memory),
-        "second_derivative_x_interp": (root_search.second_derivative_x_interp, window, hweights,
-                                       memory),
+                                           "inverse"),
+        "phi_third_d1": (optimise.phi_third_d1, window, hweights, curvature),
+        "second_derivative_x_interp": (root_search.second_derivative_x_interp, window, hweights),
     }
 
 
-@pytest.mark.parametrize("bits", sorted(MEMORY_RUNS))
+@pytest.mark.parametrize("bits", sorted(BUILD_RUNS))
 def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
-    @settings(max_examples=MEMORY_RUNS[bits], deadline=None)
+    @settings(max_examples=BUILD_RUNS[bits], deadline=None)
     @given(
         points=st.lists(st.tuples(STEP_VALUES, STEP_VALUES, STEP_VALUES), min_size=1, max_size=10),
         size=st.integers(1, 6),
@@ -605,7 +602,7 @@ def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
         with numerics.precision(bits):
             samples = [Sample(_value(x), _value(f), _value(fp)) for x, f, fp in points]
             alpha, slope, curvature = _value(alpha), *map(_value, scalars)
-            memories = {name: WeightMemory() for name in MEMORY_BUILDS}
+            built = dict.fromkeys(BUILDS)  # each build's last weights, None before the first
             known = {}  # one run's exact-d1 constants, over every window of the sequence
             # the windows slide over the samples, newest last, as a run's do
             for end in range(1, len(samples) + 1):
@@ -615,16 +612,20 @@ def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
                 hw = HermiteWeights(tuple(map(_value, lam[:count])),
                                     tuple(map(_value, gam[:count])))
                 want = {name: _step_outcome(*call) for name, call in
-                        _newest_node_loops(window, w, hw, slope, curvature, None).items()}
-                for memory_name, build in MEMORY_BUILDS.items():
-                    memory = memories[memory_name]
-                    try:  # a refused build leaves the memory with the window before
-                        build(window, alpha, memory)
+                        _newest_node_loops(window, w, hw, slope, curvature).items()}
+                for build_name, build in BUILDS.items():
+                    try:  # a refused build leaves the weights of the window before
+                        built[build_name] = build(window, alpha, built[build_name])
                     except DegenerateNodes:
                         pass
-                    loops = _newest_node_loops(window, w, hw, slope, curvature, memory)
+                    # the drawn weights, carrying the build's table: a loop reads its
+                    # pair row from the table when it is of the loop's family and nodes
+                    table = getattr(built[build_name], "table", None)
+                    loops = _newest_node_loops(window, ProductWeights(w, table),
+                                               HermiteWeights(hw.lam, hw.gam, table),
+                                               slope, curvature)
                     for name, call in loops.items():
-                        assert _step_outcome(*call) == want[name], (memory_name, name)
+                        assert _step_outcome(*call) == want[name], (build_name, name)
                 assert (_step_outcome(root_search.step_exact_d1, window, hw, known)
                         == _step_outcome(root_search.step_exact_d1, window, hw))
 
@@ -632,8 +633,8 @@ def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
 
 
 @pytest.mark.parametrize("count", range(2, 9))
-def test_the_newest_node_loops_divide_only_at_the_end_given_the_matching_memory(monkeypatch,
-                                                                              count):
+def test_the_newest_node_loops_divide_only_at_the_end_given_their_builds_table(monkeypatch,
+                                                                               count):
     divisions = Counter()
     for module in (interpolants, optimise, weight_families):
         for name in ("mpf_div", "mpf_rdiv_int"):
@@ -645,31 +646,31 @@ def test_the_newest_node_loops_divide_only_at_the_end_given_the_matching_memory(
     with numerics.precision(256):
         window = [Sample(mpf(k) / 7, mpf(k * k) / 5 + 1, mpf(k) / 3 + 1) for k in range(count)]
         xs, fs = [s.x for s in window], [s.f for s in window]
-        product, squared, squared_f = WeightMemory(), WeightMemory(), WeightMemory()
-        w = product_weights(xs, product)
-        hw = squared_product_weights(xs, squared)
-        hw_f = squared_product_weights(fs, squared_f)
+        w = product_weights(xs)
+        hw = squared_product_weights(xs)
+        hw_f = squared_product_weights(fs)
         curvature = mpf(1) / 3
-        # name -> (loop, the memory it reads, its divisions besides the pair rows)
+        # name -> (loop, the weights it takes, its divisions besides the pair rows)
         loops = {
-            "node_derivative": (lambda memory: interpolants.node_derivative(
-                window, w, memory=memory), product, 1),
-            "node_derivative/2": (lambda memory: interpolants.node_derivative(
-                window, w, slope=curvature, memory=memory), product, 1),
-            "hermite_node_curvature": (lambda memory: interpolants.hermite_node_curvature(
-                window, hw, memory=memory), squared, 1),
+            "node_derivative": (lambda w: interpolants.node_derivative(window, w), w, 1),
+            "node_derivative/2": (lambda w: interpolants.node_derivative(
+                window, w, slope=curvature), w, 1),
+            "hermite_node_curvature": (lambda hw: interpolants.hermite_node_curvature(
+                window, hw), hw, 1),
             # the inverse orientation also divides by each f'
-            "hermite_node_curvature/inverse": (lambda memory: interpolants.hermite_node_curvature(
-                window, hw_f, "inverse", memory), squared_f, count + 1),
-            "phi_third_d1": (lambda memory: optimise.phi_third_d1(window, hw, curvature, memory),
-                             squared, 1),
+            "hermite_node_curvature/inverse": (lambda hw: interpolants.hermite_node_curvature(
+                window, hw, "inverse"), hw_f, count + 1),
+            "phi_third_d1": (lambda hw: optimise.phi_third_d1(window, hw, curvature), hw, 1),
         }
         made = {}
-        for name, (loop, matching, _) in loops.items():
-            for memory in (matching, None):
+        for name, (loop, built, _) in loops.items():
+            # the same weights without the table: every pair row is formed on the spot
+            bare = (HermiteWeights(built.lam, built.gam) if isinstance(built, HermiteWeights)
+                    else list(built))
+            for weights in (built, bare):
                 divisions.clear()
-                loop(memory)
-                made[name, memory is None] = divisions["all"]
-    # with the run's memory no division per pair; without it, one per older node
+                loop(weights)
+                made[name, weights is bare] = divisions["all"]
+    # with the build's table no division per pair; without it, one per older node
     assert made == {(name, without): own + (count - 1) * without
                     for name, (_, _, own) in loops.items() for without in (False, True)}

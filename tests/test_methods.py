@@ -1,5 +1,6 @@
 import argparse
 import io
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -222,6 +223,34 @@ def test_every_seed_input_is_used_or_refused(method):
                     seconds[h] = trace.steps[1].x
                 if "0.25" in seconds or "0.5" in seconds:
                     assert seconds["0.25"] != seconds["0.5"], (name, bootstrap, x1)
+
+
+def test_a_mirrored_third_seed_that_rounds_to_x0_is_rejected():
+    # newton-df seeds x0, x1 and x0 - (x1 - x0).  With x1 = 1 - 2^-256 the third is
+    # 1 + 2^-256, half an ulp above 1, and rounds back to x0: the window would
+    # collapse before the first step and the run end with no trace
+    problem = corpus.get_problem("opt_quadratic")
+    with precision(256):
+        x1 = 1 - mpf(2) ** -256
+    config = SolverConfig(method="newton-df", window=3, x0=1, x1=x1, precision_bits=256)
+    with pytest.raises(ValueError,
+                       match=r"^x0 - \(x1 - x0\) must differ from x0 at the working precision$"):
+        optimize(problem, config)
+    config = SolverConfig(method="newton-df", window=3, x0=1, x1="0.5", precision_bits=256)
+    assert optimize(problem, config).steps[2].x == mpf("1.5")
+
+
+@pytest.mark.parametrize("name", ["tol_f", "tol_x"])
+@pytest.mark.parametrize("value", [-1, "-1e-400", -0.5, real("-2")])
+def test_a_negative_tolerance_is_rejected(name, value):
+    # no residual or step is below it: the run would spend its whole budget
+    config = SolverConfig(method="exact-df", **{name: value})
+    message = f"^{re.escape(f'{name} must be non-negative, got {value}')}$"
+    with pytest.raises(ValueError, match=message):
+        config.validated()
+    with pytest.raises(ValueError, match=message):
+        solve(corpus.get_problem("cos_minus_x"), config)
+    SolverConfig(method="exact-df", **{name: "-0.0"}).validated()  # zero, whatever its sign
 
 
 @pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])

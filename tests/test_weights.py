@@ -12,7 +12,7 @@ from baryiter import weights
 from baryiter.numerics import make_mpf, precision, real, set_precision
 from baryiter.weights import (
     HermiteWeights,
-    WeightMemory,
+    ProductWeights,
     derivative_scaled_weights,
     product_weights,
     raw_floor,
@@ -200,7 +200,7 @@ def test_separation_floor_scales_with_magnitude():
 
 
 # ---------------------------------------------------------------------------
-# weights kept in a memory and updated as the window moves
+# weights updated from the weights of the window before, as the window moves
 
 # Bits a maintained weight may lose against the build from empty, and the
 # kernel sums against their terms.  Measured: over runs of the lowprec_sweep
@@ -218,13 +218,13 @@ def _slopes(nodes):
     return [1 + v * v for v in nodes]  # never zero
 
 
-# family -> build(nodes, memory or None); the alpha family shifts the newest node
+# family -> build(nodes, alpha, previous weights or None); the alpha family shifts the newest node
 MAINTAINED = {
-    "product": lambda nodes, alpha, memory: product_weights(nodes, memory),
-    "alpha": lambda nodes, alpha, memory: shifted_product_weights(nodes, alpha, memory),
-    "squared": lambda nodes, alpha, memory: squared_product_weights(nodes, memory),
-    "scaled": lambda nodes, alpha, memory: derivative_scaled_weights(nodes, _slopes(nodes),
-                                                                     memory),
+    "product": lambda nodes, alpha, previous: product_weights(nodes, previous),
+    "alpha": lambda nodes, alpha, previous: shifted_product_weights(nodes, alpha, previous),
+    "squared": lambda nodes, alpha, previous: squared_product_weights(nodes, previous),
+    "scaled": lambda nodes, alpha, previous: derivative_scaled_weights(nodes, _slopes(nodes),
+                                                                       previous),
 }
 
 
@@ -281,11 +281,11 @@ def test_maintained_weights_track_the_build_from_empty(bits):
             for move, fresh, pick in moves:
                 windows.append(_moved(windows[-1], move, mpf(fresh[0]) / fresh[1], pick))
             for family, build in MAINTAINED.items():
-                memory = WeightMemory()
+                previous = None
                 for nodes in windows:
                     want = _outcome(lambda: build(nodes, alpha, None))
-                    got = _outcome(lambda: build(nodes, alpha, memory))
-                    if isinstance(want, tuple):  # refused: the same error, and the memory kept
+                    got = _outcome(lambda: build(nodes, alpha, previous))
+                    if isinstance(want, tuple):  # refused: the same error, and previous kept
                         assert got == want, family
                         continue
                     for got_column, want_column in zip(_columns(got), _columns(want)):
@@ -294,6 +294,7 @@ def test_maintained_weights_track_the_build_from_empty(bits):
                     if family in ("product", "alpha"):
                         shifted = nodes[:-1] + [alpha * nodes[-1]] if family == "alpha" else nodes
                         _check_kernel(shifted, got, bound)
+                    previous = got
 
     check()
 
@@ -303,23 +304,57 @@ def test_a_kept_pair_is_checked_against_the_new_windows_floor(family):
     with precision(64):
         # the close pair clears the floor, about 2^-53 at the scale 6 of 2 shifted
         close = [mpf(1), 1 + mpf(2) ** -50, mpf(2)]
-        memory = WeightMemory()
-        MAINTAINED[family](close, mpf(3), memory)
+        previous = MAINTAINED[family](close, mpf(3), None)
         grown = close + [mpf(2) ** 10]  # the floor rises to about 2^-44
         want = _outcome(lambda: MAINTAINED[family](grown, mpf(3), None))
         assert want[0] is DegenerateNodes
-        assert _outcome(lambda: MAINTAINED[family](grown, mpf(3), memory)) == want
+        assert _outcome(lambda: MAINTAINED[family](grown, mpf(3), previous)) == want
 
 
-def test_a_memory_from_another_family_or_precision_is_not_used():
-    nodes = [mpf(1) / 3, mpf(2) / 7, mpf(5) / 11]
-    memory = WeightMemory()
+def _bits(result):
+    return [[w._mpf_ for w in column] for column in _columns(result)]
+
+
+@pytest.mark.parametrize("family", sorted(MAINTAINED))
+def test_a_refused_build_leaves_previous_usable(family):
+    build = MAINTAINED[family]
     with precision(256):
-        product_weights(nodes, memory)
-        assert squared_product_weights(nodes[1:] + [mpf(3)], memory) == \
+        nodes = [mpf(k) / 7 for k in range(1, 6)]
+        previous = build(nodes, mpf(3), None)
+        slid = nodes[1:] + [mpf(13) / 11]
+        want = _bits(build(slid, mpf(3), previous))
+        # an older node repeated: the shifted family repeats it too
+        repeated = nodes[1:3] + nodes[2:] + [mpf(13) / 11]
+        with pytest.raises(DegenerateNodes):
+            build(repeated, mpf(3), previous)
+        # the next build from ``previous`` gives the same bits as before the refusal
+        assert _bits(build(slid, mpf(3), previous)) == want
+
+
+def test_each_build_carries_its_own_table():
+    with precision(256):
+        nodes = [mpf(1) / 3, mpf(2) / 7, mpf(5) / 11]
+        first = product_weights(nodes)
+        slid = product_weights(nodes[1:] + [mpf(3)], first)
+        assert isinstance(first, ProductWeights) and isinstance(slid, ProductWeights)
+        assert first.table.nodes == [v._mpf_ for v in nodes]
+        assert slid.table.nodes == [v._mpf_ for v in nodes[1:] + [mpf(3)]]
+        assert [make_mpf(w) for w in slid.table.products] == slid
+        hermite = squared_product_weights(nodes)
+        # the table is no part of the weights' value
+        assert hermite == HermiteWeights(hermite.lam, hermite.gam)
+        assert derivative_scaled_weights(nodes, _slopes(nodes)).table == hermite.table
+
+
+def test_weights_of_another_family_or_precision_are_not_used():
+    nodes = [mpf(1) / 3, mpf(2) / 7, mpf(5) / 11]
+    with precision(256):
+        product = product_weights(nodes)
+        assert squared_product_weights(nodes[1:] + [mpf(3)], product) == \
             squared_product_weights(nodes[1:] + [mpf(3)])
+        squared = squared_product_weights(nodes)
     with precision(64):
-        assert squared_product_weights(nodes[1:] + [mpf(4)], memory) == \
+        assert squared_product_weights(nodes[1:] + [mpf(4)], squared) == \
             squared_product_weights(nodes[1:] + [mpf(4)])
 
 
@@ -341,10 +376,9 @@ def test_a_one_node_slide_makes_linearly_many_divisions(monkeypatch, build, most
         monkeypatch.setattr(weights, name, counted)
     with precision(256):
         nodes = [mpf(k) / 7 for k in range(1, 10)]
-        memory = WeightMemory()
-        build(nodes[:8], memory)
+        previous = build(nodes[:8])
         divisions.clear()
-        build(nodes[1:], memory)
+        build(nodes[1:], previous)
         slide = sum(divisions.values())
         divisions.clear()
         build(nodes[1:])
