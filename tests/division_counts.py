@@ -1,20 +1,21 @@
-"""Count the library's mpf divisions and multiplications over one pass of a benchmark workload.
+"""Count the library's mpf arithmetic calls over one pass of a benchmark workload.
 
 From the repository root::
 
     python tests/division_counts.py [--workload hiprec_grid] [--seed 1]
 
-Wraps ``mpf_div``, ``mpf_rdiv_int``, ``mpf_mul`` and ``mpf_pow_int`` as
-each baryiter module imported them, runs every item of the workload once
-through ``perfbench.workloads.execute`` (read, not edited), and prints the
-calls per module and function, then the total of each function.  An
-operation libmp makes inside one of its own functions (``mpf_cos_sin``,
-``mpf_exp`` ...) is not counted, nor is one made through a reference taken
-at import (the operator table of ``expressions``).  The remembered
-reference roots are dropped first, so a pass refines them as a fresh
-process does.  The counts depend on the code alone, not on the machine or
-on what ran before in the process, so two checkouts' output compares
-directly: a division traded for multiplications shows in both columns.
+Wraps ``mpf_div``, ``mpf_rdiv_int``, ``mpf_mul``, ``mpf_pow_int``,
+``mpf_add`` and ``mpf_sub`` as each baryiter module imported them, runs
+every item of the workload once through ``perfbench.workloads.execute``
+(read, not edited), and prints the calls per module and function, then the
+total of each function.  An operation libmp makes inside one of its own
+functions (``mpf_cos_sin``, ``mpf_exp`` ...) is not counted, nor is one made
+through a reference taken at import (the operator table of
+``expressions``).  The remembered reference roots are dropped first, so a
+pass refines them as a fresh process does.  The counts depend on the code
+alone, not on the machine or on what ran before in the process, so two
+checkouts' output compares directly: a division traded for multiplications
+shows in both columns.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from perfbench.workloads import execute, generate  # noqa: E402
 
 MODULES = ("weights", "root_search", "optimise", "interpolants", "expressions", "numerics",
            "analysis")
-FUNCTIONS = ("mpf_div", "mpf_rdiv_int", "mpf_mul", "mpf_pow_int")
+FUNCTIONS = ("mpf_div", "mpf_rdiv_int", "mpf_mul", "mpf_pow_int", "mpf_add", "mpf_sub")
 
 
 def count_operations(items) -> Counter:
