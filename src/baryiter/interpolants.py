@@ -21,14 +21,16 @@ slope-matching form matches the stored first derivatives as well.
 run interpolates its objective directly, so (x, phi, phi') is stored as
 (x, f, f').  ``sample_slopes`` is the one check that a window carries f'.
 
-The node derivatives at the newest node, ``node_derivative`` (plain form,
-first and second order) and ``hermite_node_curvature`` (slope-matching,
-second order), each in both orientations, are on the solver's hot path and
-run on the raw libmp values of their mpf arguments (see ``numerics``), bit
-for bit as the mpf formulas that multiply by the newest node's reciprocal
-differences 1/d_k and 1/d_k^2 of ``weights.newest_pairs``: read from the
-pair table the given weights carry, so a step divides once per pair, or
-formed on the spot with the same bits.  The evaluators stay mpf loops.
+The node derivatives at the newest node, one raw loop per form, are
+``node_derivative`` (plain form, first and second order) and
+``hermite_node_curvature`` (slope-matching, second order, and third order
+given the second), each in both orientations but the third order, which is
+direct only.  They are on the solver's hot path and run on the raw libmp
+values of their mpf arguments (see ``numerics``), bit for bit as the mpf
+formulas that multiply by the newest node's reciprocal differences 1/d_k
+and 1/d_k^2 of ``weights.newest_pairs``: read from the pair table the
+given weights carry, so a step divides once per pair, or formed on the
+spot with the same bits.  The evaluators stay mpf loops.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Sequence
 import mpmath
 from mpmath import fsum
 from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_rdiv_int,
-                          mpf_sub, mpf_sum)
+                          mpf_shift, mpf_sub, mpf_sum)
 
 from .errors import SingularDenominator, SingularStep, ZeroDerivative
 from .numerics import Real, Scalar, make_mpf, real
@@ -79,8 +81,11 @@ def sample_slopes(window: Sequence[Sample]) -> list[Real]:
 ORIENTATIONS = ("direct", "inverse")
 
 
-def _oriented(xs: list, fs: list, orientation: str) -> tuple[list, list]:
-    """(nodes, values) of the plain form: (x, f) direct, (f, x) inverse."""
+def _columns(samples: Sequence[Sample], orientation: str = "direct",
+             raw: bool = True) -> tuple[list, list]:
+    """(nodes, values) of the plain form, raw or as mpfs: (x, f) direct, (f, x) inverse."""
+    xs = [s.x._mpf_ if raw else s.x for s in samples]
+    fs = [s.f._mpf_ if raw else s.f for s in samples]
     if orientation == "direct":
         return xs, fs
     if orientation == "inverse":
@@ -88,12 +93,8 @@ def _oriented(xs: list, fs: list, orientation: str) -> tuple[list, list]:
     raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
 
 
-def _plain_data(samples: Sequence[Sample], orientation: str):
-    return _oriented([s.x for s in samples], [s.f for s in samples], orientation)
-
-
 def _hermite_data(samples: Sequence[Sample], orientation: str):
-    nodes, values = _plain_data(samples, orientation)
+    nodes, values = _columns(samples, orientation, raw=False)
     slopes = sample_slopes(samples)
     if orientation == "inverse":
         if any(sl == 0 for sl in slopes):
@@ -126,7 +127,7 @@ def eval_plain(
     inverse one.  At (or within the separation floor of) a node the paired
     coordinate is returned directly.
     """
-    nodes, values = _plain_data(samples, orientation)
+    nodes, values = _columns(samples, orientation, raw=False)
     if len(weights) != len(nodes):
         raise ValueError("weight list length must equal the sample count")
     t = real(t)
@@ -184,8 +185,7 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
     read from the table of ``weights`` when it holds these nodes.
     """
     prec, rounding = mpmath.mp._prec_rounding
-    nodes, values = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples],
-                              orientation)
+    nodes, values = _columns(samples, orientation)
     n = len(samples) - 1
     ws = [w._mpf_ for w in weights]
     tangent = None if slope is None else slope._mpf_
@@ -208,35 +208,59 @@ def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
 
 
 def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
-                           orientation: str = "direct") -> Real:
-    """r''(c_n) of the slope-matching ratio at the newest node.
+                           orientation: str = "direct", curvature: Real | None = None) -> Real:
+    """r''(c_n) of the slope-matching ratio at the newest node, or r'''(c_n) given r''(c_n).
 
-    ``-(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k) (1/d_k)
-    + lam_k (v_n - v_k) (1/d_k^2)])`` with the newest node last and
-    d_k = c_n - c_k: f''(x_n) in the direct orientation, x''(f_n) in the
-    inverse one, whose slopes s = 1/f' are taken as divisions by f'.
-    1/d_k and 1/d_k^2 are the squared family's newest pair row
+    With d_k = c_n - c_k, the newest node last, and ``curvature`` = r''(c_n):
+
+    ``r''  = -(2/lam_n) (gam_n s_n + sum_{k!=n} [(gam_k (v_n - v_k) - lam_k s_k) (1/d_k)
+                                                + lam_k (v_n - v_k) (1/d_k^2)])``
+    ``r''' = -(6/lam_n) (gam_n r''/2 + sum_{k!=n} [gam_k s_n (1/d_k)
+                         - (gam_k (v_n - v_k) - lam_k (s_n + s_k)) (1/d_k^2)
+                         - 2 lam_k (v_n - v_k) (1/d_k^2) (1/d_k)])``
+
+    r'' is f''(x_n) in the direct orientation and x''(f_n) in the inverse
+    one, whose slopes s = 1/f' are taken as divisions by f'; r''' is taken
+    in the direct orientation only (``ValueError`` otherwise).  1/d_k and
+    1/d_k^2 are the squared family's newest pair row
     (``weights.newest_pairs``), read from the table of ``hweights`` when
-    it holds these nodes.  Agrees with ``mpmath.diff`` of
+    it holds these nodes.  Both agree with ``mpmath.diff`` of
     ``eval_hermite`` for the squared-product weights (checked in the test
     suite).
     """
+    if curvature is not None and orientation != "direct":
+        raise ValueError("r''' is taken in the direct orientation only")
     prec, rounding = mpmath.mp._prec_rounding
     n = len(samples) - 1
-    cs, vs = _oriented([s.x._mpf_ for s in samples], [s.f._mpf_ for s in samples], orientation)
+    cs, vs = _columns(samples, orientation)
     fps = [sl._mpf_ for sl in sample_slopes(samples)]
     if orientation == "inverse" and any(mpf_eq(fp, fzero) for fp in fps):
         raise ZeroDerivative("inverse orientation needs non-zero f_prime")
     tilt = mpf_mul if orientation == "direct" else mpf_div  # a weight times s = f' or 1/f'
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    acc = tilt(gams[n], fps[n], prec, rounding)
+    if curvature is None:
+        acc = tilt(gams[n], fps[n], prec, rounding)
+    else:
+        acc = mpf_shift(mpf_mul(gams[n], curvature._mpf_, prec, rounding), -1)  # halved exactly
     for k, (_, _, inverse, inverse_square) in enumerate(
             newest_pairs(cs, True, hweights, prec, rounding,
                          "x" if orientation == "direct" else "f")):
         dv = mpf_sub(vs[n], vs[k], prec, rounding)
-        top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding), tilt(lams[k], fps[k], prec, rounding),
-                      prec, rounding)
-        acc = mpf_add(acc, mpf_mul(top, inverse, prec, rounding), prec, rounding)
-        top = mpf_mul(lams[k], dv, prec, rounding)
-        acc = mpf_add(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
-    return make_mpf(mpf_mul(mpf_rdiv_int(-2, lams[n], prec, rounding), acc, prec, rounding))
+        if curvature is None:
+            top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding),
+                          tilt(lams[k], fps[k], prec, rounding), prec, rounding)
+            acc = mpf_add(acc, mpf_mul(top, inverse, prec, rounding), prec, rounding)
+            top = mpf_mul(lams[k], dv, prec, rounding)
+            acc = mpf_add(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
+            continue
+        acc = mpf_add(acc, mpf_mul(mpf_mul(gams[k], fps[n], prec, rounding), inverse,
+                                   prec, rounding), prec, rounding)
+        slope_sum = mpf_add(fps[n], fps[k], prec, rounding)
+        top = mpf_sub(mpf_mul(gams[k], dv, prec, rounding),
+                      mpf_mul(lams[k], slope_sum, prec, rounding), prec, rounding)
+        acc = mpf_sub(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
+        top = mpf_mul(mpf_mul_int(lams[k], 2, prec, rounding), dv, prec, rounding)
+        top = mpf_mul(mpf_mul(top, inverse_square, prec, rounding), inverse, prec, rounding)
+        acc = mpf_sub(acc, top, prec, rounding)
+    scale = -2 if curvature is None else -6
+    return make_mpf(mpf_mul(mpf_rdiv_int(scale, lams[n], prec, rounding), acc, prec, rounding))

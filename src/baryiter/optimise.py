@@ -12,9 +12,11 @@ and ``f_prime`` as phi'.
     ``node_derivative`` at the newest sample.  Needs at least three points for a
     non-degenerate curvature, so the window minimum is 3.
 ``ch-d1``
-    Chebyshev-Halley step on (slope, curvature, third-derivative) estimates
-    from (x_i, phi_i, phi'_i) memory with x-based squared-product weights;
-    window minimum 2.
+    Chebyshev-Halley step on the true slope and the curvature and
+    third-derivative estimates of the direct slope-matching interpolant over
+    (x_i, phi_i, phi'_i) memory with x-based squared-product weights: both
+    are ``hermite_node_curvature``, the third given the curvature; window
+    minimum 2.
 
 ``optimize`` runs the root solver's loop (``root_search.drive``) on these
 methods: growing memory, newest ``window`` samples, window-reduction
@@ -25,11 +27,8 @@ interpolant slope estimate for ``newton-df`` (a documented heuristic, since
 the true gradient is unavailable).  Each step records the sign of the
 curvature estimate; the solver does not classify the stationary point.
 
-The curvature and third-derivative estimates and both steps run on raw
-libmp values, as the root solver's step formulas do, bit for bit as the
-mpf formulas that multiply by the newest node's reciprocal differences
-1/d_k and 1/d_k^2 (``weights.newest_pairs``, read from the pair table the
-step's weights carry).
+Both steps run on raw libmp values, as the root solver's step formulas
+and ``interpolants``' node derivatives do, bit for bit as the mpf formulas.
 """
 
 from __future__ import annotations
@@ -37,26 +36,15 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import mpmath
-from mpmath.libmp import (
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_eq,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_rdiv_int,
-    mpf_shift,
-    mpf_sub,
-)
+from mpmath.libmp import fzero, mpf_div, mpf_eq, mpf_sub
 
 from .errors import SingularStep
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
-from .interpolants import Sample, hermite_node_curvature, node_derivative, sample_slopes
+from .interpolants import Sample, hermite_node_curvature, node_derivative
 from .numerics import Real, make_mpf
 from .root_search import (
     IterationTrace,
     SolverConfig,
-    _columns,
     chebyshev_halley_update,
     drive,
     select_window,
@@ -66,8 +54,7 @@ from .root_search import (
 # instrumented apart
 from .root_search import _interp_step, _propose as _opt_propose
 from .root_search import direct_slope_estimate as phi_slope_df
-from .weights import (HermiteWeights, ProductWeights, newest_pairs, product_weights,
-                      squared_product_weights)
+from .weights import HermiteWeights, ProductWeights, product_weights, squared_product_weights
 
 
 def phi_curvature_df(window: Sequence[Sample], weights: Sequence[Real], slope: Real) -> Real:
@@ -98,34 +85,8 @@ def phi_curvature_d1(window: Sequence[Sample], hweights: HermiteWeights) -> Real
 
 
 def phi_third_d1(window: Sequence[Sample], hweights: HermiteWeights, curvature: Real) -> Real:
-    """phi''' at the newest sample, given the curvature estimate.
-
-    ``-(6/lam_n) (gam_n phi''_n / 2
-      + sum_{k!=n} [gam_k phi'_n (1/d_k)
-                    - (gam_k (phi_n - phi_k) - lam_k (phi'_n + phi'_k)) (1/d_k^2)
-                    - 2 lam_k (phi_n - phi_k) (1/d_k^2) (1/d_k)])``
-    with d_k = x_n - x_k; 1/d_k and 1/d_k^2 are the squared family's newest
-    pair row (``newest_pairs``, from the table of ``hweights`` when it holds these nodes).
-    """
-    prec, rounding = mpmath.mp._prec_rounding
-    slopes = [sl._mpf_ for sl in sample_slopes(window)]
-    n = len(window) - 1
-    xs, fs = _columns(window)
-    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    acc = mpf_shift(mpf_mul(gams[n], curvature._mpf_, prec, rounding), -1)  # halved exactly
-    for k, (_, _, inverse, inverse_square) in enumerate(
-            newest_pairs(xs, True, hweights, prec, rounding, "x")):
-        dphi = mpf_sub(fs[n], fs[k], prec, rounding)
-        acc = mpf_add(acc, mpf_mul(mpf_mul(gams[k], slopes[n], prec, rounding), inverse,
-                                   prec, rounding), prec, rounding)
-        slope_sum = mpf_add(slopes[n], slopes[k], prec, rounding)
-        top = mpf_sub(mpf_mul(gams[k], dphi, prec, rounding),
-                      mpf_mul(lams[k], slope_sum, prec, rounding), prec, rounding)
-        acc = mpf_sub(acc, mpf_mul(top, inverse_square, prec, rounding), prec, rounding)
-        top = mpf_mul(mpf_mul_int(lams[k], 2, prec, rounding), dphi, prec, rounding)
-        top = mpf_mul(mpf_mul(top, inverse_square, prec, rounding), inverse, prec, rounding)
-        acc = mpf_sub(acc, top, prec, rounding)
-    return make_mpf(mpf_mul(mpf_rdiv_int(-6, lams[n], prec, rounding), acc, prec, rounding))
+    """phi''' at the newest sample, given the curvature estimate: see ``hermite_node_curvature``."""
+    return hermite_node_curvature(window, hweights, curvature=curvature)
 
 
 def _d1_step(window: Sequence[Sample], hweights: HermiteWeights, beta: Real):

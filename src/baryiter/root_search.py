@@ -77,7 +77,8 @@ from .errors import (
     SingularStep,
     ZeroDerivative,
 )
-from .interpolants import Sample, hermite_node_curvature, node_derivative, sample_slopes
+from .interpolants import (Sample, _columns, hermite_node_curvature, node_derivative,
+                           sample_slopes)
 from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
@@ -126,9 +127,10 @@ class SolverConfig:
     the right asymptotics works, none is preferred).  ``seed_points`` picks
     the second starting point from ``x1``, ``perturb_h`` and ``bootstrap``
     (one of ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric
-    field, a negative tolerance, a seed value no seed would use, an ``x1``
-    equal to ``x0`` at the working precision, and a ``max_iter`` below the
-    number of seeds, so every run proposes a step.
+    field, an integer field that is not an int, a negative tolerance, a
+    seed value no seed would use, an ``x1`` equal to ``x0`` at the working
+    precision, and a ``max_iter`` below the number of seeds, so every run
+    proposes a step.
     """
 
     method: str = "exact-df"
@@ -166,6 +168,10 @@ class SolverConfig:
             raise ValueError(f"perturb_h needs the perturb or auto bootstrap, not {self.bootstrap}")
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
             raise ValueError("explicit bootstrap needs x1")
+        for name in ("window", "max_iter", "precision_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.window < spec.min_window:
             raise ValueError(f"{self.method} needs a window of at least {spec.min_window}")
         if self.max_iter < 1:
@@ -244,11 +250,6 @@ class IterationTrace:
 # that mpf's operator would call, in the same order, and only the returned
 # value is built as an mpf, so each step is that of the mpf formula bit for
 # bit.  Each argument is an mpf (``drive`` converts a problem's values), read as its ``_mpf_``.
-
-
-def _columns(window: Sequence[Sample]) -> tuple[list, list]:
-    """The window's x and f coordinates as raw values."""
-    return [s.x._mpf_ for s in window], [s.f._mpf_ for s in window]
 
 
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:

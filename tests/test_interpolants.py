@@ -201,15 +201,29 @@ def test_node_curvature_matches_finite_differences(orientation):
             nodes = xs if orientation == "direct" else [s.f for s in window]
             hw = squared_product_weights(nodes)
             curvature = hermite_node_curvature(window, hw, orientation)
+            third = phi_third_d1(window, hw, curvature) if orientation == "direct" else None
         with precision(512):
             # f''(x_n) of the direct ratio, x''(f_n) of the inverse one
             want = mpmath.diff(lambda t: eval_hermite(window, hw, t, orientation), nodes[-1], 2)
             assert rel_err(curvature, want, floor=1) <= mpf(10) ** -60, size
+            if third is not None:  # and f'''(x_n) of the direct ratio, given its f''
+                want = mpmath.diff(lambda t: eval_hermite(window, hw, t), nodes[-1], 3)
+                assert rel_err(third, want, floor=1) <= mpf(10) ** -60, size
     if orientation == "direct":
         with precision(256):
-            # the cubic fit of x^4 through x = 1, 2 has curvature 46 at x = 2
+            # the cubic fit of x^4 through x = 1, 2 is 6x^3 - 13x^2 + 12x - 4: at x = 2 its
+            # curvature is 46 and its third derivative 36
             quartic = _samples([mpf(1), mpf(2)], lambda x: x ** 4, lambda x: 4 * x ** 3)
-            assert hermite_node_curvature(quartic, squared_product_weights([1, 2])) == 46
+            hw = squared_product_weights([1, 2])
+            assert hermite_node_curvature(quartic, hw) == 46
+            assert phi_third_d1(quartic, hw, mpf(46)) == 36
+
+
+def test_the_third_derivative_is_taken_in_the_direct_orientation_only():
+    window = _samples([mpf(1), mpf(2)], lambda x: x ** 4, lambda x: 4 * x ** 3)
+    hw = squared_product_weights([s.f for s in window])
+    with pytest.raises(ValueError, match="^r\'\'\' is taken in the direct orientation only$"):
+        hermite_node_curvature(window, hw, "inverse", curvature=mpf(1))
 
 
 # every public consumer of the samples' slopes, called on its weights over x or f

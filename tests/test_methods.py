@@ -121,6 +121,20 @@ def test_a_nonpositive_budget_is_rejected():
             SolverConfig(max_iter=max_iter).validated()
 
 
+@pytest.mark.parametrize("name, value", [("window", 2.5), ("window", "4"), ("window", True),
+                                         ("max_iter", "10"), ("max_iter", 10.0),
+                                         ("precision_bits", 128.9), ("precision_bits", "128")])
+def test_a_non_integer_count_is_rejected(name, value):
+    # a float window never fills (the whole history would be the window), a float
+    # precision is truncated while the trace keeps it, and a string fails to compare
+    config = SolverConfig(method="exact-df", **{name: value})
+    message = f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        config.validated()
+    with pytest.raises(ValueError, match=message):
+        solve(corpus.get_problem("cos_minus_x"), config)
+
+
 # (command, problem, method, family, seeds) for a method of each seed count
 SEEDED = (("solve", "cos_minus_x", "newton", "root", 1),
           ("solve", "cos_minus_x", "secant", "root", 2),

@@ -17,16 +17,12 @@ PINNED = {
     "expr_cli": {
         ("analysis", "mpf_div"): 180,
         ("expressions", "mpf_div"): 297,
-        ("interpolants", "mpf_add"): 330,
+        ("interpolants", "mpf_add"): 384,
         ("interpolants", "mpf_div"): 203,
-        ("interpolants", "mpf_mul"): 778,
-        ("interpolants", "mpf_rdiv_int"): 78,
-        ("interpolants", "mpf_sub"): 330,
+        ("interpolants", "mpf_mul"): 1020,
+        ("interpolants", "mpf_rdiv_int"): 91,
+        ("interpolants", "mpf_sub"): 438,
         ("numerics", "mpf_pow_int"): 390,
-        ("optimise", "mpf_add"): 54,
-        ("optimise", "mpf_mul"): 242,
-        ("optimise", "mpf_rdiv_int"): 13,
-        ("optimise", "mpf_sub"): 108,
         ("root_search", "mpf_add"): 136,
         ("root_search", "mpf_div"): 696,
         ("root_search", "mpf_mul"): 1989,
@@ -40,16 +36,13 @@ PINNED = {
         ("weights", "mpf_sub"): 457,
     },
     "hiprec_grid": {
-        ("interpolants", "mpf_add"): 312,
+        ("interpolants", "mpf_add"): 434,
         ("interpolants", "mpf_div"): 90,
-        ("interpolants", "mpf_mul"): 1832,
-        ("interpolants", "mpf_rdiv_int"): 67,
-        ("interpolants", "mpf_sub"): 771,
-        ("optimise", "mpf_add"): 122,
+        ("interpolants", "mpf_mul"): 2364,
+        ("interpolants", "mpf_rdiv_int"): 89,
+        ("interpolants", "mpf_sub"): 1015,
         ("optimise", "mpf_div"): 42,
-        ("optimise", "mpf_mul"): 532,
-        ("optimise", "mpf_rdiv_int"): 22,
-        ("optimise", "mpf_sub"): 286,
+        ("optimise", "mpf_sub"): 42,
         ("root_search", "mpf_add"): 67,
         ("root_search", "mpf_div"): 505,
         ("root_search", "mpf_mul"): 1439,
@@ -62,17 +55,14 @@ PINNED = {
         ("weights", "mpf_sub"): 607,
     },
     "lowprec_sweep": {
-        ("interpolants", "mpf_add"): 1954,
+        ("interpolants", "mpf_add"): 2682,
         ("interpolants", "mpf_div"): 2427,
-        ("interpolants", "mpf_mul"): 18500,
-        ("interpolants", "mpf_rdiv_int"): 602,
-        ("interpolants", "mpf_sub"): 8460,
+        ("interpolants", "mpf_mul"): 21748,
+        ("interpolants", "mpf_rdiv_int"): 770,
+        ("interpolants", "mpf_sub"): 9916,
         ("numerics", "mpf_pow_int"): 1476,
-        ("optimise", "mpf_add"): 728,
         ("optimise", "mpf_div"): 531,
-        ("optimise", "mpf_mul"): 3248,
-        ("optimise", "mpf_rdiv_int"): 168,
-        ("optimise", "mpf_sub"): 1987,
+        ("optimise", "mpf_sub"): 531,
         ("root_search", "mpf_add"): 812,
         ("root_search", "mpf_div"): 3855,
         ("root_search", "mpf_mul"): 11311,
