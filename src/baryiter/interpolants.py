@@ -1,9 +1,14 @@
 """Evaluate the barycentric interpolants behind the iteration schemes.
 
-The solvers do not call them, but ``exact-df``'s step is
-``eval_plain(window, w, 0, "inverse")`` bit for bit, and ``exact-d1``'s is
-``eval_hermite``'s inverse value at 0 up to operation order.  Finite
-differences of them check every derivative estimate the steps use.
+The solvers do not call the evaluators, but each form has one ratio loop,
+``plain_ratio`` and ``hermite_ratio``, and the exact steps are those loops
+at t = 0, whose gaps c_i - t are the f values themselves:
+
+* ``step_exact_df(window, w)`` is ``eval_plain(window, w, 0, "inverse")``
+* ``step_exact_d1(window, hw)`` is ``eval_hermite(window, hw, 0, "inverse")``
+
+bit for bit.  Finite differences of the evaluators check every derivative
+estimate the steps use.
 
 Two forms, each in two orientations:
 
@@ -30,21 +35,25 @@ values of their mpf arguments (see ``numerics``), bit for bit as the mpf
 formulas that multiply by the newest node's reciprocal differences 1/d_k
 and 1/d_k^2 of ``weights.newest_pairs``: read from the pair table the
 given weights carry, so a step divides once per pair, or formed on the
-spot with the same bits.  The evaluators stay mpf loops.
+spot with the same bits.  The ratio loops run on raw values too, over the
+gaps e_i = c_i - t, and return their numerator and denominator sums: the
+plain one bit for bit as the mpf loop over t - c_i (negating a gap negates
+both sums exactly), the slope-matching one in its own order, through each
+node's tangent T_i = v_i - s_i e_i at t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import mpmath
-from mpmath import fsum
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, mpf_sum)
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int,
+                          mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum)
 
 from .errors import SingularDenominator, SingularStep, ZeroDerivative
-from .numerics import Real, Scalar, make_mpf, real
+from .numerics import Real, Scalar, make_mpf, to_raw
 from .weights import HermiteWeights, newest_pairs, raw_floor, raw_scale
 
 
@@ -81,11 +90,10 @@ def sample_slopes(window: Sequence[Sample]) -> list[Real]:
 ORIENTATIONS = ("direct", "inverse")
 
 
-def _columns(samples: Sequence[Sample], orientation: str = "direct",
-             raw: bool = True) -> tuple[list, list]:
-    """(nodes, values) of the plain form, raw or as mpfs: (x, f) direct, (f, x) inverse."""
-    xs = [s.x._mpf_ if raw else s.x for s in samples]
-    fs = [s.f._mpf_ if raw else s.f for s in samples]
+def _columns(samples: Sequence[Sample], orientation: str = "direct") -> tuple[list, list]:
+    """Raw (nodes, values) of the plain form: (x, f) direct, (f, x) inverse."""
+    xs = [s.x._mpf_ for s in samples]
+    fs = [s.f._mpf_ for s in samples]
     if orientation == "direct":
         return xs, fs
     if orientation == "inverse":
@@ -93,80 +101,96 @@ def _columns(samples: Sequence[Sample], orientation: str = "direct",
     raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
 
 
-def _hermite_data(samples: Sequence[Sample], orientation: str):
-    nodes, values = _columns(samples, orientation, raw=False)
-    slopes = sample_slopes(samples)
-    if orientation == "inverse":
-        if any(sl == 0 for sl in slopes):
-            raise ZeroDerivative("inverse orientation needs non-zero f_prime")
-        slopes = [1 / sl for sl in slopes]
-    return nodes, values, slopes
+def _raw_slopes(samples: Sequence[Sample], orientation: str) -> list:
+    """Every sample's raw f', which the inverse orientation divides by."""
+    fps = [sl._mpf_ for sl in sample_slopes(samples)]
+    if orientation == "inverse" and any(mpf_eq(fp, fzero) for fp in fps):
+        raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+    return fps
 
 
-def _near_node(nodes: Sequence[Real], t: Real) -> int | None:
-    # Within the separation floor the ratio is meaningless; return the node
-    # value instead so evaluation is total away from true poles.
+def plain_ratio(weights: list, values: list, gaps: list, prec: int, rounding: str) -> tuple:
+    """Raw ``(sum w_i v_i/e_i, sum w_i/e_i)`` over the raw gaps e_i = c_i - t."""
+    terms = [mpf_div(w, e, prec, rounding) for w, e in zip(weights, gaps)]
+    den = mpf_sum(terms, prec, rounding)
+    num = mpf_sum([mpf_mul(term, v, prec, rounding) for term, v in zip(terms, values)],
+                  prec, rounding)
+    return num, den
+
+
+def hermite_ratio(samples: Sequence[Sample], hweights: HermiteWeights, gaps: list, prec: int,
+                  rounding: str, orientation: str = "direct", known: dict | None = None) -> tuple:
+    """Raw ``(sum [lam_i T_i - (gam_i e_i) v_i] (1/e_i^2), sum [lam_i - gam_i e_i] (1/e_i^2))``.
+
+    Over the raw gaps e_i = c_i - t, where T_i = v_i - s_i e_i is node i's
+    tangent at t: e_i times f'_i direct, divided by f'_i inverse.  ``known``,
+    kept for one t, maps ``id(sample)`` to (sample, T, 1/e^2) and gains the
+    samples it lacks; the bits are those without it.
+    """
+    values = _columns(samples, orientation)[1]
+    tilt = mpf_mul if orientation == "direct" else mpf_div
+    num_terms = []
+    den_terms = []
+    for lam, gam, s, v, e in zip(hweights.lam, hweights.gam, samples, values, gaps):
+        entry = None if known is None else known.get(id(s))
+        if entry is None or entry[0] is not s:  # the key is the identity of a live sample
+            entry = (s, mpf_sub(v, tilt(e, s.f_prime._mpf_, prec, rounding), prec, rounding),
+                     mpf_rdiv_int(1, mpf_mul(e, e, prec, rounding), prec, rounding))
+            if known is not None:
+                known[id(s)] = entry
+        _, tangent, inverse_square = entry
+        lam, gam_e = lam._mpf_, mpf_mul(gam._mpf_, e, prec, rounding)
+        num = mpf_sub(mpf_mul(lam, tangent, prec, rounding), mpf_mul(gam_e, v, prec, rounding),
+                      prec, rounding)
+        num_terms.append(mpf_mul(num, inverse_square, prec, rounding))
+        den_terms.append(mpf_mul(mpf_sub(lam, gam_e, prec, rounding), inverse_square,
+                                 prec, rounding))
+    return mpf_sum(num_terms, prec, rounding), mpf_sum(den_terms, prec, rounding)
+
+
+def _ratio_at(nodes: list, values: list, t: Scalar, ratio) -> Real:
+    """num/den of ``ratio(gaps, prec, rounding)`` at ``t``, or a node's value near ``t``.
+
+    Within the separation floor of a node the ratio is meaningless; that
+    node's value is returned instead, so evaluation is total away from true
+    poles.
+    """
     prec, rounding = mpmath.mp._prec_rounding
-    scale = raw_scale([c._mpf_ for c in nodes] + [t._mpf_], prec, rounding)  # largest |value|
-    floor = make_mpf(raw_floor(scale, prec, rounding))
-    for i, c in enumerate(nodes):
-        if abs(t - c) <= floor:
-            return i
-    return None
+    t = to_raw(t, prec, rounding)
+    floor = raw_floor(raw_scale(nodes + [t], prec, rounding), prec, rounding)
+    gaps = [mpf_sub(c, t, prec, rounding) for c in nodes]
+    for e, v in zip(gaps, values):
+        if mpf_le(mpf_abs(e, prec, rounding), floor):
+            return make_mpf(v)
+    num, den = ratio(gaps, prec, rounding)
+    if mpf_eq(den, fzero):
+        raise SingularDenominator(f"denominator sum vanished at t={make_mpf(t)}")
+    return make_mpf(mpf_div(num, den, prec, rounding))
 
 
-def eval_plain(
-    samples: Sequence[Sample],
-    weights: Sequence[Real],
-    t: Scalar,
-    orientation: str = "direct",
-) -> Real:
+def eval_plain(samples: Sequence[Sample], weights: Sequence[Real], t: Scalar,
+               orientation: str = "direct") -> Real:
     """Value of the plain barycentric ratio at ``t``.
 
     ``t`` is an x value for the direct orientation and an f value for the
     inverse one.  At (or within the separation floor of) a node the paired
     coordinate is returned directly.
     """
-    nodes, values = _columns(samples, orientation, raw=False)
+    nodes, values = _columns(samples, orientation)
     if len(weights) != len(nodes):
         raise ValueError("weight list length must equal the sample count")
-    t = real(t)
-    hit = _near_node(nodes, t)
-    if hit is not None:
-        return values[hit]
-    terms = [w / (t - c) for w, c in zip(weights, nodes)]
-    den = fsum(terms)
-    if den == 0:
-        raise SingularDenominator(f"denominator sum vanished at t={t}")
-    num = fsum(term * v for term, v in zip(terms, values))
-    return num / den
+    return _ratio_at(nodes, values, t, partial(plain_ratio, [w._mpf_ for w in weights], values))
 
 
-def eval_hermite(
-    samples: Sequence[Sample],
-    hweights: HermiteWeights,
-    t: Scalar,
-    orientation: str = "direct",
-) -> Real:
+def eval_hermite(samples: Sequence[Sample], hweights: HermiteWeights, t: Scalar,
+                 orientation: str = "direct") -> Real:
     """Value of the order-2 (slope-matching) barycentric ratio at ``t``."""
-    nodes, values, slopes = _hermite_data(samples, orientation)
+    nodes, values = _columns(samples, orientation)
+    _raw_slopes(samples, orientation)  # refuses a missing slope, and a zero one inverse
     if len(hweights) != len(nodes):
         raise ValueError("weight list length must equal the sample count")
-    t = real(t)
-    hit = _near_node(nodes, t)
-    if hit is not None:
-        return values[hit]
-    num_terms = []
-    den_terms = []
-    for lam, gam, c, v, s in zip(hweights.lam, hweights.gam, nodes, values, slopes):
-        d = t - c
-        d2 = d * d
-        num_terms.append((lam * v + (gam * v + lam * s) * d) / d2)
-        den_terms.append((lam + gam * d) / d2)
-    den = fsum(den_terms)
-    if den == 0:
-        raise SingularDenominator(f"denominator sum vanished at t={t}")
-    return fsum(num_terms) / den
+    return _ratio_at(nodes, values, t, partial(hermite_ratio, samples, hweights,
+                                               orientation=orientation))
 
 
 def node_derivative(samples: Sequence[Sample], weights: Sequence[Real],
@@ -233,9 +257,7 @@ def hermite_node_curvature(samples: Sequence[Sample], hweights: HermiteWeights,
     prec, rounding = mpmath.mp._prec_rounding
     n = len(samples) - 1
     cs, vs = _columns(samples, orientation)
-    fps = [sl._mpf_ for sl in sample_slopes(samples)]
-    if orientation == "inverse" and any(mpf_eq(fp, fzero) for fp in fps):
-        raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+    fps = _raw_slopes(samples, orientation)
     tilt = mpf_mul if orientation == "direct" else mpf_div  # a weight times s = f' or 1/f'
     lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
     if curvature is None:

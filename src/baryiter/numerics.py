@@ -68,7 +68,8 @@ DEFAULT_PRECISION_BITS = 256
 
 
 def _validated_bits(bits) -> int:
-    bits = int(bits)
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise ValueError(f"precision must be an integer, got {bits!r}")
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
     return bits

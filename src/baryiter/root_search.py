@@ -36,10 +36,12 @@ minimum, then raised.
 The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
 raw libmp values, bit for bit as the mpf formulas (see ``numerics``).  The
-formulas multiply by reciprocals a run computes once: the node derivatives
-by the newest node's pair row of the table their weights carry (1/d_k,
-1/d_k^2, see ``weights.newest_pairs``), and ``exact-d1`` by each sample's
-1/f^2, next to its Newton point x - f/f', kept per sample in ``_Run``.
+exact steps are the interpolants' ratio loops at t = 0 (``plain_ratio``,
+``hermite_ratio``).  The formulas multiply by reciprocals a run computes
+once: the node derivatives by the newest node's pair row of the table their
+weights carry (1/d_k, 1/d_k^2, see ``weights.newest_pairs``), and
+``exact-d1`` by each sample's 1/f^2, next to its Newton point x - f/f',
+kept per sample in ``_Run``.
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pow_int,
-    mpf_rdiv_int,
     mpf_sub,
-    mpf_sum,
 )
 
 from . import numerics
@@ -77,8 +77,8 @@ from .errors import (
     SingularStep,
     ZeroDerivative,
 )
-from .interpolants import (Sample, _columns, hermite_node_curvature, node_derivative,
-                           sample_slopes)
+from .interpolants import (Sample, _columns, hermite_node_curvature, hermite_ratio,
+                           node_derivative, plain_ratio, sample_slopes)
 from .numerics import Raw, Real, Scalar, as_mpf, make_mpf, real
 from .weights import (
     HermiteWeights,
@@ -255,18 +255,17 @@ class IterationTrace:
 def step_exact_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
     """Exact root of the inverse interpolant: (sum w_i x_i/f_i) / (sum w_i/f_i).
 
-    A sample with f == 0 is that root: its x is returned.
+    ``plain_ratio`` at the gaps f_i - 0 = f_i.  A sample with f == 0 is
+    that root: its x is returned.
     """
     prec, rounding = mpmath.mp._prec_rounding
     xs, fs = _columns(window)
     for s, f in zip(window, fs):
         if mpf_eq(f, fzero):
             return s.x
-    terms = [mpf_div(w._mpf_, f, prec, rounding) for w, f in zip(weights, fs)]
-    den = mpf_sum(terms, prec, rounding)
+    num, den = plain_ratio([w._mpf_ for w in weights], xs, fs, prec, rounding)
     if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-df step")
-    num = mpf_sum([mpf_mul(t, x, prec, rounding) for t, x in zip(terms, xs)], prec, rounding)
     return make_mpf(mpf_div(num, den, prec, rounding))
 
 
@@ -275,39 +274,24 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights,
     """Exact root of the slope-matching inverse interpolant.
 
     ``(sum [lam_i (x_i - f_i/f'_i) - gam_i f_i x_i] (1/f_i^2))
-     / (sum [lam_i - gam_i f_i] (1/f_i^2))``; a sample with f == 0 is that
-    root: its x is returned.  Each sample's (x - f/f', 1/f^2) is taken from
-    ``known``, a run's map from ``id(sample)`` to (sample, x - f/f', 1/f^2),
-    which gains the samples it lacks; the bits are those of a step without it.
+     / (sum [lam_i - gam_i f_i] (1/f_i^2))``: ``hermite_ratio`` at the gaps
+    f_i - 0 = f_i.  A sample with f == 0 is that root: its x is returned.
+    Each sample's (x - f/f', 1/f^2) is taken from ``known``, a run's map
+    from ``id(sample)`` to (sample, x - f/f', 1/f^2), which gains the
+    samples it lacks; the bits are those of a step without it.
     """
     prec, rounding = mpmath.mp._prec_rounding
-    slopes = [sl._mpf_ for sl in sample_slopes(window)]
-    xs, fs = _columns(window)
-    lams, gams = [w._mpf_ for w in hweights.lam], [w._mpf_ for w in hweights.gam]
-    num_terms = []
-    den_terms = []
-    for lam, gam, s, x, f, fp in zip(lams, gams, window, xs, fs, slopes):
+    slopes = sample_slopes(window)
+    fs = _columns(window)[1]
+    for s, f, fp in zip(window, fs, slopes):
         if mpf_eq(f, fzero):
             return s.x
-        if mpf_eq(fp, fzero):
+        if mpf_eq(fp._mpf_, fzero):
             raise ZeroDerivative("exact-d1 needs non-zero f_prime")
-        entry = None if known is None else known.get(id(s))
-        if entry is None or entry[0] is not s:  # the key is the identity of a live sample
-            entry = (s, mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding),
-                     mpf_rdiv_int(1, mpf_mul(f, f, prec, rounding), prec, rounding))
-            if known is not None:
-                known[id(s)] = entry
-        _, newton, inverse_square = entry
-        gam_f = mpf_mul(gam, f, prec, rounding)
-        num = mpf_sub(mpf_mul(lam, newton, prec, rounding), mpf_mul(gam_f, x, prec, rounding),
-                      prec, rounding)
-        num_terms.append(mpf_mul(num, inverse_square, prec, rounding))
-        den_terms.append(mpf_mul(mpf_sub(lam, gam_f, prec, rounding), inverse_square,
-                                 prec, rounding))
-    den = mpf_sum(den_terms, prec, rounding)
+    num, den = hermite_ratio(window, hweights, fs, prec, rounding, "inverse", known)
     if mpf_eq(den, fzero):
         raise SingularStep("denominator sum vanished in exact-d1 step")
-    return make_mpf(mpf_div(mpf_sum(num_terms, prec, rounding), den, prec, rounding))
+    return make_mpf(mpf_div(num, den, prec, rounding))
 
 
 def inverse_slope_estimate(window: Sequence[Sample], weights: Sequence[Real]) -> Real:
@@ -691,12 +675,25 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
         steps: list[StepRecord] = []
 
         # a problem's values become mpf as they enter: here, in ``finish`` and halley's step
-        def push(x: Scalar, status: str = STATUS_OK, sign: Optional[int] = None) -> None:
+        def take(x: Scalar, previous_x: Optional[Raw] = None, status: str = STATUS_OK,
+                 sign: Optional[int] = None) -> Optional[str]:
+            """Evaluate ``x``, record it and return its terminal status, or ``None``."""
             fx = as_mpf(problem.f(x))
             fpx = as_mpf(problem.df(x)) if slopes else None
             x = as_mpf(x)
             run.add(Sample(x, fx, fpx))
-            steps.append(StepRecord(len(steps), x, fx, fpx, None, status, sign))
+            record = StepRecord(len(steps), x, fx, fpx, None, status, sign)
+            steps.append(record)
+            if x._mpf_ in _NONFINITE or fx._mpf_ in _NONFINITE:
+                return STATUS_DIVERGED
+            if residual is None:
+                res = fx
+            else:
+                res = record.f_prime = residual(run)
+            res = None if res is None else res._mpf_
+            if _converged(x._mpf_, res, previous_x, tol_f, tol_x, prec, rounding):
+                return STATUS_CONVERGED
+            return None
 
         def finish(status: str) -> IterationTrace:
             steps[-1].status = status
@@ -714,35 +711,17 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
                                                     prec, rounding))
             return IterationTrace(problem.name, config.method, config, reference, steps)
 
-        def terminal(previous_x: Optional[Real]) -> Optional[str]:
-            record = steps[-1]
-            x = record.x._mpf_
-            if x in _NONFINITE or record.f._mpf_ in _NONFINITE:
-                return STATUS_DIVERGED
-            if residual is None:
-                res = record.f
-            else:
-                res = record.f_prime = residual(run)
-            res = None if res is None else res._mpf_
-            previous_x = None if previous_x is None else previous_x._mpf_
-            if _converged(x, res, previous_x, tol_f, tol_x, prec, rounding):
-                return STATUS_CONVERGED
-            return None
-
         x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
         # a seed is placed, not stepped to: it converges on its residual alone
         for x in seed_points(problem, config, spec, x0):
-            push(x)
-            status = terminal(None)
+            status = take(x)
             if status:
                 return finish(status)
 
-        # a root run's sample with f == 0 converges when pushed: no exact-root step meets one
+        # a root run's sample with f == 0 converges when taken: no exact-root step meets one
         while steps[-1].index < config.max_iter:
             x_new, sign, reduced = propose(run)
-            previous = steps[-1].x
-            push(x_new, STATUS_FALLBACK if reduced else STATUS_OK, sign)
-            status = terminal(previous)
+            status = take(x_new, steps[-1].x._mpf_, STATUS_FALLBACK if reduced else STATUS_OK, sign)
             if status:
                 return finish(status)
         return finish(STATUS_EXHAUSTED)

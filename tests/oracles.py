@@ -12,8 +12,8 @@ import mpmath
 from mpmath import fsum, mpf
 
 from baryiter import numerics
-from baryiter.errors import (DegenerateNodes, InsufficientData, NonConvergence, SingularStep,
-                             ZeroDerivative)
+from baryiter.errors import (DegenerateNodes, InsufficientData, NonConvergence,
+                             SingularDenominator, SingularStep, ZeroDerivative)
 from baryiter.interpolants import sample_slopes
 from baryiter.numerics import real
 
@@ -345,6 +345,63 @@ def elementary(name, x, *args):
     prec, rounding = mpmath.mp._prec_rounding
     kernel = numerics.raw_powi if name == "powi" else numerics.ELEMENTARY[name]
     return numerics.make_mpf(kernel(numerics.to_raw(x, prec, rounding), *args, prec, rounding))
+
+
+# ---------------------------------------------------------------------------
+# the interpolant evaluators as mpf loops over the differences d = t - c, the
+# form ``interpolants.eval_plain`` and ``eval_hermite`` had before they ran on
+# raw values through ``plain_ratio`` and ``hermite_ratio``
+
+
+def _oriented_direct(samples, orientation):
+    xs, fs = [s.x for s in samples], [s.f for s in samples]
+    return (xs, fs) if orientation == "direct" else (fs, xs)
+
+
+def _near_node_direct(nodes, t):
+    floor = _floor(max(abs(v) for v in nodes + [t]))
+    for i, c in enumerate(nodes):
+        if abs(t - c) <= floor:
+            return i
+    return None
+
+
+def eval_plain_direct(samples, weights, t, orientation="direct"):
+    nodes, values = _oriented_direct(samples, orientation)
+    t = real(t)
+    hit = _near_node_direct(nodes, t)
+    if hit is not None:
+        return values[hit]
+    terms = [w / (t - c) for w, c in zip(weights, nodes)]
+    den = fsum(terms)
+    if den == 0:
+        raise SingularDenominator(f"denominator sum vanished at t={t}")
+    num = fsum(term * v for term, v in zip(terms, values))
+    return num / den
+
+
+def eval_hermite_direct(samples, hweights, t, orientation="direct"):
+    nodes, values = _oriented_direct(samples, orientation)
+    slopes = sample_slopes(samples)
+    if orientation == "inverse":
+        if any(sl == 0 for sl in slopes):
+            raise ZeroDerivative("inverse orientation needs non-zero f_prime")
+        slopes = [1 / sl for sl in slopes]
+    t = real(t)
+    hit = _near_node_direct(nodes, t)
+    if hit is not None:
+        return values[hit]
+    num_terms = []
+    den_terms = []
+    for lam, gam, c, v, s in zip(hweights.lam, hweights.gam, nodes, values, slopes):
+        d = t - c
+        d2 = d * d
+        num_terms.append((lam * v + (gam * v + lam * s) * d) / d2)
+        den_terms.append((lam + gam * d) / d2)
+    den = fsum(den_terms)
+    if den == 0:
+        raise SingularDenominator(f"denominator sum vanished at t={t}")
+    return fsum(num_terms) / den
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,15 @@ from baryiter.root_search import (
     direct_slope_estimate,
     f_product,
     f_shifted,
+    f_squared,
     inverse_slope_estimate,
     second_derivative_f_interp,
     second_derivative_x_interp,
     step_exact_d1,
     step_exact_df,
     x_product,
+    x_slope_scaled,
+    x_squared,
 )
 from baryiter.weights import (
     HermiteWeights,
@@ -38,7 +41,7 @@ from baryiter.weights import (
     squared_product_weights,
 )
 
-from oracles import random_nodes, rel_err
+from oracles import eval_hermite_direct, eval_plain_direct, random_nodes, rel_err
 
 
 def _samples(xs, fn, dfn=None):
@@ -377,3 +380,108 @@ def test_the_exact_df_step_is_the_inverse_interpolant_at_zero(data, bits, scheme
                 eval_plain(window, weights, 0, "inverse")
             return
         assert step._mpf_ == eval_plain(window, weights, 0, "inverse")._mpf_
+
+
+# the weight builders of exact-d1's schemes, as the solver calls them
+EXACT_D1_WEIGHTS = {"x": x_slope_scaled, "f": f_squared}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((64, 256, 4096)), st.sampled_from(tuple(EXACT_D1_WEIGHTS)),
+       st.integers(1, 8))
+def test_the_exact_d1_step_is_the_slope_matching_inverse_interpolant_at_zero(data, bits, scheme,
+                                                                             size):
+    values = _full_width(bits)
+    xs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    fs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    slopes = data.draw(st.lists(values, min_size=size, max_size=size))
+    zero = data.draw(st.one_of(st.none(), st.integers(0, size - 1)))
+    if zero is not None:  # an exact root in the window: both return its x
+        fs[zero] = mpf(0)
+    with precision(bits):
+        # eval_hermite returns a node's value within the separation floor of t = 0
+        floor = mpmath.ldexp(max(abs(f) for f in fs), 8 - bits)
+        assume(all(f == 0 or abs(f) > floor for f in fs))
+        window = [Sample(x, f, fp) for x, f, fp in zip(xs, fs, slopes)]
+        try:
+            hweights = EXACT_D1_WEIGHTS[scheme](window, mpf(0))
+        except DegenerateNodes:  # f_squared's nodes too close together
+            assume(False)
+        try:
+            step = step_exact_d1(window, hweights)
+        except SingularStep:
+            with pytest.raises(SingularDenominator):
+                eval_hermite(window, hweights, 0, "inverse")
+            return
+        assert step._mpf_ == eval_hermite(window, hweights, 0, "inverse")._mpf_
+        assert step._mpf_ == step_exact_d1(window, hweights, {})._mpf_
+
+
+# the weight builders over each orientation's nodes, plain and slope-matching
+PLAIN_WEIGHTS = {"direct": (x_product,), "inverse": (f_product, f_shifted)}
+HERMITE_WEIGHTS = {"direct": (x_squared, x_slope_scaled), "inverse": (f_squared, x_slope_scaled)}
+
+
+def _hermite_spread(window, hweights, t, orientation):
+    """(sum |num term|, sum |den term|, den) of ``eval_hermite_direct``'s sums at ``t``.
+
+    Each term's magnitude bounds what rounding its operations can move in
+    either operation order.
+    """
+    nodes = [s.x if orientation == "direct" else s.f for s in window]
+    values = [s.f if orientation == "direct" else s.x for s in window]
+    slopes = [s.f_prime if orientation == "direct" else 1 / s.f_prime for s in window]
+    num_spread, den_spread, den_terms = [], [], []
+    for lam, gam, c, v, sl in zip(hweights.lam, hweights.gam, nodes, values, slopes):
+        d = t - c
+        num_spread.append((abs(lam * v) + abs(gam * v * d) + abs(lam * sl * d)) / d ** 2)
+        den_spread.append((abs(lam) + abs(gam * d)) / d ** 2)
+        den_terms.append((lam + gam * d) / d ** 2)
+    return mpmath.fsum(num_spread), mpmath.fsum(den_spread), mpmath.fsum(den_terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((64, 256, 4096)), st.sampled_from(("direct", "inverse")),
+       st.integers(1, 8))
+def test_the_evaluators_match_their_mpf_references(data, bits, orientation, size):
+    values = _full_width(bits)
+    xs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    fs = data.draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    slopes = data.draw(st.lists(values, min_size=size, max_size=size))
+    window = [Sample(x, f, fp) for x, f, fp in zip(xs, fs, slopes)]
+    nodes = xs if orientation == "direct" else fs
+    t = data.draw(st.one_of(st.just(mpf(0)), values, st.sampled_from(nodes)))
+    with precision(bits):
+        unit = mpmath.ldexp(1, -bits)
+        for build in PLAIN_WEIGHTS[orientation]:  # the same libmp calls: the same bits
+            try:
+                weights = build(window, mpf("0.5"))
+            except DegenerateNodes:
+                continue
+            try:
+                want = eval_plain_direct(window, weights, t, orientation)
+            except SingularDenominator:
+                with pytest.raises(SingularDenominator):
+                    eval_plain(window, weights, t, orientation)
+                continue
+            assert eval_plain(window, weights, t, orientation)._mpf_ == want._mpf_
+        for build in HERMITE_WEIGHTS[orientation]:  # another operation order: within rounding
+            try:
+                hweights = build(window, mpf(0))
+            except DegenerateNodes:
+                continue
+            outcomes = []
+            for evaluate in (eval_hermite, eval_hermite_direct):
+                try:
+                    outcomes.append(evaluate(window, hweights, t, orientation))
+                except SingularDenominator:
+                    outcomes.append(None)
+            got, want = outcomes
+            if got is not None and want is not None and got._mpf_ == want._mpf_:
+                continue  # a node's own value within its separation floor, or equal sums
+            num_spread, den_spread, den = _hermite_spread(window, hweights, t, orientation)
+            if abs(den) < 16 * unit * den_spread:  # the denominator is lost in rounding
+                continue
+            assert got is not None and want is not None
+            bound = 8 * unit * (num_spread + abs(want) * den_spread) / abs(den)
+            assert abs(got - want) <= bound, (got, want, bound)

@@ -66,6 +66,19 @@ def test_precision_floor_and_context():
     assert get_precision() == before
 
 
+@pytest.mark.parametrize("bits", (128.9, 128.0, "300", True))
+def test_a_precision_that_is_not_an_int_is_refused(bits):
+    before = get_precision()
+    with pytest.raises(ValueError) as info:
+        set_precision(bits)
+    assert str(info.value) == f"precision must be an integer, got {bits!r}"
+    with pytest.raises(ValueError) as info:
+        with precision(bits):
+            pass
+    assert str(info.value) == f"precision must be an integer, got {bits!r}"
+    assert get_precision() == before
+
+
 def test_to_decimal_format():
     set_precision(256)
     assert to_decimal("0.000123456789", 8) == "1.2345679e-04"

@@ -18,17 +18,16 @@ PINNED = {
         ("analysis", "mpf_div"): 180,
         ("expressions", "mpf_div"): 297,
         ("interpolants", "mpf_add"): 384,
-        ("interpolants", "mpf_div"): 203,
-        ("interpolants", "mpf_mul"): 1020,
-        ("interpolants", "mpf_rdiv_int"): 91,
-        ("interpolants", "mpf_sub"): 438,
+        ("interpolants", "mpf_div"): 540,
+        ("interpolants", "mpf_mul"): 1992,
+        ("interpolants", "mpf_rdiv_int"): 137,
+        ("interpolants", "mpf_sub"): 738,
         ("numerics", "mpf_pow_int"): 390,
         ("root_search", "mpf_add"): 136,
-        ("root_search", "mpf_div"): 696,
-        ("root_search", "mpf_mul"): 1989,
+        ("root_search", "mpf_div"): 359,
+        ("root_search", "mpf_mul"): 1017,
         ("root_search", "mpf_pow_int"): 65,
-        ("root_search", "mpf_rdiv_int"): 46,
-        ("root_search", "mpf_sub"): 2203,
+        ("root_search", "mpf_sub"): 1903,
         ("weights", "mpf_add"): 896,
         ("weights", "mpf_mul"): 1957,
         ("weights", "mpf_pow_int"): 246,
@@ -37,17 +36,16 @@ PINNED = {
     },
     "hiprec_grid": {
         ("interpolants", "mpf_add"): 434,
-        ("interpolants", "mpf_div"): 90,
-        ("interpolants", "mpf_mul"): 2364,
-        ("interpolants", "mpf_rdiv_int"): 89,
-        ("interpolants", "mpf_sub"): 1015,
+        ("interpolants", "mpf_div"): 410,
+        ("interpolants", "mpf_mul"): 3334,
+        ("interpolants", "mpf_rdiv_int"): 133,
+        ("interpolants", "mpf_sub"): 1319,
         ("optimise", "mpf_div"): 42,
         ("optimise", "mpf_sub"): 42,
         ("root_search", "mpf_add"): 67,
-        ("root_search", "mpf_div"): 505,
-        ("root_search", "mpf_mul"): 1439,
-        ("root_search", "mpf_rdiv_int"): 44,
-        ("root_search", "mpf_sub"): 2497,
+        ("root_search", "mpf_div"): 185,
+        ("root_search", "mpf_mul"): 469,
+        ("root_search", "mpf_sub"): 2193,
         ("weights", "mpf_add"): 1074,
         ("weights", "mpf_mul"): 2232,
         ("weights", "mpf_pow_int"): 242,
@@ -56,19 +54,18 @@ PINNED = {
     },
     "lowprec_sweep": {
         ("interpolants", "mpf_add"): 2682,
-        ("interpolants", "mpf_div"): 2427,
-        ("interpolants", "mpf_mul"): 21748,
-        ("interpolants", "mpf_rdiv_int"): 770,
-        ("interpolants", "mpf_sub"): 9916,
+        ("interpolants", "mpf_div"): 3835,
+        ("interpolants", "mpf_mul"): 26006,
+        ("interpolants", "mpf_rdiv_int"): 1010,
+        ("interpolants", "mpf_sub"): 11296,
         ("numerics", "mpf_pow_int"): 1476,
         ("optimise", "mpf_div"): 531,
         ("optimise", "mpf_sub"): 531,
         ("root_search", "mpf_add"): 812,
-        ("root_search", "mpf_div"): 3855,
-        ("root_search", "mpf_mul"): 11311,
+        ("root_search", "mpf_div"): 2447,
+        ("root_search", "mpf_mul"): 7053,
         ("root_search", "mpf_pow_int"): 237,
-        ("root_search", "mpf_rdiv_int"): 240,
-        ("root_search", "mpf_sub"): 29295,
+        ("root_search", "mpf_sub"): 27915,
         ("weights", "mpf_add"): 4484,
         ("weights", "mpf_mul"): 16931,
         ("weights", "mpf_pow_int"): 1307,
