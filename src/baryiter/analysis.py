@@ -37,7 +37,7 @@ from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_div, mpf_log, mpf_l
 from .errors import InsufficientData, UnsupportedCell
 from .methods import METHODS, MethodSpec
 from .numerics import Real, Scalar, make_mpf, real
-from .root_search import IterationTrace
+from .root_search import IterationTrace, newton_update
 
 FAMILIES = ("root", "opt")
 
@@ -85,7 +85,7 @@ def theoretical_order(family: str, m: int, n) -> Real:
         return mpf(1)
     l = limit
     for _ in range(200):
-        candidate = l - _residual(family, m, n, l) / _slope(family, m, n, l)
+        candidate = newton_update(l, _residual(family, m, n, l), _slope(family, m, n, l))
         if abs(candidate - l) < mpmath.ldexp(limit, 10 - mpmath.mp.prec):
             return candidate
         l = candidate

@@ -4,7 +4,8 @@ A memory scheme is closed-form weights over a window of the newest samples
 plus one step formula, so an entry names, per accepted weight scheme, the
 weight builder and the sample coordinates kept distinct in a window (the one
 the builder reads and each whose differences the step divides by), then its
-step.  An entry also carries the paper's two convergence facts: the
+step (for Chebyshev-Halley, ``chebyshev_halley_step`` given its f''
+estimate).  An entry also carries the paper's two convergence facts: the
 multiplicity of its order recurrence, and its published leading-error cells,
 which say for each weight scheme which closed form holds at which window.
 ``root_search.drive`` (the one solver loop), ``SolverConfig.validated``, the
@@ -14,6 +15,7 @@ CLI's ``--method`` choices and ``analysis`` all read this table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import mpmath
@@ -137,10 +139,12 @@ METHODS: dict[str, MethodSpec] = {
         error_cells={"x": _DIRECT_X, "f": _DIRECT_F}),
     # the fixed weights give one cell, whatever scheme is configured
     "ch-x-interp": MethodSpec(
-        "root", 1, _fixed(_F, rs.f_squared), ("df",), rs.ch_x_interp, 2,
+        "root", 1, _fixed(_F, rs.f_squared), ("df",),
+        partial(rs.chebyshev_halley_step, rs.second_derivative_x_interp), 2,
         error_cells=dict.fromkeys(WEIGHT_SCHEMES, _D1_F)),
     "ch-f-interp": MethodSpec(
-        "root", 1, _fixed(_X, rs.x_squared), ("df",), rs.ch_f_interp, 2,
+        "root", 1, _fixed(_X, rs.x_squared), ("df",),
+        partial(rs.chebyshev_halley_step, rs.second_derivative_f_interp), 2,
         error_cells=dict.fromkeys(WEIGHT_SCHEMES, _published({1: _half, 2: _fourth}))),
     "picard": MethodSpec("root", 1, _fixed(_NONE), ("fixed_point",), rs.baseline),
     # a baseline steps on its minimum window only, where it is the scheme it reduces to

@@ -27,26 +27,26 @@ interpolant slope estimate for ``newton-df`` (a documented heuristic, since
 the true gradient is unavailable).  Each step records the sign of the
 curvature estimate; the solver does not classify the stationary point.
 
-Both steps run on raw libmp values, as the root solver's step formulas
-and ``interpolants``' node derivatives do, bit for bit as the mpf formulas.
+Both steps end in the root solver's Newton or Chebyshev-Halley update and
+run on raw libmp values, bit for bit as the mpf formulas.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import mpmath
-from mpmath.libmp import fzero, mpf_div, mpf_eq, mpf_sub
+from mpmath.libmp import fzero, mpf_eq
 
 from .errors import SingularStep
 from .interpolants import ObjectiveSample  # noqa: F401  (re-exported: the public objective sample)
 from .interpolants import Sample, hermite_node_curvature, node_derivative
-from .numerics import Real, make_mpf
+from .numerics import Real
 from .root_search import (
     IterationTrace,
     SolverConfig,
     chebyshev_halley_update,
     drive,
+    newton_update,
     select_window,
 )
 # the shared loop's pieces, and the interpolant slope at the newest sample,
@@ -66,12 +66,9 @@ def _df_step(window: Sequence[Sample], weights: Sequence[Real], slope: Optional[
     if slope is None:
         slope = phi_slope_df(window, weights)
     curvature = phi_curvature_df(window, weights, slope)
-    prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(curvature._mpf_, fzero):
         raise SingularStep("estimated curvature vanished")
-    x = window[-1].x._mpf_
-    step = mpf_div(slope._mpf_, curvature._mpf_, prec, rounding)
-    return make_mpf(mpf_sub(x, step, prec, rounding)), curvature
+    return newton_update(window[-1].x, slope, curvature), curvature
 
 
 def opt_step_df(window: Sequence[Sample], weights: Sequence[Real]) -> Real:

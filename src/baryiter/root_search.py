@@ -37,11 +37,12 @@ The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
 raw libmp values, bit for bit as the mpf formulas (see ``numerics``).  The
 exact steps are the interpolants' ratio loops at t = 0 (``plain_ratio``,
-``hermite_ratio``).  The formulas multiply by reciprocals a run computes
-once: the node derivatives by the newest node's pair row of the table their
-weights carry (1/d_k, 1/d_k^2, see ``weights.newest_pairs``), and
-``exact-d1`` by each sample's 1/f^2, next to its Newton point x - f/f',
-kept per sample in ``_Run``.
+``hermite_ratio``); every other step but ``newton-x-interp`` ends in
+``newton_update`` or ``chebyshev_halley_update``.  The formulas multiply
+by reciprocals a run computes once: the node derivatives by the newest
+node's pair row of the table their weights carry (1/d_k, 1/d_k^2, see
+``weights.newest_pairs``), and ``exact-d1`` by each sample's 1/f^2, next
+to its Newton point x - f/f', kept per sample in ``_Run``.
 """
 
 from __future__ import annotations
@@ -325,6 +326,14 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
     return hermite_node_curvature(window, hweights)
 
 
+def newton_update(x: Real, f: Real, fp: Real) -> Real:
+    """One Newton step: ``x - f/f'``, with one division."""
+    prec, rounding = mpmath.mp._prec_rounding
+    if mpf_eq(fp._mpf_, fzero):
+        raise ZeroDerivative("Newton step needs f' != 0")
+    return make_mpf(mpf_sub(x._mpf_, mpf_div(f._mpf_, fp._mpf_, prec, rounding), prec, rounding))
+
+
 def chebyshev_halley_update(x: Real, f: Real, fp: Real, fpp: Real, beta: Real) -> Real:
     """One Chebyshev-Halley step.
 
@@ -354,18 +363,14 @@ def baseline_step(method: str, problem, window: Sequence[Sample]) -> Real:
     newest = window[-1]
     if method == "picard":
         return problem.fixed_point(newest.x)
-    prec, rounding = mpmath.mp._prec_rounding
     if method == "newton":
-        fp = newest.f_prime._mpf_
-        if mpf_eq(fp, fzero):
-            raise ZeroDerivative("Newton step needs f' != 0")
-        x, f = newest.x._mpf_, newest.f._mpf_
-        return make_mpf(mpf_sub(x, mpf_div(f, fp, prec, rounding), prec, rounding))
+        return newton_update(newest.x, newest.f, newest.f_prime)
     if method == "halley":
         fpp = as_mpf(problem.d2f(newest.x))
         return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp,
                                        make_mpf(fhalf))
     if method == "secant":
+        prec, rounding = mpmath.mp._prec_rounding
         if len(window) < 2:
             raise SingularStep("secant needs two samples")
         prev = window[-2]
@@ -432,23 +437,16 @@ def newton_x_interp(run: _Run, window: Sequence[Sample], weights):
 
 
 def newton_f_interp(run: _Run, window: Sequence[Sample], weights):
-    prec, rounding = mpmath.mp._prec_rounding
-    slope = direct_slope_estimate(window, weights)._mpf_
-    if mpf_eq(slope, fzero):
+    slope = direct_slope_estimate(window, weights)
+    if mpf_eq(slope._mpf_, fzero):
         raise SingularStep("estimated slope vanished")
-    x, f = window[-1].x._mpf_, window[-1].f._mpf_
-    return make_mpf(mpf_sub(x, mpf_div(f, slope, prec, rounding), prec, rounding)), None
+    return newton_update(window[-1].x, window[-1].f, slope), None
 
 
-def ch_x_interp(run: _Run, window: Sequence[Sample], weights):
+def chebyshev_halley_step(curvature: Callable, run: _Run, window: Sequence[Sample], weights):
+    """Chebyshev-Halley at the newest sample, with f'' from ``curvature(window, weights)``."""
     newest = window[-1]
-    fpp = second_derivative_x_interp(window, weights)
-    return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
-
-
-def ch_f_interp(run: _Run, window: Sequence[Sample], weights):
-    newest = window[-1]
-    fpp = second_derivative_f_interp(window, weights)
+    fpp = curvature(window, weights)
     return chebyshev_halley_update(newest.x, newest.f, newest.f_prime, fpp, run.beta), None
 
 

@@ -40,12 +40,10 @@ PINNED = {
         ("interpolants", "mpf_mul"): 3334,
         ("interpolants", "mpf_rdiv_int"): 133,
         ("interpolants", "mpf_sub"): 1319,
-        ("optimise", "mpf_div"): 42,
-        ("optimise", "mpf_sub"): 42,
         ("root_search", "mpf_add"): 67,
-        ("root_search", "mpf_div"): 185,
+        ("root_search", "mpf_div"): 227,
         ("root_search", "mpf_mul"): 469,
-        ("root_search", "mpf_sub"): 2193,
+        ("root_search", "mpf_sub"): 2235,
         ("weights", "mpf_add"): 1074,
         ("weights", "mpf_mul"): 2232,
         ("weights", "mpf_pow_int"): 242,
@@ -59,13 +57,11 @@ PINNED = {
         ("interpolants", "mpf_rdiv_int"): 1010,
         ("interpolants", "mpf_sub"): 11296,
         ("numerics", "mpf_pow_int"): 1476,
-        ("optimise", "mpf_div"): 531,
-        ("optimise", "mpf_sub"): 531,
         ("root_search", "mpf_add"): 812,
-        ("root_search", "mpf_div"): 2447,
+        ("root_search", "mpf_div"): 2978,
         ("root_search", "mpf_mul"): 7053,
         ("root_search", "mpf_pow_int"): 237,
-        ("root_search", "mpf_sub"): 27915,
+        ("root_search", "mpf_sub"): 28446,
         ("weights", "mpf_add"): 4484,
         ("weights", "mpf_mul"): 16931,
         ("weights", "mpf_pow_int"): 1307,
