@@ -1,7 +1,7 @@
 """Command-line front end: run solvers, replay golden tables, query orders.
 
 Exit codes: 0 on success/convergence, 1 on usage errors, 2 when a run
-diverges or exhausts its budget (or a golden-table cell fails to match).
+diverges, exhausts its budget or fails (or a golden-table cell fails to match).
 """
 
 from __future__ import annotations
@@ -264,6 +264,8 @@ def _run_command(args, out) -> int:
     runner = root_search.solve if args.kind == "root" else optimise.optimize
     trace = runner(problem, config)
     _EMITTERS[args.output](trace, args.digits, out)
+    if trace.failure is not None:
+        print(f"error: {trace.failure}", file=sys.stderr)
     return EXIT_OK if trace.status == root_search.STATUS_CONVERGED else EXIT_FAILED
 
 

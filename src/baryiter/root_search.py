@@ -31,7 +31,7 @@ It keeps the newest ``window`` samples distinct in their weight scheme's keys,
 growing from as many starting points as the method's window minimum, chosen
 by ``seed_points`` from the seed values given.  A singular step is retried
 with one sample fewer (``singular-step-fallback``) down to the method
-minimum, then raised.
+minimum, then ends the run as ``failed``.
 
 The step formulas, window selection and the solver loop's per-step checks
 (finiteness, the residual and step tolerances, the error column) run on
@@ -103,6 +103,7 @@ STATUS_FALLBACK = "singular-step-fallback"
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 STATUS_EXHAUSTED = "budget-exhausted"
+STATUS_FAILED = "failed"
 
 
 @lru_cache(maxsize=32)
@@ -228,11 +229,15 @@ class StepRecord:
 
 @dataclass
 class IterationTrace:
+    """A run's steps.  ``failure`` is "<Type>: <message>" of the library error that
+    ended a ``failed`` run, else ``None``."""
+
     problem: str
     method: str
     config: SolverConfig
     reference: Optional[Real]
     steps: list[StepRecord] = field(default_factory=list)
+    failure: Optional[str] = None
 
     @property
     def status(self) -> str:
@@ -642,6 +647,10 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
     written into ``f_prime``.  The starting points converge on their
     residual only; from the first proposed step on, a step below ``tol_x``
     converges too.  A problem with a ``kind`` must be of the family's kind.
+    A library error (``BaryiterError``) in taking a point or proposing a
+    step ends the run once a point is recorded: the last one's status is
+    ``failed``, the trace keeps every step and its ``failure``, and no
+    reference is sought.  Before the first point it propagates.
     """
     kind = getattr(problem, "kind", None)
     if kind is not None and kind != _KINDS[family]:
@@ -672,7 +681,7 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
 
         steps: list[StepRecord] = []
 
-        # a problem's values become mpf as they enter: here, in ``finish`` and halley's step
+        # a problem's values become mpf as they enter: here, at the reference and in halley's step
         def take(x: Scalar, previous_x: Optional[Raw] = None, status: str = STATUS_OK,
                  sign: Optional[int] = None) -> Optional[str]:
             """Evaluate ``x``, record it and return its terminal status, or ``None``."""
@@ -693,36 +702,44 @@ def drive(problem, config: SolverConfig, family: str, propose: Callable, select:
                 return STATUS_CONVERGED
             return None
 
-        def finish(status: str) -> IterationTrace:
-            steps[-1].status = status
-            # the reference is the solution nearest where the run ended; only a library
-            # or arithmetic error means "no reference", anything else is a bug
-            # in the problem's callables and propagates
+        def steps_taken() -> str:
+            """Take the seeds, then the proposed steps; the status the run ends with."""
+            x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
+            # a seed is placed, not stepped to: it converges on its residual alone
+            for x in seed_points(problem, config, spec, x0):
+                status = take(x)
+                if status:
+                    return status
+            # a root run's sample with f == 0 converges when taken: no exact-root step meets one
+            while steps[-1].index < config.max_iter:
+                x_new, sign, reduced = propose(run)
+                status = take(x_new, steps[-1].x._mpf_,
+                              STATUS_FALLBACK if reduced else STATUS_OK, sign)
+                if status:
+                    return status
+            return STATUS_EXHAUSTED
+
+        failure = reference = None
+        try:
+            status = steps_taken()
+        except BaryiterError as err:
+            if not steps:
+                raise
+            status, failure = STATUS_FAILED, f"{type(err).__name__}: {err}"
+        steps[-1].status = status
+        # the reference is the solution nearest where the run ended; only a library
+        # or arithmetic error means "no reference", anything else is a bug
+        # in the problem's callables and propagates
+        if failure is None:
             try:
                 reference = problem.reference(steps[-1].x)
             except (BaryiterError, ArithmeticError):
-                reference = None
-            if reference is not None:
-                reference = as_mpf(reference)
-                for record in steps:
-                    record.error = make_mpf(mpf_sub(record.x._mpf_, reference._mpf_,
-                                                    prec, rounding))
-            return IterationTrace(problem.name, config.method, config, reference, steps)
-
-        x0 = real(config.x0) if config.x0 is not None else real(problem.default_x0)
-        # a seed is placed, not stepped to: it converges on its residual alone
-        for x in seed_points(problem, config, spec, x0):
-            status = take(x)
-            if status:
-                return finish(status)
-
-        # a root run's sample with f == 0 converges when taken: no exact-root step meets one
-        while steps[-1].index < config.max_iter:
-            x_new, sign, reduced = propose(run)
-            status = take(x_new, steps[-1].x._mpf_, STATUS_FALLBACK if reduced else STATUS_OK, sign)
-            if status:
-                return finish(status)
-        return finish(STATUS_EXHAUSTED)
+                pass
+        if reference is not None:
+            reference = as_mpf(reference)
+            for record in steps:
+                record.error = make_mpf(mpf_sub(record.x._mpf_, reference._mpf_, prec, rounding))
+        return IterationTrace(problem.name, config.method, config, reference, steps, failure)
 
 
 def solve(problem, config: SolverConfig) -> IterationTrace:
@@ -734,6 +751,7 @@ def solve(problem, config: SolverConfig) -> IterationTrace:
     ``reference(near)`` that fills the signed error column once the run has
     ended: the solution nearest the final iterate (a built-in's seed refined
     at the working precision, else a refinement from the iterate), when one
-    is found.
+    is found.  A library error after the first point ends the run as
+    ``failed`` with the steps taken (see ``drive``).
     """
     return drive(problem, config, "root", _propose, select_window, _interp_step)

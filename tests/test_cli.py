@@ -336,16 +336,61 @@ def test_compare_rejects_nonpositive_digits_before_printing(capsys):
         assert capsys.readouterr().err.strip() == "error: --digits must be positive"
 
 
-def test_collapsed_memory_is_the_same_singular_step_under_every_weight_scheme(capsys):
+def test_collapsed_memory_is_the_same_failure_under_every_weight_scheme(capsys):
     # x0 = -0.0005 and its perturbation +0.0005 share one f value: a window that
     # keeps only distinct samples of every coordinate its scheme uses holds one
     runs = [("newton-x-interp", "x"), ("newton-f-interp", "f"), ("newton-f-interp", "alpha")]
     for method, weights in runs:
         code, text = run_cli("solve", "--expr", "x*x-2", "--x0", "-0.0005", "--method", method,
-                             "--weights", weights, "--precision-bits", "128")
-        assert (code, text) == (2, "")
+                             "--weights", weights, "--precision-bits", "128", "--output", "json")
+        assert code == 2
+        assert [s["status"] for s in json.loads(text)["steps"]] == ["ok", "failed"]
         assert capsys.readouterr().err.strip() == (
             "error: SingularStep: memory collapsed below the method minimum")
+
+
+# argv -> (recorded steps, stderr line) of a run a library error ends
+FAILED_RUNS = {
+    ("solve", "--expr", "log(x)", "--x0", "5", "--method", "newton"):
+        (1, "DomainError: log requires a positive argument"),
+    ("solve", "--problem", "x2_minus_2", "--x0", "0", "--method", "newton"):
+        (1, "ZeroDerivative: Newton step needs f' != 0"),
+    ("solve", "--problem", "cos_minus_x", "--x0", "1", "--perturb-h", "1e-76"):
+        (2, "SingularStep: memory collapsed below the method minimum"),
+    ("solve", "--problem", "cos_minus_x", "--x0", "1", "--x1", "1." + "0" * 75 + "1"):
+        (2, "SingularStep: memory collapsed below the method minimum"),
+    ("optimize", "--problem", "opt_quadratic", "--x0", "1", "--window", "3", "--perturb-h",
+     "1e-10", "--precision-bits", "64"):
+        (3, "SingularStep: estimated curvature vanished"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAILED_RUNS), ids=" ".join)
+def test_a_failed_run_prints_its_trace_and_exits_2(capsys, argv):
+    recorded, failure = FAILED_RUNS[argv]
+    code, text = run_cli(*argv, "--output", "json")
+    doc = json.loads(text)
+    assert code == 2 and doc["summary"]["status"] == "failed"
+    assert [s["status"] for s in doc["steps"]] == ["ok"] * (recorded - 1) + ["failed"]
+    assert all(s["abs_error"] is None for s in doc["steps"])
+    assert capsys.readouterr().err == f"error: {failure}\n"
+    for output, last in (("human", "status: failed   iterations: "), ("csv", f"{recorded - 1},")):
+        code, text = run_cli(*argv, "--output", output)
+        assert code == 2 and text.splitlines()[-1].startswith(last)
+        assert text.rstrip().endswith("failed") == (output == "csv")
+        assert capsys.readouterr().err == f"error: {failure}\n"
+
+
+def test_an_error_before_the_first_point_prints_no_trace(capsys):
+    assert run_cli("solve", "--expr", "1/x", "--x0", "0") == (2, "")
+    assert capsys.readouterr().err == "error: DomainError: division by zero\n"
+
+
+def test_compare_reports_a_failed_method_in_its_summary(capsys):
+    code, text = run_cli("compare", "--expr", "log(x)", "--x0", "5", "--methods", "newton,secant")
+    assert code == 2
+    assert text.splitlines()[-2:] == ["newton: failed after 0 steps", "secant: failed after 1 steps"]
+    assert capsys.readouterr().err == ""
 
 
 def test_an_unknown_problem_prints_the_message_itself(capsys):

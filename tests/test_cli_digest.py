@@ -15,7 +15,7 @@ import hashlib
 
 import cli_digest
 
-PINNED = (1158, "a0f6c1efbc28cdb7e3122d591bc7e59774c985b4e3050781f357a2d64a2c3f77")
+PINNED = (1158, "97d9a574fecf0b966f295928e649959ada0011fef3a79f10b747725cbc0834e9")
 
 
 def test_cli_output_hashes_to_the_pinned_digest():

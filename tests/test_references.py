@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryiter import cli, corpus
-from baryiter.errors import BaryiterError, DomainError, NonConvergence
+from baryiter.errors import BaryiterError, NonConvergence
 from baryiter.expressions import parse_expression
 from baryiter.numerics import precision, real
 from baryiter.root_search import SolverConfig, solve
@@ -66,13 +66,14 @@ def test_rootless_run_spends_a_short_budget_and_reports_no_error(monkeypatch):
     assert all(step.error is None for step in trace.steps)
 
 
-def test_a_run_that_raises_never_refines(monkeypatch):
+def test_a_failed_run_never_refines(monkeypatch):
     def refuse(*args):
         raise AssertionError("reference_root called")
 
     monkeypatch.setattr(corpus, "reference_root", refuse)
-    with pytest.raises(DomainError):
-        solve(_expr_problem("log(x)", "5"), SolverConfig(method="newton", x0="5"))
+    trace = solve(_expr_problem("log(x)", "5"), SolverConfig(method="newton", x0="5"))
+    assert (trace.status, trace.reference) == ("failed", None)
+    assert trace.failure.startswith("DomainError: ")
 
 
 def test_refinement_starts_near_and_stops_at_the_budget():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from baryiter import corpus, expressions, root_search
-from baryiter.errors import SingularStep, ZeroDerivative
+from baryiter.errors import DomainError, SingularStep, ZeroDerivative
 from baryiter.expressions import parse_expression
 from baryiter.interpolants import Sample
 from baryiter.methods import METHODS
@@ -265,11 +265,53 @@ def test_budget_exhausted():
     assert len(trace.steps) == 4
 
 
-def test_zero_derivative_propagates():
+def test_a_zero_derivative_fails_the_run_and_keeps_its_trace():
+    # Newton from 1 on x^2 + 1 steps to 0, where f' = 0
     problem = _expr_problem("x^2+1", x0="1")
     config = SolverConfig(method="newton", window=1, precision_bits=128, max_iter=10)
-    with pytest.raises(ZeroDerivative):
-        solve(problem, config)
+    trace = solve(problem, config)
+    assert [(s.x, s.status) for s in trace.steps] == [(1, "ok"), (0, "failed")]
+    assert trace.failure == "ZeroDerivative: Newton step needs f' != 0"
+
+
+ONE = "1." + "0" * 75 + "1"  # 1 + 1e-76, distinct from 1 at 256 bits
+# name -> (runner, problem, config, recorded steps, failure)
+FAILED_RUNS = {
+    "domain": (solve, lambda: _expr_problem("log(x)", x0="5"), dict(method="newton"), 1,
+               "DomainError: log requires a positive argument"),
+    "zero-derivative": (solve, lambda: corpus.get_problem("x2_minus_2"),
+                        dict(method="newton", x0="0"), 1,
+                        "ZeroDerivative: Newton step needs f' != 0"),
+    "collapsed-perturb-h": (solve, lambda: corpus.get_problem("cos_minus_x"),
+                            dict(x0="1", perturb_h="1e-76"), 2,
+                            "SingularStep: memory collapsed below the method minimum"),
+    "collapsed-x1": (solve, lambda: corpus.get_problem("cos_minus_x"), dict(x0="1", x1=ONE), 2,
+                     "SingularStep: memory collapsed below the method minimum"),
+    "flat-curvature": (optimize, lambda: corpus.get_problem("opt_quadratic"),
+                       dict(method="newton-df", x0="1", window=3, perturb_h="1e-10",
+                            precision_bits=64), 3,
+                       "SingularStep: estimated curvature vanished"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_RUNS))
+def test_a_library_error_after_the_first_point_fails_the_run_with_its_trace(name):
+    runner, problem, config, recorded, failure = FAILED_RUNS[name]
+    trace = runner(problem(), SolverConfig(**config))
+    assert [s.index for s in trace.steps] == list(range(recorded))
+    assert [s.status for s in trace.steps] == ["ok"] * (recorded - 1) + ["failed"]
+    assert (trace.status, trace.failure, trace.reference) == ("failed", failure, None)
+    assert all(s.error is None for s in trace.steps)
+
+
+def test_a_library_error_before_the_first_point_propagates():
+    with pytest.raises(DomainError, match="^division by zero$"):
+        solve(_expr_problem("1/x", x0="0"), SolverConfig())
+
+
+def test_a_run_that_ends_otherwise_has_no_failure():
+    trace = solve(corpus.get_problem("x2_minus_2"), SolverConfig(method="newton"))
+    assert (trace.status, trace.failure) == ("converged", None)
 
 
 def test_config_validation():
@@ -414,10 +456,11 @@ def test_a_sample_on_a_root_ends_the_run_before_any_step_meets_it(monkeypatch, s
     assert all(s.f != 0 for window in windows for s in window)
 
 
-def test_memory_collapsed_below_the_minimum_is_a_singular_step():
+def test_memory_collapsed_below_the_minimum_fails_the_run():
     # x0 = -0.0005 and its perturbation +0.0005 share one f value, so the {x, f}
     # keys of newton-x-interp/x leave one distinct sample where the step needs two
     config = SolverConfig(method="newton-x-interp", weight_scheme="x", window=4, x0="-0.0005",
                           precision_bits=128)
-    with pytest.raises(SingularStep, match="^memory collapsed below the method minimum$"):
-        solve(_expr_problem("x*x-2"), config)
+    trace = solve(_expr_problem("x*x-2"), config)
+    assert [s.status for s in trace.steps] == ["ok", "failed"]
+    assert trace.failure == "SingularStep: memory collapsed below the method minimum"
