@@ -124,20 +124,21 @@ def hermite_ratio(samples: Sequence[Sample], hweights: HermiteWeights, gaps: lis
 
     Over the raw gaps e_i = c_i - t, where T_i = v_i - s_i e_i is node i's
     tangent at t: e_i times f'_i direct, divided by f'_i inverse.  ``known``,
-    kept for one t, maps ``id(sample)`` to (sample, T, 1/e^2) and gains the
-    samples it lacks; the bits are those without it.
+    kept for one t, maps (``id(sample)``, precision, rounding) to (sample, T,
+    1/e^2) and gains the samples it lacks; the bits are those without it.
     """
     values = _columns(samples, orientation)[1]
     tilt = mpf_mul if orientation == "direct" else mpf_div
     num_terms = []
     den_terms = []
     for lam, gam, s, v, e in zip(hweights.lam, hweights.gam, samples, values, gaps):
-        entry = None if known is None else known.get(id(s))
+        key = id(s), prec, rounding
+        entry = None if known is None else known.get(key)
         if entry is None or entry[0] is not s:  # the key is the identity of a live sample
             entry = (s, mpf_sub(v, tilt(e, s.f_prime._mpf_, prec, rounding), prec, rounding),
                      mpf_rdiv_int(1, mpf_mul(e, e, prec, rounding), prec, rounding))
             if known is not None:
-                known[id(s)] = entry
+                known[key] = entry
         _, tangent, inverse_square = entry
         lam, gam_e = lam._mpf_, mpf_mul(gam._mpf_, e, prec, rounding)
         num = mpf_sub(mpf_mul(lam, tangent, prec, rounding), mpf_mul(gam_e, v, prec, rounding),

@@ -283,8 +283,8 @@ def step_exact_d1(window: Sequence[Sample], hweights: HermiteWeights,
      / (sum [lam_i - gam_i f_i] (1/f_i^2))``: ``hermite_ratio`` at the gaps
     f_i - 0 = f_i.  A sample with f == 0 is that root: its x is returned.
     Each sample's (x - f/f', 1/f^2) is taken from ``known``, a run's map
-    from ``id(sample)`` to (sample, x - f/f', 1/f^2), which gains the
-    samples it lacks; the bits are those of a step without it.
+    from (``id(sample)``, precision, rounding) to (sample, x - f/f', 1/f^2),
+    which gains the samples it lacks; the bits are those of a step without it.
     """
     prec, rounding = mpmath.mp._prec_rounding
     slopes = sample_slopes(window)
@@ -503,7 +503,8 @@ class _Run:
     ``add`` appends a sample and extends each dedup key's largest |value|
     (a raw mpf) by that sample alone, so ``select_window`` never rescans the
     history.  The window selected after the newest sample and the last
-    window's weights are kept: an optimisation residual and the step
+    window's weights are kept, each with the (precision, rounding) it was
+    made at and reused only there: an optimisation residual and the step
     proposed after it use the same window, selected and built once.  Each
     build updates the last window's weights, and the step formulas read the
     newest node's pair row from the table the weights carry.
@@ -523,11 +524,11 @@ class _Run:
     samples: list = field(default_factory=list, init=False, repr=False, compare=False)
     # key -> largest |value| over the samples, as a raw mpf
     _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the window selected since the newest sample was added, if any
-    _selected: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    # (window, weights) of the last build, whose weights the next build updates
-    _last: tuple = field(default=((), None), init=False, repr=False, compare=False)
-    # id(sample) -> (sample, x - f/f', 1/f^2), computed once per sample by exact-d1's step
+    # ((precision, rounding), window) selected since the newest sample was added, if any
+    _selected: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (window, weights, (precision, rounding)) of the last build, which the next build updates
+    _last: tuple = field(default=((), None, None), init=False, repr=False, compare=False)
+    # (id(sample), precision, rounding) -> (sample, x - f/f', 1/f^2), made by exact-d1's step
     newton_points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (weights, slope) of the last interpolant-slope residual, which newton-df's step reuses
     slope: tuple = field(default=(None, None), init=False, repr=False, compare=False)
@@ -542,20 +543,24 @@ class _Run:
         self._selected = None
 
     def newest_window(self) -> list:
-        """The newest ``window`` distinct samples, selected once per added sample."""
-        if self._selected is None:
+        """The newest ``window`` distinct samples, selected once per added sample and precision."""
+        context = tuple(mpmath.mp._prec_rounding)
+        if self._selected is None or self._selected[0] != context:
             size = min(self.window, len(self.samples))
             # without dedup keys every sample is distinct: take the newest as they are
-            self._selected = (self.select(self.samples, size, self.keys, self._scales)
-                              if self.keys else self.samples[-size:])
-        return self._selected
+            self._selected = context, (self.select(self.samples, size, self.keys, self._scales)
+                                       if self.keys else self.samples[-size:])
+        return self._selected[1]
 
     def weights(self, window: Sequence):
-        """The scheme's weights on ``window``, reused while the samples are the same objects."""
-        last_window, weights = self._last
-        if len(last_window) != len(window) or any(a is not b for a, b in zip(last_window, window)):
-            weights = self.build(window, self.alpha, weights)
-            self._last = tuple(window), weights
+        """The scheme's weights on ``window``, reused while the samples are the same objects
+        and the precision is the same."""
+        last_window, weights, built_at = self._last
+        context = tuple(mpmath.mp._prec_rounding)
+        if (built_at != context or len(last_window) != len(window)
+                or any(a is not b for a, b in zip(last_window, window))):
+            weights = self.build(window, self.alpha, weights)  # updated at its own precision only
+            self._last = tuple(window), weights, context
         return weights
 
 

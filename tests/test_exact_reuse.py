@@ -632,6 +632,49 @@ def test_a_runs_pair_rows_and_sample_constants_change_no_bit(bits):
     check()
 
 
+def _full_width(*fractions):
+    """Samples of x^2 - 2 at 256 bits, at x = p/q, with f'."""
+    with numerics.precision(256):
+        return [Sample(x, x * x - 2, 2 * x) for x in (mpf(p) / q for p, q in fractions)]
+
+
+def _run(build, keys, size):
+    return root_search._Run(None, "", None, build, frozenset(keys), size, mpf(0), mpf(1),
+                            select_window, None)
+
+
+def test_exact_d1_constants_kept_at_one_precision_are_not_read_at_another():
+    window = _full_width((3, 2), (7, 5), (29, 20))
+    known = {}
+    for bits in (64, 256):
+        with numerics.precision(bits):
+            hweights = root_search.f_squared(window, mpf(0))
+            got = root_search.step_exact_d1(window, hweights, known)
+            assert got._mpf_ == root_search.step_exact_d1(window, hweights)._mpf_, bits
+
+
+def test_a_runs_weights_built_at_one_precision_are_rebuilt_at_another():
+    window = _full_width((1, 3), (2, 7), (5, 11))
+    run = _run(root_search.x_product, "x", 3)
+    for bits in (128, 256):
+        with numerics.precision(bits):
+            got = run.weights(window)
+            want = root_search.x_product(window, mpf(0))
+            assert [w._mpf_ for w in got] == [w._mpf_ for w in want], bits
+
+
+def test_a_runs_window_selected_at_one_precision_is_selected_again_at_another():
+    # 2^-100 apart: within the separation floor at 64 bits, far outside it at 256
+    with numerics.precision(256):
+        samples = [Sample(mpf(1), mpf(1)), Sample(1 + mpf(2) ** -100, mpf(2))]
+        run = _run(None, "x", 2)
+        for s in samples:
+            run.add(s)
+    for bits, kept in ((64, samples[1:]), (256, samples)):
+        with numerics.precision(bits):
+            assert [id(s) for s in run.newest_window()] == [id(s) for s in kept], bits
+
+
 @pytest.mark.parametrize("count", range(2, 9))
 def test_the_newest_node_loops_divide_only_at_the_end_given_their_builds_table(monkeypatch,
                                                                                count):
