@@ -36,7 +36,7 @@ from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_div, mpf_log, mpf_l
 
 from .errors import InsufficientData, UnsupportedCell
 from .methods import METHODS, MethodSpec
-from .numerics import Real, Scalar, make_mpf, real
+from .numerics import Real, Scalar, make_mpf, real, require_int
 from .root_search import IterationTrace, newton_update
 
 FAMILIES = ("root", "opt")
@@ -66,16 +66,15 @@ def _slope(family: str, m: int, n: int, l: Real) -> Real:
 def theoretical_order(family: str, m: int, n) -> Real:
     """Convergence index for multiplicity ``m`` and memory parameter ``n``.
 
-    ``n`` may be ``math.inf`` for the asymptotic limit.  Degenerate rows
-    (no crossing above 1) return exactly 1.
+    ``m`` and ``n`` are ints (not bools); ``n`` may be ``math.inf`` for the
+    asymptotic limit.  Degenerate rows (no crossing above 1) return exactly 1.
     """
-    if m < 1:
+    if require_int("m", m) < 1:
         raise ValueError("m must be at least 1")
     limit = order_limit(family, m)
     if n == math.inf:
         return limit
-    n = int(n)
-    if n < 0:
+    if require_int("n", n) < 0:
         raise ValueError("n must be non-negative")
     # Both residuals vanish at 1, are positive at the limit and are convex in
     # l (positive second derivative for l > 0).  So a row crosses above 1
@@ -102,7 +101,7 @@ def empirical_order(trace: IterationTrace, k_last: int) -> Real:
     as ``fsum`` does, so the result is that of ``fsum`` over the
     ``mpmath.log`` ratios, divided by ``k_last``, bit for bit.
     """
-    if k_last < 1:
+    if require_int("k_last", k_last) < 1:
         raise ValueError("k_last must be positive")
     prec, rounding = mpmath.mp._prec_rounding
     errors = [mpf_abs(s.error._mpf_, prec, rounding) for s in trace.steps if s.error is not None]
@@ -189,7 +188,7 @@ def verify_error_factor(trace: IterationTrace, spec: ErrorFactorSpec, window_tai
     Uses the last ``window_tail`` steps whose full error window is non-zero;
     errors are signed, so the factor's sign is checked too.
     """
-    if window_tail < 1:
+    if require_int("window_tail", window_tail) < 1:
         raise ValueError("window_tail must be positive")
     predicted = predicted_error_factor(spec)
     method, _ = _cell(spec)

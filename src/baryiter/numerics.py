@@ -67,9 +67,16 @@ MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
 
 
+def require_int(name: str, value) -> int:
+    """``value``, refused with ``ValueError`` unless it is an int (a bool, a float or a
+    string is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _validated_bits(bits) -> int:
-    if isinstance(bits, bool) or not isinstance(bits, int):
-        raise ValueError(f"precision must be an integer, got {bits!r}")
+    require_int("precision", bits)
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
     return bits

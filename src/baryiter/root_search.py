@@ -171,9 +171,7 @@ class SolverConfig:
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
             raise ValueError("explicit bootstrap needs x1")
         for name in ("window", "max_iter", "precision_bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            numerics.require_int(name, getattr(self, name))
         if self.window < spec.min_window:
             raise ValueError(f"{self.method} needs a window of at least {spec.min_window}")
         if self.max_iter < 1:

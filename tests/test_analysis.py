@@ -222,6 +222,23 @@ def test_argument_guards(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "3"], ids=repr)
+def test_a_count_that_is_not_an_int_is_refused(value):
+    trace = _synthetic_trace(_TRACE)
+    calls = {
+        "m": lambda: theoretical_order("root", value, 2),
+        "n": lambda: theoretical_order("opt", 1, value),
+        "k_last": lambda: empirical_order(trace, value),
+        "window_tail": lambda: verify_error_factor(trace, ErrorFactorSpec("secant", 2, ("2", "3")),
+                                                   value),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an integer, got {value!r}", name
+    assert theoretical_order("opt", 2, math.inf) == order_limit("opt", 2)  # the one non-int n
+
+
 def test_predicted_error_factor_opt_scheme():
     # window 3 (n=2): +phi'''/(3! phi'')
     spec = ErrorFactorSpec("newton-df/x", 3, ("0", "2", "12"))
