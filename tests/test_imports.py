@@ -1,4 +1,5 @@
-"""No module of the library imports a name that it never uses.
+"""No module of the library imports a name that it never uses, or defines a private one
+that no module reads.
 
 A check on each module's syntax tree, since the test environment carries no
 linter.  A re-export is declared: the import line carries ``# noqa: F401``,
@@ -51,3 +52,54 @@ def test_the_check_finds_an_unused_import_and_honours_a_declared_re_export():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_every_imported_name_is_used(module):
     assert unused_imports(module.read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """The private functions, classes and constants ``source`` defines at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def dead_private_names(sources: dict) -> list:
+    """``module.name`` of each private definition in ``sources`` (module -> source) that
+    no source reads: as a name, as an attribute or in an import."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}.{name}" for module, source in sources.items()
+            for name in private_definitions(source) if name not in read]
+
+
+def test_the_check_finds_a_dead_private_name():
+    sources = {
+        "a": ("_USED = 1\n"
+              "_DEAD, (_ALSO_DEAD, public) = 2, (3, 4)\n"
+              "_IMPORTED: int = 5\n"
+              "_BY_ATTRIBUTE = 6\n"
+              "__version__ = '1'\n"
+              "def _helper():\n"
+              "    _DEAD = 7  # a local, and a store: neither reads the module's name\n"
+              "    return _USED\n"
+              "class _Orphan:\n"
+              "    pass\n"
+              "def entry():\n"
+              "    return _helper()\n"),
+        "b": "from a import _IMPORTED\nimport a\nprint(a._BY_ATTRIBUTE)\n",
+    }
+    assert dead_private_names(sources) == ["a._DEAD", "a._ALSO_DEAD", "a._Orphan"]
+
+
+def test_every_private_name_is_read():
+    assert dead_private_names({m.stem: m.read_text() for m in MODULES}) == []
