@@ -330,7 +330,7 @@ def second_derivative_f_interp(window: Sequence[Sample], hweights: HermiteWeight
 
 
 def newton_update(x: Real, f: Real, fp: Real) -> Real:
-    """One Newton step: ``x - f/f'``, with one division."""
+    """One Newton step: ``x - f/f'``, with one division; f' == 0 raises ``ZeroDerivative``."""
     prec, rounding = mpmath.mp._prec_rounding
     if mpf_eq(fp._mpf_, fzero):
         raise ZeroDerivative("Newton step needs f' != 0")

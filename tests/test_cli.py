@@ -389,7 +389,8 @@ def test_an_error_before_the_first_point_prints_no_trace(capsys):
 def test_compare_reports_a_failed_method_in_its_summary(capsys):
     code, text = run_cli("compare", "--expr", "log(x)", "--x0", "5", "--methods", "newton,secant")
     assert code == 2
-    assert text.splitlines()[-2:] == ["newton: failed after 0 steps", "secant: failed after 1 steps"]
+    assert text.splitlines()[-2:] == ["newton: failed after 0 steps",
+                                      "secant: failed after 1 steps"]
     assert capsys.readouterr().err == ""
 
 
