@@ -96,7 +96,7 @@ if TYPE_CHECKING:
     from .methods import MethodSpec
 
 WEIGHT_SCHEMES = ("x", "f", "alpha")
-BOOTSTRAPS = ("auto", "picard", "perturb", "explicit")
+BOOTSTRAPS = ("auto", "picard", "explicit")  # the last two only refuse what "auto" would take
 
 STATUS_OK = "ok"
 STATUS_FALLBACK = "singular-step-fallback"
@@ -127,12 +127,11 @@ class SolverConfig:
     may reach (the initial point is index 0).  ``alpha`` only matters for
     the alpha weight scheme; its default of 0 is arbitrary (any value with
     the right asymptotics works, none is preferred).  ``seed_points`` picks
-    the second starting point from ``x1``, ``perturb_h`` and ``bootstrap``
-    (one of ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric
-    field, an integer field that is not an int, a negative tolerance, a
-    seed value no seed would use, an ``x1`` equal to ``x0`` at the working
-    precision, and a ``max_iter`` below the number of seeds, so every run
-    proposes a step.
+    and checks the second starting point from ``x1``, ``perturb_h`` and
+    ``bootstrap`` (one of ``BOOTSTRAPS``).  ``validated`` refuses a
+    non-finite numeric field, an integer field that is not an int, a
+    negative tolerance, a seed value no seed would use, and a ``max_iter``
+    below the number of seeds, so every run proposes a step.
     """
 
     method: str = "exact-df"
@@ -162,12 +161,12 @@ class SolverConfig:
         for name in ("x1", "perturb_h"):
             if getattr(self, name) is not None and spec.min_window == 1:
                 raise ValueError(f"{self.method} starts from x0 alone and takes no {name}")
-        if self.x1 is not None and self.bootstrap in ("picard", "perturb"):
-            raise ValueError(f"x1 needs the explicit or auto bootstrap, not {self.bootstrap}")
+        if self.x1 is not None and self.bootstrap == "picard":
+            raise ValueError("x1 needs the explicit or auto bootstrap, not picard")
         if self.x1 is not None and self.perturb_h is not None:
             raise ValueError("x1 and perturb_h both give the second point: pass one")
         if self.perturb_h is not None and self.bootstrap in ("picard", "explicit"):
-            raise ValueError(f"perturb_h needs the perturb or auto bootstrap, not {self.bootstrap}")
+            raise ValueError(f"perturb_h needs the auto bootstrap, not {self.bootstrap}")
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
             raise ValueError("explicit bootstrap needs x1")
         for name in ("window", "max_iter", "precision_bits"):
@@ -190,10 +189,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be non-negative, got {value}")
         if self.perturb_h is not None and mpf(self.perturb_h) == 0:
             raise ValueError("perturb_h must be non-zero")  # it would seed x1 = x0
-        if self.x0 is not None and self.x1 is not None:
-            with numerics.precision(self.precision_bits):
-                if real(self.x0) == real(self.x1):
-                    raise ValueError("x1 must differ from x0 at the working precision")
         return self
 
 
@@ -586,32 +581,33 @@ def _propose(run: _Run):
 
 
 def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
-    """The ``spec.min_window`` starting points, each made only when asked for.
+    """The ``spec.min_window`` starting points, each evaluated only when asked for.
 
     After ``x0`` comes ``x1`` when given; otherwise ``x0 + perturb_h`` when
-    that is given; otherwise one fixed-point step, under the ``picard``
-    bootstrap or under ``auto`` when the problem has that form; otherwise
-    ``x0 + 1e-3 * max(1, |x0|)``.  A perturbation that rounds to ``x0`` is
-    refused.  A third point mirrors the second about ``x0``, and is refused
-    when it rounds to ``x0``.
+    that is given; otherwise one fixed-point step when the problem has that
+    form; otherwise ``x0 + 1e-3 * max(1, |x0|)``.  A second seed given as a
+    value that rounds to ``x0``, and ``picard`` without a fixed-point form,
+    are refused before ``x0`` is yielded, so before anything is evaluated.
+    A third point mirrors the second, and is refused if it rounds to ``x0``.
     """
-    yield x0
     if spec.min_window == 1:
+        yield x0
         return
     fixed_point = getattr(problem, "fixed_point", None)
     if config.x1 is not None:
         x1 = real(config.x1)
-    elif config.perturb_h is None and (
-        config.bootstrap == "picard" or (config.bootstrap == "auto" and fixed_point is not None)
-    ):
-        if fixed_point is None:
-            raise ValueError(f"problem {problem.name!r} has no fixed-point form")
-        x1 = fixed_point(x0)
+    elif config.perturb_h is not None:
+        x1 = x0 + real(config.perturb_h)
+    elif fixed_point is not None:
+        x1 = None  # one fixed-point step, made once x0 is taken
+    elif config.bootstrap == "picard":
+        raise ValueError(f"problem {problem.name!r} has no fixed-point form")
     else:
-        h = real(config.perturb_h) if config.perturb_h is not None else mpf(10) ** -3 * max(mpf(1), abs(x0))
-        x1 = x0 + h
-        if x1 == x0:  # h != 0 rounded away: ``validated`` has no x0 to check it on
-            raise ValueError("x1 must differ from x0 at the working precision")
+        x1 = x0 + mpf(10) ** -3 * max(mpf(1), abs(x0))
+    if x1 is not None and x1 == x0:
+        raise ValueError("x1 must differ from x0 at the working precision")
+    yield x0
+    x1 = fixed_point(x0) if x1 is None else x1
     yield x1
     if spec.min_window > 2:
         x2 = x0 - (x1 - x0)

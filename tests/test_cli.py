@@ -435,6 +435,14 @@ def test_a_perturbation_that_rounds_away_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 
 
+def test_an_x1_equal_to_the_default_x0_is_a_usage_error(capsys):
+    # the default x0 is refused as a given one is: the run would end in a singular step
+    for argv in (("solve", "--problem", "cos_minus_x", "--x1", "3"),
+                 ("optimize", "--problem", "opt_cos", "--x1", "2.5")):
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
+
+
 def test_a_mirrored_seed_that_rounds_to_x0_is_a_usage_error(capsys):
     # x1 = 1 - 2^-256: newton-df's third seed x0 - (x1 - x0) rounds back to x0 at
     # 256 bits, and the run would end in a singular step with no trace

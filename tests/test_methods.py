@@ -51,15 +51,18 @@ def test_cli_method_choices_are_the_table_keys():
     assert _method_choices("optimize") == tuple(m for m, s in METHODS.items() if s.family == "opt")
 
 
-@pytest.mark.parametrize("bootstrap", ["perturb", "picard"])
-def test_x1_with_perturb_or_picard_is_rejected(bootstrap, capsys):
-    # an explicit second point contradicts both modes, in either family
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("fields, message", [
+    ({"perturb_h": "0.1"}, "x1 and perturb_h both give the second point: pass one"),
+    ({"bootstrap": "picard"}, "x1 needs the explicit or auto bootstrap, not picard"),
+], ids=["perturb", "picard"])
+def test_x1_with_perturb_or_picard_is_rejected(fields, message, capsys):
+    # an explicit second point contradicts a perturbation and a fixed-point step, in either family
+    with pytest.raises(ValueError, match=f"^{message}$"):
         solve(corpus.get_problem("cos_minus_x"),
-              SolverConfig(method="exact-df", window=2, x1="0.5", bootstrap=bootstrap))
-    with pytest.raises(ValueError):
+              SolverConfig(method="exact-df", window=2, x1="0.5", **fields))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         optimize(corpus.get_problem("opt_quadratic"),
-                 SolverConfig(method="newton-df", window=3, x1="0.5", bootstrap=bootstrap))
+                 SolverConfig(method="newton-df", window=3, x1="0.5", **fields))
     # the CLI has no bootstrap option: an x1 contradicts the one seed value it takes besides
     for command, problem, method in (("solve", "cos_minus_x", "exact-df"),
                                      ("optimize", "opt_quadratic", "newton-df")):
@@ -92,7 +95,7 @@ def test_a_non_finite_numeric_field_is_rejected(name, value):
 @pytest.mark.parametrize("value", [0, "0", "-0.0", 0.0, real(0)])
 def test_a_zero_perturbation_is_rejected(value):
     # x1 = x0 + h would repeat x0 and collapse the memory before the first step
-    config = SolverConfig(method="exact-df", window=2, bootstrap="perturb", perturb_h=value)
+    config = SolverConfig(method="exact-df", window=2, perturb_h=value)
     with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
         config.validated()
     with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
@@ -106,12 +109,10 @@ def test_a_perturbation_below_half_an_ulp_of_x0_is_rejected(method, family):
     runner, name = RUNNERS[family]
     problem = corpus.get_problem(name)
     for x0, h, bits in (("1", "1e-400", 256), ("1", "2e-20", 64), ("1e30", "1", 64)):
-        config = SolverConfig(method=method, window=3, x0=x0, bootstrap="perturb", perturb_h=h,
-                              precision_bits=bits)
+        config = SolverConfig(method=method, window=3, x0=x0, perturb_h=h, precision_bits=bits)
         with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
             runner(problem, config)
-    config = SolverConfig(method=method, window=3, x0="1", bootstrap="perturb",
-                          perturb_h="1e-3", precision_bits=64)
+    config = SolverConfig(method=method, window=3, x0="1", perturb_h="1e-3", precision_bits=64)
     assert runner(problem, config).steps[1].x > 1
 
 
@@ -171,8 +172,8 @@ def test_x1_on_a_one_point_method_is_refused(method):
     ({"x1": "2"}, "x1 and perturb_h both give the second point: pass one"),
     ({"x1": "2", "bootstrap": "explicit"},
      "x1 and perturb_h both give the second point: pass one"),
-    ({"bootstrap": "picard"}, "perturb_h needs the perturb or auto bootstrap, not picard"),
-    ({"bootstrap": "explicit"}, "perturb_h needs the perturb or auto bootstrap, not explicit"),
+    ({"bootstrap": "picard"}, "perturb_h needs the auto bootstrap, not picard"),
+    ({"bootstrap": "explicit"}, "perturb_h needs the auto bootstrap, not explicit"),
 ], ids=["x1", "explicit-x1", "picard", "explicit"])
 def test_a_perturbation_that_no_seed_uses_is_refused(fields, message):
     for method, family in (("exact-df", "root"), ("newton-df", "opt")):
@@ -187,24 +188,25 @@ SEED_PROBLEMS = {"root": ((solve, "cos_minus_x"), (solve, "x2_minus_2")),
 
 
 def _refusal(spec, problem, bootstrap, x1, h) -> bool:
-    """Whether a run refuses these seed inputs, as ``SolverConfig.validated`` lists them."""
+    """Whether a run refuses these seed inputs, as ``validated`` and ``seed_points`` list them."""
     if spec.min_window == 1:
         return x1 is not None or h is not None
     if x1 is not None:
-        return bootstrap in ("picard", "perturb") or h is not None
+        return bootstrap == "picard" or h is not None
     if h is not None:
         return bootstrap in ("picard", "explicit")
     # no value names the second seed: explicit has none, picard needs the form
     return bootstrap == "explicit" or (bootstrap == "picard" and problem.fixed_point is None)
 
 
-def _second_seed(problem, x0, bootstrap, x1, h):
-    """The second seed by the one rule: x1, else x0 + h, else a fixed-point step, else x0 + h0."""
+def _second_seed(problem, x0, x1, h):
+    """The second seed by the one rule, whatever the bootstrap: x1, else x0 + h, else a
+    fixed-point step, else x0 + h0."""
     if x1 is not None:
         return real(x1)
     if h is not None:
         return x0 + real(h)
-    if bootstrap == "picard" or (bootstrap == "auto" and problem.fixed_point is not None):
+    if problem.fixed_point is not None:
         return problem.fixed_point(x0)
     return x0 + mpf(10) ** -3 * max(1, abs(x0))
 
@@ -233,7 +235,7 @@ def test_every_seed_input_is_used_or_refused(method):
                         continue  # step 1 is the method's own step
                     with precision(64):
                         x0 = real(problem.default_x0)
-                        assert trace.steps[1].x == _second_seed(problem, x0, bootstrap, x1, h), case
+                        assert trace.steps[1].x == _second_seed(problem, x0, x1, h), case
                     seconds[h] = trace.steps[1].x
                 if "0.25" in seconds or "0.5" in seconds:
                     assert seconds["0.25"] != seconds["0.5"], (name, bootstrap, x1)
@@ -272,13 +274,23 @@ def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
     def never(x):
         raise AssertionError("f was evaluated")
 
-    problem = SimpleNamespace(name="p", f=never, df=never, d2f=never, reference=never)
+    problem = SimpleNamespace(name="p", f=never, df=never, d2f=never, reference=never,
+                              default_x0="3")
     runner = RUNNERS[family][0]
+    same = "^x1 must differ from x0 at the working precision$"
     # 1 + 1e-22 rounds to 1 at 64 bits and is a distinct seed at 128
-    for x0, x1 in ((1, "1.0"), ("0.5", real("0.5")), ("1", "1.0000000000000000000001")):
+    for x0, x1 in ((1, "1.0"), ("0.5", real("0.5")), ("1", "1.0000000000000000000001"),
+                   (None, "3.0")):  # the problem's default x0
         config = SolverConfig(method=method, window=3, x0=x0, x1=x1, precision_bits=64)
-        with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
+        with pytest.raises(ValueError, match=same):
             runner(problem, config)
+    config = SolverConfig(method=method, window=3, x0="1", perturb_h="1e-400", precision_bits=256)
+    with pytest.raises(ValueError, match=same):
+        runner(problem, config)
+    # the problem has no fixed-point form for picard's second seed
+    config = SolverConfig(method=method, window=3, bootstrap="picard")
+    with pytest.raises(ValueError, match="^problem 'p' has no fixed-point form$"):
+        runner(problem, config)
     SolverConfig(method=method, window=3, x0="1", x1="1.0000000000000000000001",
                  precision_bits=128).validated(family)
 
