@@ -153,6 +153,7 @@ def _cell(spec: ErrorFactorSpec) -> tuple[MethodSpec, Callable]:
 
 def predicted_error_factor(spec: ErrorFactorSpec) -> Real:
     """Leading-error constant for the scheme's tabulated window size."""
+    require_int("n_plus_1", spec.n_plus_1)
     method, cell = _cell(spec)
     values = [real(v) for v in spec.derivatives]
     order, message = _NON_DEGENERATE[method.family]

@@ -148,7 +148,7 @@ def to_decimal(value: Scalar, digits: int) -> str:
 
     ``value`` is first rounded to the working precision, as ``real`` does.
     """
-    if digits < 1:
+    if require_int("digits", digits) < 1:
         raise ValueError("digits must be positive")
     x = to_raw(value, *mpmath.mp._prec_rounding)
     if not x[1]:  # zero, the infinities and nan carry no mantissa

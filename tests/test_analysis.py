@@ -225,14 +225,19 @@ def test_argument_guards(call, error, message):
 @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "3"], ids=repr)
 def test_a_count_that_is_not_an_int_is_refused(value):
     trace = _synthetic_trace(_TRACE)
-    calls = {
-        "m": lambda: theoretical_order("root", value, 2),
-        "n": lambda: theoretical_order("opt", 1, value),
-        "k_last": lambda: empirical_order(trace, value),
-        "window_tail": lambda: verify_error_factor(trace, ErrorFactorSpec("secant", 2, ("2", "3")),
-                                                   value),
-    }
-    for name, call in calls.items():
+    calls = [
+        ("m", lambda: theoretical_order("root", value, 2)),
+        ("n", lambda: theoretical_order("opt", 1, value)),
+        ("k_last", lambda: empirical_order(trace, value)),
+        ("window_tail", lambda: verify_error_factor(trace, ErrorFactorSpec("secant", 2, ("2", "3")),
+                                                    value)),
+        ("n_plus_1", lambda: predicted_error_factor(ErrorFactorSpec("secant", value, ("2", "3")))),
+        ("n_plus_1", lambda: predicted_error_factor(ErrorFactorSpec("newton-df/x", value,
+                                                                    ("0", "2", "12")))),
+        ("n_plus_1", lambda: verify_error_factor(trace, ErrorFactorSpec("secant", value, ("2", "3")),
+                                                 2)),
+    ]
+    for name, call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"{name} must be an integer, got {value!r}", name

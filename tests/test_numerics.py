@@ -95,6 +95,14 @@ def test_to_decimal_format():
             to_decimal(1, digits)
 
 
+@pytest.mark.parametrize("digits", [True, False, 2.5, 2.0, "3"], ids=repr)
+def test_to_decimal_refuses_digits_that_are_not_an_int(digits):
+    # a bool would read as 1 or 0 digits, a float fails inside libmp's formatter
+    with pytest.raises(ValueError) as info:
+        to_decimal(1, digits)
+    assert str(info.value) == f"digits must be an integer, got {digits!r}"
+
+
 # exact mpf values of random sign, mantissa and exponent; a mantissa of up to
 # 4200 bits carries more bits than the working precision, which rounds first
 _exact_mpfs = st.builds(
