@@ -183,25 +183,22 @@ def trace_document(trace: IterationTrace, digits: int) -> dict:
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' own quoting under ensure_ascii
-_STEP_JSON = ('{\n      "i": %d,\n      "x": %s,\n      "f": %s,\n      "abs_error": %s,\n'
-              '      "status": %s\n    }')
 
 
 def _json_scalar(value) -> str:
+    """A string, an int or None as ``json.dumps`` writes it; documents hold no bool or float."""
     if isinstance(value, str):
         return _quote(value)
-    return "null" if value is None else json.dumps(value)
+    return "null" if value is None else str(value)
 
 
 def _json_steps(steps: list) -> str:
     """A document's step list, nested in the top level, each step from one template."""
     if not steps:
         return "[]"
+    template = "{" + ",".join(f"\n      {_quote(key)}: %s" for key in steps[0]) + "\n    }"
     return "[\n    " + ",\n    ".join(
-        _STEP_JSON % (s["i"], _quote(s["x"]), _json_scalar(s["f"]), _json_scalar(s["abs_error"]),
-                      _quote(s["status"]))
-        for s in steps
-    ) + "\n  ]"
+        template % tuple(map(_json_scalar, s.values())) for s in steps) + "\n  ]"
 
 
 def document_json(doc: dict, indent: str = "") -> str:
@@ -232,10 +229,9 @@ def emit_csv(trace: IterationTrace, digits: Optional[int], out) -> None:
     digits = HUMAN_DIGITS if digits is None else digits
     with precision(trace.config.precision_bits):
         steps = _step_cells(trace, digits)  # csv has no summary row, so no order
-    print("i,x,f,abs_error,status", file=out)
+    print(",".join(steps[0]), file=out)
     for s in steps:
-        cells = [str(s["i"]), s["x"], s["f"] or "", s["abs_error"] or "", s["status"]]
-        print(",".join(cells), file=out)
+        print(",".join("" if value is None else str(value) for value in s.values()), file=out)
 
 
 def emit_human(trace: IterationTrace, digits: Optional[int], out) -> None:
