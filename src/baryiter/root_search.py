@@ -581,7 +581,7 @@ def _propose(run: _Run):
 
 
 def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
-    """The ``spec.min_window`` starting points, each evaluated only when asked for.
+    """The ``spec.min_window`` starting points, yielded one at a time.
 
     After ``x0`` comes ``x1`` when given; otherwise ``x0 + perturb_h`` when
     that is given; otherwise one fixed-point step when the problem has that
