@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=methods, default=default_method)
         p.add_argument("--alpha", default="0", help="shift for the alpha weight scheme")
         p.add_argument("--beta", default="1", help="Chebyshev-Halley parameter")
-        p.add_argument("--perturb-h", help="non-zero step from x0 to the second starting point")
         p.add_argument("--tol-f", help="residual tolerance (default scales with precision)")
         p.add_argument("--tol-x", help="step-size tolerance")
         p.add_argument("--output", choices=("human", "json", "csv"), default="human")
@@ -121,7 +120,6 @@ def _config_from(args) -> SolverConfig:
         beta=args.beta,
         x0=args.x0,
         x1=args.x1,
-        perturb_h=args.perturb_h,
         tol_f=args.tol_f,
         tol_x=args.tol_x,
         max_iter=args.max_iter,

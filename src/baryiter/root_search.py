@@ -121,17 +121,17 @@ class SolverConfig:
     """Configuration shared by the root solver and the optimiser.
 
     Numeric fields accept decimal strings (preferred for exact values),
-    ints, floats or mpf; they are converted at the configured precision
-    when the run starts.  ``tol_f`` doubles as the gradient tolerance for
-    optimisation runs.  ``max_iter`` is the highest step index the trace
-    may reach (the initial point is index 0).  ``alpha`` only matters for
-    the alpha weight scheme; its default of 0 is arbitrary (any value with
-    the right asymptotics works, none is preferred).  ``seed_points`` picks
-    and checks the second starting point from ``x1``, ``perturb_h`` and
-    ``bootstrap`` (one of ``BOOTSTRAPS``).  ``validated`` refuses a
-    non-finite numeric field, an integer field that is not an int, a
-    negative tolerance, a seed value no seed would use, and a ``max_iter``
-    below the number of seeds, so every run proposes a step.
+    ints, floats or mpf; they are converted at the configured precision when
+    the run starts.  ``tol_f`` doubles as the gradient tolerance for
+    optimisation runs.  ``max_iter`` is the highest step index the trace may
+    reach (the initial point is index 0).  ``alpha`` only matters for the
+    alpha weight scheme; its default of 0 is arbitrary (any value with the
+    right asymptotics works, none is preferred).  ``seed_points`` picks and
+    checks the second starting point from ``x1`` and ``bootstrap`` (one of
+    ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric field, an
+    integer field that is not an int, a negative tolerance, a seed value no
+    seed would use, and a ``max_iter`` below the number of seeds, so every
+    run proposes a step.
     """
 
     method: str = "exact-df"
@@ -142,7 +142,6 @@ class SolverConfig:
     x0: Optional[Scalar] = None
     x1: Optional[Scalar] = None
     bootstrap: str = "auto"
-    perturb_h: Optional[Scalar] = None
     tol_f: Optional[Scalar] = None
     tol_x: Optional[Scalar] = None
     max_iter: int = 60
@@ -158,15 +157,10 @@ class SolverConfig:
             raise ValueError(f"{self.method} takes the weight schemes {tuple(spec.schemes)}")
         if self.bootstrap not in BOOTSTRAPS:
             raise ValueError(f"unknown bootstrap {self.bootstrap!r}; expected one of {BOOTSTRAPS}")
-        for name in ("x1", "perturb_h"):
-            if getattr(self, name) is not None and spec.min_window == 1:
-                raise ValueError(f"{self.method} starts from x0 alone and takes no {name}")
+        if self.x1 is not None and spec.min_window == 1:
+            raise ValueError(f"{self.method} starts from x0 alone and takes no x1")
         if self.x1 is not None and self.bootstrap == "picard":
             raise ValueError("x1 needs the explicit or auto bootstrap, not picard")
-        if self.x1 is not None and self.perturb_h is not None:
-            raise ValueError("x1 and perturb_h both give the second point: pass one")
-        if self.perturb_h is not None and self.bootstrap in ("picard", "explicit"):
-            raise ValueError(f"perturb_h needs the auto bootstrap, not {self.bootstrap}")
         if self.x1 is None and self.bootstrap == "explicit" and spec.min_window > 1:
             raise ValueError("explicit bootstrap needs x1")
         for name in ("window", "max_iter", "precision_bits"):
@@ -180,15 +174,13 @@ class SolverConfig:
                              f"at least {spec.min_window}")
         if self.precision_bits < numerics.MIN_PRECISION_BITS:
             raise ValueError(f"precision must be at least {numerics.MIN_PRECISION_BITS} bits")
-        for name in ("x0", "x1", "alpha", "beta", "tol_f", "tol_x", "perturb_h"):
+        for name in ("x0", "x1", "alpha", "beta", "tol_f", "tol_x"):
             value = getattr(self, name)
             # an int is finite; anything else is parsed as the run will parse it
             if value is not None and not isinstance(value, int) and not mpmath.isfinite(mpf(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
             if name.startswith("tol_") and value is not None and mpf(value) < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.perturb_h is not None and mpf(self.perturb_h) == 0:
-            raise ValueError("perturb_h must be non-zero")  # it would seed x1 = x0
         return self
 
 
@@ -583,12 +575,11 @@ def _propose(run: _Run):
 def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
     """The ``spec.min_window`` starting points, yielded one at a time.
 
-    After ``x0`` comes ``x1`` when given; otherwise ``x0 + perturb_h`` when
-    that is given; otherwise one fixed-point step when the problem has that
-    form; otherwise ``x0 + 1e-3 * max(1, |x0|)``.  A second seed given as a
-    value that rounds to ``x0``, and ``picard`` without a fixed-point form,
-    are refused before ``x0`` is yielded, so before anything is evaluated.
-    A third point mirrors the second, and is refused if it rounds to ``x0``.
+    After ``x0`` comes ``x1`` when given; otherwise one fixed-point step
+    when the problem has that form; otherwise ``x0 + 1e-3 * max(1, |x0|)``.
+    An ``x1`` that rounds to ``x0`` and ``picard`` without a fixed-point
+    form are refused before anything is evaluated.  A third point mirrors
+    the second, and is refused if it rounds to ``x0``.
     """
     if spec.min_window == 1:
         yield x0
@@ -596,8 +587,6 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     fixed_point = getattr(problem, "fixed_point", None)
     if config.x1 is not None:
         x1 = real(config.x1)
-    elif config.perturb_h is not None:
-        x1 = x0 + real(config.perturb_h)
     elif fixed_point is not None:
         x1 = None  # one fixed-point step, made once x0 is taken
     elif config.bootstrap == "picard":

@@ -279,12 +279,11 @@ def test_an_out_of_range_argument_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# each subcommand's (option, default) pairs; --x1 and --perturb-h alone choose the second seed
+# each subcommand's (option, default) pairs; --x1 alone names the second seed
 FLAG_SET = {
     "solve": {"--problem": None, "--expr": None, "--x0": None, "--x1": None,
               "--method": "exact-df", "--weights": "x", "--alpha": "0", "--window": 4,
-              "--beta": "1", "--perturb-h": None, "--tol-f": None,
-              "--tol-x": None, "--max-iter": 60, "--precision-bits": None, "--output": "human",
+              "--beta": "1", "--tol-f": None, "--tol-x": None, "--max-iter": 60, "--precision-bits": None, "--output": "human",
               "--digits": None},
     "order": {"--family": None, "--m": None, "--n": None, "--digits": 6},
     "table": {"--reproduce": None, "--precision-bits": None},
@@ -355,12 +354,10 @@ FAILED_RUNS = {
         (1, "DomainError: log requires a positive argument"),
     ("solve", "--problem", "x2_minus_2", "--x0", "0", "--method", "newton"):
         (1, "ZeroDerivative: Newton step needs f' != 0"),
-    ("solve", "--problem", "cos_minus_x", "--x0", "1", "--perturb-h", "1e-76"):
-        (2, "SingularStep: memory collapsed below the method minimum"),
     ("solve", "--problem", "cos_minus_x", "--x0", "1", "--x1", "1." + "0" * 75 + "1"):
         (2, "SingularStep: memory collapsed below the method minimum"),
-    ("optimize", "--problem", "opt_quadratic", "--x0", "1", "--window", "3", "--perturb-h",
-     "1e-10", "--precision-bits", "64"):
+    ("optimize", "--problem", "opt_quadratic", "--x0", "1", "--window", "3", "--x1",
+     "1.0000000001", "--precision-bits", "64"):
         (3, "SingularStep: estimated curvature vanished"),
 }
 
@@ -408,7 +405,6 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         ("solve", "--problem", "cos_minus_x", "--weights", "alpha", "--alpha", "inf"): "alpha",
         ("solve", "--problem", "cos_minus_x", "--tol-f", "nan"): "tol_f",
         ("solve", "--problem", "cos_minus_x", "--tol-x", "inf"): "tol_x",
-        ("solve", "--problem", "cos_minus_x", "--perturb-h", "nan"): "perturb_h",
         ("solve", "--problem", "cos_minus_x", "--x0", "inf"): "x0",
         ("solve", "--problem", "cos_minus_x", "--x0", "nan"): "x0",
         ("solve", "--problem", "cos_minus_x", "--x1", "inf"): "x1",
@@ -419,18 +415,10 @@ def test_a_non_finite_parameter_is_a_usage_error(capsys):
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
 
 
-def test_a_zero_perturbation_is_a_usage_error(capsys):
-    # it would seed x1 = x0, and the run would end in a singular step with no trace
-    for h in ("0", "-0.0"):
-        argv = ("solve", "--problem", "cos_minus_x", "--perturb-h", h)
-        assert run_cli(*argv) == (1, "")
-        assert capsys.readouterr().err == "error: perturb_h must be non-zero\n"
-
-
-def test_a_perturbation_that_rounds_away_is_a_usage_error(capsys):
-    # non-zero, but x0 + 1e-400 is x0 at 256 bits: the run would end in a singular
-    # step with no trace
-    argv = ("solve", "--problem", "cos_minus_x", "--perturb-h", "1e-400")
+def test_an_x1_that_rounds_to_the_default_x0_is_a_usage_error(capsys):
+    # distinct from x0 = 3 as a decimal, but 3 + 1e-400 is 3 at 256 bits: the run
+    # would end in a singular step with no trace
+    argv = ("solve", "--problem", "cos_minus_x", "--x1", "3." + "0" * 399 + "1")
     assert run_cli(*argv) == (1, "")
     assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 

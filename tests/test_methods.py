@@ -51,26 +51,15 @@ def test_cli_method_choices_are_the_table_keys():
     assert _method_choices("optimize") == tuple(m for m, s in METHODS.items() if s.family == "opt")
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"perturb_h": "0.1"}, "x1 and perturb_h both give the second point: pass one"),
-    ({"bootstrap": "picard"}, "x1 needs the explicit or auto bootstrap, not picard"),
-], ids=["perturb", "picard"])
-def test_x1_with_perturb_or_picard_is_rejected(fields, message, capsys):
-    # an explicit second point contradicts a perturbation and a fixed-point step, in either family
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_x1_with_picard_is_rejected():
+    # an explicit second point contradicts a fixed-point step, in either family
+    message = "^x1 needs the explicit or auto bootstrap, not picard$"
+    with pytest.raises(ValueError, match=message):
         solve(corpus.get_problem("cos_minus_x"),
-              SolverConfig(method="exact-df", window=2, x1="0.5", **fields))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+              SolverConfig(method="exact-df", window=2, x1="0.5", bootstrap="picard"))
+    with pytest.raises(ValueError, match=message):
         optimize(corpus.get_problem("opt_quadratic"),
-                 SolverConfig(method="newton-df", window=3, x1="0.5", **fields))
-    # the CLI has no bootstrap option: an x1 contradicts the one seed value it takes besides
-    for command, problem, method in (("solve", "cos_minus_x", "exact-df"),
-                                     ("optimize", "opt_quadratic", "newton-df")):
-        argv = [command, "--problem", problem, "--method", method, "--x1", "0.5",
-                "--perturb-h", "0.1"]
-        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error: x1 and perturb_h both give the second point: pass one\n")
+                 SolverConfig(method="newton-df", window=3, x1="0.5", bootstrap="picard"))
 
 
 def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
@@ -82,7 +71,7 @@ def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
     SolverConfig(method="newton", window=1, bootstrap="explicit").validated()
 
 
-@pytest.mark.parametrize("name", ["x0", "x1", "alpha", "beta", "tol_f", "tol_x", "perturb_h"])
+@pytest.mark.parametrize("name", ["x0", "x1", "alpha", "beta", "tol_f", "tol_x"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("-inf")])
 def test_a_non_finite_numeric_field_is_rejected(name, value):
     config = SolverConfig(method="ch-d1", window=2, **{name: value})
@@ -92,27 +81,18 @@ def test_a_non_finite_numeric_field_is_rejected(name, value):
         optimize(corpus.get_problem("opt_cos"), config)
 
 
-@pytest.mark.parametrize("value", [0, "0", "-0.0", 0.0, real(0)])
-def test_a_zero_perturbation_is_rejected(value):
-    # x1 = x0 + h would repeat x0 and collapse the memory before the first step
-    config = SolverConfig(method="exact-df", window=2, perturb_h=value)
-    with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
-        config.validated()
-    with pytest.raises(ValueError, match="^perturb_h must be non-zero$"):
-        solve(corpus.get_problem("cos_minus_x"), config)
-
-
 @pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])
-def test_a_perturbation_below_half_an_ulp_of_x0_is_rejected(method, family):
-    # non-zero, so ``validated`` passes it, but x0 + h rounds to x0: the memory would
-    # collapse before the first step and the run end with no trace
+def test_an_x1_within_half_an_ulp_of_x0_is_rejected(method, family):
+    # distinct from x0 as a decimal, so ``validated`` passes it, but it rounds to x0:
+    # the memory would collapse before the first step and the run end with no trace
     runner, name = RUNNERS[family]
     problem = corpus.get_problem(name)
-    for x0, h, bits in (("1", "1e-400", 256), ("1", "2e-20", 64), ("1e30", "1", 64)):
-        config = SolverConfig(method=method, window=3, x0=x0, perturb_h=h, precision_bits=bits)
+    for x0, x1, bits in (("1", "1." + "0" * 399 + "1", 256), ("1", "1.00000000000000000002", 64),
+                         ("1e30", "1000000000000000000000000000001", 64)):
+        config = SolverConfig(method=method, window=3, x0=x0, x1=x1, precision_bits=bits)
         with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
             runner(problem, config)
-    config = SolverConfig(method=method, window=3, x0="1", perturb_h="1e-3", precision_bits=64)
+    config = SolverConfig(method=method, window=3, x0="1", x1="1.001", precision_bits=64)
     assert runner(problem, config).steps[1].x > 1
 
 
@@ -159,27 +139,12 @@ def test_a_budget_below_the_seed_count_is_refused(command, problem, method, fami
 
 @pytest.mark.parametrize("method", [m for m, s in METHODS.items() if s.min_window == 1])
 def test_x1_on_a_one_point_method_is_refused(method):
-    # every one-point method is a root method; a perturbation has no seed to place either
-    for name, flag in (("x1", "--x1"), ("perturb_h", "--perturb-h")):
-        message = f"{method} starts from x0 alone and takes no {name}"
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SolverConfig(method=method, window=1, **{name: "5"}).validated()
-        argv = ["solve", "--problem", "cos_minus_x", "--method", method, flag, "5"]
-        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
-
-
-@pytest.mark.parametrize("fields, message", [
-    ({"x1": "2"}, "x1 and perturb_h both give the second point: pass one"),
-    ({"x1": "2", "bootstrap": "explicit"},
-     "x1 and perturb_h both give the second point: pass one"),
-    ({"bootstrap": "picard"}, "perturb_h needs the auto bootstrap, not picard"),
-    ({"bootstrap": "explicit"}, "perturb_h needs the auto bootstrap, not explicit"),
-], ids=["x1", "explicit-x1", "picard", "explicit"])
-def test_a_perturbation_that_no_seed_uses_is_refused(fields, message):
-    for method, family in (("exact-df", "root"), ("newton-df", "opt")):
-        config = SolverConfig(method=method, window=3, perturb_h="0.5", **fields)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            config.validated(family)
+    # every one-point method is a root method
+    message = f"{method} starts from x0 alone and takes no x1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(method=method, window=1, x1="5").validated()
+    argv = ["solve", "--problem", "cos_minus_x", "--method", method, "--x1", "5"]
+    assert cli.main(argv, out=io.StringIO()) == cli.EXIT_USAGE
 
 
 # (runner, problem) for each family's seed-input check: cos x - x has a fixed-point form
@@ -187,25 +152,21 @@ SEED_PROBLEMS = {"root": ((solve, "cos_minus_x"), (solve, "x2_minus_2")),
                  "opt": ((optimize, "opt_quadratic"),)}
 
 
-def _refusal(spec, problem, bootstrap, x1, h) -> bool:
+def _refusal(spec, problem, bootstrap, x1) -> bool:
     """Whether a run refuses these seed inputs, as ``validated`` and ``seed_points`` list them."""
     if spec.min_window == 1:
-        return x1 is not None or h is not None
+        return x1 is not None
     if x1 is not None:
-        return bootstrap == "picard" or h is not None
-    if h is not None:
-        return bootstrap in ("picard", "explicit")
+        return bootstrap == "picard"
     # no value names the second seed: explicit has none, picard needs the form
     return bootstrap == "explicit" or (bootstrap == "picard" and problem.fixed_point is None)
 
 
-def _second_seed(problem, x0, x1, h):
-    """The second seed by the one rule, whatever the bootstrap: x1, else x0 + h, else a
-    fixed-point step, else x0 + h0."""
+def _second_seed(problem, x0, x1):
+    """The second seed by the one rule, whatever the bootstrap: x1, else a fixed-point
+    step, else x0 + h0."""
     if x1 is not None:
         return real(x1)
-    if h is not None:
-        return x0 + real(h)
     if problem.fixed_point is not None:
         return problem.fixed_point(x0)
     return x0 + mpf(10) ** -3 * max(1, abs(x0))
@@ -219,26 +180,21 @@ def test_every_seed_input_is_used_or_refused(method):
         if any(getattr(problem, need) is None for need in spec.needs):
             continue
         for bootstrap in root_search.BOOTSTRAPS:
-            for x1 in (None, "1.75"):
-                seconds = {}
-                for h in (None, "0.25", "0.5"):
-                    config = SolverConfig(method=method, window=spec.min_window, x1=x1,
-                                          bootstrap=bootstrap, perturb_h=h, precision_bits=64,
-                                          max_iter=spec.min_window)
-                    case = (name, bootstrap, x1, h)
-                    if _refusal(spec, problem, bootstrap, x1, h):
-                        with pytest.raises(ValueError):
-                            runner(problem, config)
-                        continue
-                    trace = runner(problem, config)
-                    if spec.min_window == 1:
-                        continue  # step 1 is the method's own step
-                    with precision(64):
-                        x0 = real(problem.default_x0)
-                        assert trace.steps[1].x == _second_seed(problem, x0, x1, h), case
-                    seconds[h] = trace.steps[1].x
-                if "0.25" in seconds or "0.5" in seconds:
-                    assert seconds["0.25"] != seconds["0.5"], (name, bootstrap, x1)
+            for x1 in (None, "1.75", "0.5"):
+                config = SolverConfig(method=method, window=spec.min_window, x1=x1,
+                                      bootstrap=bootstrap, precision_bits=64,
+                                      max_iter=spec.min_window)
+                case = (name, bootstrap, x1)
+                if _refusal(spec, problem, bootstrap, x1):
+                    with pytest.raises(ValueError):
+                        runner(problem, config)
+                    continue
+                trace = runner(problem, config)
+                if spec.min_window == 1:
+                    continue  # step 1 is the method's own step
+                with precision(64):
+                    x0 = real(problem.default_x0)
+                    assert trace.steps[1].x == _second_seed(problem, x0, x1), case
 
 
 def test_a_mirrored_third_seed_that_rounds_to_x0_is_rejected():
@@ -284,7 +240,8 @@ def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
         config = SolverConfig(method=method, window=3, x0=x0, x1=x1, precision_bits=64)
         with pytest.raises(ValueError, match=same):
             runner(problem, config)
-    config = SolverConfig(method=method, window=3, x0="1", perturb_h="1e-400", precision_bits=256)
+    config = SolverConfig(method=method, window=3, x0="1", x1="1." + "0" * 399 + "1",
+                          precision_bits=256)
     with pytest.raises(ValueError, match=same):
         runner(problem, config)
     # the problem has no fixed-point form for picard's second seed
@@ -297,9 +254,7 @@ def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
 
 def test_finite_numeric_fields_of_every_type_are_accepted():
     for value in (0, 3, "1e-40", 0.5, real("2")):
-        fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x", "perturb_h"), value)
-        if value == 0:
-            del fields["perturb_h"]  # the one field that must also be non-zero
+        fields = dict.fromkeys(("alpha", "beta", "tol_f", "tol_x"), value)
         SolverConfig(method="ch-d1", window=2, **fields).validated("opt")
 
 

@@ -122,7 +122,7 @@ def test_a_run_refuses_a_problem_of_the_other_kind(runner, name, config, message
         runner(corpus.get_problem(name), SolverConfig(method="nope"))
 
 
-def test_perturb_bootstrap_scales_with_x0():
+def test_the_default_second_seed_scales_with_x0():
     problem = corpus.get_problem("x2_minus_2")
     config = SolverConfig(method="exact-df", window=2, x0="400", precision_bits=128)
     trace = solve(problem, config)
@@ -282,13 +282,10 @@ FAILED_RUNS = {
     "zero-derivative": (solve, lambda: corpus.get_problem("x2_minus_2"),
                         dict(method="newton", x0="0"), 1,
                         "ZeroDerivative: Newton step needs f' != 0"),
-    "collapsed-perturb-h": (solve, lambda: corpus.get_problem("cos_minus_x"),
-                            dict(x0="1", perturb_h="1e-76"), 2,
-                            "SingularStep: memory collapsed below the method minimum"),
     "collapsed-x1": (solve, lambda: corpus.get_problem("cos_minus_x"), dict(x0="1", x1=ONE), 2,
                      "SingularStep: memory collapsed below the method minimum"),
     "flat-curvature": (optimize, lambda: corpus.get_problem("opt_quadratic"),
-                       dict(method="newton-df", x0="1", window=3, perturb_h="1e-10",
+                       dict(method="newton-df", x0="1", window=3, x1="1.0000000001",
                             precision_bits=64), 3,
                        "SingularStep: estimated curvature vanished"),
 }
