@@ -126,12 +126,9 @@ class SolverConfig:
     optimisation runs.  ``max_iter`` is the highest step index the trace may
     reach (the initial point is index 0).  ``alpha`` only matters for the
     alpha weight scheme; its default of 0 is arbitrary (any value with the
-    right asymptotics works, none is preferred).  ``seed_points`` picks and
-    checks the second starting point from ``x1`` and ``bootstrap`` (one of
-    ``BOOTSTRAPS``).  ``validated`` refuses a non-finite numeric field, an
-    integer field that is not an int, a negative tolerance, a seed value no
-    seed would use, and a ``max_iter`` below the number of seeds, so every
-    run proposes a step.
+    right asymptotics works, none is preferred).  ``x1`` is the one value
+    that names the second starting point (see ``seed_points``); ``bootstrap``
+    (one of ``BOOTSTRAPS``) only refuses inputs.
     """
 
     method: str = "exact-df"
@@ -150,7 +147,12 @@ class SolverConfig:
     def validated(self, family: str = "root") -> "SolverConfig":
         """``self`` after checking it against the method's table entry.
 
-        ``family`` is "root" for ``solve`` and "opt" for ``optimize``.
+        ``family`` is "root" for ``solve`` and "opt" for ``optimize``.  It
+        refuses an unknown name, an ``x1`` on a method that seeds ``x0``
+        alone or under ``"picard"``, ``"explicit"`` without ``x1``, a count
+        that is not an int or is out of range (a ``max_iter`` below the
+        number of seeds, so every run proposes a step), a non-finite numeric
+        field and a negative tolerance.
         """
         spec = method_spec(self.method, family)
         if self.weight_scheme not in spec.schemes:
@@ -572,14 +574,25 @@ def _propose(run: _Run):
     raise last_err
 
 
+def _later_seeds(x0: Real, x1: Real, count: int) -> list:
+    """The seeds after ``x0``: ``x1``, then for a third its mirror ``x0 - (x1 - x0)``."""
+    if count < 3:
+        return [x1]
+    x2 = x0 - (x1 - x0)
+    if x2 == x0:  # x1 - x0 is below half an ulp of x0
+        raise ValueError("x0 - (x1 - x0) must differ from x0 at the working precision")
+    return [x1, x2]
+
+
 def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> Iterator[Real]:
     """The ``spec.min_window`` starting points, yielded one at a time.
 
     After ``x0`` comes ``x1`` when given; otherwise one fixed-point step
     when the problem has that form; otherwise ``x0 + 1e-3 * max(1, |x0|)``.
-    An ``x1`` that rounds to ``x0`` and ``picard`` without a fixed-point
-    form are refused before anything is evaluated.  A third point mirrors
-    the second, and is refused if it rounds to ``x0``.
+    A third point mirrors the second.  ``picard`` without a fixed-point
+    form, and a second seed given as a value that rounds to ``x0`` or whose
+    mirror does, are refused before anything is evaluated.  The mirror of a
+    fixed-point step is checked once that step is taken.
     """
     if spec.min_window == 1:
         yield x0
@@ -588,21 +601,18 @@ def seed_points(problem, config: SolverConfig, spec: MethodSpec, x0: Real) -> It
     if config.x1 is not None:
         x1 = real(config.x1)
     elif fixed_point is not None:
-        x1 = None  # one fixed-point step, made once x0 is taken
+        yield x0
+        yield from _later_seeds(x0, fixed_point(x0), spec.min_window)
+        return
     elif config.bootstrap == "picard":
         raise ValueError(f"problem {problem.name!r} has no fixed-point form")
     else:
         x1 = x0 + mpf(10) ** -3 * max(mpf(1), abs(x0))
-    if x1 is not None and x1 == x0:
+    if x1 == x0:
         raise ValueError("x1 must differ from x0 at the working precision")
+    later = _later_seeds(x0, x1, spec.min_window)
     yield x0
-    x1 = fixed_point(x0) if x1 is None else x1
-    yield x1
-    if spec.min_window > 2:
-        x2 = x0 - (x1 - x0)
-        if x2 == x0:  # x1 - x0 is below half an ulp of x0
-            raise ValueError("x0 - (x1 - x0) must differ from x0 at the working precision")
-        yield x2
+    yield from later
 
 
 _KINDS = {"root": "root", "opt": "optimisation"}  # family -> the kind of problem it runs on

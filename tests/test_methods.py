@@ -1,9 +1,13 @@
 import argparse
+import dataclasses
+import decimal
 import io
 import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from baryiter import cli, corpus, root_search
@@ -197,6 +201,57 @@ def test_every_seed_input_is_used_or_refused(method):
                     assert trace.steps[1].x == _second_seed(problem, x0, x1), case
 
 
+# family -> (runner, a problem to seed, the family's method that seeds the most points)
+SEED_RULE_RUNS = {"root": (solve, "x2_minus_2", "exact-df"),
+                  "opt": (optimize, "opt_quadratic", "newton-df")}
+EXACT = decimal.Context(prec=400)  # x0 + 2^-300 and x0 + 10^-300 are exact at this precision
+
+
+@st.composite
+def _seed_values(draw) -> tuple:
+    """Decimal strings (x0, x1): x1 anywhere near x0, or x0 plus or minus 2^-k or 10^-k."""
+    x0 = decimal.Decimal(draw(st.integers(-4000, 4000))).scaleb(-3)
+    if draw(st.booleans()):
+        return str(x0), str(decimal.Decimal(draw(st.integers(-4000, 4000))).scaleb(-3))
+    step = EXACT.power(decimal.Decimal(draw(st.sampled_from((2, 10)))), -draw(st.integers(0, 300)))
+    return str(x0), str(EXACT.add(x0, step if draw(st.booleans()) else -step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(sorted(SEED_RULE_RUNS)), seeds=_seed_values(),
+       bits=st.sampled_from((64, 128, 256)))
+# x1 = 1 - 2^-256: the mirror 1 + 2^-256 rounds to x0
+@example(family="opt", seeds=("1", str(EXACT.subtract(1, EXACT.power(2, -256)))), bits=256)
+def test_the_seeds_are_the_values_given_or_refused_before_any_evaluation(family, seeds, bits):
+    runner, name, method = SEED_RULE_RUNS[family]
+    count = METHODS[method].min_window
+    calls = []
+
+    def counted(fn):
+        def wrapped(x):
+            calls.append(x)
+            return fn(x)
+        return wrapped
+
+    problem = corpus.get_problem(name)
+    problem = dataclasses.replace(problem, f=counted(problem.f), df=counted(problem.df),
+                                  d2f=counted(problem.d2f))
+    config = SolverConfig(method=method, window=count, x0=seeds[0], x1=seeds[1],
+                          precision_bits=bits, max_iter=count)
+    try:
+        trace = runner(problem, config)
+    except ValueError:
+        assert calls == []
+        return
+    with precision(bits):
+        x0, x1 = real(seeds[0]), real(seeds[1])
+        expected = [x0, x1, x0 - (x1 - x0)][:count]
+    assert all(x != x0 for x in expected[1:])
+    taken = [step.x._mpf_ for step in trace.steps[:count]]
+    assert taken == [x._mpf_ for x in expected][:len(taken)]
+    assert len(taken) == count or trace.status == "converged"
+
+
 def test_a_mirrored_third_seed_that_rounds_to_x0_is_rejected():
     # newton-df seeds x0, x1 and x0 - (x1 - x0).  With x1 = 1 - 2^-256 the third is
     # 1 + 2^-256, half an ulp above 1, and rounds back to x0: the window would
@@ -244,6 +299,14 @@ def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
                           precision_bits=256)
     with pytest.raises(ValueError, match=same):
         runner(problem, config)
+    if family == "opt":
+        # newton-df's third seed 1 + 2^-256 is half an ulp above x0 = 1 and rounds to it
+        with precision(256):
+            x1 = 1 - mpf(2) ** -256
+        config = SolverConfig(method=method, window=3, x0=1, x1=x1, precision_bits=256)
+        with pytest.raises(ValueError, match=r"^x0 - \(x1 - x0\) must differ from x0 at the "
+                                             r"working precision$"):
+            runner(problem, config)
     # the problem has no fixed-point form for picard's second seed
     config = SolverConfig(method=method, window=3, bootstrap="picard")
     with pytest.raises(ValueError, match="^problem 'p' has no fixed-point form$"):
