@@ -10,8 +10,9 @@ immutable and safe to share between threads.  Each kernel reads
 ``mp._prec_rounding`` once at entry and runs on that (precision, rounding)
 pair throughout.  ``precision`` holds one process-wide re-entrant lock for
 the length of its block, so runs and ``precision`` blocks in different
-threads are serialised, and a nested block in the same thread re-enters;
-``set_precision`` is for single-threaded setup only.
+threads are serialised, and a nested block in the same thread re-enters.
+``set_precision`` takes the same lock, so it waits for runs and blocks in
+other threads to end.
 
 The hot paths (weights, expression programs, window selection, the step
 formulas and the solver loop's checks) run on raw libmp tuples, the ``_mpf_``
@@ -82,17 +83,18 @@ def _validated_bits(bits) -> int:
     return bits
 
 
+_PRECISION_LOCK = threading.RLock()
+
+
 def set_precision(bits: int) -> None:
-    """Set the working precision to ``bits`` of mantissa."""
-    mpmath.mp.prec = _validated_bits(bits)
+    """Set the working precision to ``bits`` of mantissa, holding the precision lock."""
+    with _PRECISION_LOCK:
+        mpmath.mp.prec = _validated_bits(bits)
 
 
 def get_precision() -> int:
     """Current working precision in bits."""
     return mpmath.mp.prec
-
-
-_PRECISION_LOCK = threading.RLock()
 
 
 @contextmanager

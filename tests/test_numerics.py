@@ -1,3 +1,4 @@
+import threading
 from functools import partial
 
 import pytest
@@ -64,6 +65,36 @@ def test_precision_floor_and_context():
             assert get_precision() == 128
         assert get_precision() == 512
     assert get_precision() == before
+
+
+def test_set_precision_waits_for_a_precision_block_in_another_thread(monkeypatch):
+    lock = numerics._PRECISION_LOCK
+    contended = threading.Event()
+
+    class Watched:
+        """The precision lock, noting a thread that finds it held by another."""
+
+        def __enter__(self):
+            if not lock.acquire(blocking=False):
+                contended.set()
+                lock.acquire()
+
+        def __exit__(self, *exc):
+            lock.release()
+
+    monkeypatch.setattr(numerics, "_PRECISION_LOCK", Watched())
+    before = get_precision()
+    setter = threading.Thread(target=set_precision, args=(64,))
+    try:
+        with precision(128):
+            setter.start()
+            # a setter that never waits never sets the event: the timeout fails the test
+            assert contended.wait(timeout=10)
+            assert get_precision() == 128
+        setter.join(timeout=10)
+        assert not setter.is_alive() and get_precision() == 64
+    finally:
+        set_precision(before)
 
 
 @pytest.mark.parametrize("bits", (128.9, 128.0, "300", True))
