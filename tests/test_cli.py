@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import runpy
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryiter import analysis, cli, corpus
+from baryiter.root_search import SolverConfig
 
 
 def run_cli(*argv):
@@ -303,6 +305,21 @@ def test_no_option_is_added_or_removed():
         for name, parser in commands.items()
     }
     assert flags == FLAG_SET
+
+
+# SolverConfig's (field, default) pairs; the CLI sets every field but bootstrap
+CONFIG_FIELDS = {"method": "exact-df", "weight_scheme": "x", "alpha": 0, "window": 4, "beta": 1,
+                 "x0": None, "x1": None, "bootstrap": "auto", "tol_f": None, "tol_x": None,
+                 "max_iter": 60, "precision_bits": 256}
+
+
+def test_no_config_field_is_added_or_removed(monkeypatch):
+    assert {f.name: f.default for f in dataclasses.fields(SolverConfig)} == CONFIG_FIELDS
+    passed = []
+    monkeypatch.setattr(cli, "SolverConfig", lambda **fields: passed.append(set(fields)))
+    for command in ("solve", "optimize"):
+        cli._config_from(cli.build_parser().parse_args([command, "--problem", "cos_minus_x"]))
+    assert passed == [set(CONFIG_FIELDS) - {"bootstrap"}] * 2
 
 
 @pytest.mark.parametrize("output, orders", [("csv", 0), ("json", 1), ("human", 1)])
