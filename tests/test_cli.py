@@ -285,8 +285,8 @@ def test_an_out_of_range_argument_is_a_usage_error(capsys, argv, message):
 FLAG_SET = {
     "solve": {"--problem": None, "--expr": None, "--x0": None, "--x1": None,
               "--method": "exact-df", "--weights": "x", "--alpha": "0", "--window": 4,
-              "--beta": "1", "--tol-f": None, "--tol-x": None, "--max-iter": 60, "--precision-bits": None, "--output": "human",
-              "--digits": None},
+              "--beta": "1", "--tol-f": None, "--tol-x": None, "--max-iter": 60,
+              "--precision-bits": None, "--output": "human", "--digits": None},
     "order": {"--family": None, "--m": None, "--n": None, "--digits": 6},
     "table": {"--reproduce": None, "--precision-bits": None},
     "compare": {"--problem": None, "--expr": None, "--x0": None, "--methods": None,
