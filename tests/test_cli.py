@@ -307,6 +307,14 @@ def test_no_option_is_added_or_removed():
     assert flags == FLAG_SET
 
 
+@pytest.mark.parametrize("command, problem", [("solve", "cos_minus_x"),
+                                              ("optimize", "opt_quadratic")])
+def test_perturb_h_is_not_an_option(capsys, command, problem):
+    # x1 alone names the second seed: x0 + h is --x1 with that value
+    assert run_cli(command, "--problem", problem, "--perturb-h", "1e-8") == (1, "")
+    assert capsys.readouterr().err == "error: unrecognized arguments: --perturb-h 1e-8\n"
+
+
 # SolverConfig's (field, default) pairs; the CLI sets every field but bootstrap
 CONFIG_FIELDS = {"method": "exact-df", "weight_scheme": "x", "alpha": 0, "window": 4, "beta": 1,
                  "x0": None, "x1": None, "bootstrap": "auto", "tol_f": None, "tol_x": None,
@@ -445,6 +453,14 @@ def test_an_x1_equal_to_the_default_x0_is_a_usage_error(capsys):
     for argv in (("solve", "--problem", "cos_minus_x", "--x1", "3"),
                  ("optimize", "--problem", "opt_cos", "--x1", "2.5")):
         assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
+
+
+@pytest.mark.parametrize("x0, x1", [("0", "-0.0"), ("-0", "0")])
+def test_an_x1_of_the_other_signed_zero_is_a_usage_error(capsys, x0, x1):
+    # +0 and -0 are one point: the run would end in a singular step with no trace
+    for command, problem in (("solve", "cos_minus_x"), ("optimize", "opt_quadratic")):
+        assert run_cli(command, "--problem", problem, "--x0", x0, "--x1", x1) == (1, "")
         assert capsys.readouterr().err == "error: x1 must differ from x0 at the working precision\n"
 
 

@@ -55,15 +55,13 @@ def test_cli_method_choices_are_the_table_keys():
     assert _method_choices("optimize") == tuple(m for m, s in METHODS.items() if s.family == "opt")
 
 
-def test_x1_with_picard_is_rejected():
+@pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])
+def test_x1_with_picard_is_rejected(method, family):
     # an explicit second point contradicts a fixed-point step, in either family
-    message = "^x1 needs the explicit or auto bootstrap, not picard$"
-    with pytest.raises(ValueError, match=message):
-        solve(corpus.get_problem("cos_minus_x"),
-              SolverConfig(method="exact-df", window=2, x1="0.5", bootstrap="picard"))
-    with pytest.raises(ValueError, match=message):
-        optimize(corpus.get_problem("opt_quadratic"),
-                 SolverConfig(method="newton-df", window=3, x1="0.5", bootstrap="picard"))
+    runner, name = RUNNERS[family]
+    config = SolverConfig(method=method, window=3, x1="0.5", bootstrap="picard")
+    with pytest.raises(ValueError, match="^x1 needs the explicit or auto bootstrap, not picard$"):
+        runner(corpus.get_problem(name), config)
 
 
 def test_explicit_bootstrap_without_x1_is_rejected_for_seeded_methods():
@@ -217,11 +215,11 @@ def _seed_values(draw) -> tuple:
     return str(x0), str(EXACT.add(x0, step if draw(st.booleans()) else -step))
 
 
+@pytest.mark.parametrize("family", sorted(SEED_RULE_RUNS))
 @settings(max_examples=100, deadline=None)
-@given(family=st.sampled_from(sorted(SEED_RULE_RUNS)), seeds=_seed_values(),
-       bits=st.sampled_from((64, 128, 256)))
-# x1 = 1 - 2^-256: the mirror 1 + 2^-256 rounds to x0
-@example(family="opt", seeds=("1", str(EXACT.subtract(1, EXACT.power(2, -256)))), bits=256)
+@given(seeds=_seed_values(), bits=st.sampled_from((64, 128, 256)))
+# x1 = 1 - 2^-256: newton-df's mirror 1 + 2^-256 rounds to x0
+@example(seeds=("1", str(EXACT.subtract(1, EXACT.power(2, -256)))), bits=256)
 def test_the_seeds_are_the_values_given_or_refused_before_any_evaluation(family, seeds, bits):
     runner, name, method = SEED_RULE_RUNS[family]
     count = METHODS[method].min_window
@@ -280,13 +278,19 @@ def test_a_negative_tolerance_is_rejected(name, value):
     SolverConfig(method="exact-df", **{name: "-0.0"}).validated()  # zero, whatever its sign
 
 
+def _never(x):
+    raise AssertionError("f was evaluated")
+
+
+def _unevaluated_problem() -> SimpleNamespace:
+    """A problem with default x0 = 3 whose every function fails the test if evaluated."""
+    return SimpleNamespace(name="p", f=_never, df=_never, d2f=_never, reference=_never,
+                           default_x0="3")
+
+
 @pytest.mark.parametrize("method, family", [("exact-df", "root"), ("newton-df", "opt")])
 def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
-    def never(x):
-        raise AssertionError("f was evaluated")
-
-    problem = SimpleNamespace(name="p", f=never, df=never, d2f=never, reference=never,
-                              default_x0="3")
+    problem = _unevaluated_problem()
     runner = RUNNERS[family][0]
     same = "^x1 must differ from x0 at the working precision$"
     # 1 + 1e-22 rounds to 1 at 64 bits and is a distinct seed at 128
@@ -313,6 +317,33 @@ def test_an_x1_equal_to_x0_is_refused_before_any_evaluation(method, family):
         runner(problem, config)
     SolverConfig(method=method, window=3, x0="1", x1="1.0000000000000000000001",
                  precision_bits=128).validated(family)
+
+
+@pytest.mark.parametrize("zero", [0, "0", "-0.0", -0.0, real(0)])
+def test_a_zero_x1_of_either_sign_is_refused_at_a_zero_x0(zero):
+    # +0 and -0 are one point: x1 would repeat x0 and collapse the memory before the first step
+    for method, family in (("exact-df", "root"), ("newton-df", "opt")):
+        runner = RUNNERS[family][0]
+        for x0, x1 in ((zero, "-0.0"), (zero, 0), ("-0.0", zero)):
+            config = SolverConfig(method=method, window=3, x0=x0, x1=x1)
+            with pytest.raises(ValueError,
+                               match="^x1 must differ from x0 at the working precision$"):
+                runner(_unevaluated_problem(), config)
+
+
+@pytest.mark.parametrize("value", [4, "4", "4e0", 4.0, real(4)])
+def test_an_x1_of_every_type_is_taken_at_its_value(value):
+    # x1 is read as x0 is: one number in any type seeds one point, and repeats an x0 equal to it
+    for method, family in (("exact-df", "root"), ("newton-df", "opt")):
+        runner, name = RUNNERS[family]
+        count = METHODS[method].min_window
+        config = SolverConfig(method=method, window=3, x0="1", x1=value, precision_bits=64,
+                              max_iter=count)
+        trace = runner(corpus.get_problem(name), config)
+        assert [step.x for step in trace.steps[:count]] == [1, 4, -2][:count]
+        config = SolverConfig(method=method, window=3, x0=value, x1="4.0")
+        with pytest.raises(ValueError, match="^x1 must differ from x0 at the working precision$"):
+            runner(_unevaluated_problem(), config)
 
 
 def test_finite_numeric_fields_of_every_type_are_accepted():

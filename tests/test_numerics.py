@@ -97,6 +97,24 @@ def test_set_precision_waits_for_a_precision_block_in_another_thread(monkeypatch
         set_precision(before)
 
 
+def test_set_precision_inside_a_precision_block_re_enters_the_lock():
+    # the lock is re-entrant: in the block's own thread set_precision sets the block's
+    # precision at once, and the block puts back the one it found on exit
+    before = get_precision()
+    seen = []
+
+    def nested():
+        with precision(128):
+            set_precision(64)
+            seen.append(get_precision())
+        seen.append(get_precision())
+
+    runner = threading.Thread(target=nested, daemon=True)
+    runner.start()
+    runner.join(timeout=10)  # a lock that is not re-entrant would block here
+    assert not runner.is_alive() and seen == [64, before]
+
+
 @pytest.mark.parametrize("bits", (128.9, 128.0, "300", True))
 def test_a_precision_that_is_not_an_int_is_refused(bits):
     before = get_precision()
